@@ -26,23 +26,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
+from .intertwine import AxisFunction, vk_axis
 from .orthopoly import JacobiParams, jacobi_all
 from .polycore import KappaParams
-from .simplexquad import SimplexRule, gauss_jacobi01, integrate
+from .simplexquad import SimplexRule, gauss_jacobi01, integrate, require_rule
 
 
 def _params(d: int, kappa) -> KappaParams:
     return kappa if isinstance(kappa, KappaParams) else KappaParams(d, Fraction(kappa))
-
-
-def _check_rule(params: KappaParams, rule: SimplexRule) -> None:
-    if rule is None:
-        raise ValueError("a simplex rule is required when kappa > 0")
-    if rule.d != params.d or abs(rule.kappa - params.kappa_float) > 1e-13:
-        raise ValueError(
-            f"rule is for (d={rule.d}, kappa={rule.kappa}), "
-            f"params are (d={params.d}, kappa={params.kappa_float})"
-        )
 
 
 def dunkl_exp_axis(ell: int, y, params: KappaParams, rule: SimplexRule | None,
@@ -52,17 +43,9 @@ def dunkl_exp_axis(ell: int, y, params: KappaParams, rule: SimplexRule | None,
     Quadrature of c_kappa int e^{<y,t>} t_{ell-1} (t_0...t_{d-1})^(kappa-1) dt;
     with imaginary=True the integrand is e^{i<y,t>}.  kappa = 0 degenerates to
     the point evaluation e^{y_ell}."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (params.d,):
-        raise ValueError(f"y must have shape ({params.d},)")
-    if not 1 <= ell <= params.d:
-        raise ValueError(f"axis {ell} out of range 1..{params.d}")
     phase = 1j if imaginary else 1.0
-    if params.kappa == 0:
-        return complex(cmath.exp(phase * y[ell - 1]))
-    _check_rule(params, rule)
-    value = integrate(rule, lambda T: np.exp(phase * (T @ y)) * T[:, ell - 1])
-    return complex(params.c_kappa * value)
+    profile = AxisFunction(ell=ell, profile=lambda s: np.exp(phase * s))
+    return complex(vk_axis(profile, y, params, rule))
 
 
 def bessel_k(d: int, kappa, y, rule: SimplexRule | None, path: str = "direct",
@@ -85,7 +68,7 @@ def bessel_k(d: int, kappa, y, rule: SimplexRule | None, path: str = "direct",
         # the symmetrized exponential: every orbit average collapses to this
         return complex(np.mean(np.exp(phase * y)))
     if path == "direct":
-        _check_rule(params, rule)
+        require_rule(rule, params)
         value = integrate(rule, lambda T: np.exp(phase * (T @ y)))
         return complex(params.c_kappa / d * value)
     if path == "coset":
@@ -227,7 +210,7 @@ def bessel_k2_direct(kappa, x, y, rule: SimplexRule) -> complex:
     if params.kappa == 0:
         a, b = x @ y, x[0] * y[1] + x[1] * y[0]
         return (cmath.exp(1j * a) + cmath.exp(1j * b)) / 2.0
-    _check_rule(params, rule)
+    require_rule(rule, params)
     a, b = x @ y, x[0] * y[1] + x[1] * y[0]
     value = integrate(rule, lambda T: np.exp(1j * (a * T[:, 0] + b * T[:, 1])))
     return complex(params.c_kappa / 2.0 * value)
@@ -291,8 +274,7 @@ def bessel_recursive(d: int, kappa, y, rule_inner: SimplexRule,
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
         raise ValueError(f"y must have shape ({d},)")
-    if rule_inner.d != d - 1 or abs(rule_inner.kappa - params.kappa_float) > 1e-13:
-        raise ValueError("rule_inner must be a simplex rule for (d-1, kappa)")
+    require_rule(rule_inner, KappaParams(d - 1, params.kappa))
     k = params.kappa_float
     r, w = gauss_jacobi01(order_r, k - 1.0, (d - 1) * k - 1.0)
     w = w * math.exp(math.lgamma(d * k) - math.lgamma(k) - math.lgamma((d - 1) * k))

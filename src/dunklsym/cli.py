@@ -9,12 +9,14 @@ envelope checks).
 
 Every run writes a header with the config snapshot and library version.
 Identical config and seed give byte-identical output: nothing here consults
-the clock, the environment beyond the worker count, or unseeded randomness.
-Interrupted sweeps leave a valid file containing the completed rows only.
+the clock, the environment, or unseeded randomness.  Arguments are checked
+before the first byte is written.  Interrupted sweeps leave a valid file
+containing the completed rows only.
 
 Exit codes: 0 success, 1 a verification the run performs failed (an
 intertwining identity, a tolerance on pairwise deviations, a stability
-window), 2 usage or configuration error.
+window, the self-check of a quadrature rule or basis), 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from .harmonics import build_sphere_rule, hharmonic_basis
 from .intertwine import verify_intertwining
 from .orthopoly import JacobiParams
 from .polycore import KappaParams
-from .simplexquad import build_rule
+from .simplexquad import SelfCheckError, build_rule
 from .summability import (
     cesaro_kernel_axis,
+    check_sweep,
     default_sample_points,
     estimate_check,
     kernel_bound_check,
@@ -57,7 +60,6 @@ class RunConfig:
     tolerance: float | None = None
     out: str | None = None
     seed: int = _DEFAULT_SEED
-    workers: int | None = None
 
     def header_pairs(self, extra: dict) -> list[tuple[str, object]]:
         pairs = [("version", __version__), ("command", self.command),
@@ -67,8 +69,6 @@ class RunConfig:
         if self.tolerance is not None:
             pairs.append(("tolerance", self.tolerance))
         pairs.append(("seed", self.seed))
-        if self.workers is not None:
-            pairs.append(("workers", self.workers))
         pairs.extend(extra.items())
         return pairs
 
@@ -302,10 +302,10 @@ def _cmd_lebesgue(args) -> int:
     if not deltas:
         raise ValueError("--delta produced an empty list")
     order = _merged(args, "quad_order", int, n_max + 16)
-    workers = _merged(args, "workers", int)
+    check_sweep(params, deltas, n_max, ell, order)
     out = _merged(args, "out", str)
     config = RunConfig(command="lebesgue", d=d, kappa=str(params.kappa),
-                       ell=ell, quad_order=order, workers=workers)
+                       ell=ell, quad_order=order)
     # critical index for this group, with the sign-change-group threshold at
     # equal multiplicities printed alongside for context (display only)
     extra = {"delta": ",".join(repr(v) for v in deltas), "n_max": n_max,
@@ -319,7 +319,6 @@ def _cmd_lebesgue(args) -> int:
         payload = _json_header(config, extra)
         try:
             lebesgue_sweep(params, deltas, n_max, ell, sphere_order=order,
-                           workers=workers,
                            progress=lambda r: rows.append({
                                "d": r.d, "kappa": r.kappa, "ell": r.ell,
                                "delta": r.delta, "n": r.n, "I_n": r.value,
@@ -346,7 +345,7 @@ def _cmd_lebesgue(args) -> int:
 
         try:
             lebesgue_sweep(params, deltas, n_max, ell, sphere_order=order,
-                           workers=workers, progress=write_row)
+                           progress=write_row)
         except KeyboardInterrupt:
             return 130
     finally:
@@ -460,8 +459,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="verification tolerance where the run checks one")
     p.add_argument("--out", help="output path (.csv or .json); default stdout")
     p.add_argument("--seed", type=int, help="seed for sampled points")
-    p.add_argument("--workers", type=int,
-                   help="worker count (also env DUNKLSYM_WORKERS)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -493,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bessel", help="generalized Bessel function, all routes")
     _add_common(p)
     p.add_argument("--y", help="comma-separated argument vector")
-    p.add_argument("--path", choices=["direct", "closed", "recursive", "all"],
+    p.add_argument("--path", choices=["direct", "closed", "recursive", "coset", "all"],
                    help="which route(s) to evaluate (default all)")
     p.add_argument("--argument", choices=["imaginary", "real"],
                    help="evaluate K(., iy) (default) or K(., y)")
@@ -539,6 +536,9 @@ def main(argv=None) -> int:
     try:
         args._config_file = _load_config_file(config_path) if config_path else {}
         return _HANDLERS[args.command](args)
+    except SelfCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

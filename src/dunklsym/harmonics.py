@@ -29,9 +29,16 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import roots_jacobi
 
+from .intertwine import AxisFunction, vk_axis
 from .orthopoly import JacobiParams, jacobi_all, kernel_normalizer
 from .polycore import KappaParams, Monomial, Polynomial, dunkl_laplacian
-from .simplexquad import SimplexRule, integrate
+from .simplexquad import SelfCheckError, SimplexRule
+
+
+def require_sphere_dim(d: int) -> None:
+    """ValueError unless build_sphere_rule has rules for S^(d-1)."""
+    if d not in (2, 3, 4):
+        raise ValueError("only d in {2, 3, 4} is supported")
 
 
 def surface_area(d: int) -> float:
@@ -150,21 +157,20 @@ def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
     check needs half-integer kappa on S^3."""
     if order < 4:
         raise ValueError("order must be >= 4")
+    require_sphere_dim(d)
     split = _wants_kink_split(kappa_hint)
     if d == 2:
         rule = _circle_rule(order, split)
     elif d == 3:
         rule = _sphere3_kink(order) if split else _sphere3_plain(order)
-    elif d == 4:
-        rule = _sphere4_plain(order)
     else:
-        raise ValueError("only d in {2, 3, 4} is supported")
+        rule = _sphere4_plain(order)
     total = float(rule.weights.sum())
     if abs(total / surface_area(d) - 1) > 1e-10:
-        raise RuntimeError(f"sphere rule mass {total} does not match the surface area")
+        raise SelfCheckError(f"sphere rule mass {total} does not match the surface area")
     norms = np.linalg.norm(rule.nodes, axis=1)
     if np.max(np.abs(norms - 1)) > 1e-14:
-        raise RuntimeError("sphere rule nodes drifted off the unit sphere")
+        raise SelfCheckError("sphere rule nodes drifted off the unit sphere")
     return rule
 
 
@@ -312,7 +318,7 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
         null = _rational_nullspace(rows, len(monos))
     expected = harmonic_dim(n, d)
     if len(null) != expected:
-        raise RuntimeError(
+        raise SelfCheckError(
             f"nullspace dimension {len(null)} != {expected} for n={n}, d={d}, "
             f"kappa={params.kappa}; the Laplacian assembly is wrong")
 
@@ -330,7 +336,7 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
+        raise SelfCheckError(
             "Gram matrix is not positive definite; raise the sphere order") from exc
     mix = solve_triangular(L, np.eye(len(null)), lower=True)
 
@@ -357,15 +363,6 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
 # ---------------------------------------------------------------------------
 
 
-def _check_rule(params: KappaParams, rule: SimplexRule) -> None:
-    if rule is None:
-        raise ValueError("a simplex rule is required when kappa > 0")
-    if rule.d != params.d or abs(rule.kappa - params.kappa_float) > 1e-13:
-        raise ValueError(
-            f"rule is for (d={rule.d}, kappa={rule.kappa}), "
-            f"params are (d={params.d}, kappa={params.kappa_float})")
-
-
 def _zn_values(n: int, lam: float, t) -> np.ndarray:
     """Z_n^lambda(t) through the Jacobi normalizer; safe down to lambda = 0."""
     jp = JacobiParams(lam - 0.5, lam - 0.5)
@@ -385,17 +382,10 @@ def repro_kernel_axis(n: int, ell: int, x, params: KappaParams,
     kappa = 0 the integral collapses to the classical Gegenbauer kernel
     Z_n at x_ell."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (params.d,):
-        raise ValueError(f"x must have shape ({params.d},)")
-    if not 1 <= ell <= params.d:
-        raise ValueError(f"axis {ell} out of range 1..{params.d}")
     _check_on_sphere(x)
     lam = float(params.lambda_kappa)
-    if params.kappa == 0:
-        return float(_zn_values(n, lam, np.asarray([x[ell - 1]]))[0])
-    _check_rule(params, rule)
-    value = integrate(rule, lambda T: _zn_values(n, lam, T @ x) * T[:, ell - 1])
-    return float(params.c_kappa * value)
+    profile = AxisFunction(ell=ell, profile=lambda s: _zn_values(n, lam, s))
+    return float(vk_axis(profile, x, params, rule))
 
 
 def repro_kernel_basis(n: int, x, y, basis: HarmonicBasis) -> float:

@@ -35,7 +35,7 @@ from .polycore import (
     Polynomial,
     dunkl_apply,
 )
-from .simplexquad import SimplexRule, integrate
+from .simplexquad import SimplexRule, integrate, require_rule
 
 
 @dataclass(frozen=True)
@@ -47,27 +47,22 @@ class AxisFunction:
     profile: Callable[[np.ndarray], np.ndarray]
 
 
-def _check_rule(params: KappaParams, rule: SimplexRule) -> None:
-    if rule.d != params.d or abs(rule.kappa - params.kappa_float) > 1e-13:
-        raise ValueError(
-            f"rule is for (d={rule.d}, kappa={rule.kappa}), "
-            f"params are (d={params.d}, kappa={params.kappa_float})"
-        )
-
-
-def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule | None) -> float:
+def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule | None):
     """V_kappa F at the point x for a single-component F.
 
     The factor t_{ell-1} is part of the integrand so one rule per (d, kappa)
-    serves every axis.  kappa = 0 short-circuits to the identity operator."""
+    serves every axis.  kappa = 0 short-circuits to the identity operator.
+    The kernels at e_ell (repro_kernel_axis, cesaro_kernel_axis,
+    dunkl_exp_axis) are this map applied to a one-variable profile.  The
+    result is a numpy scalar, complex when the profile is; callers cast it."""
     x = np.asarray(x, dtype=float)
     if x.shape != (params.d,):
         raise ValueError(f"x must have shape ({params.d},)")
     if not 1 <= F.ell <= params.d:
         raise ValueError(f"axis {F.ell} out of range 1..{params.d}")
     if params.kappa == 0:
-        return float(np.asarray(F.profile(np.asarray([x[F.ell - 1]])))[0])
-    _check_rule(params, rule)
+        return np.asarray(F.profile(np.asarray([x[F.ell - 1]])))[0]
+    require_rule(rule, params)
     values = integrate(
         rule, lambda T: F.profile(T @ x) * T[:, F.ell - 1]
     )
@@ -158,7 +153,7 @@ def vk_d2_generic(f, x, params: KappaParams, rule: SimplexRule) -> float:
     x = np.asarray(x, dtype=float)
     if params.kappa == 0:
         return float(np.asarray(f(np.asarray([x[0]]), np.asarray([x[1]])))[0])
-    _check_rule(params, rule)
+    require_rule(rule, params)
 
     def integrand(T):
         u = x[0] * T[:, 0] + x[1] * T[:, 1]

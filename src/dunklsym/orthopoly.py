@@ -39,15 +39,12 @@ class CesaroOrder:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= -1:
+        if not self.delta > -1:  # also refuses NaN
             raise ValueError("Cesaro order must exceed -1")
 
 
 def _as_delta(delta) -> float:
-    value = delta.delta if isinstance(delta, CesaroOrder) else float(delta)
-    if value <= -1:
-        raise ValueError("Cesaro order must exceed -1")
-    return value
+    return (delta if isinstance(delta, CesaroOrder) else CesaroOrder(float(delta))).delta
 
 
 def _check_domain(t: np.ndarray) -> None:

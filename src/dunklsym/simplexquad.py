@@ -102,7 +102,25 @@ class SimplexRule:
         return len(self.weights)
 
 
-class MomentValidationError(RuntimeError):
+def require_rule(rule: SimplexRule | None, params) -> None:
+    """ValueError unless rule is a simplex rule for params' (d, kappa).
+
+    A function, not a method, because the missing rule (None) is one of the
+    cases it refuses.  Callers run it only when kappa > 0."""
+    if rule is None:
+        raise ValueError("a simplex rule is required when kappa > 0")
+    if rule.d != params.d or abs(rule.kappa - params.kappa_float) > 1e-13:
+        raise ValueError(
+            f"rule is for (d={rule.d}, kappa={rule.kappa}), "
+            f"params are (d={params.d}, kappa={params.kappa_float})")
+
+
+class SelfCheckError(RuntimeError):
+    """A built object failed the self-check it runs before it is handed out
+    (moments of a simplex rule, mass of a sphere rule, a Gram matrix)."""
+
+
+class MomentValidationError(SelfCheckError):
     """A constructed rule failed the Dirichlet-moment battery."""
 
 

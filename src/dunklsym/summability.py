@@ -15,21 +15,29 @@ measure forward to a measure on an interval, realized as one-dimensional
 nodes and weights: for d = 3 and integer kappa through the exact piecewise
 density (the chord integral of the weight across the level segments of
 t -> <x, t>), otherwise through the tensor simplex rule.  A single table of
-weighted Jacobi moments per sphere node then serves every (n, delta) pair,
-which is what makes a full n <= 200 sweep a matter of a minute or two.
+weighted Jacobi moments per sphere node then serves every (n, delta) pair:
+each delta is one product of a lower-triangular Cesaro-weight matrix with
+that table, which is what makes a full n <= 200 sweep a matter of a minute
+or two.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SphereRule, build_sphere_rule, hweight
+from .harmonics import (
+    SphereRule,
+    _check_on_sphere,
+    build_sphere_rule,
+    hweight,
+    require_sphere_dim,
+)
+from .intertwine import AxisFunction, vk_axis
 from .orthopoly import (
+    CesaroOrder,
     JacobiParams,
     cesaro_kernel_endpoint,
     cesaro_weights,
@@ -37,7 +45,7 @@ from .orthopoly import (
     kernel_normalizer,
 )
 from .polycore import KappaParams
-from .simplexquad import SimplexRule, build_rule, integrate
+from .simplexquad import SimplexRule, build_rule, integrate, require_rule
 
 
 @dataclass(frozen=True)
@@ -53,27 +61,9 @@ class SweepRecord:
     ell: int
 
 
-def _check_rule(params: KappaParams, rule: SimplexRule) -> None:
-    if rule is None:
-        raise ValueError("a simplex rule is required when kappa > 0")
-    if rule.d != params.d or abs(rule.kappa - params.kappa_float) > 1e-13:
-        raise ValueError(
-            f"rule is for (d={rule.d}, kappa={rule.kappa}), "
-            f"params are (d={params.d}, kappa={params.kappa_float})")
-
-
 def _jacobi_params(params: KappaParams) -> JacobiParams:
     lam = float(params.lambda_kappa)
     return JacobiParams(lam - 0.5, lam - 0.5)
-
-
-def _resolve_workers(workers=None) -> int:
-    if workers is None:
-        workers = os.environ.get("DUNKLSYM_WORKERS", "1")
-    count = int(workers)
-    if count < 1:
-        raise ValueError("worker count must be >= 1")
-    return count
 
 
 def cesaro_kernel_axis(n: int, delta, ell: int, x, params: KappaParams,
@@ -83,19 +73,11 @@ def cesaro_kernel_axis(n: int, delta, ell: int, x, params: KappaParams,
     t_{ell-1} against the Dirichlet weight.  kappa = 0 collapses to the
     classical one-variable kernel at x_ell."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (params.d,):
-        raise ValueError(f"x must have shape ({params.d},)")
-    if not 1 <= ell <= params.d:
-        raise ValueError(f"axis {ell} out of range 1..{params.d}")
-    if abs(float(x @ x) - 1.0) > 1e-10:
-        raise ValueError("x must lie on the unit sphere")
+    _check_on_sphere(x)
     jp = _jacobi_params(params)
-    if params.kappa == 0:
-        return float(cesaro_kernel_endpoint(n, jp, delta, float(x[ell - 1])))
-    _check_rule(params, rule)
-    value = integrate(
-        rule, lambda T: cesaro_kernel_endpoint(n, jp, delta, T @ x) * T[:, ell - 1])
-    return float(params.c_kappa * value)
+    profile = AxisFunction(
+        ell=ell, profile=lambda s: cesaro_kernel_endpoint(n, jp, delta, s))
+    return float(vk_axis(profile, x, params, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +161,8 @@ def _pushforward_nodes(X: np.ndarray, kappa: int, ell: int, m_s: int,
     return S, W
 
 
-def _axis_kernel_table(n_max: int, ell: int, params: KappaParams, X: np.ndarray,
-                       simplex_order: int | None = None) -> np.ndarray:
+def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
+                       X: np.ndarray) -> np.ndarray:
     """B[k, i]: degree-k projection kernel at (X[i], e_ell), for k <= n_max.
 
     Cesaro kernels for every (n <= n_max, delta) follow by weighting rows,
@@ -201,8 +183,7 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams, X: np.ndarray,
             S, W = _pushforward_nodes(X[sl], k, ell, m_s, m_chord)
             A[:, sl] = _jacobi_moments(n_max, jp, S, W)
     else:
-        order = simplex_order or max(32, n_max // 2 + 10)
-        rule = build_rule(params.d, params.kappa_float, order)
+        rule = build_rule(params.d, params.kappa_float, max(32, n_max // 2 + 10))
         T = rule.nodes
         w_eff = params.c_kappa * rule.weights * T[:, ell - 1]
         step = max(1, int(4e6) // len(rule))
@@ -215,29 +196,24 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams, X: np.ndarray,
 
 
 def _sweep_values(params: KappaParams, deltas, n_max: int, ell: int,
-                  sphere_order: int, workers: int) -> dict[float, np.ndarray]:
-    """I_n for n = 0..n_max and each delta, on one sphere rule."""
+                  sphere_order: int) -> dict[float, np.ndarray]:
+    """I_n for n = 0..n_max and each delta, on one sphere rule.
+
+    Row n of the lower-triangular W holds cesaro_weights(n, delta), so W @ B
+    is every Cesaro kernel K_n^delta(x, e_ell) at once."""
     sphere = build_sphere_rule(params.d, sphere_order, kappa_hint=params.kappa)
     B = _axis_kernel_table(n_max, ell, params, sphere.nodes)
     wh2 = params.a_kappa * sphere.weights * hweight(sphere.nodes, params) ** 2
-
-    def one(task):
-        delta, n = task
-        kernel = cesaro_weights(n, delta) @ B[: n + 1]
-        return float(np.dot(wh2, np.abs(kernel)))
-
-    tasks = [(float(delta), n) for delta in deltas for n in range(n_max + 1)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(one, tasks))
-    else:
-        flat = [one(t) for t in tasks]
     out: dict[float, np.ndarray] = {}
-    for (delta, n), value in zip(tasks, flat):
-        out.setdefault(delta, np.empty(n_max + 1))[n] = value
+    for delta in deltas:
+        W = np.zeros((n_max + 1, n_max + 1))
+        for n in range(n_max + 1):
+            W[n, : n + 1] = cesaro_weights(n, delta)
+        out[delta] = np.abs(W @ B) @ wh2
     return out
 
 
+# Single-degree one-shot path, kept as the reference the sweep engine is tested against.
 def _cesaro_kernel_on_points(n: int, delta, ell: int, params: KappaParams,
                              X: np.ndarray, rule: SimplexRule | None) -> np.ndarray:
     """K_n^delta(x, e_ell) for every row x of X, vectorized (single degree)."""
@@ -245,7 +221,7 @@ def _cesaro_kernel_on_points(n: int, delta, ell: int, params: KappaParams,
     X = np.asarray(X, dtype=float)
     if params.kappa == 0:
         return np.asarray(cesaro_kernel_endpoint(n, jp, delta, X[:, ell - 1]))
-    _check_rule(params, rule)
+    require_rule(rule, params)
     T = rule.nodes
     w_eff = params.c_kappa * rule.weights * T[:, ell - 1]
     out = np.empty(len(X))
@@ -280,19 +256,32 @@ def lebesgue_constant(n: int, delta, ell: int, params: KappaParams,
                        kappa=params.kappa_float, ell=ell)
 
 
+def check_sweep(params: KappaParams, deltas, n_max: int, ell: int,
+                sphere_order: int | None = None) -> None:
+    """ValueError for arguments lebesgue_sweep refuses, raised before any
+    work, so a caller can validate before it writes output."""
+    require_sphere_dim(params.d)
+    for delta in deltas:
+        CesaroOrder(float(delta))
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if not 1 <= ell <= params.d:
+        raise ValueError(f"axis {ell} out of range 1..{params.d}")
+    if sphere_order is not None and sphere_order < 4:
+        raise ValueError("sphere order must be >= 4")
+
+
 def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,
-                   sphere_order: int | None = None, workers=None,
+                   sphere_order: int | None = None,
                    progress=None) -> list[SweepRecord]:
     """Lebesgue constants for n = 1..n_max at each delta, via the moment
     table.  Emits records in (delta, n) order; progress, when given, is
     called once per record as it is produced."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     deltas = [float(x) for x in deltas]
-    count = _resolve_workers(workers)
+    check_sweep(params, deltas, n_max, ell, sphere_order)
     order = sphere_order if sphere_order is not None else n_max + 16
-    main = _sweep_values(params, deltas, n_max, ell, order, count)
-    coarse = _sweep_values(params, deltas, n_max, ell, max(4, (3 * order) // 4), count)
+    main = _sweep_values(params, deltas, n_max, ell, order)
+    coarse = _sweep_values(params, deltas, n_max, ell, max(4, (3 * order) // 4))
     records = []
     for delta in deltas:
         for n in range(1, n_max + 1):
@@ -363,8 +352,7 @@ def classify_growth(fit: dict) -> tuple[str, str]:
 
 
 def critical_sweep(params: KappaParams, delta_grid, n_max: int, ell: int = 1, *,
-                   sphere_order: int | None = None, workers=None,
-                   progress=None) -> dict:
+                   sphere_order: int | None = None, progress=None) -> dict:
     """Sweep Lebesgue constants across a delta grid straddling the critical
     index and classify the growth of each delta on n in [n_max/4, n_max].
 
@@ -380,8 +368,7 @@ def critical_sweep(params: KappaParams, delta_grid, n_max: int, ell: int = 1, *,
         raise ValueError(
             f"delta grid {deltas} must straddle the critical index {crit}")
     records = lebesgue_sweep(params, deltas, n_max, ell,
-                             sphere_order=sphere_order, workers=workers,
-                             progress=progress)
+                             sphere_order=sphere_order, progress=progress)
     n_lo = max(2, n_max // 4)
     ns = np.arange(n_lo, n_max + 1)
     per_delta = []
@@ -487,7 +474,7 @@ def estimate_check(n: int, params: KappaParams, alpha: float, beta: float,
         raise ValueError("alpha >= (d-1) kappa - 1/2 is required")
     if rule is None:
         rule = build_rule(d, k, max(32, n // 2 + 10))
-    _check_rule(params, rule)
+    require_rule(rule, params)
     jp = JacobiParams(float(alpha), float(beta))
     front = float(n) ** (-(d - 1) * k - 0.5)
     exponent = alpha + 0.5 - (d - 1) * k
@@ -508,8 +495,6 @@ def kernel_bound_check(n: int, delta, ell: int, params: KappaParams,
     exponent lambda - (d-1)kappa + delta + 1; second term: n^(-1) times the
     intertwined profile (1 - s + n^(-2))^(-(lambda+1)) along axis ell.
     Returns the max ratio over the samples."""
-    from .intertwine import AxisFunction, vk_axis
-
     lam = float(params.lambda_kappa)
     k = params.kappa_float
     d = params.d

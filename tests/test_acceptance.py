@@ -341,7 +341,7 @@ def test_c10_cli_runs_are_byte_identical(tmp_path):
         ["kernel", "--d", "2", "--kappa", "1", "--n", "3",
          "--x", "0.6,0.8", "--delta", "1.5"],
         ["lebesgue", "--d", "2", "--kappa", "1", "--delta", "0.5,1.0",
-         "--n-max", "4", "--quad-order", "24", "--workers", "1"],
+         "--n-max", "4", "--quad-order", "24"],
         ["bounds", "--d", "2", "--kappa", "1", "--check", "knd",
          "--n", "16,32"],
     ]

@@ -16,7 +16,7 @@ import pytest
 from dunklsym import cli
 from dunklsym.harmonics import repro_kernel_axis
 from dunklsym.polycore import KappaParams
-from dunklsym.simplexquad import build_rule
+from dunklsym.simplexquad import MomentValidationError, build_rule
 from dunklsym.summability import cesaro_kernel_axis
 
 
@@ -109,6 +109,18 @@ def test_verify_failure_exits_one(monkeypatch):
     assert payload["passed"] is False
     assert payload["failed"][0]["n"] == 2
     assert payload["failed"][0]["kappa"] == "1"
+
+
+def test_failed_self_check_exits_one(monkeypatch):
+    def failing_rule(*args):
+        raise MomentValidationError("moment validation failed")
+
+    monkeypatch.setattr(cli, "build_rule", failing_rule)
+    rc, out, err = run_cli(["kernel", "--d", "3", "--kappa", "1", "--n", "2",
+                            "--x", "0.6,0.8,0"])
+    assert rc == 1
+    assert out == ""
+    assert "moment validation failed" in err
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +249,15 @@ def test_bessel_explicit_closed_needs_d2():
     assert "closed form needs d = 2" in err
 
 
+def test_bessel_coset_path_alone():
+    rc, payload = run_json(
+        ["bessel", "--d", "3", "--kappa", "1", "--y", "0.4,0.1,-0.3",
+         "--path", "coset"])
+    assert rc == 0
+    assert list(payload["paths"]) == ["coset"]
+    assert payload["pairwise_deviations"] == {}
+
+
 def test_bessel_real_argument_is_real_valued():
     rc, payload = run_json(
         ["bessel", "--d", "2", "--kappa", "1", "--y", "0.5,-0.1",
@@ -252,7 +273,7 @@ def test_bessel_real_argument_is_real_valued():
 # ---------------------------------------------------------------------------
 
 SWEEP_ARGS = ["lebesgue", "--d", "2", "--kappa", "1", "--delta", "0.5,1.0",
-              "--n-max", "4", "--quad-order", "24", "--workers", "1"]
+              "--n-max", "4", "--quad-order", "24"]
 
 
 def parse_csv(text):
@@ -335,9 +356,30 @@ def test_lebesgue_requires_n_max():
     assert "--n-max is required" in err
 
 
+@pytest.mark.parametrize("bad", [
+    ["--d", "5"],            # no sphere rule for S^4
+    ["--ell", "3"],          # axis outside 1..d
+    ["--delta", "-1.5"],     # Cesaro order must exceed -1
+    ["--delta", "nan"],
+    ["--quad-order", "2"],   # sphere order below 4
+])
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_lebesgue_bad_input_writes_nothing(tmp_path, bad, suffix):
+    argv = SWEEP_ARGS + bad
+    rc, out, err = run_cli(argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    path = tmp_path / f"sweep{suffix}"
+    rc, out, _ = run_cli(argv + ["--out", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert not path.exists()
+
+
 def test_lebesgue_interrupt_leaves_valid_partial_csv(tmp_path, monkeypatch):
     def interrupted_sweep(params, deltas, n_max, ell, sphere_order=None,
-                          workers=None, progress=None):
+                          progress=None):
         for n in (1, 2, 3):
             progress(types.SimpleNamespace(
                 d=params.d, kappa=params.kappa_float, ell=ell,

@@ -98,25 +98,28 @@ def test_sweep_matches_direct_evaluation():
             assert abs(rec.value - direct.value) <= 1e-9 * max(1.0, direct.value)
 
 
-def test_sweep_order_progress_and_workers():
+def test_sweep_order_progress_and_rerun():
     seen = []
     records = lebesgue_sweep(KP31, [2.0, 1.0], 4, sphere_order=16,
                              progress=seen.append)
     assert records == seen
     assert [(r.delta, r.n) for r in records] == \
         [(d, n) for d in (2.0, 1.0) for n in range(1, 5)]
-    two = lebesgue_sweep(KP31, [2.0, 1.0], 4, sphere_order=16, workers=2)
-    assert [r.value for r in two] == [r.value for r in records]
+    again = lebesgue_sweep(KP31, [2.0, 1.0], 4, sphere_order=16)
+    assert [r.value for r in again] == [r.value for r in records]
 
 
-def test_workers_env_var(monkeypatch):
-    monkeypatch.setenv("DUNKLSYM_WORKERS", "2")
-    a = lebesgue_sweep(KP31, [1.5], 3, sphere_order=16)
-    monkeypatch.setenv("DUNKLSYM_WORKERS", "1")
-    b = lebesgue_sweep(KP31, [1.5], 3, sphere_order=16)
-    assert [r.value for r in a] == [r.value for r in b]
+@pytest.mark.parametrize("params, deltas, n_max, ell, order", [
+    (KappaParams(5, 1), [1.5], 3, 1, None),  # no sphere rule for d = 5
+    (KP31, [1.5], 0, 1, None),               # no degree to sweep
+    (KP31, [1.5], 3, 4, None),               # axis outside 1..d
+    (KP31, [1.5], 3, 0, None),
+    (KP31, [-1.0], 3, 1, None),              # Cesaro order must exceed -1
+    (KP31, [1.5], 3, 1, 3),                  # sphere order below 4
+])
+def test_sweep_refuses_bad_arguments(params, deltas, n_max, ell, order):
     with pytest.raises(ValueError):
-        lebesgue_sweep(KP31, [1.5], 3, sphere_order=16, workers=0)
+        lebesgue_sweep(params, deltas, n_max, ell, sphere_order=order)
 
 
 def test_sup_nonincreasing_in_delta_and_large_delta_bounded():
