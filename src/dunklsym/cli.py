@@ -30,15 +30,16 @@ import numpy as np
 
 from . import __version__
 from .bessel import bessel_k, bessel_k2_closed, bessel_recursive
-from .harmonics import build_sphere_rule, hharmonic_basis
+from .harmonics import build_sphere_rule, hharmonic_basis, repro_kernel_axis
 from .intertwine import verify_intertwining
 from .orthopoly import JacobiParams
 from .polycore import KappaParams
-from .simplexquad import SelfCheckError, build_rule
+from .simplexquad import SelfCheckError, build_rule, default_order
 from .summability import (
     cesaro_kernel_axis,
     check_sweep,
     default_sample_points,
+    default_sphere_order,
     estimate_check,
     kernel_bound_check,
     knd_positivity_check,
@@ -58,7 +59,6 @@ class RunConfig:
     ell: int = 1
     quad_order: int | None = None
     tolerance: float | None = None
-    out: str | None = None
     seed: int = _DEFAULT_SEED
 
     def header_pairs(self, extra: dict) -> list[tuple[str, object]]:
@@ -78,8 +78,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored."""
+def _load_config_file(path: str, options: set[str]) -> dict[str, str]:
+    """key=value lines; blank lines and # comments ignored; unknown keys refused."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -89,7 +89,10 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line {line!r} is not key=value")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in options:
+                raise ValueError(f"config key {key!r} is not an option of this subcommand")
+            out[key] = value.strip()
     return out
 
 
@@ -205,14 +208,12 @@ def _cmd_kernel(args) -> int:
         raise ValueError("--x must be nonzero; it is projected onto the sphere")
     x = x / norm
     delta = _merged(args, "delta", float)
-    order = _merged(args, "quad_order", int, max(32, n // 2 + 10))
+    order = _merged(args, "quad_order", int, default_order(n))
     config = RunConfig(command="kernel", d=d, kappa=str(params.kappa),
                        ell=ell, quad_order=order)
     rule = build_rule(d, params.kappa_float, order) if params.kappa != 0 else None
     extra = {"n": n, "x": [float(v) for v in x]}
     if delta is None:
-        from .harmonics import repro_kernel_axis
-
         extra["kind"] = "projection"
         value = repro_kernel_axis(n, ell, x, params, rule)
     else:
@@ -247,12 +248,8 @@ def _cmd_bessel(args) -> int:
     rule = build_rule(d, params.kappa_float, order) if params.kappa != 0 else None
     values: dict[str, complex] = {}
     for name in wanted:
-        if name == "direct":
-            values[name] = bessel_k(d, params, y, rule, path="direct",
-                                    imaginary=imaginary)
-        elif name == "coset":
-            values[name] = bessel_k(d, params, y, rule, path="coset",
-                                    imaginary=imaginary)
+        if name in ("direct", "coset"):
+            values[name] = bessel_k(d, params, y, rule, path=name, imaginary=imaginary)
         elif name == "closed":
             if d != 2:
                 continue
@@ -301,7 +298,7 @@ def _cmd_lebesgue(args) -> int:
     deltas = _parse_float_list(delta_text)
     if not deltas:
         raise ValueError("--delta produced an empty list")
-    order = _merged(args, "quad_order", int, n_max + 16)
+    order = _merged(args, "quad_order", int, default_sphere_order(n_max))
     check_sweep(params, deltas, n_max, ell, order)
     out = _merged(args, "out", str)
     config = RunConfig(command="lebesgue", d=d, kappa=str(params.kappa),
@@ -387,23 +384,18 @@ def _cmd_bounds(args) -> int:
 
     n_values = _parse_int_list(_merged(args, "n", str, "16,32,64,128"))
     X = default_sample_points(d, seed)
-    series = []
+    # both checks build the simplex rule of the default order for each n
     if check == "estimate":
         alpha = _merged(args, "alpha", float, (d - 1) * params.kappa_float + 0.5)
         beta = _merged(args, "beta", float, alpha)
         extra = {"check": check, "alpha": alpha, "beta": beta}
-        for n in n_values:
-            rule = build_rule(d, params.kappa_float, max(32, n // 2 + 10))
-            ratio = estimate_check(n, params, alpha, beta, X, ell=ell, rule=rule)
-            series.append({"n": n, "max_ratio": ratio})
+        series = [{"n": n, "max_ratio": estimate_check(n, params, alpha, beta, X, ell=ell)}
+                  for n in n_values]
     else:
         delta = _merged(args, "delta", float, 1.5)
         extra = {"check": check, "delta": delta}
-        for n in n_values:
-            rule = (build_rule(d, params.kappa_float, max(32, n // 2 + 10))
-                    if params.kappa != 0 else None)
-            ratio = kernel_bound_check(n, delta, ell, params, X, rule=rule)
-            series.append({"n": n, "max_ratio": ratio})
+        series = [{"n": n, "max_ratio": kernel_bound_check(n, delta, ell, params, X)}
+                  for n in n_values]
     ratios = [row["max_ratio"] for row in series]
     config = RunConfig(command="bounds", d=d, kappa=str(params.kappa),
                        ell=ell, seed=seed)
@@ -448,17 +440,20 @@ def _params(args, d: int) -> KappaParams:
     return KappaParams.from_string(d, str(kappa))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *reads: str) -> None:
+    """Flags of every subcommand plus those of `reads`: ignored flags are refused."""
     p.add_argument("--config", help="key=value config file; flags take precedence")
     p.add_argument("--d", type=int, help="number of variables")
     p.add_argument("--kappa", help="multiplicity: 'p/q' exact or decimal")
-    p.add_argument("--quad-order", type=int, dest="quad_order",
-                   help="quadrature order (simplex per-axis or sphere,"
-                        " whichever the subcommand integrates over)")
-    p.add_argument("--tolerance", type=float,
-                   help="verification tolerance where the run checks one")
+    if "quad_order" in reads:
+        p.add_argument("--quad-order", type=int, dest="quad_order",
+                       help="quadrature order (simplex per-axis or sphere,"
+                            " whichever the subcommand integrates over)")
+    if "tolerance" in reads:
+        p.add_argument("--tolerance", type=float, help="verification tolerance")
     p.add_argument("--out", help="output path (.csv or .json); default stdout")
-    p.add_argument("--seed", type=int, help="seed for sampled points")
+    if "seed" in reads:
+        p.add_argument("--seed", type=int, help="seed for sampled points")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -476,11 +471,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check monomials up to this degree (default 6)")
 
     p = sub.add_parser("hbasis", help="orthonormal h-harmonic basis as JSON")
-    _add_common(p)
+    _add_common(p, "quad_order", "tolerance")
     p.add_argument("--n", type=int, help="homogeneity degree")
 
     p = sub.add_parser("kernel", help="projection or Cesaro kernel at a point")
-    _add_common(p)
+    _add_common(p, "quad_order")
     p.add_argument("--n", type=int, help="degree")
     p.add_argument("--ell", type=int, help="axis index, 1-based (default 1)")
     p.add_argument("--x", help="comma-separated point, projected to the sphere")
@@ -488,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Cesaro order; omit for the degree-n projection kernel")
 
     p = sub.add_parser("bessel", help="generalized Bessel function, all routes")
-    _add_common(p)
+    _add_common(p, "quad_order", "tolerance")
     p.add_argument("--y", help="comma-separated argument vector")
     p.add_argument("--path", choices=["direct", "closed", "recursive", "coset", "all"],
                    help="which route(s) to evaluate (default all)")
@@ -496,13 +491,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="evaluate K(., iy) (default) or K(., y)")
 
     p = sub.add_parser("lebesgue", help="Lebesgue constant sweep")
-    _add_common(p)
+    _add_common(p, "quad_order")
     p.add_argument("--ell", type=int, help="axis index, 1-based (default 1)")
     p.add_argument("--delta", help="comma list '1.0,1.5' or range 'a:b:step'")
     p.add_argument("--n-max", type=int, dest="n_max", help="sweep n = 1..n_max")
 
     p = sub.add_parser("bounds", help="fitted constants for the envelope checks")
-    _add_common(p)
+    _add_common(p, "seed")
     p.add_argument("--check", choices=["estimate", "kernel", "knd"])
     p.add_argument("--ell", type=int, help="axis index, 1-based (default 1)")
     p.add_argument("--n", help="comma list of degrees for the doubling series")
@@ -533,8 +528,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     config_path = getattr(args, "config", None)
+    options = set(vars(args)) - {"command", "config"}
     try:
-        args._config_file = _load_config_file(config_path) if config_path else {}
+        args._config_file = _load_config_file(config_path, options) if config_path else {}
         return _HANDLERS[args.command](args)
     except SelfCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

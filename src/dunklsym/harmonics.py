@@ -370,22 +370,23 @@ def _zn_values(n: int, lam: float, t) -> np.ndarray:
 
 
 def _check_on_sphere(x: np.ndarray) -> None:
-    if abs(float(x @ x) - 1.0) > 1e-10:
+    if np.max(np.abs(np.sum(x * x, axis=-1) - 1.0), initial=0.0) > 1e-10:
         raise ValueError("x must lie on the unit sphere")
 
 
 def repro_kernel_axis(n: int, ell: int, x, params: KappaParams,
-                      rule: SimplexRule | None) -> float:
+                      rule: SimplexRule | None):
     """Reproducing kernel of the degree-n h-harmonics at (x, e_ell):
     c_kappa int Z_n^lambda(<x, t>) t_{ell-1} (t_0...t_{d-1})^(kappa-1) dt.
     The factor is t_{ell-1}, pairing axis ell with <x, e_ell> = x_ell; at
     kappa = 0 the integral collapses to the classical Gegenbauer kernel
-    Z_n at x_ell."""
+    Z_n at x_ell.  x is one point (float) or an (N, d) array (array)."""
     x = np.asarray(x, dtype=float)
     _check_on_sphere(x)
     lam = float(params.lambda_kappa)
     profile = AxisFunction(ell=ell, profile=lambda s: _zn_values(n, lam, s))
-    return float(vk_axis(profile, x, params, rule))
+    value = vk_axis(profile, x, params, rule)
+    return value if x.ndim == 2 else float(value)
 
 
 def repro_kernel_basis(n: int, x, y, basis: HarmonicBasis) -> float:

@@ -8,7 +8,8 @@ simplex representation
                           t_{ell-1} (t_0 ... t_{d-1})^(kappa-1) dt,
 
 with c_kappa = Gamma(d kappa + 1) / (kappa Gamma(kappa)^d).  This module
-provides that representation numerically (vk_axis), its exact polynomial
+provides that representation numerically (vk_axis, at one point or many;
+every kernel at e_ell is a profile handed to it), its exact polynomial
 image on monomials (vk_monomial_exact, rational in kappa), an exact
 mechanical verification of the intertwining relation, the full two-variable
 d = 2 representation, the Z_2^d product-group analogue used for comparison,
@@ -35,7 +36,7 @@ from .polycore import (
     Polynomial,
     dunkl_apply,
 )
-from .simplexquad import SimplexRule, integrate, require_rule
+from .simplexquad import SimplexRule, build_rule, chunk_slices, integrate, require_rule
 
 
 @dataclass(frozen=True)
@@ -48,25 +49,30 @@ class AxisFunction:
 
 
 def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule | None):
-    """V_kappa F at the point x for a single-component F.
+    """V_kappa F at x of shape (d,), or at every row of an (N, d) array, for
+    a single-component F.
 
     The factor t_{ell-1} is part of the integrand so one rule per (d, kappa)
     serves every axis.  kappa = 0 short-circuits to the identity operator.
     The kernels at e_ell (repro_kernel_axis, cesaro_kernel_axis,
-    dunkl_exp_axis) are this map applied to a one-variable profile.  The
-    result is a numpy scalar, complex when the profile is; callers cast it."""
+    dunkl_exp_axis) are this map applied to a one-variable profile, which
+    takes arrays of any shape.  Points go through in chunks under
+    simplexquad.CHUNK_ELEMENTS.  The result is a numpy scalar for one point
+    and an (N,) array for many, complex when the profile is."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (params.d,):
-        raise ValueError(f"x must have shape ({params.d},)")
+    X = np.atleast_2d(x)
+    if x.ndim > 2 or X.shape[1] != params.d:
+        raise ValueError(f"x must have shape ({params.d},) or (N, {params.d})")
     if not 1 <= F.ell <= params.d:
         raise ValueError(f"axis {F.ell} out of range 1..{params.d}")
     if params.kappa == 0:
-        return np.asarray(F.profile(np.asarray([x[F.ell - 1]])))[0]
-    require_rule(rule, params)
-    values = integrate(
-        rule, lambda T: F.profile(T @ x) * T[:, F.ell - 1]
-    )
-    return params.c_kappa * values
+        values = np.asarray(F.profile(X[:, F.ell - 1]))
+    else:
+        require_rule(rule, params)
+        values = params.c_kappa * np.concatenate([
+            integrate(rule, lambda T: F.profile(X[sl] @ T.T) * T[:, F.ell - 1])
+            for sl in chunk_slices(len(X), len(rule))])
+    return values[0] if x.ndim == 1 else values
 
 
 def _pochhammer(a: Fraction, n: int) -> Fraction:
@@ -250,13 +256,9 @@ def vk_sphere_average(f, x, params: KappaParams, sphere_rule) -> tuple[float, fl
         raise ValueError("x must be a multiple of a coordinate vector e_ell")
     lam = float(params.lambda_kappa)
 
-    from .simplexquad import build_rule
-
     rule = build_rule(params.d, params.kappa_float, 48) if params.kappa != 0 else None
     F = AxisFunction(ell=ell, profile=lambda s: np.asarray(f(r * s), dtype=float))
-    sphere_vals = np.array(
-        [vk_axis(F, y, params, rule) for y in sphere_rule.nodes]
-    )
+    sphere_vals = vk_axis(F, sphere_rule.nodes, params, rule)
     h2 = hweight(sphere_rule.nodes, params) ** 2
     lhs = params.a_kappa * float(np.dot(sphere_rule.weights, sphere_vals * h2))
 

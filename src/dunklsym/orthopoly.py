@@ -52,27 +52,38 @@ def _check_domain(t: np.ndarray) -> None:
         raise ValueError("argument outside [-1, 1]")
 
 
+def jacobi_rows(n_max: int, jp: JacobiParams, t: np.ndarray):
+    """Yield P_0(t), ..., P_{n_max}(t) by the forward three-term recurrence,
+    elementwise over an array t; only the last two rows are kept alive."""
+    a, b = jp.alpha, jp.beta
+    prev = np.ones_like(t)
+    yield prev
+    if n_max == 0:
+        return
+    cur = 0.5 * (a - b + (a + b + 2) * t)
+    yield cur
+    for n in range(1, n_max):
+        c1 = 2 * (n + 1) * (n + a + b + 1) * (2 * n + a + b)
+        c2 = (2 * n + a + b + 1) * (a * a - b * b)
+        c3 = (2 * n + a + b) * (2 * n + a + b + 1) * (2 * n + a + b + 2)
+        c4 = 2 * (n + a) * (n + b) * (2 * n + a + b + 2)
+        prev, cur = cur, ((c2 + c3 * t) * cur - c4 * prev) / c1
+        yield cur
+
+
 def jacobi_all(n_max: int, jp: JacobiParams, t, dtype=float) -> np.ndarray:
     """P_k^{(alpha,beta)}(t) for every k <= n_max, stacked along axis 0.
 
-    Forward three-term recurrence, vectorized over t.  Stable on [-1, 1]
+    The rows of jacobi_rows, vectorized over t.  Stable on [-1, 1]
     for the degree range used here (relative error ~1e-13 up to n = 512).
     dtype np.longdouble buys two more digits when a downstream sum has to
     resolve cancellation near a kernel zero.
     """
     t = np.atleast_1d(np.asarray(t, dtype=dtype))
     _check_domain(t)
-    a, b = jp.alpha, jp.beta
     out = np.empty((n_max + 1,) + t.shape, dtype=dtype)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 0.5 * (a - b + (a + b + 2) * t)
-    for n in range(1, n_max):
-        c1 = 2 * (n + 1) * (n + a + b + 1) * (2 * n + a + b)
-        c2 = (2 * n + a + b + 1) * (a * a - b * b)
-        c3 = (2 * n + a + b) * (2 * n + a + b + 1) * (2 * n + a + b + 2)
-        c4 = 2 * (n + a) * (n + b) * (2 * n + a + b + 2)
-        out[n + 1] = ((c2 + c3 * t) * out[n] - c4 * out[n - 1]) / c1
+    for k, row in enumerate(jacobi_rows(n_max, jp, t)):
+        out[k] = row
     return out
 
 

@@ -82,7 +82,17 @@ def gauss_jacobi01(order: int, p: float, q: float) -> tuple[np.ndarray, np.ndarr
 
 def default_order(degree: int) -> int:
     """Per-axis order for degree-n polynomial integrands along <x, t>."""
-    return max(32, math.ceil(degree / 2) + 10)
+    return max(32, degree // 2 + 10)
+
+
+# Element budget of the largest temporary a batched evaluation holds at once.
+CHUNK_ELEMENTS = 4_000_000
+
+
+def chunk_slices(count: int, per_row: int):
+    """Slices of range(count) of at least one row and CHUNK_ELEMENTS // per_row rows."""
+    step = max(1, CHUNK_ELEMENTS // per_row)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -190,14 +200,15 @@ def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
     return rule
 
 
-def integrate(rule: SimplexRule, g) -> float | complex:
+def integrate(rule: SimplexRule, g):
     """Sum w_k g(node_k) with numpy's deterministic pairwise summation.
 
-    g receives the full (N, d) node array and must return a length-N vector
-    (real or complex); non-finite values abort."""
+    g receives the full (N, d) node array and returns values whose last axis
+    runs over the N nodes, real or complex: a length-N vector gives a scalar,
+    an (M, N) array gives M integrals.  Non-finite values abort."""
     values = np.asarray(g(rule.nodes))
-    if values.shape != (len(rule),):
-        raise ValueError(f"integrand returned shape {values.shape}, expected ({len(rule)},)")
+    if values.ndim == 0 or values.shape[-1] != len(rule):
+        raise ValueError(f"integrand returned shape {values.shape}, expected (..., {len(rule)})")
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand produced non-finite values at quadrature nodes")
-    return (rule.weights * values).sum()
+    return (rule.weights * values).sum(axis=-1)

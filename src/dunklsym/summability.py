@@ -2,12 +2,13 @@
 
 The central object is the (C, delta) kernel at (x, e_ell), a simplex
 integral of the one-variable Cesaro kernel against the axis-weighted
-Dirichlet measure.  Lebesgue constants are sphere integrals of its absolute
-value; sweeping them in the degree n and fitting growth models against the
-top three quarters of the range gives a desk-scale probe of the critical
-Cesaro index.  The envelope checks at the end of the module evaluate the
-same kernels against explicit majorants and report the fitted constants,
-whose stability under n-doubling is the actual check.
+Dirichlet measure: vk_axis of that profile, at one point or at all the
+nodes of a sphere rule in one call.  Lebesgue constants are sphere integrals
+of its absolute value; sweeping them in the degree n and fitting growth
+models against the top three quarters of the range gives a desk-scale probe
+of the critical Cesaro index.  The envelope checks at the end of the module
+evaluate the same kernels against explicit majorants and report the fitted
+constants, whose stability under n-doubling is the actual check.
 
 Sweeps do not integrate the simplex once per sphere node and degree.  For
 each sphere node x the map t -> <x, t> pushes the axis-weighted Dirichlet
@@ -18,7 +19,8 @@ t -> <x, t>), otherwise through the tensor simplex rule.  A single table of
 weighted Jacobi moments per sphere node then serves every (n, delta) pair:
 each delta is one product of a lower-triangular Cesaro-weight matrix with
 that table, which is what makes a full n <= 200 sweep a matter of a minute
-or two.
+or two.  lebesgue_constant, one degree through cesaro_kernel_axis, is the
+separate route the tests hold the sweep against.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ from .orthopoly import (
     cesaro_kernel_endpoint,
     cesaro_weights,
     jacobi_all,
+    jacobi_rows,
     kernel_normalizer,
 )
 from .polycore import KappaParams
-from .simplexquad import SimplexRule, build_rule, integrate, require_rule
+from .simplexquad import SimplexRule, build_rule, chunk_slices, default_order
 
 
 @dataclass(frozen=True)
@@ -67,17 +70,19 @@ def _jacobi_params(params: KappaParams) -> JacobiParams:
 
 
 def cesaro_kernel_axis(n: int, delta, ell: int, x, params: KappaParams,
-                       rule: SimplexRule | None) -> float:
+                       rule: SimplexRule | None):
     """(C, delta) kernel of the h-harmonic expansion at (x, e_ell):
     c_kappa times the simplex integral of k_n^delta(w_lambda; <x, t>, 1)
     t_{ell-1} against the Dirichlet weight.  kappa = 0 collapses to the
-    classical one-variable kernel at x_ell."""
+    classical one-variable kernel at x_ell.  x is one point (float) or an
+    (N, d) array (array)."""
     x = np.asarray(x, dtype=float)
     _check_on_sphere(x)
     jp = _jacobi_params(params)
     profile = AxisFunction(
         ell=ell, profile=lambda s: cesaro_kernel_endpoint(n, jp, delta, s))
-    return float(vk_axis(profile, x, params, rule))
+    value = vk_axis(profile, x, params, rule)
+    return value if x.ndim == 2 else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -87,22 +92,13 @@ def cesaro_kernel_axis(n: int, delta, ell: int, x, params: KappaParams,
 
 def _jacobi_moments(n_max: int, jp: JacobiParams, S: np.ndarray, W: np.ndarray) -> np.ndarray:
     """A[k, i] = sum_j W[i, j] P_k^{(alpha,beta)}(S[i, j]) for k <= n_max,
-    by running the three-term recurrence on the whole (i, j) array at once."""
-    a, b = jp.alpha, jp.beta
+    reducing each recurrence row over the whole (i, j) array as it arrives."""
     A = np.empty((n_max + 1, S.shape[0]))
-    prev = np.ones_like(S)
-    A[0] = W.sum(axis=1)
-    if n_max == 0:
-        return A
-    cur = 0.5 * (a - b + (a + b + 2) * S)
-    A[1] = (W * cur).sum(axis=1)
-    for n in range(1, n_max):
-        c1 = 2 * (n + 1) * (n + a + b + 1) * (2 * n + a + b)
-        c2 = (2 * n + a + b + 1) * (a * a - b * b)
-        c3 = (2 * n + a + b) * (2 * n + a + b + 1) * (2 * n + a + b + 2)
-        c4 = 2 * (n + a) * (n + b) * (2 * n + a + b + 2)
-        prev, cur = cur, ((c2 + c3 * S) * cur - c4 * prev) / c1
-        A[n + 1] = (W * cur).sum(axis=1)
+    rows = jacobi_rows(n_max, jp, S)
+    next(rows)
+    A[0] = W.sum(axis=1)  # P_0 = 1 needs no product
+    for k, row in enumerate(rows, start=1):
+        A[k] = (W * row).sum(axis=1)
     return A
 
 
@@ -166,7 +162,9 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
     """B[k, i]: degree-k projection kernel at (X[i], e_ell), for k <= n_max.
 
     Cesaro kernels for every (n <= n_max, delta) follow by weighting rows,
-    so the table is built once per point set."""
+    so the table is built once per point set.  Points go through in chunks
+    whose largest temporary (the chord array of the pushforward, the node
+    matrix of the tensor rule) stays within simplexquad.CHUNK_ELEMENTS."""
     jp = _jacobi_params(params)
     X = np.asarray(X, dtype=float)
     count = len(X)
@@ -177,18 +175,14 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
         k = int(params.kappa)
         m_s = n_max // 2 + 2 * k + 8
         m_chord = max(2, math.ceil((3 * k - 1) / 2))
-        step = max(1, int(2e7) // (2 * m_s))
-        for start in range(0, count, step):
-            sl = slice(start, min(start + step, count))
+        for sl in chunk_slices(count, 3 * m_s * m_chord):
             S, W = _pushforward_nodes(X[sl], k, ell, m_s, m_chord)
             A[:, sl] = _jacobi_moments(n_max, jp, S, W)
     else:
-        rule = build_rule(params.d, params.kappa_float, max(32, n_max // 2 + 10))
+        rule = build_rule(params.d, params.kappa_float, default_order(n_max))
         T = rule.nodes
         w_eff = params.c_kappa * rule.weights * T[:, ell - 1]
-        step = max(1, int(4e6) // len(rule))
-        for start in range(0, count, step):
-            sl = slice(start, min(start + step, count))
+        for sl in chunk_slices(count, len(rule)):
             S = X[sl] @ T.T
             A[:, sl] = _jacobi_moments(n_max, jp, S, np.broadcast_to(w_eff, S.shape))
     A *= kernel_normalizer(n_max, jp)[:, None]
@@ -213,23 +207,14 @@ def _sweep_values(params: KappaParams, deltas, n_max: int, ell: int,
     return out
 
 
-# Single-degree one-shot path, kept as the reference the sweep engine is tested against.
-def _cesaro_kernel_on_points(n: int, delta, ell: int, params: KappaParams,
-                             X: np.ndarray, rule: SimplexRule | None) -> np.ndarray:
-    """K_n^delta(x, e_ell) for every row x of X, vectorized (single degree)."""
-    jp = _jacobi_params(params)
-    X = np.asarray(X, dtype=float)
-    if params.kappa == 0:
-        return np.asarray(cesaro_kernel_endpoint(n, jp, delta, X[:, ell - 1]))
-    require_rule(rule, params)
-    T = rule.nodes
-    w_eff = params.c_kappa * rule.weights * T[:, ell - 1]
-    out = np.empty(len(X))
-    step = max(1, int(4e6) // len(rule))
-    for start in range(0, len(X), step):
-        sl = slice(start, min(start + step, len(X)))
-        out[sl] = cesaro_kernel_endpoint(n, jp, delta, X[sl] @ T.T) @ w_eff
-    return out
+def default_sphere_order(n_max: int) -> int:
+    """Sphere-rule order of a sweep to degree n_max when none is given."""
+    return n_max + 16
+
+
+def coarse_sphere_order(order: int) -> int:
+    """Order of the sphere rule each quadrature error estimate compares with."""
+    return max(4, (3 * order) // 4)
 
 
 def lebesgue_constant(n: int, delta, ell: int, params: KappaParams,
@@ -243,12 +228,12 @@ def lebesgue_constant(n: int, delta, ell: int, params: KappaParams,
         raise ValueError("sphere rule dimension does not match params")
 
     def value_on(rule: SphereRule) -> float:
-        K = _cesaro_kernel_on_points(n, delta, ell, params, rule.nodes, simplex_rule)
+        K = cesaro_kernel_axis(n, delta, ell, rule.nodes, params, simplex_rule)
         wh2 = params.a_kappa * rule.weights * hweight(rule.nodes, params) ** 2
         return float(np.dot(wh2, np.abs(K)))
 
     value = value_on(sphere_rule)
-    coarse = build_sphere_rule(params.d, max(4, (3 * sphere_rule.order) // 4),
+    coarse = build_sphere_rule(params.d, coarse_sphere_order(sphere_rule.order),
                                kappa_hint=params.kappa)
     estimate = abs(value - value_on(coarse))
     return SweepRecord(n=n, delta=float(delta), value=value,
@@ -279,9 +264,9 @@ def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,
     called once per record as it is produced."""
     deltas = [float(x) for x in deltas]
     check_sweep(params, deltas, n_max, ell, sphere_order)
-    order = sphere_order if sphere_order is not None else n_max + 16
+    order = sphere_order if sphere_order is not None else default_sphere_order(n_max)
     main = _sweep_values(params, deltas, n_max, ell, order)
-    coarse = _sweep_values(params, deltas, n_max, ell, max(4, (3 * order) // 4))
+    coarse = _sweep_values(params, deltas, n_max, ell, coarse_sphere_order(order))
     records = []
     for delta in deltas:
         for n in range(1, n_max + 1):
@@ -402,7 +387,7 @@ def cesaro_mean_at_axis(f, n: int, delta, ell: int, params: KappaParams,
     f = 1 this returns 1 for every n and delta up to quadrature error, and
     for smooth f it converges to f(e_ell) when delta clears the critical
     index."""
-    K = _cesaro_kernel_on_points(n, delta, ell, params, sphere_rule.nodes, simplex_rule)
+    K = cesaro_kernel_axis(n, delta, ell, sphere_rule.nodes, params, simplex_rule)
     wh2 = params.a_kappa * sphere_rule.weights * hweight(sphere_rule.nodes, params) ** 2
     return float(np.dot(wh2, np.asarray(f(sphere_rule.nodes)) * K))
 
@@ -436,22 +421,18 @@ def default_sample_points(d: int, seed: int = 20260815) -> np.ndarray:
     return np.array(pts)
 
 
-def _envelope_sum(x: np.ndarray, n: int, kappa: float, exponent: float) -> float:
-    """sum_i prod_{j != i} |x_j - x_i|^(-kappa) (sqrt(1-|x_i|) + 1/n)^(-exponent).
+def _envelope_sum(x: np.ndarray, n: int, kappa: float, exponent: float):
+    """sum_i prod_{j != i} |x_j - x_i|^(-kappa) (sqrt(1-|x_i|) + 1/n)^(-exponent)
+    for one point x, or for every row of an (N, d) array.
 
     On the diagonals x_i = x_j the envelope is infinite and the ratio
     against it is 0: still a correct, finite observation."""
-    total = 0.0
-    d = len(x)
-    for i in range(d):
-        prod = 1.0
-        for j in range(d):
-            if j != i:
-                gap_ij = abs(x[j] - x[i])
-                prod *= math.inf if gap_ij == 0.0 else gap_ij ** (-kappa)
-        gap = math.sqrt(max(1.0 - abs(x[i]), 0.0)) + 1.0 / n
-        total += prod * gap ** (-exponent)
-    return total
+    gaps = np.abs(x[..., None, :] - x[..., :, None])  # [..., i, j] = |x_j - x_i|
+    with np.errstate(divide="ignore"):
+        factors = np.where(gaps == 0.0, math.inf, gaps ** (-kappa))
+    factors[..., np.eye(x.shape[-1], dtype=bool)] = 1.0
+    edge = np.sqrt(np.maximum(1.0 - np.abs(x), 0.0)) + 1.0 / n
+    return np.sum(np.prod(factors, axis=-1) * edge ** (-exponent), axis=-1)
 
 
 def estimate_check(n: int, params: KappaParams, alpha: float, beta: float,
@@ -473,18 +454,14 @@ def estimate_check(n: int, params: KappaParams, alpha: float, beta: float,
     if alpha < (d - 1) * k - 0.5:
         raise ValueError("alpha >= (d-1) kappa - 1/2 is required")
     if rule is None:
-        rule = build_rule(d, k, max(32, n // 2 + 10))
-    require_rule(rule, params)
+        rule = build_rule(d, k, default_order(n))
     jp = JacobiParams(float(alpha), float(beta))
+    X = np.atleast_2d(np.asarray(x_samples, dtype=float))
+    profile = AxisFunction(ell=ell, profile=lambda s: jacobi_all(n, jp, s)[n])
+    lhs = np.abs(vk_axis(profile, X, params, rule)) / params.c_kappa
     front = float(n) ** (-(d - 1) * k - 0.5)
-    exponent = alpha + 0.5 - (d - 1) * k
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(x_samples, dtype=float)):
-        lhs = abs(integrate(
-            rule, lambda T: jacobi_all(n, jp, T @ x)[n] * T[:, ell - 1]))
-        envelope = front * _envelope_sum(x, n, k, exponent)
-        worst = max(worst, lhs / envelope)
-    return worst
+    envelope = front * _envelope_sum(X, n, k, alpha + 0.5 - (d - 1) * k)
+    return float(np.max(lhs / envelope, initial=0.0))
 
 
 def kernel_bound_check(n: int, delta, ell: int, params: KappaParams,
@@ -499,18 +476,16 @@ def kernel_bound_check(n: int, delta, ell: int, params: KappaParams,
     k = params.kappa_float
     d = params.d
     if rule is None and params.kappa != 0:
-        rule = build_rule(d, k, max(32, n // 2 + 10))
+        rule = build_rule(d, k, default_order(n))
     front = float(n) ** (lam - (d - 1) * k - delta)
     exponent = lam - (d - 1) * k + float(delta) + 1.0
     profile = AxisFunction(
         ell=ell, profile=lambda s: (1.0 - s + 1.0 / n**2) ** (-(lam + 1.0)))
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(x_samples, dtype=float)):
-        lhs = abs(cesaro_kernel_axis(n, delta, ell, x, params, rule))
-        tail = vk_axis(profile, x, params, rule) / n
-        envelope = front * _envelope_sum(x, n, k, exponent) + tail
-        worst = max(worst, lhs / envelope)
-    return worst
+    X = np.atleast_2d(np.asarray(x_samples, dtype=float))
+    lhs = np.abs(cesaro_kernel_axis(n, delta, ell, X, params, rule))
+    tail = vk_axis(profile, X, params, rule) / n
+    envelope = front * _envelope_sum(X, n, k, exponent) + tail
+    return float(np.max(lhs / envelope, initial=0.0))
 
 
 def knd_positivity_check(n_max: int, jp: JacobiParams, delta,

@@ -447,7 +447,69 @@ def test_bounds_kernel_check_runs():
     assert all(row["max_ratio"] >= 0 for row in payload["ratio_series"])
 
 
+@pytest.mark.parametrize("ell", ["0", "4"])
+def test_bounds_axis_outside_one_to_d_is_usage_error(ell):
+    rc, out, err = run_cli(
+        ["bounds", "--d", "3", "--kappa", "1", "--check", "estimate",
+         "--ell", ell, "--n", "16,32"])
+    assert rc == 2
+    assert out == ""
+    assert "axis" in err
+
+
 def test_bounds_requires_check():
     rc, _, err = run_cli(["bounds", "--d", "2", "--kappa", "1"])
     assert rc == 2
     assert "--check must be one of" in err
+
+
+# ---------------------------------------------------------------------------
+# options a subcommand does not read are refused
+# ---------------------------------------------------------------------------
+
+BASE_ARGV = {
+    "verify": ["verify", "--d", "2", "--kappa", "1"],
+    "hbasis": ["hbasis", "--d", "2", "--kappa", "1", "--n", "1"],
+    "kernel": ["kernel", "--d", "2", "--kappa", "1", "--n", "2", "--x", "0.6,0.8"],
+    "bessel": ["bessel", "--d", "2", "--kappa", "1", "--y", "0.3,-0.2"],
+    "lebesgue": ["lebesgue", "--d", "2", "--kappa", "1", "--delta", "1.5",
+                 "--n-max", "2"],
+    "bounds": ["bounds", "--d", "2", "--kappa", "1", "--check", "knd", "--n", "8"],
+}
+IGNORED_FLAGS = [
+    ("verify", "--seed", "7"), ("verify", "--tolerance", "0.5"),
+    ("verify", "--quad-order", "30"), ("hbasis", "--seed", "7"),
+    ("kernel", "--seed", "7"), ("kernel", "--tolerance", "0.5"),
+    ("bessel", "--seed", "7"), ("lebesgue", "--seed", "7"),
+    ("lebesgue", "--tolerance", "0.5"), ("bounds", "--tolerance", "0.5"),
+    ("bounds", "--quad-order", "30"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(BASE_ARGV))
+def test_base_argv_runs(command):
+    rc, out, _ = run_cli(BASE_ARGV[command])
+    assert rc == 0
+    assert out
+
+
+@pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS)
+def test_flag_the_subcommand_ignores_is_usage_error(command, flag, value):
+    rc, out, err = run_cli(BASE_ARGV[command] + [flag, value])
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("hbasis", "quad_ordr = 99"),   # misspelt option
+    ("verify", "seed = 7"),         # an option of another subcommand
+    ("kernel", "command = verify"),
+])
+def test_config_key_the_subcommand_lacks_is_usage_error(tmp_path, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    rc, out, err = run_cli(BASE_ARGV[command] + ["--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "config key" in err

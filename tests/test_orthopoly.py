@@ -21,6 +21,7 @@ from dunklsym.orthopoly import (
     jacobi_endpoint,
     jacobi_eval,
     jacobi_h_norm,
+    jacobi_rows,
     kernel_normalizer,
     szego_bound_fit,
     zn_eval,
@@ -222,3 +223,12 @@ def test_szego_fit_stability():
         assert 0.5 <= ratio <= 2.0
     fit = szego_bound_fit(JacobiParams(2.5, 2.5), [64, 128])
     assert set(fit) == {"fitted_c", "per_n"} and len(fit["per_n"]) == 2
+
+
+def test_jacobi_rows_are_the_rows_of_jacobi_all():
+    jp = JacobiParams(1.5, 0.5)
+    t = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    rows = list(jacobi_rows(9, jp, t))
+    assert len(rows) == 10
+    assert np.array_equal(np.stack(rows), jacobi_all(9, jp, t))
+    assert [r.shape for r in jacobi_rows(0, jp, t)] == [(3, 4)]

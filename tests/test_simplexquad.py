@@ -164,6 +164,26 @@ def test_default_order_floor():
     assert default_order(100) == 60
 
 
+def test_default_order_rounds_half_degree_down():
+    assert default_order(45) == 32
+    assert default_order(101) == 60
+    assert default_order(200) == 110
+
+
+def test_integrate_batched_integrand():
+    rule = build_rule(3, 1.0, 12)
+    rows = integrate(rule, lambda t: np.stack([t[:, 0], t[:, 1] ** 2, np.ones(len(rule))]))
+    assert rows.shape == (3,)
+    for got, one in zip(rows, (integrate(rule, lambda t: t[:, 0]),
+                               integrate(rule, lambda t: t[:, 1] ** 2),
+                               integrate(rule, lambda t: np.ones(len(rule))))):
+        assert got == one
+    with pytest.raises(ValueError):
+        integrate(rule, lambda t: np.ones((len(rule), 2)))
+    with pytest.raises(ValueError):
+        integrate(rule, lambda t: 1.0)
+
+
 # ---------------------------------------------------------------------------
 # every public function that takes a simplex rule checks it the same way
 # ---------------------------------------------------------------------------

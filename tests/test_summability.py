@@ -8,12 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dunklsym import simplexquad
 from dunklsym.harmonics import build_sphere_rule, repro_kernel_axis
+from dunklsym.intertwine import AxisFunction, vk_axis
 from dunklsym.orthopoly import JacobiParams, cesaro_kernel_endpoint
 from dunklsym.polycore import KappaParams
-from dunklsym.simplexquad import build_rule
+from dunklsym.simplexquad import build_rule, default_order
 from dunklsym.summability import (
     BOUNDED_POWER_THRESHOLD,
+    _axis_kernel_table,
     _envelope_sum,
     _fit_models,
     cesaro_kernel_axis,
@@ -98,6 +101,24 @@ def test_sweep_matches_direct_evaluation():
             assert abs(rec.value - direct.value) <= 1e-9 * max(1.0, direct.value)
 
 
+@pytest.mark.parametrize("params", [KP31, KappaParams(2, Fraction(3, 2))],
+                         ids=["pushforward", "tensor"])
+def test_table_chunking_is_bit_identical(params, monkeypatch):
+    # the same table from one chunk and from many; every chunk keeps at
+    # least two rows, because numpy computes a one-row node product by a
+    # matrix-vector call whose last bit can differ from the matrix product
+    sphere = build_sphere_rule(params.d, 24, kappa_hint=params.kappa)
+    one = _axis_kernel_table(12, 1, params, sphere.nodes)
+    if params.d == 3:
+        budget = 1  # one sphere node per pushforward chunk
+    else:
+        budget = 2 * default_order(12) ** (params.d - 1)  # two per tensor chunk
+        assert len(sphere) % 2 == 0
+    monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", budget)
+    many = _axis_kernel_table(12, 1, params, sphere.nodes)
+    assert np.array_equal(one, many)
+
+
 def test_sweep_order_progress_and_rerun():
     seen = []
     records = lebesgue_sweep(KP31, [2.0, 1.0], 4, sphere_order=16,
@@ -120,6 +141,50 @@ def test_sweep_order_progress_and_rerun():
 def test_sweep_refuses_bad_arguments(params, deltas, n_max, ell, order):
     with pytest.raises(ValueError):
         lebesgue_sweep(params, deltas, n_max, ell, sphere_order=order)
+
+
+@pytest.mark.parametrize("params", [KappaParams(3, 0), KappaParams(3, Fraction(1, 2)), KP31])
+def test_batched_kernels_match_per_row(params):
+    rng = np.random.default_rng(52)
+    X = rng.normal(size=(7, 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    rule = build_rule(3, params.kappa_float, 32) if params.kappa != 0 else None
+    calls = {
+        "cesaro": lambda x: cesaro_kernel_axis(9, 1.5, 2, x, params, rule),
+        "repro": lambda x: repro_kernel_axis(6, 3, x, params, rule),
+        "vk_axis": lambda x: vk_axis(AxisFunction(ell=1, profile=np.exp), x, params, rule),
+    }
+    for name, call in calls.items():
+        batch = call(X)
+        assert batch.shape == (7,), name
+        for x, value in zip(X, batch):
+            one = call(x)
+            assert np.ndim(one) == 0, name
+            assert abs(value - one) <= 1e-13 * max(1.0, abs(one)), name
+    off = X.copy()
+    off[4] *= 1.01  # one row off the sphere fails the whole batch
+    for name in ("cesaro", "repro"):
+        with pytest.raises(ValueError, match="sphere"):
+            calls[name](off)
+
+
+AXIS_TAKERS = {
+    "lebesgue_constant": lambda ell: lebesgue_constant(3, 1.5, ell, KP31, SPHERE3, SIMPLEX31),
+    "cesaro_mean_at_axis": lambda ell: cesaro_mean_at_axis(
+        lambda X: X[:, 0], 3, 1.5, ell, KP31, SPHERE3, SIMPLEX31),
+    "estimate_check": lambda ell: estimate_check(
+        16, KP31, 2.5, 2.5, default_sample_points(3), ell=ell, rule=SIMPLEX31),
+    "kernel_bound_check": lambda ell: kernel_bound_check(
+        16, 1.6, ell, KP31, default_sample_points(3), rule=SIMPLEX31),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_TAKERS))
+@pytest.mark.parametrize("ell", [0, 4])
+def test_axis_outside_one_to_d_is_refused(name, ell):
+    AXIS_TAKERS[name](3)  # the last axis is accepted
+    with pytest.raises(ValueError, match="axis"):
+        AXIS_TAKERS[name](ell)
 
 
 def test_sup_nonincreasing_in_delta_and_large_delta_bounded():
@@ -174,6 +239,26 @@ def test_envelope_sum_structure():
     assert _envelope_sum(np.array([1.0, 0.0, 0.0]), 16, 1.0, 2.0) == math.inf
     val = _envelope_sum(np.array([0.9, 0.3, -0.1]), 16, 1.0, 2.0)
     assert 0 < val < math.inf
+
+
+def test_envelope_sum_rows_match_the_per_point_loop():
+    def loop(x, n, kappa, exponent):
+        total = 0.0
+        for i in range(len(x)):
+            prod = 1.0
+            for j in range(len(x)):
+                if j != i:
+                    gap = abs(x[j] - x[i])
+                    prod *= math.inf if gap == 0.0 else gap ** (-kappa)
+            total += prod * (math.sqrt(max(1.0 - abs(x[i]), 0.0)) + 1.0 / n) ** (-exponent)
+        return total
+
+    X = np.vstack([default_sample_points(4), [[0.5, 0.5, 0.5, 0.5]]])
+    for kappa in (0.0, 0.5, 1.0):
+        got = _envelope_sum(X, 16, kappa, 2.5)
+        for x, value in zip(X, got):
+            want = loop(x, 16, kappa, 2.5)
+            assert value == want or abs(value - want) <= 1e-14 * want
 
 
 def test_estimate_check_hypotheses_and_stability():
