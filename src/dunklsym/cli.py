@@ -243,8 +243,8 @@ def _cmd_bessel(args) -> int:
     wanted = ["direct", "closed", "recursive", "coset"] if path == "all" else [path]
     if "closed" in wanted and d != 2 and path != "all":
         raise ValueError("the closed form needs d = 2")
-    if "recursive" in wanted and d < 3 and path != "all":
-        raise ValueError("the recursion needs d >= 3")
+    if "recursive" in wanted and (d < 3 or params.kappa == 0) and path != "all":
+        raise ValueError("the recursion needs d >= 3 and kappa > 0")
     rule = build_rule(d, params.kappa_float, order) if params.kappa != 0 else None
     values: dict[str, complex] = {}
     for name in wanted:
@@ -260,9 +260,7 @@ def _cmd_bessel(args) -> int:
             values[name] = bessel_k2_closed(params.kappa_float,
                                             np.array([1.0, 0.0]), y)
         elif name == "recursive":
-            if d < 3:
-                continue
-            if params.kappa == 0:
+            if d < 3 or params.kappa == 0:
                 continue
             inner = build_rule(d - 1, params.kappa_float, order)
             values[name] = bessel_recursive(d, params, y, inner,

@@ -30,7 +30,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import roots_jacobi
 
 from .intertwine import AxisFunction, vk_axis
-from .orthopoly import JacobiParams, jacobi_all, kernel_normalizer
+from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
 from .polycore import KappaParams, Monomial, Polynomial, dunkl_laplacian
 from .simplexquad import SelfCheckError, SimplexRule
 
@@ -366,7 +366,7 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
 def _zn_values(n: int, lam: float, t) -> np.ndarray:
     """Z_n^lambda(t) through the Jacobi normalizer; safe down to lambda = 0."""
     jp = JacobiParams(lam - 0.5, lam - 0.5)
-    return kernel_normalizer(n, jp)[n] * jacobi_all(n, jp, t)[n]
+    return kernel_normalizer(n, jp)[n] * jacobi_eval(n, jp, t)
 
 
 def _check_on_sphere(x: np.ndarray) -> None:

@@ -36,7 +36,8 @@ from .polycore import (
     Polynomial,
     dunkl_apply,
 )
-from .simplexquad import SimplexRule, build_rule, chunk_slices, integrate, require_rule
+from .simplexquad import (SimplexRule, build_rule, chunk_slices, integrate, require_rule,
+                          tensor_grid)
 
 
 @dataclass(frozen=True)
@@ -230,10 +231,7 @@ def vk_z2d(f, x, kappas, order: int = 48) -> float:
             t, w = roots_jacobi(order, k - 1.0, k - 1.0)
             w = w * (1 + t)
             axes.append((t, w / w.sum()))
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    T = np.stack([g.ravel() for g in grids], axis=-1)
-    W = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+    T, W = tensor_grid(axes)
     return float(np.dot(W, np.asarray(f(T * x))))
 
 

@@ -47,9 +47,12 @@ def _as_delta(delta) -> float:
     return (delta if isinstance(delta, CesaroOrder) else CesaroOrder(float(delta))).delta
 
 
-def _check_domain(t: np.ndarray) -> None:
+def _on_domain(t, dtype=float) -> np.ndarray:
+    """t as an array of at least one dimension; ValueError outside [-1, 1]."""
+    t = np.atleast_1d(np.asarray(t, dtype=dtype))
     if t.size and (np.min(t) < -1 - 1e-12 or np.max(t) > 1 + 1e-12):
         raise ValueError("argument outside [-1, 1]")
+    return t
 
 
 def jacobi_rows(n_max: int, jp: JacobiParams, t: np.ndarray):
@@ -79,8 +82,7 @@ def jacobi_all(n_max: int, jp: JacobiParams, t, dtype=float) -> np.ndarray:
     dtype np.longdouble buys two more digits when a downstream sum has to
     resolve cancellation near a kernel zero.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=dtype))
-    _check_domain(t)
+    t = _on_domain(t, dtype)
     out = np.empty((n_max + 1,) + t.shape, dtype=dtype)
     for k, row in enumerate(jacobi_rows(n_max, jp, t)):
         out[k] = row
@@ -88,11 +90,12 @@ def jacobi_all(n_max: int, jp: JacobiParams, t, dtype=float) -> np.ndarray:
 
 
 def jacobi_eval(n: int, jp: JacobiParams, t):
-    """P_n^{(alpha,beta)}(t); t may be a scalar or array in [-1, 1]."""
+    """P_n^{(alpha,beta)}(t) for a scalar or array t in [-1, 1], two rows alive."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     scalar = np.isscalar(t)
-    values = jacobi_all(n, jp, t)[n]
+    for values in jacobi_rows(n, jp, _on_domain(t)):
+        pass
     return float(values[0]) if scalar else values
 
 
@@ -123,10 +126,13 @@ def jacobi_endpoint(n: int, jp: JacobiParams) -> float:
     )
 
 
-def jacobi_h_norm(n: int, jp: JacobiParams) -> float:
-    """Squared norm int P_n^2 (1-t)^alpha (1+t)^beta dt, closed form."""
-    a, b = jp.alpha, jp.beta
-    return math.exp(
+def _log_h(n: int, a: float, b: float) -> float:
+    """log h_n, the squared norm of P_n^{(a,b)}; where log(a + b + 1) fails,
+    h_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2)."""
+    if n == 0 and a + b + 1 <= 0:
+        return ((a + b + 1) * math.log(2.0) + math.lgamma(a + 1) + math.lgamma(b + 1)
+                - math.lgamma(a + b + 2))
+    return (
         (a + b + 1) * math.log(2.0)
         - math.log(2 * n + a + b + 1)
         + math.lgamma(n + a + 1)
@@ -136,30 +142,21 @@ def jacobi_h_norm(n: int, jp: JacobiParams) -> float:
     )
 
 
+def jacobi_h_norm(n: int, jp: JacobiParams) -> float:
+    """Squared norm int P_n^2 (1-t)^alpha (1+t)^beta dt, closed form."""
+    return math.exp(_log_h(n, jp.alpha, jp.beta))
+
+
 def kernel_normalizer(n_max: int, jp: JacobiParams) -> np.ndarray:
     """P_k(1) / (h_k / h_0) for k <= n_max, the coefficient of P_k(t) in the
     reproducing kernel at the right endpoint.  Mass-normalizing by h_0 makes
     the degree-0 kernel equal to 1, so Cesaro means reproduce constants."""
     a, b = jp.alpha, jp.beta
-    log_h0 = (
-        (a + b + 1) * math.log(2.0)
-        - math.log(a + b + 1)
-        + math.lgamma(a + 1)
-        + math.lgamma(b + 1)
-        - math.lgamma(a + b + 1)
-    )
+    log_h0 = _log_h(0, a, b)
     out = np.empty(n_max + 1)
     for k in range(n_max + 1):
         log_p1 = math.lgamma(k + a + 1) - math.lgamma(k + 1) - math.lgamma(a + 1)
-        log_hk = (
-            (a + b + 1) * math.log(2.0)
-            - math.log(2 * k + a + b + 1)
-            + math.lgamma(k + a + 1)
-            + math.lgamma(k + b + 1)
-            - math.lgamma(k + 1)
-            - math.lgamma(k + a + b + 1)
-        )
-        out[k] = math.exp(log_p1 - log_hk + log_h0)
+        out[k] = math.exp(log_p1 - _log_h(k, a, b) + log_h0)
     return out
 
 
@@ -181,13 +178,15 @@ def cesaro_kernel_endpoint(n: int, jp: JacobiParams, delta, t):
 
     Computed as sum_k w_k P_k(t) P_k(1) / (h_k/h_0) with the binomial weights
     from cesaro_weights; finite for n up to a few thousand thanks to the
-    log-gamma evaluation of every ratio."""
+    log-gamma evaluation of every ratio; the rows are summed as they come."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    _as_delta(delta)
     scalar = np.isscalar(t)
-    P = jacobi_all(n, jp, t)
-    acc = np.tensordot(cesaro_weights(n, delta) * kernel_normalizer(n, jp), P, axes=1)
+    coef = cesaro_weights(n, delta) * kernel_normalizer(n, jp)
+    rows = jacobi_rows(n, jp, _on_domain(t))
+    acc = coef[0] * next(rows)
+    for c, row in zip(coef[1:], rows):
+        acc += c * row
     return float(acc[0]) if scalar else acc
 
 
@@ -203,9 +202,9 @@ def jacobi_derivative_shift(n: int, jp: JacobiParams, grid=None) -> float:
     offsets = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
     coefs = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
     pts = grid[None, :] + offsets[:, None] * h
-    vals = jacobi_all(n + 1, jp, pts.ravel())[n + 1].reshape(pts.shape)
+    vals = jacobi_eval(n + 1, jp, pts.ravel()).reshape(pts.shape)
     deriv = (coefs[:, None] * vals).sum(axis=0) / h
-    lhs = jacobi_all(n, JacobiParams(jp.alpha + 1, jp.beta + 1), grid)[n]
+    lhs = jacobi_eval(n, JacobiParams(jp.alpha + 1, jp.beta + 1), grid)
     rhs = 2.0 / (n + jp.alpha + jp.beta + 2) * deriv
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -11,8 +11,8 @@ under which the weighted integral becomes a product of one-dimensional Beta
 integrals: axis j (1-based) carries the weight u^(kappa-1) (1-u)^((d-j) kappa - 1),
 because the Jacobian contributes (1-u_j)^(d-1-j) and the residual powers of
 t_{j+1}, ..., t_0 supply the rest.  Each axis gets a Gauss-Jacobi rule.  Every
-constructed rule is validated against the closed-form Dirichlet moments before
-it is handed out.
+constructed rule is validated, on its own nodes and weights, against the
+closed-form Dirichlet moments before it is handed out.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -134,38 +134,43 @@ class MomentValidationError(SelfCheckError):
     """A constructed rule failed the Dirichlet-moment battery."""
 
 
-def _validate_moments(rule: SimplexRule, axes, max_total_degree: int, rtol: float = 1e-10):
-    """Compare rule moments with dirichlet_moment for all |alpha| <= degree.
-
-    Uses the tensor factorization of t^alpha over the substitution axes when
-    the full-grid product would be large; both paths evaluate the same sums.
-    """
+def _validate_moments(rule: SimplexRule, max_total_degree: int, rtol: float = 1e-10):
+    """Compare sum_k w_k t_k^alpha, over the rule's own nodes, with
+    dirichlet_moment for every |alpha| <= degree.  A monomial is a sorted
+    sequence s of coordinates; sorting the sequences walks them depth first,
+    each after its prefix s[:-1], so row len(s) of `path`, w t^s on a block of
+    nodes, is the prefix's row times t_{s[-1]}.  A block has CHUNK_ELEMENTS //
+    (number of monomials) nodes."""
     d = rule.d
-    alphas = [
-        a for a in product(range(max_total_degree + 1), repeat=d)
-        if sum(a) <= max_total_degree
-    ]
-    use_grid = len(rule) * len(alphas) <= 2 * 10**7
-    worst = 0.0
-    worst_alpha = None
-    for alpha in alphas:
-        ref = dirichlet_moment(d, rule.kappa, alpha)
-        if use_grid:
-            got = float(np.dot(rule.weights, np.prod(rule.nodes ** np.asarray(alpha), axis=1)))
-        else:
-            # u_j exponent is alpha_j; (1-u_j) exponent is alpha_0 + sum_{i>j} alpha_i
-            got = 1.0
-            for j in range(1, d):
-                u, w = axes[j - 1]
-                got *= float(np.dot(w, u ** alpha[j] * (1 - u) ** (alpha[0] + sum(alpha[j + 1:]))))
-        err = abs(got - ref) / abs(ref)
-        if err > worst:
-            worst, worst_alpha = err, alpha
-    if worst > rtol:
+    seqs = sorted(s for m in range(max_total_degree + 1)
+                  for s in combinations_with_replacement(range(d), m))
+    alphas = [tuple(s.count(i) for i in range(d)) for s in seqs]
+    got = np.zeros(len(seqs))
+    for sl in chunk_slices(len(rule), len(seqs)):
+        T = np.ascontiguousarray(rule.nodes[sl].T)
+        path = np.empty((max_total_degree + 1, T.shape[1]))
+        path[0] = rule.weights[sl]
+        for j, s in enumerate(seqs):
+            if s:
+                np.multiply(path[len(s) - 1], T[s[-1]], out=path[len(s)])
+            got[j] += path[len(s)].sum()
+    ref = np.array([dirichlet_moment(d, rule.kappa, alpha) for alpha in alphas])
+    err = np.abs(got - ref) / ref
+    worst = int(np.argmax(err))  # the first NaN, if any
+    if not err[worst] <= rtol:
         raise MomentValidationError(
-            f"moment validation failed at alpha={worst_alpha}: rel err {worst:.3e} "
+            f"moment validation failed at alpha={alphas[worst]}: rel err {err[worst]:.3e} "
             f"(d={d}, kappa={rule.kappa}, order={rule.order})"
         )
+
+
+def tensor_grid(axes) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (N, len(axes)) and weights (N,) of the product of one-dimensional
+    rules axes = [(nodes, weights), ...], the last axis varying fastest."""
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    return (np.stack([g.ravel() for g in grids], axis=-1),
+            np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1))
 
 
 def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
@@ -180,14 +185,10 @@ def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     kappa = float(kappa)
-    axes = [
+    U, W = tensor_grid([
         gauss_jacobi01(per_axis_order, kappa - 1.0, (d - j) * kappa - 1.0)
         for j in range(1, d)
-    ]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    U = np.stack([g.ravel() for g in grids], axis=-1)
-    W = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+    ])
     n = U.shape[0]
     T = np.empty((n, d))
     rem = np.ones(n)
@@ -196,7 +197,7 @@ def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
         rem = rem * (1 - U[:, j - 1])
     T[:, 0] = rem
     rule = SimplexRule(d=d, kappa=kappa, order=per_axis_order, nodes=T, weights=W)
-    _validate_moments(rule, axes, min(6, 2 * per_axis_order - 1))
+    _validate_moments(rule, min(6, 2 * per_axis_order - 1))
     return rule
 
 

@@ -44,6 +44,7 @@ from .orthopoly import (
     cesaro_kernel_endpoint,
     cesaro_weights,
     jacobi_all,
+    jacobi_eval,
     jacobi_rows,
     kernel_normalizer,
 )
@@ -457,7 +458,7 @@ def estimate_check(n: int, params: KappaParams, alpha: float, beta: float,
         rule = build_rule(d, k, default_order(n))
     jp = JacobiParams(float(alpha), float(beta))
     X = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    profile = AxisFunction(ell=ell, profile=lambda s: jacobi_all(n, jp, s)[n])
+    profile = AxisFunction(ell=ell, profile=lambda s: jacobi_eval(n, jp, s))
     lhs = np.abs(vk_axis(profile, X, params, rule)) / params.c_kappa
     front = float(n) ** (-(d - 1) * k - 0.5)
     envelope = front * _envelope_sum(X, n, k, alpha + 0.5 - (d - 1) * k)

@@ -202,6 +202,13 @@ def test_kernel_cesaro_matches_library():
     assert payload["value"] == pytest.approx(want, rel=1e-12)
 
 
+def test_kernel_at_lambda_zero_is_twice_chebyshev():
+    rc, payload = run_json(
+        ["kernel", "--d", "2", "--kappa", "0", "--n", "3", "--x", "0.6,0.8"])
+    assert rc == 0
+    assert abs(payload["value"] - 2 * (4 * 0.6**3 - 3 * 0.6)) < 1e-13  # 2 T_3(0.6)
+
+
 def test_kernel_zero_point_is_error():
     rc, _, err = run_cli(
         ["kernel", "--d", "2", "--kappa", "1", "--n", "2", "--x", "0,0"])
@@ -247,6 +254,15 @@ def test_bessel_explicit_closed_needs_d2():
          "--path", "closed"])
     assert rc == 2
     assert "closed form needs d = 2" in err
+
+
+def test_bessel_recursive_path_at_kappa_zero_is_usage_error():
+    rc, out, err = run_cli(
+        ["bessel", "--d", "3", "--kappa", "0", "--y", "0.1,0.2,0.3",
+         "--path", "recursive"])
+    assert rc == 2
+    assert out == ""
+    assert "recursion needs d >= 3 and kappa > 0" in err
 
 
 def test_bessel_coset_path_alone():

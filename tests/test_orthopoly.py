@@ -198,6 +198,19 @@ def test_cesaro_kernel_endpoint_examples():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
+def test_cesaro_kernel_endpoint_matches_stacked_rows():
+    # the kernel sums the Jacobi rows as they come; the stacked rows and one
+    # tensordot are the reference, within rounding of the terms' magnitudes
+    jp = JacobiParams(1.5, 1.5)
+    t = np.linspace(-1.0, 1.0, 101)
+    for n in (0, 5, 60, 200):
+        coef = cesaro_weights(n, 1.5) * kernel_normalizer(n, jp)
+        P = jacobi_all(n, jp, t)
+        scale = np.tensordot(np.abs(coef), np.abs(P), axes=1)
+        got = cesaro_kernel_endpoint(n, jp, 1.5, t)
+        assert np.all(np.abs(got - np.tensordot(coef, P, axes=1)) <= 1e-14 * scale)
+
+
 def test_cesaro_kernel_large_degree_finite():
     jp = JacobiParams(2.0, 2.0)
     vals = cesaro_kernel_endpoint(2000, jp, 1.0, np.linspace(-1, 1, 5))
@@ -232,3 +245,18 @@ def test_jacobi_rows_are_the_rows_of_jacobi_all():
     assert len(rows) == 10
     assert np.array_equal(np.stack(rows), jacobi_all(9, jp, t))
     assert [r.shape for r in jacobi_rows(0, jp, t)] == [(3, 4)]
+
+
+def test_normalizer_at_alpha_plus_beta_plus_one_zero():
+    # Chebyshev weight: h_0 = pi in the limit; P_k = P_k(1) T_k and
+    # h_k / h_0 = P_k(1)^2 / 2, so the degree-k kernel is 2 T_k(t)
+    jp = JacobiParams(-0.5, -0.5)
+    assert abs(jacobi_h_norm(0, jp) - math.pi) < 1e-14
+    t = np.linspace(-1.0, 1.0, 7)
+    for k, coef in enumerate(kernel_normalizer(6, jp)):
+        if k:
+            np.testing.assert_allclose(
+                coef * jacobi_eval(k, jp, t), 2 * np.cos(k * np.arccos(t)), atol=1e-13)
+    # h_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2) below a + b + 1 = 0 too
+    want = 2 ** -0.4 * math.gamma(0.3) ** 2 / math.gamma(0.6)
+    assert abs(jacobi_h_norm(0, JacobiParams(-0.7, -0.7)) - want) < 1e-13 * want

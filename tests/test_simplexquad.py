@@ -4,6 +4,7 @@ Moments have a Gamma-quotient closed form, so the rule can be tested against
 an exact oracle; a seeded Monte-Carlo estimate cross-checks the closed form
 itself through numpy's independent Dirichlet sampler."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -16,7 +17,9 @@ from dunklsym.harmonics import build_sphere_rule, repro_kernel_axis
 from dunklsym.intertwine import AxisFunction, vk_axis, vk_d2_generic
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import (
+    MomentValidationError,
     SimplexRule,
+    _validate_moments,
     build_rule,
     default_order,
     dirichlet_moment,
@@ -156,6 +159,18 @@ def test_integrate_error_paths():
     # complex integrands are allowed (Bessel paths use them)
     val = integrate(rule, lambda t: np.exp(1j * t[:, 0]))
     assert isinstance(val, complex)
+
+
+@pytest.mark.parametrize("order", [32, 48])
+def test_moment_check_reads_the_nodes(order):
+    # d = 4 at order 32 and 48: 32^3 and 48^3 nodes, 210 monomials
+    rule = build_rule(4, 1.0, order)
+    _validate_moments(rule, 6)
+    nodes = rule.nodes.copy()
+    k = int(np.argmax(rule.weights * np.abs(nodes[:, 0] - nodes[:, 1])))
+    nodes[k, [0, 1]] = nodes[k, [1, 0]]
+    with pytest.raises(MomentValidationError):
+        _validate_moments(dataclasses.replace(rule, nodes=nodes), 6)
 
 
 def test_default_order_floor():

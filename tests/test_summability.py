@@ -3,15 +3,16 @@ classification, and the envelope checks behind the kernel estimates."""
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dunklsym import simplexquad
-from dunklsym.harmonics import build_sphere_rule, repro_kernel_axis
+from dunklsym.harmonics import _zn_values, build_sphere_rule, repro_kernel_axis
 from dunklsym.intertwine import AxisFunction, vk_axis
-from dunklsym.orthopoly import JacobiParams, cesaro_kernel_endpoint
+from dunklsym.orthopoly import JacobiParams, cesaro_kernel_endpoint, jacobi_eval
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import build_rule, default_order
 from dunklsym.summability import (
@@ -321,3 +322,47 @@ def test_default_sample_points_layout():
     again = default_sample_points(3)
     assert np.array_equal(pts, again)
     assert not np.array_equal(pts, default_sample_points(3, seed=7))
+
+
+# ---------------------------------------------------------------------------
+# one-degree profiles stream the Jacobi rows
+# ---------------------------------------------------------------------------
+
+T_ROW = np.linspace(-1.0, 1.0, 20000)
+X_ROWS = np.random.default_rng(3).normal(size=(300, 3))
+X_ROWS /= np.linalg.norm(X_ROWS, axis=1, keepdims=True)
+RULE_8 = build_rule(3, 1.0, 8)
+JP15 = JacobiParams(1.5, 1.5)
+
+# name -> (the call at n = 200, bytes of the one row its profile evaluates)
+PROFILE_CALLS = {
+    "jacobi_eval": (lambda: jacobi_eval(200, JP15, T_ROW), T_ROW.nbytes),
+    "cesaro_kernel_endpoint": (
+        lambda: cesaro_kernel_endpoint(200, JP15, 1.5, T_ROW), T_ROW.nbytes),
+    "zn_values": (lambda: _zn_values(200, 2.0, T_ROW), T_ROW.nbytes),
+    "estimate_check": (
+        lambda: estimate_check(200, KP31, 2.5, 2.5, X_ROWS, rule=RULE_8),
+        len(X_ROWS) * len(RULE_8) * 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_CALLS))
+def test_one_degree_profile_memory_does_not_grow_with_n(name):
+    call, row_bytes = PROFILE_CALLS[name]
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding all n + 1 = 201 Jacobi rows would peak near 200 rows
+    assert peak < 10 * row_bytes
+
+
+def test_sweep_at_lambda_zero_is_finite():
+    records = lebesgue_sweep(KappaParams(2, 0), [1.0], 8)
+    assert [r.n for r in records] == list(range(1, 9))
+    assert all(math.isfinite(r.quad_error_estimate) for r in records)
+    # the Fejer kernel on the circle is positive, so its Lebesgue constant is 1
+    assert all(abs(r.value - 1.0) < 1e-12 for r in records)
