@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -31,7 +30,7 @@ from scipy.special import roots_jacobi
 
 from .intertwine import AxisFunction, vk_axis
 from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
-from .polycore import KappaParams, Monomial, Polynomial, dunkl_laplacian
+from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_laplacian
 from .simplexquad import SelfCheckError, SimplexRule
 
 
@@ -215,12 +214,19 @@ def harmonic_dim(n: int, d: int) -> int:
     return total - lower
 
 
-def _monomials(d: int, n: int) -> list[Monomial]:
-    return sorted(e for e in product(range(n + 1), repeat=d) if sum(e) == n)
+def _monomial_values(nodes: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """x^alpha, shape (n_nodes, n_monomials): a power table per coordinate,
+    gathered and multiplied in coordinate order, so bit for bit the values
+    of np.prod(nodes[:, None, :] ** exps[None, :, :], axis=2)."""
+    powers = nodes[:, :, None] ** np.arange(exps.max(initial=0) + 1)
+    out = powers[:, 0, exps[:, 0]]
+    for k in range(1, exps.shape[1]):
+        out = out * powers[:, k, exps[:, k]]
+    return out
 
 
-def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis of a rational matrix by row reduction; exact."""
+def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
+    """Nullspace basis of an integer matrix by exact rational row reduction."""
     rows = [row[:] for row in rows]
     pivots: list[int] = []
     r = 0
@@ -229,7 +235,7 @@ def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fra
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
+        inv = Fraction(rows[r][c])
         rows[r] = [v / inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
@@ -277,21 +283,17 @@ class HarmonicBasis:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.d:
             raise ValueError(f"points must have {self.d} coordinates")
-        mono = np.prod(pts[:, None, :] ** np.asarray(self.exponents)[None, :, :], axis=2)
-        return self.coefficients @ mono.T
+        return self.coefficients @ _monomial_values(pts, np.asarray(self.exponents)).T
 
     def basis(self) -> list[Polynomial]:
-        out = []
-        for row in self.exact_coefficients:
-            terms = {e: c for e, c in zip(self.exponents, row) if c != 0}
-            out.append(Polynomial(self.d, terms))
-        return out
+        return [Polynomial(self.d, dict(zip(self.exponents, row)))
+                for row in self.exact_coefficients]
 
 
 def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> HarmonicBasis:
     """Construct an orthonormal basis of the degree-n h-harmonics.
 
-    Steps: exact rational matrix of the Dunkl Laplacian on degree-n
+    Steps: exact integer matrix of q^2 Delta_kappa (kappa = p/q) on degree-n
     monomials, exact nullspace (dimension is a hard invariant and a mismatch
     raises), Gram matrix of the nullspace under the a_kappa-normalized
     h^2 sphere inner product by quadrature, Cholesky orthonormalization.
@@ -302,19 +304,15 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     if sphere_rule.d != params.d:
         raise ValueError("sphere rule dimension does not match params")
     d = params.d
-    monos = _monomials(d, n)
+    monos = list(compositions(d, n))
     if n < 2:
         null = [[Fraction(i == j) for j in range(len(monos))] for i in range(len(monos))]
     else:
-        lower = {e: i for i, e in enumerate(_monomials(d, n - 2))}
-        cols = []
-        for e in monos:
-            image = dunkl_laplacian(Polynomial.monomial(e), params)
-            col = [Fraction(0)] * len(lower)
-            for mono, coef in image.terms.items():
-                col[lower[mono]] = coef
-            cols.append(col)
-        rows = [[cols[j][i] for j in range(len(monos))] for i in range(len(lower))]
+        lower = {e: i for i, e in enumerate(compositions(d, n - 2))}
+        rows = [[0] * len(monos) for _ in lower]
+        for col, e in enumerate(monos):
+            for mono, coef in scaled_laplacian({e: 1}, params).items():
+                rows[lower[mono]][col] = coef
         null = _rational_nullspace(rows, len(monos))
     expected = harmonic_dim(n, d)
     if len(null) != expected:
@@ -326,8 +324,7 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     raw = np.array([[float(c) for c in row] for row in null])
 
     def gram(coeffs: np.ndarray, rule: SphereRule) -> np.ndarray:
-        mono_vals = np.prod(rule.nodes[:, None, :] ** exps[None, :, :], axis=2)
-        vals = coeffs @ mono_vals.T
+        vals = coeffs @ _monomial_values(rule.nodes, exps).T
         wh2 = rule.weights * hweight(rule.nodes, params) ** 2
         g = params.a_kappa * (vals * wh2) @ vals.T
         return (g + g.T) / 2

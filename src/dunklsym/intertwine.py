@@ -25,17 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .polycore import (
-    KappaParams,
-    Polynomial,
-    dunkl_apply,
-)
+from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_dunkl
 from .simplexquad import (SimplexRule, build_rule, chunk_slices, integrate, require_rule,
                           tensor_grid)
 
@@ -76,10 +71,26 @@ def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule | None):
     return values[0] if x.ndim == 1 else values
 
 
-def _pochhammer(a: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
+def _image_numerators(n: int, ell: int, d: int, p: int, q: int) -> dict[Monomial, int]:
+    """Integer coefficients of N_n = q^n (d kappa + 1)_n V[x_ell^n], kappa = p/q:
+
+        N_alpha = multinomial(n, alpha) prod_{k=1}^{alpha_ell} (p + k q)
+                  prod_{i != ell} prod_{k=0}^{alpha_i - 1} (p + k q).
+
+    Vanishing coefficients (kappa = 0 off the axis) are left out."""
+    rising, shifted = [1], [1]  # prod_{k=0}^{a-1} and prod_{k=1}^{a} of (p + k q)
+    for k in range(n):
+        rising.append(rising[-1] * (p + k * q))
+        shifted.append(shifted[-1] * (p + (k + 1) * q))
+    fact = [math.factorial(a) for a in range(n + 1)]
+    out = {}
+    for alpha in compositions(d, n):
+        num = fact[n] // math.prod(fact[a] for a in alpha) * shifted[alpha[ell - 1]]
+        for i, a in enumerate(alpha):
+            if i != ell - 1:
+                num *= rising[a]
+        if num:
+            out[alpha] = num
     return out
 
 
@@ -93,60 +104,43 @@ def vk_monomial_exact(n: int, ell: int, params: KappaParams) -> Polynomial:
                      (kappa+1)_{alpha_ell} prod_{i != ell} (kappa)_{alpha_i}
                      / (d kappa + 1)_n  *  x^alpha.
 
-    The kappa = 0 case degenerates correctly to x_ell^n (only alpha = n e_ell
-    survives), so no special-casing is needed."""
+    With kappa = p/q these are _image_numerators over D_n = prod_{k=1}^{n}
+    (d p + k q); kappa = 0 degenerates correctly to x_ell^n."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     d = params.d
     if not 1 <= ell <= d:
         raise ValueError(f"axis {ell} out of range 1..{d}")
-    kappa = params.kappa
-    denom = _pochhammer(d * kappa + 1, n)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for alpha in product(range(n + 1), repeat=d):
-        if sum(alpha) != n:
-            continue
-        mult = 1
-        rem = n
-        for a in alpha:
-            mult *= math.comb(rem, a)
-            rem -= a
-        num = _pochhammer(kappa + 1, alpha[ell - 1])
-        for i, a in enumerate(alpha):
-            if i != ell - 1:
-                num *= _pochhammer(kappa, a)
-        coef = mult * num / denom
-        if coef != 0:
-            terms[alpha] = coef
-    return Polynomial(d, terms)
+    p, q = params.kappa.numerator, params.kappa.denominator
+    den = math.prod(d * p + k * q for k in range(1, n + 1))
+    return Polynomial(d, {alpha: Fraction(num, den) for alpha, num
+                          in _image_numerators(n, ell, d, p, q).items()})
 
 
 def verify_intertwining(n_max: int, params: KappaParams) -> dict:
     """Check D_i V[x_ell^n] = V[d/dx_i x_ell^n] exactly for all ell, n, i.
 
     The right side is n * V[x_ell^(n-1)] when i = ell and the zero polynomial
-    otherwise.  Every comparison is an exact rational polynomial identity.
-    Returns {"passed": bool, "checks": int, "failed": [(ell, n, i), ...]}."""
+    otherwise.  With kappa = p/q in lowest terms each identity is checked
+    multiplied by q D_n, D_n = prod_{k=1}^{n} (d p + k q), which is nonzero:
+    on the integer images N_n = D_n V[x_ell^n] it reads
+
+        q D_i N_n = delta_{i ell} n q (d p + n q) N_{n-1},
+
+    with q D_i the integer core polycore.scaled_dunkl: no Fraction is built.
+    Returns {"passed": bool, "checks": int, "failed": [{ell, n, i}, ...]}."""
     d = params.d
-    images = {}
-    for ell in range(1, d + 1):
-        for n in range(n_max + 1):
-            images[(ell, n)] = vk_monomial_exact(n, ell, params)
+    p, q = params.kappa.numerator, params.kappa.denominator
+    images = {(ell, n): _image_numerators(n, ell, d, p, q)
+              for ell in range(1, d + 1) for n in range(n_max + 1)}
     failed = []
-    checks = 0
-    for ell in range(1, d + 1):
-        for n in range(n_max + 1):
-            v = images[(ell, n)]
-            for i in range(1, d + 1):
-                lhs = dunkl_apply(v, i, params)
-                if i == ell and n >= 1:
-                    rhs = images[(ell, n - 1)] * n
-                else:
-                    rhs = Polynomial.zero(d)
-                checks += 1
-                if lhs != rhs:
-                    failed.append({"ell": ell, "n": n, "i": i})
-    return {"passed": not failed, "checks": checks, "failed": failed}
+    for (ell, n), image in images.items():
+        for i in range(1, d + 1):
+            factor = n * q * (d * p + n * q) if i == ell else 0
+            rhs = {m: factor * c for m, c in images[ell, n - 1].items()} if factor else {}
+            if scaled_dunkl(image, i, params) != rhs:
+                failed.append({"ell": ell, "n": n, "i": i})
+    return {"passed": not failed, "checks": d * len(images), "failed": failed}
 
 
 def vk_d2_generic(f, x, params: KappaParams, rule: SimplexRule) -> float:
@@ -176,33 +170,23 @@ def vk_d2_poly_exact(p: Polynomial, params: KappaParams) -> Polynomial:
     For a monomial x^a y^b the expansion of f(x_1 t_0 + x_2 t_1, x_1 t_1 +
     x_2 t_0) against the weight t_0^kappa t_1^(kappa-1) integrates to
     Pochhammer ratios: the (t_0^p t_1^q) moment times c_kappa equals
-    (kappa+1)_p (kappa)_q / (2 kappa + 1)_{p+q}."""
+    (kappa+1)_p (kappa)_q / (2 kappa + 1)_{p+q}, the x^(p, q) coefficient of
+    V[x_1^(p+q)] over binomial(p+q, p)."""
     if params.d != 2 or p.dim != 2:
         raise ValueError("vk_d2_poly_exact requires d = 2")
-    kappa = params.kappa
     out = Polynomial.zero(2)
-    cache: dict[tuple[int, int], Fraction] = {}
+    images: dict[int, Polynomial] = {}
 
     def cmoment(pw: int, qw: int) -> Fraction:
-        key = (pw, qw)
-        if key not in cache:
-            cache[key] = (
-                _pochhammer(kappa + 1, pw)
-                * _pochhammer(kappa, qw)
-                / _pochhammer(2 * kappa + 1, pw + qw)
-            )
-        return cache[key]
+        if pw + qw not in images:
+            images[pw + qw] = vk_monomial_exact(pw + qw, 1, params)
+        return images[pw + qw].coefficient((pw, qw)) / math.comb(pw + qw, pw)
 
     for (a, b), coef in p.terms.items():
         terms: dict[tuple[int, ...], Fraction] = {}
         for i in range(a + 1):
             for j in range(b + 1):
-                c = (
-                    coef
-                    * math.comb(a, i)
-                    * math.comb(b, j)
-                    * cmoment(i + b - j, a - i + j)
-                )
+                c = coef * math.comb(a, i) * math.comb(b, j) * cmoment(i + b - j, a - i + j)
                 mono = (i + j, a + b - i - j)
                 terms[mono] = terms.get(mono, Fraction(0)) + c
         out = out + Polynomial(2, terms)

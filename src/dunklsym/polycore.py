@@ -1,14 +1,17 @@
 """Exact sparse multivariate polynomials and Dunkl operators for the symmetric group.
 
-A polynomial in d variables is stored as a map from exponent tuples to
-``fractions.Fraction`` coefficients, so every operator in this module is exact:
-no floating point enters until a polynomial is evaluated at a numeric point.
-The Dunkl operator attached to the transposition group S_d acting on R^d is
+Polynomial is a ``fractions.Fraction`` API over an integer Dunkl core: every
+operator here is exact, and no floating point enters until a polynomial is
+evaluated at a numeric point.  The Dunkl operator of the transposition group
+S_d acting on R^d is
 
     D_i f = d f / d x_i + kappa * sum_{j != i} (f(x) - f(x (i,j))) / (x_i - x_j),
 
 where x(i,j) swaps coordinates i and j.  The difference quotient is a genuine
-polynomial; it is computed by term-wise telescoping, never by evaluation.
+polynomial, computed by term-wise telescoping.  For kappa = p/q in lowest
+terms the core, scaled_dunkl, applies q D_i to an integer-coefficient map
+dict[Monomial, int]; dunkl_apply and dunkl_laplacian clear the denominators,
+run it and rescale.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
+
+import numpy as np
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -59,9 +64,7 @@ class Polynomial:
     def variable(dim: int, i: int) -> "Polynomial":
         """The coordinate polynomial x_i, with i in 1..dim."""
         _check_axis(i, dim)
-        exp = [0] * dim
-        exp[i - 1] = 1
-        return Polynomial(dim, {tuple(exp): Fraction(1)})
+        return Polynomial.monomial(k == i - 1 for k in range(dim))
 
     @staticmethod
     def monomial(exponents: Iterable[int], coef: Scalar = 1) -> "Polynomial":
@@ -145,20 +148,15 @@ class Polynomial:
         Accepts a sequence of Fractions/ints (exact result) or floats/arrays
         (numeric result, vectorized over trailing axes when x is an ndarray
         of shape (..., dim))."""
-        try:
-            import numpy as np
-
-            if isinstance(x, np.ndarray):
-                acc = np.zeros(x.shape[:-1])
-                for mono, coef in self.terms.items():
-                    term = float(coef) * np.ones(x.shape[:-1])
-                    for k, e in enumerate(mono):
-                        if e:
-                            term = term * x[..., k] ** e
-                    acc = acc + term
-                return acc
-        except ImportError:  # pragma: no cover - numpy is a hard dependency
-            pass
+        if isinstance(x, np.ndarray):
+            acc = np.zeros(x.shape[:-1])
+            for mono, coef in self.terms.items():
+                term = float(coef) * np.ones(x.shape[:-1])
+                for k, e in enumerate(mono):
+                    if e:
+                        term = term * x[..., k] ** e
+                acc = acc + term
+            return acc
         if len(x) != self.dim:
             raise ValueError("point dimension mismatch")
         acc = Fraction(0) if all(isinstance(v, (int, Fraction)) for v in x) else 0.0
@@ -286,19 +284,79 @@ class KappaParams:
 # ---------------------------------------------------------------------------
 
 
+def compositions(d: int, n: int) -> Iterator[Monomial]:
+    """Every exponent tuple of length d summing to n, in sorted order."""
+    if d == 1:
+        return iter([(n,)])
+    return ((a,) + rest for a in range(n + 1) for rest in compositions(d - 1, n - a))
+
+
+def _accumulate(out: dict, terms: Mapping[Monomial, Scalar], k: int, dcoef: Scalar,
+                tcoef: Scalar, partners: Iterable[int]) -> dict:
+    """Add dcoef d/dx_k + tcoef sum_{j in partners} (1 - (k,j)) / (x_k - x_j)
+    of terms into out (axes 0-based; coefficients in the ring terms uses;
+    cancelled entries stay as zeros).  For exponents a > b on axes (k, j),
+    (x_k^a x_j^b - x_k^b x_j^a) / (x_k - x_j) = sum_{r<a-b} x_k^{a-1-r} x_j^{b+r}."""
+    if dcoef:
+        for mono, coef in terms.items():
+            e = mono[k]
+            if e:
+                m = mono[:k] + (e - 1,) + mono[k + 1:]
+                out[m] = out.get(m, 0) + dcoef * e * coef
+    if tcoef:
+        for j in partners:
+            for mono, coef in terms.items():
+                a, b = mono[k], mono[j]
+                if a == b:
+                    continue
+                step = tcoef * coef if a > b else -tcoef * coef
+                lo, hi = min(a, b), max(a, b)
+                base = list(mono)
+                for r in range(hi - lo):
+                    base[k] = hi - 1 - r
+                    base[j] = lo + r
+                    m = tuple(base)
+                    out[m] = out.get(m, 0) + step
+    return out
+
+
+def scaled_dunkl(terms: Mapping[Monomial, int], i: int, params: KappaParams,
+                 out: dict[Monomial, int] | None = None) -> dict[Monomial, int]:
+    """q D_i on an integer-coefficient map, for kappa = p/q in lowest terms:
+    adds q d/dx_i + p sum_{j != i} (1 - (i,j)) / (x_i - x_j) of every term
+    into out (a new dict when None), drops the entries that cancel, and
+    returns out.  Integer in, integer out: no Fraction is built."""
+    _check_axis(i, params.d)
+    k = i - 1
+    out = _accumulate({} if out is None else out, terms, k, params.kappa.denominator,
+                      params.kappa.numerator, [j for j in range(params.d) if j != k])
+    for m in [m for m, c in out.items() if not c]:
+        del out[m]
+    return out
+
+
+def scaled_laplacian(terms: Mapping[Monomial, int], params: KappaParams) -> dict[Monomial, int]:
+    """q^2 Delta_kappa = sum_i (q D_i)^2 on an integer-coefficient map."""
+    out: dict[Monomial, int] = {}
+    for i in range(1, params.d + 1):
+        scaled_dunkl(scaled_dunkl(terms, i, params), i, params, out)
+    return out
+
+
+def _through_core(p: Polynomial, params: KappaParams, core, q_power: int) -> Polynomial:
+    """core(L p) / (L q^q_power), L the least common denominator of p."""
+    if p.dim != params.d:
+        raise ValueError(f"polynomial dimension {p.dim} != params.d {params.d}")
+    lcd = math.lcm(*(c.denominator for c in p.terms.values()))
+    out = core({m: c.numerator * (lcd // c.denominator) for m, c in p.terms.items()})
+    scale = lcd * params.kappa.denominator ** q_power
+    return Polynomial(p.dim, {m: Fraction(c, scale) for m, c in out.items()})
+
+
 def partial_derivative(p: Polynomial, i: int) -> Polynomial:
     """Exact formal d/dx_i, axis i in 1..d."""
     _check_axis(i, p.dim)
-    k = i - 1
-    out: dict[Monomial, Fraction] = {}
-    for mono, coef in p.terms.items():
-        e = mono[k]
-        if e == 0:
-            continue
-        m = list(mono)
-        m[k] = e - 1
-        out[tuple(m)] = coef * e
-    return Polynomial(p.dim, out)
+    return Polynomial(p.dim, _accumulate({}, p.terms, i - 1, 1, 0, ()))
 
 
 def transposition_action(p: Polynomial, i: int, j: int) -> Polynomial:
@@ -307,66 +365,26 @@ def transposition_action(p: Polynomial, i: int, j: int) -> Polynomial:
     _check_axis(j, p.dim)
     if i == j:
         raise ValueError("transposition needs i != j")
-    a, b = i - 1, j - 1
-    out: dict[Monomial, Fraction] = {}
-    for mono, coef in p.terms.items():
-        m = list(mono)
-        m[a], m[b] = m[b], m[a]
-        out[tuple(m)] = out.get(tuple(m), Fraction(0)) + coef
-    return Polynomial(p.dim, out)
+    perm = list(range(p.dim))
+    perm[i - 1], perm[j - 1] = j - 1, i - 1
+    return Polynomial(p.dim, {tuple(m[k] for k in perm): c for m, c in p.terms.items()})
 
 
 def divided_difference(p: Polynomial, i: int, j: int) -> Polynomial:
-    """(p - p(x(i,j))) / (x_i - x_j), exact.
-
-    Works monomial by monomial: for exponents (a, b) on axes (i, j) with
-    a > b the quotient of x_i^a x_j^b - x_i^b x_j^a by x_i - x_j telescopes to
-    x_i^b x_j^b (x_i^{a-b-1} + x_i^{a-b-2} x_j + ... + x_j^{a-b-1}).
-    """
+    """(p - p(x(i,j))) / (x_i - x_j), exact, by term-wise telescoping."""
     _check_axis(i, p.dim)
     _check_axis(j, p.dim)
     if i == j:
         raise ValueError("divided difference needs i != j")
-    a_ax, b_ax = i - 1, j - 1
-    out: dict[Monomial, Fraction] = {}
-    for mono, coef in p.terms.items():
-        a, b = mono[a_ax], mono[b_ax]
-        if a == b:
-            continue
-        sign = 1
-        if a < b:
-            a, b = b, a
-            sign = -1
-        base = list(mono)
-        for r in range(a - b):
-            base[a_ax] = b + (a - b - 1 - r)
-            base[b_ax] = b + r
-            m = tuple(base)
-            c = out.get(m, Fraction(0)) + sign * coef
-            if c == 0:
-                out.pop(m, None)
-            else:
-                out[m] = c
-    return Polynomial(p.dim, out)
+    return Polynomial(p.dim, _accumulate({}, p.terms, i - 1, 0, 1, (j - 1,)))
 
 
 def dunkl_apply(p: Polynomial, i: int, params: KappaParams) -> Polynomial:
-    """The Dunkl operator D_i p for S_d with multiplicity params.kappa."""
-    if p.dim != params.d:
-        raise ValueError(f"polynomial dimension {p.dim} != params.d {params.d}")
-    _check_axis(i, p.dim)
-    out = partial_derivative(p, i)
-    kappa = params.kappa
-    if kappa != 0:
-        for j in range(1, p.dim + 1):
-            if j != i:
-                out = out + divided_difference(p, i, j) * kappa
-    return out
+    """The Dunkl operator D_i p for S_d with multiplicity params.kappa, via
+    scaled_dunkl on p with its denominators cleared."""
+    return _through_core(p, params, lambda terms: scaled_dunkl(terms, i, params), 1)
 
 
 def dunkl_laplacian(p: Polynomial, params: KappaParams) -> Polynomial:
-    """Delta_kappa p = sum_i D_i^2 p."""
-    out = Polynomial.zero(p.dim)
-    for i in range(1, p.dim + 1):
-        out = out + dunkl_apply(dunkl_apply(p, i, params), i, params)
-    return out
+    """Delta_kappa p = sum_i D_i^2 p, via scaled_laplacian."""
+    return _through_core(p, params, lambda terms: scaled_laplacian(terms, params), 2)

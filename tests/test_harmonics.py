@@ -221,3 +221,16 @@ def test_basis_evaluate_shapes():
     assert out.shape == (len(basis), 5)
     with pytest.raises(ValueError):
         basis.evaluate(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("d, n, kappa", [(3, 6, Fraction(1, 2)), (4, 2, 1), (2, 4, 1)])
+def test_basis_evaluate_is_bit_identical_to_power_grid(d, n, kappa):
+    # reference: the (node, monomial, coordinate) pow grid evaluate used before
+    # the per-coordinate power table; both multiply in coordinate order
+    kp = KappaParams(d, kappa)
+    basis = hharmonic_basis(n, kp, build_sphere_rule(d, 24, kappa_hint=kappa))
+    exps = np.asarray(basis.exponents)
+    for order in (24, 48):
+        pts = build_sphere_rule(d, order, kappa_hint=kappa).nodes
+        mono = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
+        assert np.array_equal(basis.evaluate(pts), basis.coefficients @ mono.T)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dunklsym import intertwine
 from dunklsym.harmonics import build_sphere_rule
 from dunklsym.intertwine import (
     AxisFunction,
@@ -18,7 +19,7 @@ from dunklsym.intertwine import (
     vk_sphere_average,
     vk_z2d,
 )
-from dunklsym.polycore import KappaParams, Polynomial
+from dunklsym.polycore import KappaParams, Polynomial, dunkl_apply
 from dunklsym.simplexquad import build_rule
 
 
@@ -88,6 +89,50 @@ def test_verify_intertwining_counts_and_passes():
     assert report["passed"] and report["failed"] == []
     assert report["checks"] == 2 * 9 * 2
     assert verify_intertwining(4, KappaParams(3, Fraction(5, 3)))["passed"]
+
+
+@pytest.mark.parametrize("bad_n", [0, 3, 5])
+def test_verify_intertwining_reports_a_corrupted_image(monkeypatch, bad_n):
+    # one coefficient of the integer image N_bad_n at ell = 2 is off by one;
+    # it is the left side of (2, bad_n, i) for every i, and the right side
+    # of (2, bad_n + 1, 2).  D_i kills no nonconstant monomial for kappa > 0.
+    d, ell, n_max = 3, 2, 5
+    numerators = intertwine._image_numerators
+
+    def corrupted(n, axis, *args):
+        out = numerators(n, axis, *args)
+        if (n, axis) == (bad_n, ell):
+            alpha = next(iter(out))
+            out[alpha] += 1
+        return out
+
+    monkeypatch.setattr(intertwine, "_image_numerators", corrupted)
+    report = verify_intertwining(n_max, KappaParams(d, Fraction(1, 2)))
+    want = [(ell, bad_n, i) for i in range(1, d + 1) if bad_n >= 1]
+    if bad_n < n_max:
+        want.append((ell, bad_n + 1, ell))
+    assert not report["passed"] and report["checks"] == d * d * (n_max + 1)
+    assert [(f["ell"], f["n"], f["i"]) for f in report["failed"]] == want
+
+
+@pytest.mark.parametrize("kappa", [0, Fraction(1, 2), Fraction(5, 3), 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fraction_wrapper_satisfies_the_intertwining_identity(d, kappa):
+    # the Fraction route (dunkl_apply on vk_monomial_exact) against the right
+    # side n V[x_ell^(n-1)]; kappa = 0 runs the core with p = 0, q = 1
+    kp = KappaParams(d, kappa)
+    for ell in range(1, d + 1):
+        for n in range(6):
+            image = vk_monomial_exact(n, ell, kp)
+            for i in range(1, d + 1):
+                want = (vk_monomial_exact(n - 1, ell, kp) * n if i == ell and n >= 1
+                        else Polynomial.zero(d))
+                assert dunkl_apply(image, i, kp) == want
+
+
+def test_verify_intertwining_headroom_d5_degree12():
+    report = verify_intertwining(12, KappaParams(5, Fraction(1, 2)))
+    assert report["passed"] and report["checks"] == 325
 
 
 def test_vk_axis_argument_errors():
