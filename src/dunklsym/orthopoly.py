@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -55,23 +56,51 @@ def _on_domain(t, dtype=float) -> np.ndarray:
     return t
 
 
-def jacobi_rows(n_max: int, jp: JacobiParams, t: np.ndarray):
-    """Yield P_0(t), ..., P_{n_max}(t) by the forward three-term recurrence,
-    elementwise over an array t; only the last two rows are kept alive."""
+def _recurrence(n_max: int, jp: JacobiParams):
+    """Yield (c1, c2, c3, c4) with P_{n+1} = ((c2 + c3 t) P_n - c4 P_{n-1}) / c1
+    for n = 0, ..., n_max - 1; the n = 0 step has c4 = 0 and needs no P_{-1}."""
     a, b = jp.alpha, jp.beta
-    prev = np.ones_like(t)
-    yield prev
     if n_max == 0:
         return
-    cur = 0.5 * (a - b + (a + b + 2) * t)
-    yield cur
+    yield 2, a - b, a + b + 2, 0
     for n in range(1, n_max):
         c1 = 2 * (n + 1) * (n + a + b + 1) * (2 * n + a + b)
         c2 = (2 * n + a + b + 1) * (a * a - b * b)
         c3 = (2 * n + a + b) * (2 * n + a + b + 1) * (2 * n + a + b + 2)
         c4 = 2 * (n + a) * (n + b) * (2 * n + a + b + 2)
+        yield c1, c2, c3, c4
+
+
+def jacobi_rows(n_max: int, jp: JacobiParams, t: np.ndarray):
+    """Yield P_0(t), ..., P_{n_max}(t) by the forward three-term recurrence,
+    elementwise over an array t; only the last two rows are kept alive."""
+    steps = _recurrence(n_max, jp)
+    prev = np.ones_like(t)
+    yield prev
+    for c1, c2, c3, _ in islice(steps, 1):  # P_1 without the products by P_0 = 1
+        cur = (c2 + c3 * t) / c1
+        yield cur
+    for c1, c2, c3, c4 in steps:
         prev, cur = cur, ((c2 + c3 * t) * cur - c4 * prev) / c1
         yield cur
+
+
+def divided_difference_rows(n_max: int, jp: JacobiParams, z: np.ndarray):
+    """Yield [z_0, ..., z_N] P_m for m = 0, ..., n_max, one value per row of
+    the (count, N + 1) array z of divided-difference points.
+
+    Opitz's formula gives [z] f = f(Z)[N, 0] for the lower bidiagonal Z with
+    z on the diagonal and ones below it, so the three-term recurrence runs
+    on the columns P_m(Z) e_0 and multiplying by t becomes multiplying by Z.
+    Repeated points need no special case."""
+    prev = cur = np.zeros_like(z)
+    cur[:, 0] = 1.0
+    yield cur[:, -1]
+    for c1, c2, c3, c4 in _recurrence(n_max, jp):
+        zv = z * cur
+        zv[:, 1:] += cur[:, :-1]
+        prev, cur = cur, (c2 * cur + c3 * zv - c4 * prev) / c1
+        yield cur[:, -1]
 
 
 def jacobi_all(n_max: int, jp: JacobiParams, t, dtype=float) -> np.ndarray:
@@ -188,25 +217,6 @@ def cesaro_kernel_endpoint(n: int, jp: JacobiParams, delta, t):
     for c, row in zip(coef[1:], rows):
         acc += c * row
     return float(acc[0]) if scalar else acc
-
-
-def jacobi_derivative_shift(n: int, jp: JacobiParams, grid=None) -> float:
-    """Self-test of P_n^{(a+1,b+1)}(t) = (2/(n+a+b+2)) d/dt P_{n+1}^{(a,b)}(t).
-
-    The derivative is approximated by an 8th-order central stencil on an
-    interior grid; returns the max absolute residual."""
-    if grid is None:
-        grid = np.linspace(-0.7, 0.7, 29)
-    grid = np.asarray(grid, dtype=float)
-    h = 2e-3
-    offsets = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
-    coefs = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
-    pts = grid[None, :] + offsets[:, None] * h
-    vals = jacobi_eval(n + 1, jp, pts.ravel()).reshape(pts.shape)
-    deriv = (coefs[:, None] * vals).sum(axis=0) / h
-    lhs = jacobi_eval(n, JacobiParams(jp.alpha + 1, jp.beta + 1), grid)
-    rhs = 2.0 / (n + jp.alpha + jp.beta + 2) * deriv
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def szego_bound_fit(jp: JacobiParams, n_values, t_grid=None) -> dict:

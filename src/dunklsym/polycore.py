@@ -31,8 +31,10 @@ Scalar = Union[int, Fraction]
 class Polynomial:
     """Sparse polynomial over Q with a fixed ambient dimension.
 
-    Zero coefficients are never stored; iteration order is the sorted order
-    of exponent tuples, so serialization and printing are deterministic.
+    Zero coefficients are never stored.  terms iterates in insertion order,
+    and float evaluation sums in that order; sorted_terms, and through it
+    printing and to_json, follow the sorted order of exponent tuples, so
+    serialization is deterministic.
     """
 
     __slots__ = ("dim", "terms")

@@ -10,23 +10,25 @@ of the critical Cesaro index.  The envelope checks at the end of the module
 evaluate the same kernels against explicit majorants and report the fitted
 constants, whose stability under n-doubling is the actual check.
 
-Sweeps do not integrate the simplex once per sphere node and degree.  For
-each sphere node x the map t -> <x, t> pushes the axis-weighted Dirichlet
-measure forward to a measure on an interval, realized as one-dimensional
-nodes and weights: for d = 3 and integer kappa through the exact piecewise
-density (the chord integral of the weight across the level segments of
-t -> <x, t>), otherwise through the tensor simplex rule.  A single table of
-weighted Jacobi moments per sphere node then serves every (n, delta) pair:
-each delta is one product of a lower-triangular Cesaro-weight matrix with
-that table, which is what makes a full n <= 200 sweep a matter of a minute
-or two.  lebesgue_constant, one degree through cesaro_kernel_axis, is the
-separate route the tests hold the sweep against.
+Sweeps do not integrate the simplex once per sphere node and degree.  They
+build one table of degree-k projection kernels per sphere node, k <= n_max,
+and each delta is then one product of a lower-triangular Cesaro-weight
+matrix with that table.  For kappa = 0, and for integer kappa at d = 3
+and 4, the table is exact: V_kappa of a Jacobi polynomial at x is a
+confluent divided difference of a shifted Jacobi polynomial at the
+coordinates of x, which one three-term recurrence on short vectors gives
+for every degree at once.  Every other (d, kappa) integrates the Jacobi
+moments of <x, t> on the tensor simplex rule.  lebesgue_constant, one
+degree through cesaro_kernel_axis, is the separate route the tests hold
+the sweep against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .orthopoly import (
     JacobiParams,
     cesaro_kernel_endpoint,
     cesaro_weights,
+    divided_difference_rows,
     jacobi_all,
     jacobi_eval,
     jacobi_rows,
@@ -91,102 +94,51 @@ def cesaro_kernel_axis(n: int, delta, ell: int, x, params: KappaParams,
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_moments(n_max: int, jp: JacobiParams, S: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """A[k, i] = sum_j W[i, j] P_k^{(alpha,beta)}(S[i, j]) for k <= n_max,
-    reducing each recurrence row over the whole (i, j) array as it arrives."""
-    A = np.empty((n_max + 1, S.shape[0]))
-    rows = jacobi_rows(n_max, jp, S)
-    next(rows)
-    A[0] = W.sum(axis=1)  # P_0 = 1 needs no product
-    for k, row in enumerate(rows, start=1):
-        A[k] = (W * row).sum(axis=1)
-    return A
-
-
-def _pushforward_nodes(X: np.ndarray, kappa: int, ell: int, m_s: int,
-                       m_chord: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-dimensional nodes and weights of the pushforward of the
-    axis-weighted Dirichlet measure under t -> <x, t>, for d = 3 and
-    integer kappa, one row per row of X.
-
-    The density at level s is the line integral of c t_{ell-1} (t0 t1 t2)^
-    (kappa-1) over the segment {<x, t> = s} of the simplex, divided by the
-    gradient norm in the chart (t_1, t_2).  With the coordinates of x sorted
-    as v0 <= v1 <= v2 the level segment runs between two edges of the
-    triangle, switching the shared vertex at v1; each piece is handled by a
-    Gauss rule in s whose weights carry the per-level chord integral
-    (polynomial of degree 3 kappa - 2, so m_chord Gauss points suffice)."""
-    c = math.exp(math.lgamma(3 * kappa + 1) - math.lgamma(kappa + 1)
-                 - 2 * math.lgamma(kappa))
-    count = len(X)
-    gs, gw = np.polynomial.legendre.leggauss(m_s)
-    hs, hw = np.polynomial.legendre.leggauss(m_chord)
-    hs = (hs + 1) / 2
-    hw = hw / 2
-    order = np.argsort(X, axis=1)
-    xs = np.take_along_axis(X, order, axis=1)
-    S = np.empty((count, 2 * m_s))
-    W = np.empty((count, 2 * m_s))
-    eye = np.eye(3)
-    grad = np.sqrt((X[:, 1] - X[:, 0]) ** 2 + (X[:, 2] - X[:, 0]) ** 2)
-    grad = np.maximum(grad, 1e-300)
-    for piece in range(2):
-        lo = xs[:, piece]
-        hi = xs[:, piece + 1]
-        mid = (lo + hi) / 2
-        half = (hi - lo) / 2
-        sn = mid[:, None] + half[:, None] * gs[None, :]
-        swt = half[:, None] * gw[None, :]
-        # the level segment joins the two edges through the extreme vertex
-        vert = order[:, 0] if piece == 0 else order[:, 2]
-        oth1 = order[:, 1]
-        oth2 = order[:, 2] if piece == 0 else order[:, 0]
-        xv = np.take_along_axis(X, vert[:, None], axis=1)
-        x1 = np.take_along_axis(X, oth1[:, None], axis=1)
-        x2 = np.take_along_axis(X, oth2[:, None], axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau1 = np.nan_to_num((sn - xv) / (x1 - xv))
-            tau2 = np.nan_to_num((sn - xv) / (x2 - xv))
-        p0 = eye[vert][:, None, :] + tau1[..., None] * (eye[oth1] - eye[vert])[:, None, :]
-        p1 = eye[vert][:, None, :] + tau2[..., None] * (eye[oth2] - eye[vert])[:, None, :]
-        seg_len = np.linalg.norm((p1 - p0)[..., [1, 2]], axis=-1)
-        chord = p0[:, :, None, :] + hs[None, None, :, None] * (p1 - p0)[:, :, None, :]
-        values = chord[..., ell - 1] * np.prod(chord, axis=-1) ** (kappa - 1)
-        per_level = (values * hw[None, None, :]).sum(axis=-1)
-        S[:, piece * m_s:(piece + 1) * m_s] = sn
-        W[:, piece * m_s:(piece + 1) * m_s] = swt * c * (seg_len / grad[:, None]) * per_level
-    return S, W
-
-
 def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
                        X: np.ndarray) -> np.ndarray:
     """B[k, i]: degree-k projection kernel at (X[i], e_ell), for k <= n_max.
 
     Cesaro kernels for every (n <= n_max, delta) follow by weighting rows,
-    so the table is built once per point set.  Points go through in chunks
-    whose largest temporary (the chord array of the pushforward, the node
-    matrix of the tensor rule) stays within simplexquad.CHUNK_ELEMENTS."""
+    so the table is built once per point set, on one of two branches chosen
+    from (d, kappa).  Exact: integer kappa with alpha - N > -1, where alpha =
+    lambda - 1/2 and N = d kappa (kappa = 0 at d <= 4, integer kappa at d = 3
+    and 4).  By Hermite-Genocchi, V[g(x_ell)](x) = N! [z] G with G^(N) = g,
+    where z lists x_ell kappa + 1 times and every other coordinate kappa
+    times; for g = P_k^(alpha, alpha), G = prod_{j=1..N} 2 / (k + 2 alpha +
+    1 - j) P_{k+N}^(alpha-N, alpha-N).  Tensor: the Jacobi moments of <x, t>
+    on the tensor simplex rule.  Points go through in chunks whose largest
+    temporary (the divided-difference vectors, the tensor rule's node
+    matrix) stays within simplexquad.CHUNK_ELEMENTS."""
     jp = _jacobi_params(params)
     X = np.asarray(X, dtype=float)
-    count = len(X)
-    A = np.empty((n_max + 1, count))
-    if params.kappa == 0:
-        A[:] = jacobi_all(n_max, jp, X[:, ell - 1])
-    elif params.d == 3 and params.kappa.denominator == 1 and params.kappa >= 1:
-        k = int(params.kappa)
-        m_s = n_max // 2 + 2 * k + 8
-        m_chord = max(2, math.ceil((3 * k - 1) / 2))
-        for sl in chunk_slices(count, 3 * m_s * m_chord):
-            S, W = _pushforward_nodes(X[sl], k, ell, m_s, m_chord)
-            A[:, sl] = _jacobi_moments(n_max, jp, S, W)
+    A = np.empty((n_max + 1, len(X)))
+    scale = kernel_normalizer(n_max, jp)
+    shift = params.lambda_kappa - Fraction(1, 2) - params.d * params.kappa
+    if params.kappa.denominator == 1 and shift > -1:
+        N = params.d * int(params.kappa)
+        repeats = [int(params.kappa) + (i == ell - 1) for i in range(params.d)]
+        degrees = np.arange(n_max + 1)
+        for j in range(1, N + 1):  # N! prod_j 2 / (k + 2 alpha + 1 - j)
+            scale = scale * (2 * j / (degrees + 2 * jp.alpha + 1 - j))
+        shifted = JacobiParams(float(shift), float(shift))
+        for sl in chunk_slices(len(X), N + 1):
+            z = np.repeat(X[sl], repeats, axis=1)
+            rows = divided_difference_rows(n_max + N, shifted, z)
+            for k, row in enumerate(islice(rows, N, None)):
+                A[k, sl] = row
     else:
         rule = build_rule(params.d, params.kappa_float, default_order(n_max))
         T = rule.nodes
         w_eff = params.c_kappa * rule.weights * T[:, ell - 1]
-        for sl in chunk_slices(count, len(rule)):
+        for sl in chunk_slices(len(X), len(rule)):
             S = X[sl] @ T.T
-            A[:, sl] = _jacobi_moments(n_max, jp, S, np.broadcast_to(w_eff, S.shape))
-    A *= kernel_normalizer(n_max, jp)[:, None]
+            W = np.broadcast_to(w_eff, S.shape)
+            rows = jacobi_rows(n_max, jp, S)
+            next(rows)
+            A[0, sl] = W.sum(axis=1)  # P_0 = 1 needs no product
+            for k, row in enumerate(rows, start=1):
+                A[k, sl] = (W * row).sum(axis=1)
+    A *= scale[:, None]
     return A
 
 

@@ -15,9 +15,9 @@ from dunklsym.orthopoly import (
     JacobiParams,
     cesaro_kernel_endpoint,
     cesaro_weights,
+    divided_difference_rows,
     gegenbauer_eval,
     jacobi_all,
-    jacobi_derivative_shift,
     jacobi_endpoint,
     jacobi_eval,
     jacobi_h_norm,
@@ -217,6 +217,21 @@ def test_cesaro_kernel_large_degree_finite():
     assert np.all(np.isfinite(vals))
 
 
+def jacobi_derivative_shift(n: int, jp: JacobiParams) -> float:
+    """Max residual of P_n^{(a+1,b+1)}(t) = (2/(n+a+b+2)) d/dt P_{n+1}^{(a,b)}(t)
+    on an interior grid, the derivative by an 8th-order central stencil."""
+    grid = np.linspace(-0.7, 0.7, 29)
+    h = 2e-3
+    offsets = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
+    coefs = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
+    pts = grid[None, :] + offsets[:, None] * h
+    vals = jacobi_eval(n + 1, jp, pts.ravel()).reshape(pts.shape)
+    deriv = (coefs[:, None] * vals).sum(axis=0) / h
+    lhs = jacobi_eval(n, JacobiParams(jp.alpha + 1, jp.beta + 1), grid)
+    rhs = 2.0 / (n + jp.alpha + jp.beta + 2) * deriv
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def test_derivative_shift_residual():
     for a, b in ((-0.4, -0.4), (0.0, 0.0), (1.5, 3.0), (3.0, 0.0)):
         jp = JacobiParams(a, b)
@@ -224,6 +239,40 @@ def test_derivative_shift_residual():
             assert jacobi_derivative_shift(n, jp) <= 1e-8
     # parameters of the kind the kernel bounds use: alpha = lambda + delta + 1/2
     assert jacobi_derivative_shift(24, JacobiParams(5.5, 3.0)) <= 1e-8
+
+
+def divided_difference_table(values, z):
+    """[z_0, ..., z_N] f from the values f(z_i) at distinct points, by the
+    textbook triangular table."""
+    table = list(values)
+    for level in range(1, len(z)):
+        table = [(table[i + 1] - table[i]) / (z[i + level] - z[i])
+                 for i in range(len(table) - 1)]
+    return table[0]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.5, -0.5), (2.5, 1.0)])
+def test_divided_difference_rows_distinct_and_confluent_points(a, b):
+    jp = JacobiParams(a, b)
+    n_max = 20
+    distinct = np.array([[-0.9, -0.4, 0.1, 0.7], [0.95, 0.5, -0.2, -0.8]])
+    confluent = np.array([[0.3] * 4, [-1.0] * 4])
+    got_d = np.stack(list(divided_difference_rows(n_max, jp, distinct)))
+    got_c = np.stack(list(divided_difference_rows(n_max, jp, confluent)))
+    for m in range(n_max + 1):
+        for row, z in enumerate(distinct):
+            want = divided_difference_table(eval_jacobi(m, a, b, z), z)
+            assert abs(got_d[m, row] - want) <= 1e-11 * max(1.0, abs(want))
+        # one point four times over: [z] P_m is the third derivative over 3!,
+        # which the derivative shift gives in closed form
+        rise = (m + a + b + 1) * (m + a + b + 2) * (m + a + b + 3) / 8
+        for row, z in enumerate(confluent):
+            want = rise * eval_jacobi(m - 3, a + 3, b + 3, z[0]) / 6 if m >= 3 else 0.0
+            assert abs(got_c[m, row] - want) <= 1e-11 * max(1.0, abs(want))
+    # a single point is the plain evaluation
+    t = np.linspace(-1, 1, 9)
+    one = np.stack(list(divided_difference_rows(n_max, jp, t[:, None])))
+    np.testing.assert_allclose(one, jacobi_all(n_max, jp, t), rtol=1e-13, atol=1e-13)
 
 
 def test_szego_fit_stability():

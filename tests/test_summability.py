@@ -90,28 +90,56 @@ def test_lebesgue_constant_record():
 
 
 def test_sweep_matches_direct_evaluation():
-    # the moment-table engine against the one-shot path, on both the exact
-    # pushforward branch (d=3, integer kappa) and the tensor branch
-    for params in (KP31, KappaParams(2, Fraction(3, 2)), KappaParams(3, 0)):
-        records = lebesgue_sweep(params, [1.5], 5, sphere_order=24)
-        sphere = build_sphere_rule(params.d, 24, kappa_hint=params.kappa)
-        simplex = (build_rule(params.d, params.kappa_float, 32)
+    # the moment-table engine against the one-shot path, on the exact
+    # branch (integer kappa at d = 3 and 4, kappa = 0) and the tensor branch
+    for params, order in ((KP31, 24), (KappaParams(2, Fraction(3, 2)), 24),
+                          (KappaParams(3, 0), 24), (KappaParams(4, 1), 8)):
+        records = lebesgue_sweep(params, [1.5], 5, sphere_order=order)
+        sphere = build_sphere_rule(params.d, order, kappa_hint=params.kappa)
+        simplex = (build_rule(params.d, params.kappa_float, 32 if params.d < 4 else 8)
                    if params.kappa != 0 else None)
         for rec in records:
             direct = lebesgue_constant(rec.n, 1.5, 1, params, sphere, simplex)
             assert abs(rec.value - direct.value) <= 1e-9 * max(1.0, direct.value)
 
 
+def table_points(d):
+    """The axes, the all-equal point, a point with two equal coordinates and
+    random points, all on S^(d-1): repeated coordinates are repeated
+    divided-difference points."""
+    generic = np.random.default_rng(53).normal(size=(9, d))
+    rows = [*np.eye(d), np.ones(d), np.r_[0.5, 0.5, -np.ones(d - 2)], *generic]
+    return np.array([unit(row) for row in rows])
+
+
+@pytest.mark.parametrize("d, kappa", [(3, 1), (3, 2), (4, 1), (3, 0), (4, 0), (2, 1),
+                                      (4, Fraction(1, 2)), (3, Fraction(1, 3))],
+                         ids=["exact-3-1", "exact-3-2", "exact-4-1", "exact-3-0",
+                              "exact-4-0", "tensor-2-1", "tensor-4-1/2", "tensor-3-1/3"])
+def test_table_matches_reproducing_kernel(d, kappa):
+    # every row of the table against repro_kernel_axis on the simplex rule
+    params = KappaParams(d, kappa)
+    n_max = 10
+    X = table_points(d)
+    rule = build_rule(d, float(kappa), 8) if kappa else None
+    for ell in range(1, d + 1):
+        B = _axis_kernel_table(n_max, ell, params, X)
+        for k in range(n_max + 1):
+            want = repro_kernel_axis(k, ell, X, params, rule)
+            tol = 1e-11 * max(1.0, np.max(np.abs(B[k])))
+            assert np.max(np.abs(B[k] - want)) <= tol, (ell, k)
+
+
 @pytest.mark.parametrize("params", [KP31, KappaParams(2, Fraction(3, 2))],
-                         ids=["pushforward", "tensor"])
+                         ids=["exact", "tensor"])
 def test_table_chunking_is_bit_identical(params, monkeypatch):
-    # the same table from one chunk and from many; every chunk keeps at
-    # least two rows, because numpy computes a one-row node product by a
+    # the same table from one chunk and from many; every tensor chunk keeps
+    # at least two rows, because numpy computes a one-row node product by a
     # matrix-vector call whose last bit can differ from the matrix product
     sphere = build_sphere_rule(params.d, 24, kappa_hint=params.kappa)
     one = _axis_kernel_table(12, 1, params, sphere.nodes)
     if params.d == 3:
-        budget = 1  # one sphere node per pushforward chunk
+        budget = 1  # one sphere node per exact-branch chunk
     else:
         budget = 2 * default_order(12) ** (params.d - 1)  # two per tensor chunk
         assert len(sphere) % 2 == 0
