@@ -34,7 +34,7 @@ from .harmonics import build_sphere_rule, hharmonic_basis, repro_kernel_axis
 from .intertwine import verify_intertwining
 from .orthopoly import JacobiParams
 from .polycore import KappaParams
-from .simplexquad import SelfCheckError, build_rule, default_order
+from .simplexquad import SelfCheckError, build_rule, exact_order
 from .summability import (
     cesaro_kernel_axis,
     check_sweep,
@@ -208,7 +208,7 @@ def _cmd_kernel(args) -> int:
         raise ValueError("--x must be nonzero; it is projected onto the sphere")
     x = x / norm
     delta = _merged(args, "delta", float)
-    order = _merged(args, "quad_order", int, default_order(n))
+    order = _merged(args, "quad_order", int, exact_order(n + 1))
     config = RunConfig(command="kernel", d=d, kappa=str(params.kappa),
                        ell=ell, quad_order=order)
     rule = build_rule(d, params.kappa_float, order) if params.kappa != 0 else None
@@ -438,15 +438,16 @@ def _params(args, d: int) -> KappaParams:
     return KappaParams.from_string(d, str(kappa))
 
 
-def _add_common(p: argparse.ArgumentParser, *reads: str) -> None:
-    """Flags of every subcommand plus those of `reads`: ignored flags are refused."""
+def _add_common(p: argparse.ArgumentParser, *reads: str,
+                quad_order: str | None = None) -> None:
+    """Flags of every subcommand plus those of `reads`: ignored flags are
+    refused.  quad_order, when given, adds --quad-order with that help text:
+    which rule the order is of, and the subcommand's default."""
     p.add_argument("--config", help="key=value config file; flags take precedence")
     p.add_argument("--d", type=int, help="number of variables")
     p.add_argument("--kappa", help="multiplicity: 'p/q' exact or decimal")
-    if "quad_order" in reads:
-        p.add_argument("--quad-order", type=int, dest="quad_order",
-                       help="quadrature order (simplex per-axis or sphere,"
-                            " whichever the subcommand integrates over)")
+    if quad_order is not None:
+        p.add_argument("--quad-order", type=int, dest="quad_order", help=quad_order)
     if "tolerance" in reads:
         p.add_argument("--tolerance", type=float, help="verification tolerance")
     p.add_argument("--out", help="output path (.csv or .json); default stdout")
@@ -469,11 +470,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check monomials up to this degree (default 6)")
 
     p = sub.add_parser("hbasis", help="orthonormal h-harmonic basis as JSON")
-    _add_common(p, "quad_order", "tolerance")
+    _add_common(p, "tolerance",
+                quad_order="sphere-rule order (default max(24, 2n + 12))")
     p.add_argument("--n", type=int, help="homogeneity degree")
 
     p = sub.add_parser("kernel", help="projection or Cesaro kernel at a point")
-    _add_common(p, "quad_order")
+    _add_common(p, quad_order="simplex per-axis order (default (n + 3) // 2,"
+                              " exact for the degree n + 1 integrand)")
     p.add_argument("--n", type=int, help="degree")
     p.add_argument("--ell", type=int, help="axis index, 1-based (default 1)")
     p.add_argument("--x", help="comma-separated point, projected to the sphere")
@@ -481,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Cesaro order; omit for the degree-n projection kernel")
 
     p = sub.add_parser("bessel", help="generalized Bessel function, all routes")
-    _add_common(p, "quad_order", "tolerance")
+    _add_common(p, "tolerance", quad_order="simplex per-axis order (default 48)")
     p.add_argument("--y", help="comma-separated argument vector")
     p.add_argument("--path", choices=["direct", "closed", "recursive", "coset", "all"],
                    help="which route(s) to evaluate (default all)")
@@ -489,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="evaluate K(., iy) (default) or K(., y)")
 
     p = sub.add_parser("lebesgue", help="Lebesgue constant sweep")
-    _add_common(p, "quad_order")
+    _add_common(p, quad_order="sphere-rule order (default n_max + 16)")
     p.add_argument("--ell", type=int, help="axis index, 1-based (default 1)")
     p.add_argument("--delta", help="comma list '1.0,1.5' or range 'a:b:step'")
     p.add_argument("--n-max", type=int, dest="n_max", help="sweep n = 1..n_max")

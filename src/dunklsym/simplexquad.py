@@ -73,15 +73,31 @@ def dirichlet_moment_exact(d: int, kappa: Fraction, alpha) -> tuple[Fraction, in
 
 
 def gauss_jacobi01(order: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule on [0,1] for the weight u^p (1-u)^q, exponents > -1."""
+    """Gauss rule on [0,1] for the weight u^p (1-u)^q, exponents > -1.
+
+    When p + q = -1, scipy divides by zero in a np.where branch it then
+    discards; the warning is silenced here and the returned rule checked
+    instead."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    x, w = roots_jacobi(order, q, p)  # scipy weight: (1-x)^q (1+x)^p on [-1,1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x, w = roots_jacobi(order, q, p)  # scipy weight: (1-x)^q (1+x)^p on [-1,1]
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise ValueError(f"Gauss-Jacobi rule of order {order} for exponents "
+                         f"({p}, {q}) is not finite")
     return (x + 1) / 2, w * 0.5 ** (p + q + 1)
 
 
+def exact_order(degree: int) -> int:
+    """Smallest per-axis order whose rule integrates every polynomial of
+    total degree <= degree exactly (build_rule is exact to 2*order - 1)."""
+    return (degree + 2) // 2
+
+
 def default_order(degree: int) -> int:
-    """Per-axis order for degree-n polynomial integrands along <x, t>."""
+    """Per-axis order for integrands along <x, t> that are not polynomials,
+    such as kernel_bound_check's (1 - s + n^-2)^-(lambda+1) profile; a
+    degree-n polynomial profile takes exact_order instead."""
     return max(32, degree // 2 + 10)
 
 

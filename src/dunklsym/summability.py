@@ -18,9 +18,11 @@ and 4, the table is exact: V_kappa of a Jacobi polynomial at x is a
 confluent divided difference of a shifted Jacobi polynomial at the
 coordinates of x, which one three-term recurrence on short vectors gives
 for every degree at once.  Every other (d, kappa) integrates the Jacobi
-moments of <x, t> on the tensor simplex rule.  lebesgue_constant, one
-degree through cesaro_kernel_axis, is the separate route the tests hold
-the sweep against.
+moments of <x, t> on the tensor simplex rule of per-axis order
+exact_order(n_max + 1): the integrand P_k(<x, t>) t_ell has degree at most
+n_max + 1, so that rule is exact.  lebesgue_constant, one degree through
+cesaro_kernel_axis, is the separate route the tests hold the sweep
+against.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .orthopoly import (
     kernel_normalizer,
 )
 from .polycore import KappaParams
-from .simplexquad import SimplexRule, build_rule, chunk_slices, default_order
+from .simplexquad import SimplexRule, build_rule, chunk_slices, default_order, exact_order
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,11 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
     where z lists x_ell kappa + 1 times and every other coordinate kappa
     times; for g = P_k^(alpha, alpha), G = prod_{j=1..N} 2 / (k + 2 alpha +
     1 - j) P_{k+N}^(alpha-N, alpha-N).  Tensor: the Jacobi moments of <x, t>
-    on the tensor simplex rule.  Points go through in chunks whose largest
-    temporary (the divided-difference vectors, the tensor rule's node
-    matrix) stays within simplexquad.CHUNK_ELEMENTS."""
+    on the tensor simplex rule of per-axis order exact_order(n_max + 1),
+    exact for the degree n_max + 1 integrand P_k(<x, t>) t_ell, so a larger
+    order changes the table only by rounding.  Points go through in chunks
+    whose largest temporary (the divided-difference vectors, the tensor
+    rule's node matrix) stays within simplexquad.CHUNK_ELEMENTS."""
     jp = _jacobi_params(params)
     X = np.asarray(X, dtype=float)
     A = np.empty((n_max + 1, len(X)))
@@ -127,7 +131,7 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
             for k, row in enumerate(islice(rows, N, None)):
                 A[k, sl] = row
     else:
-        rule = build_rule(params.d, params.kappa_float, default_order(n_max))
+        rule = build_rule(params.d, params.kappa_float, exact_order(n_max + 1))
         T = rule.nodes
         w_eff = params.c_kappa * rule.weights * T[:, ell - 1]
         for sl in chunk_slices(len(X), len(rule)):
@@ -407,7 +411,7 @@ def estimate_check(n: int, params: KappaParams, alpha: float, beta: float,
     if alpha < (d - 1) * k - 0.5:
         raise ValueError("alpha >= (d-1) kappa - 1/2 is required")
     if rule is None:
-        rule = build_rule(d, k, default_order(n))
+        rule = build_rule(d, k, exact_order(n + 1))
     jp = JacobiParams(float(alpha), float(beta))
     X = np.atleast_2d(np.asarray(x_samples, dtype=float))
     profile = AxisFunction(ell=ell, profile=lambda s: jacobi_eval(n, jp, s))

@@ -24,6 +24,7 @@ from dunklsym.simplexquad import (
     default_order,
     dirichlet_moment,
     dirichlet_moment_exact,
+    exact_order,
     gauss_jacobi01,
     integrate,
 )
@@ -183,6 +184,31 @@ def test_default_order_rounds_half_degree_down():
     assert default_order(45) == 32
     assert default_order(101) == 60
     assert default_order(200) == 110
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 5 / 3])
+@pytest.mark.parametrize("degree", [1, 4, 7, 10])
+def test_exact_order_is_tight(d, kappa, degree):
+    # exact_order(D) reproduces every degree-D moment; one order less misses one
+    moments = [(a, dirichlet_moment(d, kappa, a))
+               for a in itertools.product(range(degree + 1), repeat=d) if sum(a) == degree]
+
+    def worst(rule):
+        return max(abs(integrate(rule, lambda t: np.prod(t ** np.array(a), axis=1)) - want)
+                   / want for a, want in moments)
+
+    order = exact_order(degree)
+    assert worst(build_rule(d, kappa, order)) <= 1e-12
+    if order > 1:
+        assert worst(build_rule(d, kappa, order - 1)) > 1e-8
+
+
+@pytest.mark.parametrize("d, kappa, order", [(4, 0.25, 6), (5, 0.2, 4)])
+def test_axis_exponents_summing_to_minus_one(d, kappa, order):
+    # the last tensor axis has weight u^(kappa-1) (1-u)^(-kappa), where scipy's
+    # roots_jacobi divides by zero in a branch it discards
+    _validate_moments(build_rule(d, kappa, order), 2 * order - 1)
 
 
 def test_integrate_batched_integrand():

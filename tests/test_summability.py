@@ -14,7 +14,7 @@ from dunklsym.harmonics import _zn_values, build_sphere_rule, repro_kernel_axis
 from dunklsym.intertwine import AxisFunction, vk_axis
 from dunklsym.orthopoly import JacobiParams, cesaro_kernel_endpoint, jacobi_eval
 from dunklsym.polycore import KappaParams
-from dunklsym.simplexquad import build_rule, default_order
+from dunklsym.simplexquad import build_rule, exact_order
 from dunklsym.summability import (
     BOUNDED_POWER_THRESHOLD,
     _axis_kernel_table,
@@ -112,16 +112,20 @@ def table_points(d):
     return np.array([unit(row) for row in rows])
 
 
-@pytest.mark.parametrize("d, kappa", [(3, 1), (3, 2), (4, 1), (3, 0), (4, 0), (2, 1),
-                                      (4, Fraction(1, 2)), (3, Fraction(1, 3))],
-                         ids=["exact-3-1", "exact-3-2", "exact-4-1", "exact-3-0",
-                              "exact-4-0", "tensor-2-1", "tensor-4-1/2", "tensor-3-1/3"])
-def test_table_matches_reproducing_kernel(d, kappa):
-    # every row of the table against repro_kernel_axis on the simplex rule
+@pytest.mark.parametrize("d, kappa, n_max, order", [
+    (3, 1, 10, 8), (3, 2, 10, 8), (4, 1, 10, 8), (3, 0, 10, 8), (4, 0, 10, 8),
+    (2, 1, 10, 8), (4, Fraction(1, 2), 10, 8), (3, Fraction(1, 3), 10, 8),
+    (2, Fraction(3, 2), 24, 32), (3, Fraction(1, 2), 24, 32),
+    (3, Fraction(1, 3), 24, 32), (4, Fraction(1, 2), 24, 32),
+], ids=["exact-3-1", "exact-3-2", "exact-4-1", "exact-3-0", "exact-4-0", "tensor-2-1",
+        "tensor-4-1/2", "tensor-3-1/3", "tensor-2-3/2-n24", "tensor-3-1/2-n24",
+        "tensor-3-1/3-n24", "tensor-4-1/2-n24"])
+def test_table_matches_reproducing_kernel(d, kappa, n_max, order):
+    # every row of the table against repro_kernel_axis on a simplex rule of
+    # higher order than the table's own exact_order(n_max + 1) rule
     params = KappaParams(d, kappa)
-    n_max = 10
     X = table_points(d)
-    rule = build_rule(d, float(kappa), 8) if kappa else None
+    rule = build_rule(d, float(kappa), order) if kappa else None
     for ell in range(1, d + 1):
         B = _axis_kernel_table(n_max, ell, params, X)
         for k in range(n_max + 1):
@@ -140,8 +144,8 @@ def test_table_chunking_is_bit_identical(params, monkeypatch):
     one = _axis_kernel_table(12, 1, params, sphere.nodes)
     if params.d == 3:
         budget = 1  # one sphere node per exact-branch chunk
-    else:
-        budget = 2 * default_order(12) ** (params.d - 1)  # two per tensor chunk
+    else:  # two sphere nodes per chunk of the table's own tensor rule
+        budget = 2 * len(build_rule(params.d, params.kappa_float, exact_order(13)))
         assert len(sphere) % 2 == 0
     monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", budget)
     many = _axis_kernel_table(12, 1, params, sphere.nodes)
