@@ -31,6 +31,8 @@ from .orthopoly import JacobiParams, jacobi_all
 from .polycore import KappaParams
 from .simplexquad import SimplexRule, gauss_jacobi01, integrate, require_rule
 
+RADIAL_ORDER = 64  # Gauss-Jacobi order of bessel_recursive's radial rule
+
 
 def _params(d: int, kappa) -> KappaParams:
     return kappa if isinstance(kappa, KappaParams) else KappaParams(d, Fraction(kappa))
@@ -257,7 +259,7 @@ def closed_form_report(kappa, rule: SimplexRule, n_samples: int = 20,
 
 
 def bessel_recursive(d: int, kappa, y, rule_inner: SimplexRule,
-                     order_r: int = 64, imaginary: bool = True) -> complex:
+                     imaginary: bool = True) -> complex:
     """K(e_1, iy) for d >= 3 through the one-variable Beta recursion
 
         K_d(e_1, iy) = (1/B(kappa, (d-1)kappa)) int_0^1 e^{i r y_d}
@@ -276,7 +278,7 @@ def bessel_recursive(d: int, kappa, y, rule_inner: SimplexRule,
         raise ValueError(f"y must have shape ({d},)")
     require_rule(rule_inner, KappaParams(d - 1, params.kappa))
     k = params.kappa_float
-    r, w = gauss_jacobi01(order_r, k - 1.0, (d - 1) * k - 1.0)
+    r, w = gauss_jacobi01(RADIAL_ORDER, k - 1.0, (d - 1) * k - 1.0)
     w = w * math.exp(math.lgamma(d * k) - math.lgamma(k) - math.lgamma((d - 1) * k))
     phase = 1j if imaginary else 1.0
     total = 0j

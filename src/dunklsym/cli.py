@@ -177,9 +177,7 @@ def _cmd_verify(args) -> int:
 def _cmd_hbasis(args) -> int:
     d = _require_d(args)
     params = _params(args, d)
-    n = _merged(args, "n", int)
-    if n is None:
-        raise ValueError("--n is required")
+    n = int(_required(args, "n"))
     tolerance = _merged(args, "tolerance", float, 1e-8)
     order = _merged(args, "quad_order", int, max(24, 2 * n + 12))
     config = RunConfig(command="hbasis", d=d, kappa=str(params.kappa),
@@ -198,9 +196,7 @@ def _cmd_hbasis(args) -> int:
 def _cmd_kernel(args) -> int:
     d = _require_d(args)
     params = _params(args, d)
-    n = _merged(args, "n", int)
-    if n is None:
-        raise ValueError("--n is required")
+    n = int(_required(args, "n"))
     ell = _merged(args, "ell", int, 1)
     x = _vector(_required(args, "x"), d, "x")
     norm = float(np.linalg.norm(x))
@@ -208,18 +204,16 @@ def _cmd_kernel(args) -> int:
         raise ValueError("--x must be nonzero; it is projected onto the sphere")
     x = x / norm
     delta = _merged(args, "delta", float)
-    order = _merged(args, "quad_order", int, exact_order(n + 1))
     config = RunConfig(command="kernel", d=d, kappa=str(params.kappa),
-                       ell=ell, quad_order=order)
-    rule = build_rule(d, params.kappa_float, order) if params.kappa != 0 else None
+                       ell=ell, quad_order=exact_order(n + 1))
     extra = {"n": n, "x": [float(v) for v in x]}
     if delta is None:
         extra["kind"] = "projection"
-        value = repro_kernel_axis(n, ell, x, params, rule)
+        value = repro_kernel_axis(n, ell, x, params)
     else:
         extra["kind"] = "cesaro"
         extra["delta"] = delta
-        value = cesaro_kernel_axis(n, delta, ell, x, params, rule)
+        value = cesaro_kernel_axis(n, delta, ell, x, params)
     payload = _json_header(config, extra)
     payload["value"] = float(value)
     _emit_json(payload, _merged(args, "out", str))
@@ -240,33 +234,31 @@ def _cmd_bessel(args) -> int:
     config = RunConfig(command="bessel", d=d, kappa=str(params.kappa),
                        quad_order=order, tolerance=tolerance)
 
-    wanted = ["direct", "closed", "recursive", "coset"] if path == "all" else [path]
-    if "closed" in wanted and d != 2 and path != "all":
-        raise ValueError("the closed form needs d = 2")
-    if "recursive" in wanted and (d < 3 or params.kappa == 0) and path != "all":
-        raise ValueError("the recursion needs d >= 3 and kappa > 0")
+    routes = ["direct", "closed", "recursive", "coset"]
+    if path not in routes + ["all"]:
+        raise ValueError(f"unknown path {path!r}")
+    refusals = {}  # route -> why it cannot run at this (d, kappa, argument)
+    if d != 2:
+        refusals["closed"] = "the closed form needs d = 2"
+    elif not imaginary:
+        refusals["closed"] = "the closed form is for the imaginary argument"
+    if d < 3 or params.kappa == 0:
+        refusals["recursive"] = "the recursion needs d >= 3 and kappa > 0"
+    if path in refusals:
+        raise ValueError(refusals[path])
+    wanted = [r for r in routes if r not in refusals] if path == "all" else [path]
     rule = build_rule(d, params.kappa_float, order) if params.kappa != 0 else None
     values: dict[str, complex] = {}
     for name in wanted:
-        if name in ("direct", "coset"):
-            values[name] = bessel_k(d, params, y, rule, path=name, imaginary=imaginary)
-        elif name == "closed":
-            if d != 2:
-                continue
-            if not imaginary:
-                if path == "all":
-                    continue
-                raise ValueError("the closed form is for the imaginary argument")
+        if name == "closed":
             values[name] = bessel_k2_closed(params.kappa_float,
                                             np.array([1.0, 0.0]), y)
         elif name == "recursive":
-            if d < 3 or params.kappa == 0:
-                continue
             inner = build_rule(d - 1, params.kappa_float, order)
             values[name] = bessel_recursive(d, params, y, inner,
                                             imaginary=imaginary)
         else:
-            raise ValueError(f"unknown path {name!r}")
+            values[name] = bessel_k(d, params, y, rule, path=name, imaginary=imaginary)
 
     names = sorted(values)
     deviations = {}
@@ -289,9 +281,7 @@ def _cmd_lebesgue(args) -> int:
     d = _require_d(args)
     params = _params(args, d)
     ell = _merged(args, "ell", int, 1)
-    n_max = _merged(args, "n_max", int)
-    if n_max is None:
-        raise ValueError("--n-max is required")
+    n_max = int(_required(args, "n_max"))
     delta_text = _required(args, "delta")
     deltas = _parse_float_list(delta_text)
     if not deltas:
@@ -360,8 +350,11 @@ def _cmd_bounds(args) -> int:
     out = _merged(args, "out", str)
     lam = float(params.lambda_kappa)
 
+    n_values = _parse_int_list(
+        _merged(args, "n", str, "32,64,128" if check == "knd" else "16,32,64,128"))
+    if not n_values or min(n_values) < 1:
+        raise ValueError("--n must list degrees >= 1")
     if check == "knd":
-        n_values = _parse_int_list(_merged(args, "n", str, "32,64,128"))
         alpha = _merged(args, "alpha", float, lam - 0.5)
         beta = _merged(args, "beta", float, lam - 0.5)
         delta = _merged(args, "delta", float, alpha + beta + 2.0)
@@ -380,9 +373,7 @@ def _cmd_bounds(args) -> int:
         _emit_json(payload, out)
         return 0 if payload["stable"] else 1
 
-    n_values = _parse_int_list(_merged(args, "n", str, "16,32,64,128"))
     X = default_sample_points(d, seed)
-    # both checks build the simplex rule of the default order for each n
     if check == "estimate":
         alpha = _merged(args, "alpha", float, (d - 1) * params.kappa_float + 0.5)
         beta = _merged(args, "beta", float, alpha)
@@ -418,10 +409,7 @@ def _stable(values: list[float]) -> bool:
 
 
 def _require_d(args) -> int:
-    d = _merged(args, "d", int)
-    if d is None:
-        raise ValueError("--d is required")
-    return int(d)
+    return int(_required(args, "d"))
 
 
 def _required(args, key: str):
@@ -475,8 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="homogeneity degree")
 
     p = sub.add_parser("kernel", help="projection or Cesaro kernel at a point")
-    _add_common(p, quad_order="simplex per-axis order (default (n + 3) // 2,"
-                              " exact for the degree n + 1 integrand)")
+    _add_common(p)
     p.add_argument("--n", type=int, help="degree")
     p.add_argument("--ell", type=int, help="axis index, 1-based (default 1)")
     p.add_argument("--x", help="comma-separated point, projected to the sphere")

@@ -28,10 +28,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import roots_jacobi
 
-from .intertwine import AxisFunction, vk_axis
+from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
 from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_laplacian
-from .simplexquad import SelfCheckError, SimplexRule
+from .simplexquad import SelfCheckError
 
 
 def require_sphere_dim(d: int) -> None:
@@ -371,18 +371,18 @@ def _check_on_sphere(x: np.ndarray) -> None:
         raise ValueError("x must lie on the unit sphere")
 
 
-def repro_kernel_axis(n: int, ell: int, x, params: KappaParams,
-                      rule: SimplexRule | None):
+def repro_kernel_axis(n: int, ell: int, x, params: KappaParams):
     """Reproducing kernel of the degree-n h-harmonics at (x, e_ell):
-    c_kappa int Z_n^lambda(<x, t>) t_{ell-1} (t_0...t_{d-1})^(kappa-1) dt.
-    The factor is t_{ell-1}, pairing axis ell with <x, e_ell> = x_ell; at
-    kappa = 0 the integral collapses to the classical Gegenbauer kernel
-    Z_n at x_ell.  x is one point (float) or an (N, d) array (array)."""
+    c_kappa int Z_n^lambda(<x, t>) t_{ell-1} (t_0...t_{d-1})^(kappa-1) dt,
+    exact on polynomial_rule.  The factor t_{ell-1} pairs axis ell with
+    <x, e_ell> = x_ell; at kappa = 0 the integral collapses to the classical
+    Gegenbauer kernel Z_n at x_ell.  x is one point (float) or an (N, d)
+    array (array)."""
     x = np.asarray(x, dtype=float)
     _check_on_sphere(x)
     lam = float(params.lambda_kappa)
     profile = AxisFunction(ell=ell, profile=lambda s: _zn_values(n, lam, s))
-    value = vk_axis(profile, x, params, rule)
+    value = vk_axis(profile, x, params, polynomial_rule(params, n))
     return value if x.ndim == 2 else float(value)
 
 

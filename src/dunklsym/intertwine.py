@@ -9,12 +9,12 @@ simplex representation
 
 with c_kappa = Gamma(d kappa + 1) / (kappa Gamma(kappa)^d).  This module
 provides that representation numerically (vk_axis, at one point or many;
-every kernel at e_ell is a profile handed to it), its exact polynomial
-image on monomials (vk_monomial_exact, rational in kappa), an exact
-mechanical verification of the intertwining relation, the full two-variable
-d = 2 representation, the Z_2^d product-group analogue used for comparison,
-and the sphere-average identity relating V to a one-dimensional Gegenbauer
-integral.
+every kernel at e_ell is a profile handed to it, a polynomial one with the
+rule polynomial_rule builds), its exact polynomial image on monomials
+(vk_monomial_exact, rational in kappa), an exact mechanical verification of
+the intertwining relation, the full two-variable d = 2 representation, the
+Z_2^d product-group analogue used for comparison, and the sphere-average
+identity relating V to a one-dimensional Gegenbauer integral.
 
 No representation is provided for generic multivariate arguments when d > 2;
 the AxisFunction type makes the restriction explicit.
@@ -31,8 +31,10 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_dunkl
-from .simplexquad import (SimplexRule, build_rule, chunk_slices, integrate, require_rule,
-                          tensor_grid)
+from .simplexquad import (SimplexRule, build_rule, chunk_slices, exact_order, integrate,
+                          require_rule, tensor_grid)
+
+Z2D_ORDER = 48  # per-axis Gauss-Jacobi order of vk_z2d's tensor rule
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,9 @@ def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule | None):
     serves every axis.  kappa = 0 short-circuits to the identity operator.
     The kernels at e_ell (repro_kernel_axis, cesaro_kernel_axis,
     dunkl_exp_axis) are this map applied to a one-variable profile, which
-    takes arrays of any shape.  Points go through in chunks under
-    simplexquad.CHUNK_ELEMENTS.  The result is a numpy scalar for one point
-    and an (N,) array for many, complex when the profile is."""
+    takes arrays of any shape (polynomial ones on polynomial_rule).  Points go
+    through in chunks under simplexquad.CHUNK_ELEMENTS.  The result is a numpy
+    scalar for one point and an (N,) array for many, complex if the profile is."""
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
     if x.ndim > 2 or X.shape[1] != params.d:
@@ -69,6 +71,15 @@ def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule | None):
             integrate(rule, lambda T: F.profile(X[sl] @ T.T) * T[:, F.ell - 1])
             for sl in chunk_slices(len(X), len(rule))])
     return values[0] if x.ndim == 1 else values
+
+
+def polynomial_rule(params: KappaParams, n: int) -> SimplexRule | None:
+    """The rule vk_axis needs for a polynomial profile of degree n: exact for
+    the degree n + 1 integrand g(<x, t>) t_{ell-1}; None at kappa = 0."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    return (build_rule(params.d, params.kappa_float, exact_order(n + 1))
+            if params.kappa != 0 else None)
 
 
 def _image_numerators(n: int, ell: int, d: int, p: int, q: int) -> dict[Monomial, int]:
@@ -193,13 +204,13 @@ def vk_d2_poly_exact(p: Polynomial, params: KappaParams) -> Polynomial:
     return out
 
 
-def vk_z2d(f, x, kappas, order: int = 48) -> float:
+def vk_z2d(f, x, kappas) -> float:
     """V_kappa f(x) for the sign-change group Z_2^d with per-axis multiplicities.
 
     Representation: normalized tensor integral of f(x_1 t_1, ..., x_d t_d)
     against prod (1 + t_i)(1 - t_i^2)^(kappa_i - 1) on [-1, 1]^d; each axis
-    is a Gauss-Jacobi rule normalized to unit mass, and kappa_i = 0 axes
-    degenerate to the point mass at t_i = 1."""
+    is a Gauss-Jacobi rule of order Z2D_ORDER normalized to unit mass, and
+    kappa_i = 0 axes degenerate to the point mass at t_i = 1."""
     x = np.asarray(x, dtype=float)
     kappas = [float(k) for k in kappas]
     d = len(x)
@@ -212,7 +223,7 @@ def vk_z2d(f, x, kappas, order: int = 48) -> float:
         if k == 0:
             axes.append((np.array([1.0]), np.array([1.0])))
         else:
-            t, w = roots_jacobi(order, k - 1.0, k - 1.0)
+            t, w = roots_jacobi(Z2D_ORDER, k - 1.0, k - 1.0)
             w = w * (1 + t)
             axes.append((t, w / w.sum()))
     T, W = tensor_grid(axes)

@@ -97,7 +97,7 @@ def exact_order(degree: int) -> int:
 def default_order(degree: int) -> int:
     """Per-axis order for integrands along <x, t> that are not polynomials,
     such as kernel_bound_check's (1 - s + n^-2)^-(lambda+1) profile; a
-    degree-n polynomial profile takes exact_order instead."""
+    degree-n polynomial profile builds intertwine.polynomial_rule instead."""
     return max(32, degree // 2 + 10)
 
 

@@ -2,13 +2,13 @@
 
 The central object is the (C, delta) kernel at (x, e_ell), a simplex
 integral of the one-variable Cesaro kernel against the axis-weighted
-Dirichlet measure: vk_axis of that profile, at one point or at all the
-nodes of a sphere rule in one call.  Lebesgue constants are sphere integrals
-of its absolute value; sweeping them in the degree n and fitting growth
-models against the top three quarters of the range gives a desk-scale probe
-of the critical Cesaro index.  The envelope checks at the end of the module
-evaluate the same kernels against explicit majorants and report the fitted
-constants, whose stability under n-doubling is the actual check.
+Dirichlet measure: vk_axis of that profile on polynomial_rule, at one point
+or at all the nodes of a sphere rule in one call.  Lebesgue constants are
+sphere integrals of its absolute value; sweeping them in the degree n and
+fitting growth models against the top three quarters of the range gives a
+desk-scale probe of the critical Cesaro index.  The envelope checks at the
+end of the module evaluate the same kernels against explicit majorants and
+report the fitted constants, whose stability under n-doubling is the check.
 
 Sweeps do not integrate the simplex once per sphere node and degree.  They
 build one table of degree-k projection kernels per sphere node, k <= n_max,
@@ -18,11 +18,9 @@ and 4, the table is exact: V_kappa of a Jacobi polynomial at x is a
 confluent divided difference of a shifted Jacobi polynomial at the
 coordinates of x, which one three-term recurrence on short vectors gives
 for every degree at once.  Every other (d, kappa) integrates the Jacobi
-moments of <x, t> on the tensor simplex rule of per-axis order
-exact_order(n_max + 1): the integrand P_k(<x, t>) t_ell has degree at most
-n_max + 1, so that rule is exact.  lebesgue_constant, one degree through
-cesaro_kernel_axis, is the separate route the tests hold the sweep
-against.
+moments of <x, t> on polynomial_rule(params, n_max), exact for every degree
+k <= n_max.  lebesgue_constant, one degree through cesaro_kernel_axis, is
+the separate route the tests hold the sweep against.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from .harmonics import (
     hweight,
     require_sphere_dim,
 )
-from .intertwine import AxisFunction, vk_axis
+from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import (
     CesaroOrder,
     JacobiParams,
@@ -54,7 +52,7 @@ from .orthopoly import (
     kernel_normalizer,
 )
 from .polycore import KappaParams
-from .simplexquad import SimplexRule, build_rule, chunk_slices, default_order, exact_order
+from .simplexquad import build_rule, chunk_slices, default_order
 
 
 @dataclass(frozen=True)
@@ -75,19 +73,18 @@ def _jacobi_params(params: KappaParams) -> JacobiParams:
     return JacobiParams(lam - 0.5, lam - 0.5)
 
 
-def cesaro_kernel_axis(n: int, delta, ell: int, x, params: KappaParams,
-                       rule: SimplexRule | None):
+def cesaro_kernel_axis(n: int, delta, ell: int, x, params: KappaParams):
     """(C, delta) kernel of the h-harmonic expansion at (x, e_ell):
     c_kappa times the simplex integral of k_n^delta(w_lambda; <x, t>, 1)
-    t_{ell-1} against the Dirichlet weight.  kappa = 0 collapses to the
-    classical one-variable kernel at x_ell.  x is one point (float) or an
-    (N, d) array (array)."""
+    t_{ell-1} against the Dirichlet weight, on the simplex rule exact for it
+    (polynomial_rule).  kappa = 0 collapses to the classical one-variable
+    kernel at x_ell.  x is one point (float) or an (N, d) array (array)."""
     x = np.asarray(x, dtype=float)
     _check_on_sphere(x)
     jp = _jacobi_params(params)
     profile = AxisFunction(
         ell=ell, profile=lambda s: cesaro_kernel_endpoint(n, jp, delta, s))
-    value = vk_axis(profile, x, params, rule)
+    value = vk_axis(profile, x, params, polynomial_rule(params, n))
     return value if x.ndim == 2 else float(value)
 
 
@@ -108,11 +105,11 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
     where z lists x_ell kappa + 1 times and every other coordinate kappa
     times; for g = P_k^(alpha, alpha), G = prod_{j=1..N} 2 / (k + 2 alpha +
     1 - j) P_{k+N}^(alpha-N, alpha-N).  Tensor: the Jacobi moments of <x, t>
-    on the tensor simplex rule of per-axis order exact_order(n_max + 1),
-    exact for the degree n_max + 1 integrand P_k(<x, t>) t_ell, so a larger
-    order changes the table only by rounding.  Points go through in chunks
-    whose largest temporary (the divided-difference vectors, the tensor
-    rule's node matrix) stays within simplexquad.CHUNK_ELEMENTS."""
+    on polynomial_rule(params, n_max), exact for the degree n_max + 1
+    integrand P_k(<x, t>) t_ell, so a larger order changes the table only by
+    rounding.  Points go through in chunks whose largest temporary (the
+    divided-difference vectors, the tensor rule's node matrix) stays within
+    simplexquad.CHUNK_ELEMENTS."""
     jp = _jacobi_params(params)
     X = np.asarray(X, dtype=float)
     A = np.empty((n_max + 1, len(X)))
@@ -131,7 +128,7 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
             for k, row in enumerate(islice(rows, N, None)):
                 A[k, sl] = row
     else:
-        rule = build_rule(params.d, params.kappa_float, exact_order(n_max + 1))
+        rule = polynomial_rule(params, n_max)
         T = rule.nodes
         w_eff = params.c_kappa * rule.weights * T[:, ell - 1]
         for sl in chunk_slices(len(X), len(rule)):
@@ -175,7 +172,7 @@ def coarse_sphere_order(order: int) -> int:
 
 
 def lebesgue_constant(n: int, delta, ell: int, params: KappaParams,
-                      sphere_rule: SphereRule, simplex_rule: SimplexRule | None) -> SweepRecord:
+                      sphere_rule: SphereRule) -> SweepRecord:
     """I_n = a_kappa int |K_n^delta(x, e_ell)| h^2(x) dsigma(x).
 
     The error estimate compares against a sphere rule at three quarters of
@@ -185,7 +182,7 @@ def lebesgue_constant(n: int, delta, ell: int, params: KappaParams,
         raise ValueError("sphere rule dimension does not match params")
 
     def value_on(rule: SphereRule) -> float:
-        K = cesaro_kernel_axis(n, delta, ell, rule.nodes, params, simplex_rule)
+        K = cesaro_kernel_axis(n, delta, ell, rule.nodes, params)
         wh2 = params.a_kappa * rule.weights * hweight(rule.nodes, params) ** 2
         return float(np.dot(wh2, np.abs(K)))
 
@@ -337,14 +334,14 @@ def critical_sweep(params: KappaParams, delta_grid, n_max: int, ell: int = 1, *,
 
 
 def cesaro_mean_at_axis(f, n: int, delta, ell: int, params: KappaParams,
-                        sphere_rule: SphereRule, simplex_rule: SimplexRule | None) -> float:
+                        sphere_rule: SphereRule) -> float:
     """S_n^delta f(e_ell) = a_kappa int f(x) K_n^delta(x, e_ell) h^2 dsigma.
 
     f receives the (N, d) sphere nodes and returns a length-N vector.  For
     f = 1 this returns 1 for every n and delta up to quadrature error, and
     for smooth f it converges to f(e_ell) when delta clears the critical
     index."""
-    K = cesaro_kernel_axis(n, delta, ell, sphere_rule.nodes, params, simplex_rule)
+    K = cesaro_kernel_axis(n, delta, ell, sphere_rule.nodes, params)
     wh2 = params.a_kappa * sphere_rule.weights * hweight(sphere_rule.nodes, params) ** 2
     return float(np.dot(wh2, np.asarray(f(sphere_rule.nodes)) * K))
 
@@ -393,15 +390,17 @@ def _envelope_sum(x: np.ndarray, n: int, kappa: float, exponent: float):
 
 
 def estimate_check(n: int, params: KappaParams, alpha: float, beta: float,
-                   x_samples, ell: int = 1, rule: SimplexRule | None = None) -> float:
+                   x_samples, ell: int = 1) -> float:
     """Ratio of the axis-weighted Jacobi simplex integral to its envelope.
 
     LHS = |int P_n^{(alpha,beta)}(<x, t>) t_{ell-1} (t_0...t_{d-1})^(kappa-1) dt|,
     envelope (no constant) = n^{-(d-1)kappa - 1/2} sum_i
     prod_{j != i} |x_j - x_i|^(-kappa) (sqrt(1-|x_i|) + 1/n)^{-(alpha + 1/2
     - (d-1)kappa)}.  Returns the max ratio over the samples; a bounded fitted
-    constant under n-doubling is the check.  Hypotheses alpha >= beta and
-    alpha >= (d-1)kappa - 1/2 are enforced."""
+    constant under n-doubling is the check.  Hypotheses n >= 1, alpha >= beta
+    and alpha >= (d-1)kappa - 1/2 are enforced."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if params.kappa == 0:
         raise ValueError("the envelope needs kappa > 0")
     k = params.kappa_float
@@ -410,36 +409,35 @@ def estimate_check(n: int, params: KappaParams, alpha: float, beta: float,
         raise ValueError("alpha >= beta is required")
     if alpha < (d - 1) * k - 0.5:
         raise ValueError("alpha >= (d-1) kappa - 1/2 is required")
-    if rule is None:
-        rule = build_rule(d, k, exact_order(n + 1))
     jp = JacobiParams(float(alpha), float(beta))
     X = np.atleast_2d(np.asarray(x_samples, dtype=float))
     profile = AxisFunction(ell=ell, profile=lambda s: jacobi_eval(n, jp, s))
-    lhs = np.abs(vk_axis(profile, X, params, rule)) / params.c_kappa
+    lhs = np.abs(vk_axis(profile, X, params, polynomial_rule(params, n))) / params.c_kappa
     front = float(n) ** (-(d - 1) * k - 0.5)
     envelope = front * _envelope_sum(X, n, k, alpha + 0.5 - (d - 1) * k)
     return float(np.max(lhs / envelope, initial=0.0))
 
 
 def kernel_bound_check(n: int, delta, ell: int, params: KappaParams,
-                       x_samples, rule: SimplexRule | None = None) -> float:
-    """Ratio of |K_n^delta(x, e_ell)| to its two-term envelope.
+                       x_samples) -> float:
+    """Ratio of |K_n^delta(x, e_ell)| to its two-term envelope, n >= 1.
 
     First term: n^(lambda - (d-1)kappa - delta) times the edge sum with gap
     exponent lambda - (d-1)kappa + delta + 1; second term: n^(-1) times the
-    intertwined profile (1 - s + n^(-2))^(-(lambda+1)) along axis ell.
-    Returns the max ratio over the samples."""
+    intertwined profile (1 - s + n^(-2))^(-(lambda+1)) along axis ell, not a
+    polynomial, on a default_order(n) rule.  Returns the max over samples."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     lam = float(params.lambda_kappa)
     k = params.kappa_float
     d = params.d
-    if rule is None and params.kappa != 0:
-        rule = build_rule(d, k, default_order(n))
+    rule = build_rule(d, k, default_order(n)) if params.kappa != 0 else None
     front = float(n) ** (lam - (d - 1) * k - delta)
     exponent = lam - (d - 1) * k + float(delta) + 1.0
     profile = AxisFunction(
         ell=ell, profile=lambda s: (1.0 - s + 1.0 / n**2) ** (-(lam + 1.0)))
     X = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    lhs = np.abs(cesaro_kernel_axis(n, delta, ell, X, params, rule))
+    lhs = np.abs(cesaro_kernel_axis(n, delta, ell, X, params))
     tail = vk_axis(profile, X, params, rule) / n
     envelope = front * _envelope_sum(X, n, k, exponent) + tail
     return float(np.max(lhs / envelope, initial=0.0))
@@ -455,6 +453,8 @@ def knd_positivity_check(n_max: int, jp: JacobiParams, delta,
     value and the fitted constant max n k_n^delta(t, 1) (1-t+n^(-2))^(alpha
     + 3/2), whose stability under doubling n_max is the check."""
     delta = float(delta)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if jp.alpha < -0.5 or jp.beta < -0.5:
         raise ValueError("alpha and beta must be >= -1/2")
     if delta < jp.alpha + jp.beta + 2:

@@ -161,14 +161,12 @@ def test_c04_harmonic_dimensions_and_reproducing_property():
                     bad_dims.append((d, str(kappa), n, got, want))
 
     sphere = build_sphere_rule(3, 24, kappa_hint=1)
-    srule = build_rule(3, 1.0, 32)
     h2 = hweight(sphere.nodes, KP31) ** 2
     e1 = np.array([1.0, 0.0, 0.0])
     worst = 0.0
     for n in range(5):
         basis = hharmonic_basis(n, KP31, sphere)
-        K = np.array([repro_kernel_axis(n, 1, x, KP31, srule)
-                      for x in sphere.nodes])
+        K = repro_kernel_axis(n, 1, sphere.nodes, KP31)
         Y = basis.evaluate(sphere.nodes)
         lhs = KP31.a_kappa * Y @ (sphere.weights * h2 * K)
         rhs = basis.evaluate(e1[None, :])[:, 0]
@@ -185,7 +183,6 @@ def test_c04_harmonic_dimensions_and_reproducing_property():
 
 def test_c05_axis_kernel_matches_basis_kernel():
     sphere = build_sphere_rule(3, 24, kappa_hint=1)
-    srule = build_rule(3, 1.0, 32)
     rng = np.random.default_rng(20260815)
     X = rng.normal(size=(20, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
@@ -195,7 +192,7 @@ def test_c05_axis_kernel_matches_basis_kernel():
         basis = hharmonic_basis(n, KP31, sphere)
         for x in X:
             for ell in (1, 2, 3):
-                a = repro_kernel_axis(n, ell, x, KP31, srule)
+                a = repro_kernel_axis(n, ell, x, KP31)
                 b = repro_kernel_basis(n, x, eye[ell - 1], basis)
                 worst = max(worst, abs(a - b))
     _verdict(5, "axis kernel vs basis kernel at coordinate vectors, n <= 4",

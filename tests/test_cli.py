@@ -13,10 +13,10 @@ import types
 import numpy as np
 import pytest
 
-from dunklsym import cli
+from dunklsym import cli, intertwine
 from dunklsym.harmonics import repro_kernel_axis
 from dunklsym.polycore import KappaParams
-from dunklsym.simplexquad import MomentValidationError, build_rule
+from dunklsym.simplexquad import MomentValidationError
 from dunklsym.summability import cesaro_kernel_axis
 
 
@@ -115,7 +115,8 @@ def test_failed_self_check_exits_one(monkeypatch):
     def failing_rule(*args):
         raise MomentValidationError("moment validation failed")
 
-    monkeypatch.setattr(cli, "build_rule", failing_rule)
+    # the rule the kernel builds for itself comes from intertwine
+    monkeypatch.setattr(intertwine, "build_rule", failing_rule)
     rc, out, err = run_cli(["kernel", "--d", "3", "--kappa", "1", "--n", "2",
                             "--x", "0.6,0.8,0"])
     assert rc == 1
@@ -176,8 +177,7 @@ def test_kernel_projection_matches_library():
     assert payload["kind"] == "projection"
     assert payload["x"] == [1.0, 0.0]
     kp = KappaParams(2, 1)
-    rule = build_rule(2, 1.0, 32)
-    want = repro_kernel_axis(2, 1, np.array([1.0, 0.0]), kp, rule)
+    want = repro_kernel_axis(2, 1, np.array([1.0, 0.0]), kp)
     assert payload["value"] == pytest.approx(want, rel=1e-12)
 
 
@@ -197,8 +197,7 @@ def test_kernel_cesaro_matches_library():
     assert payload["kind"] == "cesaro"
     assert payload["delta"] == 1.5
     kp = KappaParams(2, 1)
-    rule = build_rule(2, 1.0, 32)
-    want = cesaro_kernel_axis(3, 1.5, 1, np.array([0.6, 0.8]), kp, rule)
+    want = cesaro_kernel_axis(3, 1.5, 1, np.array([0.6, 0.8]), kp)
     assert payload["value"] == pytest.approx(want, rel=1e-12)
 
 
@@ -214,6 +213,16 @@ def test_kernel_zero_point_is_error():
         ["kernel", "--d", "2", "--kappa", "1", "--n", "2", "--x", "0,0"])
     assert rc == 2
     assert "nonzero" in err
+
+
+@pytest.mark.parametrize("kappa", ["1", "0"])
+@pytest.mark.parametrize("delta", [[], ["--delta", "1.5"]], ids=["projection", "cesaro"])
+def test_kernel_negative_degree_is_usage_error(kappa, delta):
+    rc, out, err = run_cli(["kernel", "--d", "3", "--kappa", kappa, "--n", "-1",
+                            "--x", "0.6,0.8,0"] + delta)
+    assert rc == 2
+    assert out == ""
+    assert "degree must be >= 0" in err
 
 
 def test_kernel_wrong_point_length_is_error():
@@ -263,6 +272,34 @@ def test_bessel_recursive_path_at_kappa_zero_is_usage_error():
     assert rc == 2
     assert out == ""
     assert "recursion needs d >= 3 and kappa > 0" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--d", "2", "--path", "closed", "--argument", "real"], "imaginary argument"),
+    (["--d", "3", "--path", "closed"], "closed form needs d = 2"),
+    (["--d", "2", "--path", "recursive"], "recursion needs d >= 3"),
+])
+def test_bessel_unavailable_route_is_refused_before_any_rule(monkeypatch, argv, message):
+    def no_rule(*args):
+        raise AssertionError("a rule was built for a refused route")
+
+    monkeypatch.setattr(cli, "build_rule", no_rule)
+    y = "0.3,-0.2" if argv[1] == "2" else "0.3,-0.2,0.1"
+    rc, out, err = run_cli(["bessel", "--kappa", "1", "--y", y] + argv)
+    assert rc == 2
+    assert out == ""
+    assert message in err
+
+
+def test_bessel_unknown_path_from_config_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("path = nope\n", encoding="utf-8")
+    for kappa in ("0", "1"):
+        rc, out, err = run_cli(["bessel", "--d", "2", "--kappa", kappa,
+                                "--y", "0.3,-0.2", "--config", str(cfg)])
+        assert rc == 2
+        assert out == ""
+        assert "unknown path 'nope'" in err
 
 
 def test_bessel_coset_path_alone():
@@ -473,6 +510,16 @@ def test_bounds_axis_outside_one_to_d_is_usage_error(ell):
     assert "axis" in err
 
 
+@pytest.mark.parametrize("check", ["estimate", "kernel", "knd"])
+@pytest.mark.parametrize("n_list", ["0,16", "16,-1", "", ","])
+def test_bounds_degree_list_must_be_positive_and_nonempty(check, n_list):
+    rc, out, err = run_cli(["bounds", "--d", "2", "--kappa", "1", "--check", check,
+                            "--n", n_list])
+    assert rc == 2
+    assert out == ""
+    assert "--n must list degrees >= 1" in err
+
+
 def test_bounds_requires_check():
     rc, _, err = run_cli(["bounds", "--d", "2", "--kappa", "1"])
     assert rc == 2
@@ -498,7 +545,7 @@ IGNORED_FLAGS = [
     ("kernel", "--seed", "7"), ("kernel", "--tolerance", "0.5"),
     ("bessel", "--seed", "7"), ("lebesgue", "--seed", "7"),
     ("lebesgue", "--tolerance", "0.5"), ("bounds", "--tolerance", "0.5"),
-    ("bounds", "--quad-order", "30"),
+    ("bounds", "--quad-order", "30"), ("kernel", "--quad-order", "30"),
 ]
 
 

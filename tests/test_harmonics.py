@@ -20,7 +20,6 @@ from dunklsym.harmonics import (
 )
 from dunklsym.orthopoly import zn_eval
 from dunklsym.polycore import KappaParams, Polynomial, dunkl_laplacian
-from dunklsym.simplexquad import build_rule
 
 
 def test_surface_area_values():
@@ -164,14 +163,13 @@ def test_kappa_zero_reduction_to_gegenbauer():
         # and the axis kernel collapses to Z_n at x_ell
         x = rng.normal(size=3)
         x /= np.linalg.norm(x)
-        got = repro_kernel_axis(n, 2, x, kp, None)
+        got = repro_kernel_axis(n, 2, x, kp)
         assert abs(got - zn_eval(n, 0.5, x[1])) < 1e-12
 
 
 def test_axis_kernel_matches_basis_kernel():
     kp = KappaParams(3, 1)
     sphere = build_sphere_rule(3, 24)
-    simplex = build_rule(3, 1.0, 32)
     rng = np.random.default_rng(41)
     for n in (0, 1, 2, 3):
         basis = hharmonic_basis(n, kp, sphere)
@@ -179,7 +177,7 @@ def test_axis_kernel_matches_basis_kernel():
             x = rng.normal(size=3)
             x /= np.linalg.norm(x)
             for ell in (1, 3):
-                got = repro_kernel_axis(n, ell, x, kp, simplex)
+                got = repro_kernel_axis(n, ell, x, kp)
                 e = np.zeros(3)
                 e[ell - 1] = 1.0
                 want = repro_kernel_basis(n, x, e, basis)
@@ -189,11 +187,10 @@ def test_axis_kernel_matches_basis_kernel():
 def test_reproducing_property_at_axis():
     kp = KappaParams(3, 1)
     sphere = build_sphere_rule(3, 20)
-    simplex = build_rule(3, 1.0, 32)
     wh2 = sphere.weights * hweight(sphere.nodes, kp) ** 2
     n = 2
     basis = hharmonic_basis(n, kp, sphere)
-    kernel = np.array([repro_kernel_axis(n, 1, y, kp, simplex) for y in sphere.nodes])
+    kernel = repro_kernel_axis(n, 1, sphere.nodes, kp)
     vals = basis.evaluate(sphere.nodes)
     e1 = np.array([1.0, 0.0, 0.0])
     at_e1 = basis.evaluate(e1[None, :])[:, 0]
@@ -203,14 +200,16 @@ def test_reproducing_property_at_axis():
 
 def test_axis_kernel_basics():
     kp = KappaParams(3, Fraction(3, 2))
-    simplex = build_rule(3, 1.5, 24)
     x = np.array([0.6, -0.64, 0.48])
     x /= np.linalg.norm(x)
-    assert abs(repro_kernel_axis(0, 1, x, kp, simplex) - 1.0) < 1e-12
+    assert abs(repro_kernel_axis(0, 1, x, kp) - 1.0) < 1e-12
     with pytest.raises(ValueError):
-        repro_kernel_axis(1, 1, np.array([0.5, 0.5, 0.5]), kp, simplex)
+        repro_kernel_axis(1, 1, np.array([0.5, 0.5, 0.5]), kp)
     with pytest.raises(ValueError):
-        repro_kernel_axis(1, 4, x, kp, simplex)
+        repro_kernel_axis(1, 4, x, kp)
+    for params in (kp, KappaParams(3, 0)):  # not an IndexError from Z_n
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            repro_kernel_axis(-1, 1, x, params)
 
 
 def test_basis_evaluate_shapes():

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from dunklsym.bessel import bessel_k, bessel_k2_direct, bessel_recursive, dunkl_exp_axis
-from dunklsym.harmonics import build_sphere_rule, repro_kernel_axis
 from dunklsym.intertwine import AxisFunction, vk_axis, vk_d2_generic
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import (
@@ -27,12 +26,6 @@ from dunklsym.simplexquad import (
     exact_order,
     gauss_jacobi01,
     integrate,
-)
-from dunklsym.summability import (
-    cesaro_kernel_axis,
-    cesaro_mean_at_axis,
-    estimate_check,
-    lebesgue_constant,
 )
 
 
@@ -231,23 +224,16 @@ def test_integrate_batched_integrand():
 
 KP2, KP3 = KappaParams(2, 1), KappaParams(3, 1)
 X3 = np.array([0.6, 0.8, 0.0])
-SPHERE3 = build_sphere_rule(3, 8)
 
 # name -> (d of the rule the call needs, at kappa = 1; the call)
 RULE_TAKERS = {
     "vk_axis": (3, lambda r: vk_axis(AxisFunction(ell=1, profile=np.cos), X3, KP3, r)),
     "vk_d2_generic": (2, lambda r: vk_d2_generic(lambda u, v: u * v, [0.3, 0.4], KP2, r)),
-    "repro_kernel_axis": (3, lambda r: repro_kernel_axis(2, 1, X3, KP3, r)),
-    "cesaro_kernel_axis": (3, lambda r: cesaro_kernel_axis(2, 1.5, 1, X3, KP3, r)),
     "dunkl_exp_axis": (3, lambda r: dunkl_exp_axis(1, X3, KP3, r)),
     "bessel_k_direct": (3, lambda r: bessel_k(3, 1, X3, r, path="direct")),
     "bessel_k_coset": (3, lambda r: bessel_k(3, 1, X3, r, path="coset")),
     "bessel_k2_direct": (2, lambda r: bessel_k2_direct(1, [0.3, 0.4], [0.5, -0.2], r)),
     "bessel_recursive": (2, lambda r: bessel_recursive(3, 1, X3, r)),
-    "estimate_check": (3, lambda r: estimate_check(8, KP3, 2.5, 2.5, [X3], rule=r)),
-    "lebesgue_constant": (3, lambda r: lebesgue_constant(2, 1.5, 1, KP3, SPHERE3, r)),
-    "cesaro_mean_at_axis": (3, lambda r: cesaro_mean_at_axis(
-        lambda X: X[:, 0], 2, 1.5, 1, KP3, SPHERE3, r)),
 }
 BAD_RULES = {
     "none": lambda d: None,
@@ -257,10 +243,7 @@ BAD_RULES = {
 
 
 @pytest.mark.parametrize("name, bad", [
-    (name, bad) for name in RULE_TAKERS for bad in BAD_RULES
-    # estimate_check builds its default rule when given None
-    if (name, bad) != ("estimate_check", "none")
-])
+    (name, bad) for name in RULE_TAKERS for bad in BAD_RULES])
 def test_rule_takers_refuse_missing_or_mismatched_rule(name, bad):
     d, call = RULE_TAKERS[name]
     call(build_rule(d, 1.0, 8))  # the matching rule is accepted

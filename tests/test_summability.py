@@ -11,10 +11,10 @@ import pytest
 
 from dunklsym import simplexquad
 from dunklsym.harmonics import _zn_values, build_sphere_rule, repro_kernel_axis
-from dunklsym.intertwine import AxisFunction, vk_axis
+from dunklsym.intertwine import AxisFunction, polynomial_rule, vk_axis
 from dunklsym.orthopoly import JacobiParams, cesaro_kernel_endpoint, jacobi_eval
 from dunklsym.polycore import KappaParams
-from dunklsym.simplexquad import build_rule, exact_order
+from dunklsym.simplexquad import build_rule
 from dunklsym.summability import (
     BOUNDED_POWER_THRESHOLD,
     _axis_kernel_table,
@@ -33,7 +33,6 @@ from dunklsym.summability import (
 )
 
 KP31 = KappaParams(3, 1)
-SIMPLEX31 = build_rule(3, 1.0, 32)
 SPHERE3 = build_sphere_rule(3, 24)
 
 
@@ -45,21 +44,21 @@ def unit(v):
 def test_kernel_axis_degree_zero_and_validation():
     x = unit([0.3, -0.5, 0.8])
     for delta in (0.0, 1.5, 4.0):
-        assert abs(cesaro_kernel_axis(0, delta, 2, x, KP31, SIMPLEX31) - 1.0) < 1e-12
+        assert abs(cesaro_kernel_axis(0, delta, 2, x, KP31) - 1.0) < 1e-12
     with pytest.raises(ValueError):
-        cesaro_kernel_axis(3, 1.0, 1, np.array([0.5, 0.5, 0.5]), KP31, SIMPLEX31)
+        cesaro_kernel_axis(3, 1.0, 1, np.array([0.5, 0.5, 0.5]), KP31)
     with pytest.raises(ValueError):
-        cesaro_kernel_axis(3, 1.0, 4, x, KP31, SIMPLEX31)
+        cesaro_kernel_axis(3, 1.0, 4, x, KP31)
     with pytest.raises(ValueError):
-        cesaro_kernel_axis(3, 1.0, 1, x[:2], KP31, SIMPLEX31)
+        cesaro_kernel_axis(3, 1.0, 1, x[:2], KP31)
 
 
 def test_delta_zero_is_partial_sum_of_projections():
     rng = np.random.default_rng(50)
     for _ in range(3):
         x = unit(rng.normal(size=3))
-        want = sum(repro_kernel_axis(k, 1, x, KP31, SIMPLEX31) for k in range(7))
-        got = cesaro_kernel_axis(6, 0.0, 1, x, KP31, SIMPLEX31)
+        want = sum(repro_kernel_axis(k, 1, x, KP31) for k in range(7))
+        got = cesaro_kernel_axis(6, 0.0, 1, x, KP31)
         assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
 
 
@@ -68,7 +67,7 @@ def test_kappa_zero_reduces_to_one_variable_kernel():
     jp = JacobiParams(0.0, 0.0)  # lambda = 1/2 at kappa = 0, d = 3
     x = unit([0.2, 0.9, -0.3])
     for n, delta in ((4, 0.5), (9, 2.0)):
-        got = cesaro_kernel_axis(n, delta, 2, x, kp0, None)
+        got = cesaro_kernel_axis(n, delta, 2, x, kp0)
         want = cesaro_kernel_endpoint(n, jp, delta, float(x[1]))
         assert got == want
 
@@ -76,12 +75,12 @@ def test_kappa_zero_reduces_to_one_variable_kernel():
 def test_cesaro_mean_reproduces_constants():
     for n, delta in ((3, 0.5), (10, 2.0)):
         val = cesaro_mean_at_axis(lambda X: np.ones(len(X)), n, delta, 1,
-                                  KP31, SPHERE3, SIMPLEX31)
+                                  KP31, SPHERE3)
         assert abs(val - 1.0) < 1e-10
 
 
 def test_lebesgue_constant_record():
-    rec = lebesgue_constant(0, 1.0, 1, KP31, SPHERE3, SIMPLEX31)
+    rec = lebesgue_constant(0, 1.0, 1, KP31, SPHERE3)
     assert abs(rec.value - 1.0) < 1e-10
     assert rec.quad_error_estimate < 1e-10
     assert (rec.d, rec.kappa, rec.ell, rec.n, rec.delta) == (3, 1.0, 1, 0, 1.0)
@@ -96,10 +95,8 @@ def test_sweep_matches_direct_evaluation():
                           (KappaParams(3, 0), 24), (KappaParams(4, 1), 8)):
         records = lebesgue_sweep(params, [1.5], 5, sphere_order=order)
         sphere = build_sphere_rule(params.d, order, kappa_hint=params.kappa)
-        simplex = (build_rule(params.d, params.kappa_float, 32 if params.d < 4 else 8)
-                   if params.kappa != 0 else None)
         for rec in records:
-            direct = lebesgue_constant(rec.n, 1.5, 1, params, sphere, simplex)
+            direct = lebesgue_constant(rec.n, 1.5, 1, params, sphere)
             assert abs(rec.value - direct.value) <= 1e-9 * max(1.0, direct.value)
 
 
@@ -121,15 +118,17 @@ def table_points(d):
         "tensor-4-1/2", "tensor-3-1/3", "tensor-2-3/2-n24", "tensor-3-1/2-n24",
         "tensor-3-1/3-n24", "tensor-4-1/2-n24"])
 def test_table_matches_reproducing_kernel(d, kappa, n_max, order):
-    # every row of the table against repro_kernel_axis on a simplex rule of
-    # higher order than the table's own exact_order(n_max + 1) rule
+    # every row of the table against the reproducing-kernel profile on a
+    # simplex rule of higher order than the table's own polynomial_rule
     params = KappaParams(d, kappa)
     X = table_points(d)
     rule = build_rule(d, float(kappa), order) if kappa else None
+    lam = float(params.lambda_kappa)
     for ell in range(1, d + 1):
         B = _axis_kernel_table(n_max, ell, params, X)
         for k in range(n_max + 1):
-            want = repro_kernel_axis(k, ell, X, params, rule)
+            profile = AxisFunction(ell=ell, profile=lambda s: _zn_values(k, lam, s))
+            want = vk_axis(profile, X, params, rule)
             tol = 1e-11 * max(1.0, np.max(np.abs(B[k])))
             assert np.max(np.abs(B[k] - want)) <= tol, (ell, k)
 
@@ -145,7 +144,7 @@ def test_table_chunking_is_bit_identical(params, monkeypatch):
     if params.d == 3:
         budget = 1  # one sphere node per exact-branch chunk
     else:  # two sphere nodes per chunk of the table's own tensor rule
-        budget = 2 * len(build_rule(params.d, params.kappa_float, exact_order(13)))
+        budget = 2 * len(polynomial_rule(params, 12))
         assert len(sphere) % 2 == 0
     monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", budget)
     many = _axis_kernel_table(12, 1, params, sphere.nodes)
@@ -183,8 +182,8 @@ def test_batched_kernels_match_per_row(params):
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     rule = build_rule(3, params.kappa_float, 32) if params.kappa != 0 else None
     calls = {
-        "cesaro": lambda x: cesaro_kernel_axis(9, 1.5, 2, x, params, rule),
-        "repro": lambda x: repro_kernel_axis(6, 3, x, params, rule),
+        "cesaro": lambda x: cesaro_kernel_axis(9, 1.5, 2, x, params),
+        "repro": lambda x: repro_kernel_axis(6, 3, x, params),
         "vk_axis": lambda x: vk_axis(AxisFunction(ell=1, profile=np.exp), x, params, rule),
     }
     for name, call in calls.items():
@@ -202,13 +201,13 @@ def test_batched_kernels_match_per_row(params):
 
 
 AXIS_TAKERS = {
-    "lebesgue_constant": lambda ell: lebesgue_constant(3, 1.5, ell, KP31, SPHERE3, SIMPLEX31),
+    "lebesgue_constant": lambda ell: lebesgue_constant(3, 1.5, ell, KP31, SPHERE3),
     "cesaro_mean_at_axis": lambda ell: cesaro_mean_at_axis(
-        lambda X: X[:, 0], 3, 1.5, ell, KP31, SPHERE3, SIMPLEX31),
+        lambda X: X[:, 0], 3, 1.5, ell, KP31, SPHERE3),
     "estimate_check": lambda ell: estimate_check(
-        16, KP31, 2.5, 2.5, default_sample_points(3), ell=ell, rule=SIMPLEX31),
+        16, KP31, 2.5, 2.5, default_sample_points(3), ell=ell),
     "kernel_bound_check": lambda ell: kernel_bound_check(
-        16, 1.6, ell, KP31, default_sample_points(3), rule=SIMPLEX31),
+        16, 1.6, ell, KP31, default_sample_points(3)),
 }
 
 
@@ -302,6 +301,8 @@ def test_estimate_check_hypotheses_and_stability():
         estimate_check(16, KP31, 2.5, 3.0, pts)
     with pytest.raises(ValueError):
         estimate_check(16, KP31, 1.0, 0.0, pts)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        estimate_check(0, KP31, 2.5, 2.5, pts)
     r16 = estimate_check(16, KP31, 2.5, 2.5, pts)
     r32 = estimate_check(32, KP31, 2.5, 2.5, pts)
     assert 0 < r16 < math.inf and 0 < r32 < math.inf
@@ -316,6 +317,9 @@ def test_kernel_bound_finite_at_random_points_and_axis():
     assert 0 < ratio < math.inf
     # at the coordinate vector itself the envelope is infinite: ratio 0
     assert kernel_bound_check(16, 1.6, 1, KP31, np.array([[1.0, 0.0, 0.0]])) == 0.0
+    for kp in (KP31, KappaParams(3, 0)):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            kernel_bound_check(0, 1.6, 1, kp, pts)
 
 
 def test_knd_positivity_report():
@@ -329,6 +333,8 @@ def test_knd_positivity_report():
         knd_positivity_check(20, JacobiParams(0.0, 0.0), 1.5)
     with pytest.raises(ValueError):
         knd_positivity_check(20, JacobiParams(-0.6, 0.0), 3.0)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        knd_positivity_check(0, JacobiParams(0.0, 0.0), 2.0)
 
 
 def test_smooth_function_converges_above_critical():
@@ -341,7 +347,7 @@ def test_smooth_function_converges_above_critical():
     devs = []
     for n in (8, 16, 32):
         sphere = build_sphere_rule(3, n + 16)
-        val = cesaro_mean_at_axis(f, n, 2.0, 1, KP31, sphere, SIMPLEX31)
+        val = cesaro_mean_at_axis(f, n, 2.0, 1, KP31, sphere)
         devs.append(abs(val - target))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < devs[0] / 2
@@ -361,9 +367,10 @@ def test_default_sample_points_layout():
 # ---------------------------------------------------------------------------
 
 T_ROW = np.linspace(-1.0, 1.0, 20000)
-X_ROWS = np.random.default_rng(3).normal(size=(300, 3))
+# 30 points: estimate_check builds its own order-101 rule at n = 200
+X_ROWS = np.random.default_rng(3).normal(size=(30, 3))
 X_ROWS /= np.linalg.norm(X_ROWS, axis=1, keepdims=True)
-RULE_8 = build_rule(3, 1.0, 8)
+RULE_200 = polynomial_rule(KP31, 200)
 JP15 = JacobiParams(1.5, 1.5)
 
 # name -> (the call at n = 200, bytes of the one row its profile evaluates)
@@ -373,8 +380,8 @@ PROFILE_CALLS = {
         lambda: cesaro_kernel_endpoint(200, JP15, 1.5, T_ROW), T_ROW.nbytes),
     "zn_values": (lambda: _zn_values(200, 2.0, T_ROW), T_ROW.nbytes),
     "estimate_check": (
-        lambda: estimate_check(200, KP31, 2.5, 2.5, X_ROWS, rule=RULE_8),
-        len(X_ROWS) * len(RULE_8) * 8),
+        lambda: estimate_check(200, KP31, 2.5, 2.5, X_ROWS),
+        len(X_ROWS) * len(RULE_200) * 8),
 }
 
 
