@@ -8,6 +8,14 @@ plain Dirichlet-weight integral over the simplex or as an average over
 transpositions; d = 2 has a closed form through the classical J_nu, and
 d >= 3 satisfies a Beta-weight recursion onto dimension d - 1.
 
+No route takes a rule or an order.  Each builds its simplex rule through
+intertwine.exponential_rule, whose per-axis order simplexquad.
+exponential_order derives from half the range of the argument's entries
+(the recursion takes its radial order from the same bound), so the
+quadrature error stays below 2^-53 of the value for every argument; a
+non-finite argument, or one whose rule would exceed CHUNK_ELEMENTS nodes, is
+refused before any rule is built.
+
 Two constant conventions circulate for the d = 2 closed form.  This module
 adopts the one with unit limit as the argument product z = (x_1-x_2)(y_1-y_2)
 tends to zero, which is the convention forced by the defining integral
@@ -26,61 +34,54 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .intertwine import AxisFunction, vk_axis
+from .intertwine import AxisFunction, exponential_rule, vk_axis
 from .orthopoly import JacobiParams, jacobi_all
 from .polycore import KappaParams
-from .simplexquad import SimplexRule, gauss_jacobi01, integrate, require_rule
-
-RADIAL_ORDER = 64  # Gauss-Jacobi order of bessel_recursive's radial rule
+from .simplexquad import chunk_slices, exponential_order, gauss_jacobi01, integrate
 
 
-def _params(d: int, kappa) -> KappaParams:
-    return kappa if isinstance(kappa, KappaParams) else KappaParams(d, Fraction(kappa))
+def dunkl_exp_axis(ell: int, y, params: KappaParams, imaginary: bool = False):
+    """E(e_ell, y), the intertwined exponential at a coordinate vector, for y
+    of shape (d,) (a complex) or at every row of an (N, d) array (an array).
 
-
-def dunkl_exp_axis(ell: int, y, params: KappaParams, rule: SimplexRule | None,
-                   imaginary: bool = False) -> complex:
-    """E(e_ell, y), the intertwined exponential at a coordinate vector.
-
-    Quadrature of c_kappa int e^{<y,t>} t_{ell-1} (t_0...t_{d-1})^(kappa-1) dt;
-    with imaginary=True the integrand is e^{i<y,t>}.  kappa = 0 degenerates to
-    the point evaluation e^{y_ell}."""
+    Quadrature of c_kappa int e^{<y,t>} t_{ell-1} (t_0...t_{d-1})^(kappa-1) dt
+    on exponential_rule's rule for y; with imaginary=True the integrand is
+    e^{i<y,t>}.  kappa = 0 degenerates to the point evaluation e^{y_ell}."""
     phase = 1j if imaginary else 1.0
     profile = AxisFunction(ell=ell, profile=lambda s: np.exp(phase * s))
-    return complex(vk_axis(profile, y, params, rule))
+    values = vk_axis(profile, y, params, exponential_rule(params, y, imaginary))
+    return values.astype(complex) if values.ndim else complex(values)
 
 
-def bessel_k(d: int, kappa, y, rule: SimplexRule | None, path: str = "direct",
-             ell: int = 1, imaginary: bool = False) -> complex:
+def bessel_k(params: KappaParams, y, path: str = "direct", ell: int = 1,
+             imaginary: bool = False) -> complex:
     """Generalized Bessel function K(e_ell, y) for S_d.
 
     path="direct" integrates (c_kappa/d) e^{<y,t>} against the bare Dirichlet
     weight; path="coset" averages dunkl_exp_axis over the transpositions
-    moving axis ell, (1/d) sum_j E(e_ell, y (ell j)).  Both are the same
-    quantity; keeping them separate gives an internal cross-check.  The value
-    does not depend on ell."""
-    params = _params(d, kappa)
+    moving axis ell, (1/d) sum_j E(e_ell, y (ell j)), all d arguments in one
+    call on one rule (they share their entries, so exponential_rule gives
+    them the rule of y).  Both are the same quantity; keeping them separate
+    gives an internal cross-check.  The value does not depend on ell."""
+    d = params.d
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
         raise ValueError(f"y must have shape ({d},)")
     if not 1 <= ell <= d:
         raise ValueError(f"axis {ell} out of range 1..{d}")
+    if path == "coset":
+        swapped = np.tile(y, (d, 1))
+        rows = np.arange(d)
+        swapped[rows, ell - 1], swapped[rows, rows] = y, y[ell - 1]
+        return complex(np.mean(dunkl_exp_axis(ell, swapped, params, imaginary=imaginary)))
+    if path != "direct":
+        raise ValueError(f"unknown path {path!r}, expected 'direct' or 'coset'")
     phase = 1j if imaginary else 1.0
-    if params.kappa == 0:
+    rule = exponential_rule(params, y, imaginary)
+    if rule is None:
         # the symmetrized exponential: every orbit average collapses to this
         return complex(np.mean(np.exp(phase * y)))
-    if path == "direct":
-        require_rule(rule, params)
-        value = integrate(rule, lambda T: np.exp(phase * (T @ y)))
-        return complex(params.c_kappa / d * value)
-    if path == "coset":
-        total = 0j
-        for j in range(1, d + 1):
-            yj = y.copy()
-            yj[[ell - 1, j - 1]] = yj[[j - 1, ell - 1]]
-            total += dunkl_exp_axis(ell, yj, params, rule, imaginary=imaginary)
-        return total / d
-    raise ValueError(f"unknown path {path!r}, expected 'direct' or 'coset'")
+    return complex(params.c_kappa / d * integrate(rule, lambda T: np.exp(phase * (T @ y))))
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +200,26 @@ def bessel_k2_closed(kappa, x, y) -> complex:
     return phase * _even_profile(kappa, z)
 
 
-def bessel_k2_direct(kappa, x, y, rule: SimplexRule) -> complex:
+def bessel_k2_direct(kappa, x, y) -> complex:
     """K(x, iy) for d = 2 and a general base point x, by quadrature.
 
     The transposition average of the intertwined exponential reduces to
     (c_kappa/2) int e^{i(A t_0 + B t_1)} (t_0 t_1)^(kappa-1) dt with
-    A = <x, y> and B the swapped pairing x_1 y_2 + x_2 y_1.  This is the
-    ground truth the closed form is reconciled against."""
-    params = _params(2, kappa)
+    A = <x, y> and B the swapped pairing x_1 y_2 + x_2 y_1, on
+    exponential_rule's rule for (A, B).  This is the ground truth the closed
+    form is reconciled against."""
+    params = KappaParams(2, Fraction(kappa))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if params.kappa == 0:
-        a, b = x @ y, x[0] * y[1] + x[1] * y[0]
-        return (cmath.exp(1j * a) + cmath.exp(1j * b)) / 2.0
-    require_rule(rule, params)
     a, b = x @ y, x[0] * y[1] + x[1] * y[0]
+    rule = exponential_rule(params, [a, b], imaginary=True)
+    if rule is None:
+        return (cmath.exp(1j * a) + cmath.exp(1j * b)) / 2.0
     value = integrate(rule, lambda T: np.exp(1j * (a * T[:, 0] + b * T[:, 1])))
     return complex(params.c_kappa / 2.0 * value)
 
 
-def closed_form_report(kappa, rule: SimplexRule, n_samples: int = 20,
-                       seed: int = 20260815) -> dict:
+def closed_form_report(kappa, n_samples: int = 20, seed: int = 20260815) -> dict:
     """Record both constant conventions for the d = 2 closed form.
 
     The adopted convention (gamma factor only, base 4 inside the power) is
@@ -235,7 +235,7 @@ def closed_form_report(kappa, rule: SimplexRule, n_samples: int = 20,
     for _ in range(n_samples):
         x = rng.uniform(-1.0, 1.0, 2)
         y = rng.uniform(-1.0, 1.0, 2)
-        dev = abs(bessel_k2_closed(kappa, x, y) - bessel_k2_direct(kappa, x, y, rule))
+        dev = abs(bessel_k2_closed(kappa, x, y) - bessel_k2_direct(kappa, x, y))
         max_dev = max(max_dev, dev)
     alt_factor = math.sqrt(math.pi) * 2.0 ** (-nu)
     return {
@@ -258,17 +258,20 @@ def closed_form_report(kappa, rule: SimplexRule, n_samples: int = 20,
 # ---------------------------------------------------------------------------
 
 
-def bessel_recursive(d: int, kappa, y, rule_inner: SimplexRule,
-                     imaginary: bool = True) -> complex:
+def bessel_recursive(params: KappaParams, y, imaginary: bool = True) -> complex:
     """K(e_1, iy) for d >= 3 through the one-variable Beta recursion
 
         K_d(e_1, iy) = (1/B(kappa, (d-1)kappa)) int_0^1 e^{i r y_d}
                        K_{d-1}(e_1, i(1-r) y') r^(kappa-1) (1-r)^((d-1)kappa-1) dr,
 
     y' = (y_1, ..., y_{d-1}).  The front constant is the reciprocal Beta mass
-    of the radial weight, which is what makes y = 0 give exactly 1; the inner
-    evaluation uses the direct (d-1)-dimensional integral."""
-    params = _params(d, kappa)
+    of the radial weight, which is what makes y = 0 give exactly 1.  The
+    radial Gauss-Jacobi order is exponential_order of half the range of y:
+    in r the integrand is an exponential whose exponent runs between y_d and
+    an entry of y'.  The inner values are the direct (d-1)-dimensional
+    integral on exponential_rule's rule for y', which serves every (1-r) y',
+    all radial nodes in one (radial nodes, inner nodes) integrand."""
+    d = params.d
     if d < 3:
         raise ValueError("the recursion needs d >= 3")
     if params.kappa == 0:
@@ -276,14 +279,14 @@ def bessel_recursive(d: int, kappa, y, rule_inner: SimplexRule,
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
         raise ValueError(f"y must have shape ({d},)")
-    require_rule(rule_inner, KappaParams(d - 1, params.kappa))
+    inner_params = KappaParams(d - 1, params.kappa)
+    rule = exponential_rule(inner_params, y[:-1], imaginary)
     k = params.kappa_float
-    r, w = gauss_jacobi01(RADIAL_ORDER, k - 1.0, (d - 1) * k - 1.0)
+    r, w = gauss_jacobi01(exponential_order(float(np.ptp(y)) / 2, imaginary),
+                          k - 1.0, (d - 1) * k - 1.0)
     w = w * math.exp(math.lgamma(d * k) - math.lgamma(k) - math.lgamma((d - 1) * k))
     phase = 1j if imaginary else 1.0
-    total = 0j
-    for ri, wi in zip(r, w):
-        inner = bessel_k(d - 1, params.kappa, (1.0 - ri) * y[:-1], rule_inner,
-                         path="direct", imaginary=imaginary)
-        total += wi * cmath.exp(phase * ri * y[-1]) * inner
-    return total
+    inner = inner_params.c_kappa / (d - 1) * np.concatenate([
+        integrate(rule, lambda T: np.exp(phase * np.outer(1.0 - r[sl], T @ y[:-1])))
+        for sl in chunk_slices(len(r), len(rule))])
+    return complex(np.sum(w * np.exp(phase * r * y[-1]) * inner))

@@ -34,7 +34,7 @@ from .harmonics import build_sphere_rule, hharmonic_basis, repro_kernel_axis
 from .intertwine import verify_intertwining
 from .orthopoly import JacobiParams
 from .polycore import KappaParams
-from .simplexquad import SelfCheckError, build_rule, exact_order
+from .simplexquad import SelfCheckError, exact_order, exponential_order
 from .summability import (
     cesaro_kernel_axis,
     check_sweep,
@@ -126,10 +126,12 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _vector(text: str, d: int, name: str) -> np.ndarray:
-    vals = [float(p) for p in str(text).split(",") if p.strip()]
+    vals = np.array([float(p) for p in str(text).split(",") if p.strip()])
     if len(vals) != d:
         raise ValueError(f"--{name} needs {d} comma-separated values, got {len(vals)}")
-    return np.asarray(vals)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"--{name} must be finite")
+    return vals
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -230,9 +232,6 @@ def _cmd_bessel(args) -> int:
         raise ValueError("--argument must be 'imaginary' or 'real'")
     imaginary = argument == "imaginary"
     tolerance = _merged(args, "tolerance", float, 1e-9)
-    order = _merged(args, "quad_order", int, 48)
-    config = RunConfig(command="bessel", d=d, kappa=str(params.kappa),
-                       quad_order=order, tolerance=tolerance)
 
     routes = ["direct", "closed", "recursive", "coset"]
     if path not in routes + ["all"]:
@@ -247,18 +246,21 @@ def _cmd_bessel(args) -> int:
     if path in refusals:
         raise ValueError(refusals[path])
     wanted = [r for r in routes if r not in refusals] if path == "all" else [path]
-    rule = build_rule(d, params.kappa_float, order) if params.kappa != 0 else None
+    # the order of the rule for y that the simplex routes build (the radial
+    # order of the recursion); the closed form and kappa = 0 build none
+    order = (exponential_order(float(np.ptp(y)) / 2, imaginary)
+             if params.kappa != 0 and wanted != ["closed"] else None)
+    config = RunConfig(command="bessel", d=d, kappa=str(params.kappa),
+                       quad_order=order, tolerance=tolerance)
     values: dict[str, complex] = {}
     for name in wanted:
         if name == "closed":
             values[name] = bessel_k2_closed(params.kappa_float,
                                             np.array([1.0, 0.0]), y)
         elif name == "recursive":
-            inner = build_rule(d - 1, params.kappa_float, order)
-            values[name] = bessel_recursive(d, params, y, inner,
-                                            imaginary=imaginary)
+            values[name] = bessel_recursive(params, y, imaginary=imaginary)
         else:
-            values[name] = bessel_k(d, params, y, rule, path=name, imaginary=imaginary)
+            values[name] = bessel_k(params, y, path=name, imaginary=imaginary)
 
     names = sorted(values)
     deviations = {}
@@ -345,6 +347,10 @@ def _cmd_bounds(args) -> int:
     check = _merged(args, "check", str)
     if check not in ("estimate", "kernel", "knd"):
         raise ValueError("--check must be one of estimate, kernel, knd")
+    unread = {"knd": ("ell",), "kernel": ("alpha", "beta"), "estimate": ("delta",)}
+    for key in unread[check]:
+        if _merged(args, key, str) is not None:
+            raise ValueError(f"--{key} is not read by --check {check}")
     ell = _merged(args, "ell", int, 1)
     seed = _merged(args, "seed", int, _DEFAULT_SEED)
     out = _merged(args, "out", str)
@@ -471,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Cesaro order; omit for the degree-n projection kernel")
 
     p = sub.add_parser("bessel", help="generalized Bessel function, all routes")
-    _add_common(p, "tolerance", quad_order="simplex per-axis order (default 48)")
+    _add_common(p, "tolerance")
     p.add_argument("--y", help="comma-separated argument vector")
     p.add_argument("--path", choices=["direct", "closed", "recursive", "coset", "all"],
                    help="which route(s) to evaluate (default all)")

@@ -34,10 +34,15 @@ from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_la
 from .simplexquad import SelfCheckError
 
 
-def require_sphere_dim(d: int) -> None:
-    """ValueError unless build_sphere_rule has rules for S^(d-1)."""
+def require_sphere_rule(d: int, kappa_hint=None) -> None:
+    """ValueError unless build_sphere_rule has a rule for S^(d-1) at this
+    kappa: d in {2, 3, 4}, and at d = 4 no kappa with 2 kappa odd, whose
+    kinked weight would need a split rule that S^3 does not have."""
     if d not in (2, 3, 4):
         raise ValueError("only d in {2, 3, 4} is supported")
+    if d == 4 and _wants_kink_split(kappa_hint):
+        raise ValueError("d = 4 needs 2 kappa even: S^3 has no rule split "
+                         "at the kinks of the weight")
 
 
 def surface_area(d: int) -> float:
@@ -152,11 +157,12 @@ def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
 
     kappa_hint only matters when it makes 2 kappa an odd integer, in which
     case the d = 2 and d = 3 rules subdivide along the kinks of the weight
-    (see _sphere3_kink); d = 4 has no split variant here because no gold
-    check needs half-integer kappa on S^3."""
+    (see _sphere3_kink).  d = 4 has no split variant, and a flat product
+    rule integrates the kinked weight only to about 1e-2 (the Gram residual
+    of a d = 4, kappa = 1/2 basis), so that case is a ValueError."""
     if order < 4:
         raise ValueError("order must be >= 4")
-    require_sphere_dim(d)
+    require_sphere_rule(d, kappa_hint)
     split = _wants_kink_split(kappa_hint)
     if d == 2:
         rule = _circle_rule(order, split)
@@ -367,7 +373,8 @@ def _zn_values(n: int, lam: float, t) -> np.ndarray:
 
 
 def _check_on_sphere(x: np.ndarray) -> None:
-    if np.max(np.abs(np.sum(x * x, axis=-1) - 1.0), initial=0.0) > 1e-10:
+    # written so that a NaN row fails: NaN compares false both ways
+    if not np.max(np.abs(np.sum(x * x, axis=-1) - 1.0), initial=0.0) <= 1e-10:
         raise ValueError("x must lie on the unit sphere")
 
 

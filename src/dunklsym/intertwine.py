@@ -10,8 +10,9 @@ simplex representation
 with c_kappa = Gamma(d kappa + 1) / (kappa Gamma(kappa)^d).  This module
 provides that representation numerically (vk_axis, at one point or many;
 every kernel at e_ell is a profile handed to it, a polynomial one with the
-rule polynomial_rule builds), its exact polynomial image on monomials
-(vk_monomial_exact, rational in kappa), an exact mechanical verification of
+rule polynomial_rule builds, an exponential one with exponential_rule's),
+its exact polynomial image on monomials (vk_monomial_exact, rational in
+kappa), an exact mechanical verification of
 the intertwining relation, the full two-variable d = 2 representation, the
 Z_2^d product-group analogue used for comparison, and the sphere-average
 identity relating V to a one-dimensional Gegenbauer integral.
@@ -31,8 +32,8 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_dunkl
-from .simplexquad import (SimplexRule, build_rule, chunk_slices, exact_order, integrate,
-                          require_rule, tensor_grid)
+from .simplexquad import (CHUNK_ELEMENTS, SimplexRule, build_rule, chunk_slices, exact_order,
+                          exponential_order, integrate, require_rule, tensor_grid)
 
 Z2D_ORDER = 48  # per-axis Gauss-Jacobi order of vk_z2d's tensor rule
 
@@ -54,7 +55,8 @@ def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule | None):
     serves every axis.  kappa = 0 short-circuits to the identity operator.
     The kernels at e_ell (repro_kernel_axis, cesaro_kernel_axis,
     dunkl_exp_axis) are this map applied to a one-variable profile, which
-    takes arrays of any shape (polynomial ones on polynomial_rule).  Points go
+    takes arrays of any shape (polynomial ones on polynomial_rule, exponential
+    ones on exponential_rule).  Points go
     through in chunks under simplexquad.CHUNK_ELEMENTS.  The result is a numpy
     scalar for one point and an (N,) array for many, complex if the profile is."""
     x = np.asarray(x, dtype=float)
@@ -80,6 +82,25 @@ def polynomial_rule(params: KappaParams, n: int) -> SimplexRule | None:
         raise ValueError("degree must be >= 0")
     return (build_rule(params.d, params.kappa_float, exact_order(n + 1))
             if params.kappa != 0 else None)
+
+
+def exponential_rule(params: KappaParams, y, imaginary: bool) -> SimplexRule | None:
+    """The rule for the exponent <y, t> of the profile e^{i s} (imaginary) or
+    e^s, y of shape (d,) or (N, d): per-axis order exponential_order(rho),
+    rho the largest half range (max - min) / 2 of a row of y, which is half
+    the range of the exponent at the simplex vertices; None at kappa = 0.
+    ValueError, before any rule is built, for a non-finite entry of y or a
+    rule of more than CHUNK_ELEMENTS nodes."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("the argument y must be finite")
+    if params.kappa == 0:
+        return None
+    order = exponential_order(float(np.max(np.ptp(y, axis=-1))) / 2, imaginary)
+    if order ** (params.d - 1) > CHUNK_ELEMENTS:
+        raise ValueError(f"the argument needs a per-axis order {order} simplex rule, "
+                         f"over {CHUNK_ELEMENTS} nodes at d = {params.d}")
+    return build_rule(params.d, params.kappa_float, order)
 
 
 def _image_numerators(n: int, ell: int, d: int, p: int, q: int) -> dict[Monomial, int]:

@@ -94,6 +94,45 @@ def exact_order(degree: int) -> int:
     return (degree + 2) // 2
 
 
+def exponential_order(rho: float, imaginary: bool) -> int:
+    """Smallest per-axis order m whose rule integrates e^{i<y, t>} t_{ell-1}
+    (imaginary) or e^{<y, t>} t_{ell-1} to 2^-53 of the value, rho half the
+    range of y's entries.  On the simplex e^{i<y, t>} = e^{ic} e^{i<y - c, t>}
+    with c their midpoint and |<y - c, t>| <= rho; the Jacobi-Anger expansion
+    of e^{i rho s} has coefficients 2|J_k(rho)| <= 2 (rho/2)^k / k!, and a
+    rule exact to degree 2m - 1 leaves degree 2m - 2 to the profile, so it
+    errs by at most twice the tail from k = 2m - 1:
+
+        4 (rho/2)^(2m-1) / (2m-1)! / (1 - rho/(4m)) <= 2^-53.
+
+    A real argument has I_k(rho) <= (rho/2)^k / k! e^{rho^2/(8m)} and a value
+    >= e^{c - rho}, hence the extra factor e^{rho + rho^2/(8m)}.  The bound
+    falls with m once 4m > rho: doubling, then bisection, finds m."""
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError("rho must be finite and >= 0")
+    if rho == 0:
+        return 1
+
+    def misses(m: int) -> bool:
+        if 4 * m <= rho:
+            return True
+        k = 2 * m - 1
+        log_bound = (math.log(4) + k * math.log(rho / 2) - math.lgamma(k + 1)
+                     - math.log1p(-rho / (4 * m)))
+        if not imaginary:
+            log_bound += rho + rho * rho / (8 * m)
+        return log_bound > -53 * math.log(2)
+
+    hi = 1
+    while misses(hi):
+        hi *= 2
+    lo = hi // 2  # misses, or 0 when hi = 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if misses(mid) else (lo, mid)
+    return hi
+
+
 def default_order(degree: int) -> int:
     """Per-axis order for integrands along <x, t> that are not polynomials,
     such as kernel_bound_check's (1 - s + n^-2)^-(lambda+1) profile; a

@@ -37,7 +37,7 @@ from .harmonics import (
     _check_on_sphere,
     build_sphere_rule,
     hweight,
-    require_sphere_dim,
+    require_sphere_rule,
 )
 from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import (
@@ -199,7 +199,7 @@ def check_sweep(params: KappaParams, deltas, n_max: int, ell: int,
                 sphere_order: int | None = None) -> None:
     """ValueError for arguments lebesgue_sweep refuses, raised before any
     work, so a caller can validate before it writes output."""
-    require_sphere_dim(params.d)
+    require_sphere_rule(params.d, params.kappa)
     for delta in deltas:
         CesaroOrder(float(delta))
     if n_max < 1:

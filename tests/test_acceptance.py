@@ -208,34 +208,29 @@ def test_c06_bessel_routes_agree():
     rng = np.random.default_rng(20260815)
     worst_closed = 0.0
     for kappa in (0.5, 1.0, 1.5):
-        rule = build_rule(2, kappa, 48)
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, size=2)
             y = rng.uniform(-2.0, 2.0, size=2)
-            dev = abs(bessel_k2_closed(kappa, x, y)
-                      - bessel_k2_direct(kappa, x, y, rule))
+            dev = abs(bessel_k2_closed(kappa, x, y) - bessel_k2_direct(kappa, x, y))
             worst_closed = max(worst_closed, dev)
 
-    rule3 = build_rule(3, 1.0, 48)
-    inner = build_rule(2, 1.0, 48)
+    kp31 = KappaParams(3, 1)
     worst_rec = 0.0
     for _ in range(20):
         y = rng.uniform(-2.0, 2.0, size=3)
-        dev = abs(bessel_recursive(3, 1, y, inner)
-                  - bessel_k(3, 1, y, rule3, path="direct", imaginary=True))
+        dev = abs(bessel_recursive(kp31, y)
+                  - bessel_k(kp31, y, path="direct", imaginary=True))
         worst_rec = max(worst_rec, dev)
 
-    rule2 = build_rule(2, 1.0, 48)
+    kp21, kp3h = KappaParams(2, 1), KappaParams(3, Fraction(1, 2))
     at_zero = [
-        bessel_k(2, 1, np.zeros(2), rule2, path="direct"),
-        bessel_k(2, 1, np.zeros(2), rule2, path="coset"),
+        bessel_k(kp21, np.zeros(2), path="direct"),
+        bessel_k(kp21, np.zeros(2), path="coset"),
         bessel_k2_closed(1.0, np.array([1.0, 0.0]), np.zeros(2)),
-        bessel_k(3, Fraction(1, 2), np.zeros(3), build_rule(3, 0.5, 48),
-                 path="direct"),
-        bessel_k(3, Fraction(1, 2), np.zeros(3), build_rule(3, 0.5, 48),
-                 path="coset"),
-        bessel_recursive(3, 1, np.zeros(3), inner),
-        bessel_k(3, 0, np.zeros(3), None),
+        bessel_k(kp3h, np.zeros(3), path="direct"),
+        bessel_k(kp3h, np.zeros(3), path="coset"),
+        bessel_recursive(kp31, np.zeros(3)),
+        bessel_k(KappaParams(3, 0), np.zeros(3)),
     ]
     worst_zero = max(abs(v - 1.0) for v in at_zero)
     ok = worst_closed <= 1e-9 and worst_rec <= 1e-9 and worst_zero <= 1e-10

@@ -4,6 +4,7 @@ simplex integrals."""
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,12 +21,17 @@ from dunklsym.bessel import (
     _j_poisson,
     _j_series,
 )
-from dunklsym.intertwine import AxisFunction, vk_axis
+from dunklsym import intertwine
+from dunklsym.intertwine import AxisFunction, exponential_rule, vk_axis
 from dunklsym.polycore import KappaParams
-from dunklsym.simplexquad import build_rule
+from dunklsym.simplexquad import CHUNK_ELEMENTS, build_rule, exponential_order, integrate
 
-RULE2 = {k: build_rule(2, k, 48) for k in (0.5, 1.0, 1.5)}
-RULE3 = {k: build_rule(3, k, 32) for k in (0.5, 1.0)}
+KAPPAS2 = (0.5, 1.0, 1.5)
+KAPPAS3 = (0.5, 1.0)
+
+
+def kp(d, kappa):
+    return KappaParams(d, Fraction(kappa))
 
 
 def test_classical_j_against_scipy():
@@ -61,65 +67,69 @@ def test_classical_j_at_zero_and_errors():
 
 
 def test_k_at_zero_is_one_on_every_path():
-    for k, rule in RULE2.items():
-        assert abs(bessel_k(2, k, np.zeros(2), rule, path="direct") - 1) < 1e-10
-        assert abs(bessel_k(2, k, np.zeros(2), rule, path="coset") - 1) < 1e-10
+    for k in KAPPAS2:
+        assert abs(bessel_k(kp(2, k), np.zeros(2), path="direct") - 1) < 1e-10
+        assert abs(bessel_k(kp(2, k), np.zeros(2), path="coset") - 1) < 1e-10
         assert abs(bessel_k2_closed(k, np.array([0.4, -0.2]), np.zeros(2)) - 1) < 1e-10
-        assert abs(bessel_k2_direct(k, np.array([0.4, -0.2]), np.zeros(2), rule) - 1) < 1e-10
-    for k, rule in RULE3.items():
-        assert abs(bessel_k(3, k, np.zeros(3), rule, path="direct") - 1) < 1e-10
-        assert abs(bessel_recursive(3, k, np.zeros(3), RULE2[k]) - 1) < 1e-10
-    assert abs(bessel_k(2, 0, np.zeros(2), None) - 1) < 1e-15
+        assert abs(bessel_k2_direct(k, np.array([0.4, -0.2]), np.zeros(2)) - 1) < 1e-10
+    for k in KAPPAS3:
+        assert abs(bessel_k(kp(3, k), np.zeros(3), path="direct") - 1) < 1e-10
+        assert abs(bessel_recursive(kp(3, k), np.zeros(3)) - 1) < 1e-10
+    assert abs(bessel_k(kp(2, 0), np.zeros(2)) - 1) < 1e-15
 
 
 def test_k_axis_independence_and_path_agreement():
     rng = np.random.default_rng(30)
-    rule = RULE3[1.0]
+    params = kp(3, 1)
     for _ in range(5):
         y = rng.uniform(-1, 1, size=3)
-        coset = [bessel_k(3, 1.0, y, rule, path="coset", ell=ell, imaginary=True)
+        coset = [bessel_k(params, y, path="coset", ell=ell, imaginary=True)
                  for ell in (1, 2, 3)]
         assert abs(coset[0] - coset[1]) < 1e-12
         assert abs(coset[0] - coset[2]) < 1e-12
-        direct = bessel_k(3, 1.0, y, rule, path="direct", imaginary=True)
+        direct = bessel_k(params, y, path="direct", imaginary=True)
         assert abs(direct - coset[0]) < 1e-10
     with pytest.raises(ValueError):
-        bessel_k(3, 1.0, np.zeros(3), rule, path="average")
+        bessel_k(params, np.zeros(3), path="average")
 
 
 def test_k_permutation_invariance_and_boundedness():
     rng = np.random.default_rng(31)
-    rule = RULE3[0.5]
+    params = kp(3, 0.5)
     for _ in range(5):
         y = rng.uniform(-2, 2, size=3)
-        a = bessel_k(3, 0.5, y, rule, imaginary=True)
-        b = bessel_k(3, 0.5, y[[2, 0, 1]], rule, imaginary=True)
+        a = bessel_k(params, y, imaginary=True)
+        b = bessel_k(params, y[[2, 0, 1]], imaginary=True)
         assert abs(a - b) < 1e-10
         assert abs(a) <= 1.0 + 1e-12
 
 
 def test_exp_axis_is_intertwined_exponential():
-    kp = KappaParams(3, 1)
-    rule = RULE3[1.0]
+    params = KappaParams(3, 1)
     rng = np.random.default_rng(32)
     for ell in (1, 3):
         y = rng.uniform(-1, 1, size=3)
-        got = dunkl_exp_axis(ell, y, kp, rule)
-        want = vk_axis(AxisFunction(ell=ell, profile=np.exp), y, kp, rule)
+        got = dunkl_exp_axis(ell, y, params)
+        rule = exponential_rule(params, y, imaginary=False)
+        want = vk_axis(AxisFunction(ell=ell, profile=np.exp), y, params, rule)
         assert abs(got - want) < 1e-13
-        assert abs(dunkl_exp_axis(ell, y, kp, rule, imaginary=True)) <= 1.0 + 1e-12
-        assert abs(dunkl_exp_axis(ell, np.zeros(3), kp, rule) - 1) < 1e-12
-    assert abs(dunkl_exp_axis(2, np.array([0.0, 0.7, 0.0]), KappaParams(3, 0), None)
+        assert abs(dunkl_exp_axis(ell, y, params, imaginary=True)) <= 1.0 + 1e-12
+        assert abs(dunkl_exp_axis(ell, np.zeros(3), params) - 1) < 1e-12
+        # rows of a batch are the single-point values
+        batch = dunkl_exp_axis(ell, np.stack([y, np.zeros(3)]), params, imaginary=True)
+        assert batch.shape == (2,)
+        assert abs(batch[0] - dunkl_exp_axis(ell, y, params, imaginary=True)) < 1e-13
+    assert abs(dunkl_exp_axis(2, np.array([0.0, 0.7, 0.0]), KappaParams(3, 0))
                - math.exp(0.7)) < 1e-15
 
 
 def test_closed_form_matches_quadrature():
     rng = np.random.default_rng(33)
-    for k, rule in RULE2.items():
+    for k in KAPPAS2:
         for _ in range(20):
             x = rng.uniform(-1, 1, size=2)
             y = rng.uniform(-1, 1, size=2)
-            dev = abs(bessel_k2_closed(k, x, y) - bessel_k2_direct(k, x, y, rule))
+            dev = abs(bessel_k2_closed(k, x, y) - bessel_k2_direct(k, x, y))
             assert dev <= 1e-9
 
 
@@ -127,8 +137,8 @@ def test_closed_form_small_argument_branch():
     # (x1-x2)(y1-y2) below the series cutoff
     x = np.array([0.5 + 5e-4, 0.5 - 5e-4])
     y = np.array([0.9, 0.4])
-    for k, rule in RULE2.items():
-        dev = abs(bessel_k2_closed(k, x, y) - bessel_k2_direct(k, x, y, rule))
+    for k in KAPPAS2:
+        dev = abs(bessel_k2_closed(k, x, y) - bessel_k2_direct(k, x, y))
         assert dev <= 1e-10
 
 
@@ -138,7 +148,7 @@ def test_closed_form_phase_free_case_is_real():
     y = np.array([0.8, -0.8])
     val = bessel_k2_closed(1.5, x, y)
     assert val.imag == 0.0
-    direct = bessel_k2_direct(1.5, x, y, RULE2[1.5])
+    direct = bessel_k2_direct(1.5, x, y)
     assert abs(direct.imag) < 1e-12
     assert abs(val.real - direct.real) < 1e-10
 
@@ -147,24 +157,24 @@ def test_recursion_matches_direct():
     rng = np.random.default_rng(34)
     samples = [rng.uniform(-1, 1, size=3) for _ in range(5)]
     samples.append(np.array([0.3, -0.6, 0.0]))  # vanishing last component
-    for k in (0.5, 1.0):
+    for k in KAPPAS3:
         for y in samples:
-            got = bessel_recursive(3, k, y, RULE2[k])
-            want = bessel_k(3, k, y, RULE3[k], path="direct", imaginary=True)
+            got = bessel_recursive(kp(3, k), y)
+            want = bessel_k(kp(3, k), y, path="direct", imaginary=True)
             assert abs(got - want) <= 1e-9
 
 
 def test_recursion_argument_errors():
     with pytest.raises(ValueError):
-        bessel_recursive(2, 1.0, np.zeros(2), RULE2[1.0])
+        bessel_recursive(kp(2, 1), np.zeros(2))
     with pytest.raises(ValueError):
-        bessel_recursive(3, 0, np.zeros(3), None)
+        bessel_recursive(kp(3, 0), np.zeros(3))
     with pytest.raises(ValueError):
-        bessel_recursive(3, 1.0, np.zeros(3), RULE3[1.0])  # inner rule must be d-1
+        bessel_recursive(kp(3, 1), np.zeros(2))  # y must have d entries
 
 
 def test_closed_form_report_structure():
-    rep = closed_form_report(1.5, RULE2[1.5], n_samples=10)
+    rep = closed_form_report(1.5, n_samples=10)
     assert rep["adopted"] == "gamma_only_base4"
     assert rep["gamma_only_base4"]["zero_argument_limit"] == 1.0
     assert rep["gamma_only_base4"]["max_abs_dev_vs_quadrature"] <= 1e-9
@@ -175,8 +185,74 @@ def test_closed_form_report_structure():
 def test_real_argument_paths_agree():
     rng = np.random.default_rng(35)
     y = rng.uniform(-1, 1, size=2)
-    a = bessel_k(2, 1.0, y, RULE2[1.0], path="direct", imaginary=False)
-    b = bessel_k(2, 1.0, y, RULE2[1.0], path="coset", imaginary=False)
+    a = bessel_k(kp(2, 1), y, path="direct", imaginary=False)
+    b = bessel_k(kp(2, 1), y, path="coset", imaginary=False)
     assert abs(a - b) < 1e-12
     # real-argument K is an average of exponentials, hence real and positive
     assert a.imag == 0.0 and a.real > 0.0
+
+
+def direct_on_rule(params, y, order, imaginary):
+    """The direct route's integral on a rule of the given per-axis order."""
+    phase = 1j if imaginary else 1.0
+    rule = build_rule(params.d, params.kappa_float, order)
+    return params.c_kappa / params.d * integrate(rule, lambda T: np.exp(phase * (T @ y)))
+
+
+@pytest.mark.parametrize("imaginary", [True, False], ids=["imaginary", "real"])
+@pytest.mark.parametrize("kappa", [Fraction(1, 2), 1, Fraction(3, 2)], ids=str)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_derived_order_matches_twice_the_order(d, kappa, imaginary):
+    # the order exponential_order derives from half the range rho of y
+    # against a rule of twice that order, rho from 0 to 45.  A real
+    # exponential with rho >= 20 sits in a corner of the simplex, where
+    # scipy's Gauss-Jacobi weights (exponents p != q) carry ~1e-12 relative
+    # error near the endpoint (checked against mpmath); at d >= 3 any two
+    # rules from order m - 10 to 3m then differ by up to 1.5e-11 of K, so
+    # those cases are held to that floor, not to the truncation bound.
+    params = KappaParams(d, kappa)
+    shape = np.array([1.0, -1.0, 0.3, -0.6])[:d]
+    for rho in (0.0, 0.5, 1.0, 5.0, 20.0, 45.0):
+        y = rho * shape + 0.25
+        got = bessel_k(params, y, imaginary=imaginary)
+        m = exponential_order(rho, imaginary)
+        want = direct_on_rule(params, y, 2 * m, imaginary)
+        tol = 1e-12 if imaginary or rho <= 5 else 3e-11
+        assert abs(got - want) <= tol * max(1.0, abs(want)), (rho, m)
+
+
+def test_large_argument_matches_a_high_order_rule():
+    # at the former fixed order 48 the direct route gave -0.0118 here,
+    # fifty times the true |K| = 2.4e-4, and exited 0
+    params = KappaParams(3, 1)
+    y = np.array([100.0, -100.0, 30.0])
+    want = direct_on_rule(params, y, 300, imaginary=True)
+    assert 2e-4 < abs(want) < 3e-4
+    for value in (bessel_k(params, y, path="direct", imaginary=True),
+                  bessel_k(params, y, path="coset", imaginary=True),
+                  bessel_recursive(params, y)):
+        assert abs(value - want) <= 1e-13
+
+
+def test_oversized_or_non_finite_argument_is_refused_before_any_rule(monkeypatch):
+    def no_rule(*args):
+        raise AssertionError("a rule was built for a refused argument")
+
+    monkeypatch.setattr(intertwine, "build_rule", no_rule)
+    params = KappaParams(4, 1)
+    big = np.array([300.0, -300.0, 0.0, 0.0])  # per-axis order 221: 221^3 nodes
+    assert exponential_order(300.0, True) ** 3 > CHUNK_ELEMENTS
+    with pytest.raises(ValueError, match="nodes"):
+        exponential_rule(params, big, imaginary=True)
+    for path in ("direct", "coset"):
+        with pytest.raises(ValueError, match="nodes"):
+            bessel_k(params, big, path=path, imaginary=True)
+    for bad in (np.nan, np.inf):
+        y = np.array([bad, 0.0, 0.0, 0.0])
+        for kappa in (0, 1):
+            with pytest.raises(ValueError, match="finite"):
+                exponential_rule(KappaParams(4, kappa), y, imaginary=True)
+        with pytest.raises(ValueError, match="finite"):
+            bessel_k(params, y, path="coset")
+        with pytest.raises(ValueError, match="finite"):
+            bessel_recursive(params, y)

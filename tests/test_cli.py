@@ -232,6 +232,20 @@ def test_kernel_wrong_point_length_is_error():
     assert "3 comma-separated values" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--d", "3", "--kappa", "0", "--n", "3", "--x"],
+    ["kernel", "--d", "3", "--kappa", "1", "--n", "3", "--delta", "1.5", "--x"],
+    ["bessel", "--d", "3", "--kappa", "1", "--y"],
+    ["bessel", "--d", "3", "--kappa", "0", "--y"],
+], ids=["kernel-0", "cesaro-1", "bessel-1", "bessel-0"])
+def test_non_finite_coordinate_is_usage_error(argv, bad):
+    rc, out, err = run_cli(argv[:-1] + [f"{argv[-1]}={bad},0,0"])
+    assert rc == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
 # ---------------------------------------------------------------------------
 # bessel
 # ---------------------------------------------------------------------------
@@ -283,7 +297,7 @@ def test_bessel_unavailable_route_is_refused_before_any_rule(monkeypatch, argv, 
     def no_rule(*args):
         raise AssertionError("a rule was built for a refused route")
 
-    monkeypatch.setattr(cli, "build_rule", no_rule)
+    monkeypatch.setattr(intertwine, "build_rule", no_rule)
     y = "0.3,-0.2" if argv[1] == "2" else "0.3,-0.2,0.1"
     rc, out, err = run_cli(["bessel", "--kappa", "1", "--y", y] + argv)
     assert rc == 2
@@ -309,6 +323,33 @@ def test_bessel_coset_path_alone():
     assert rc == 0
     assert list(payload["paths"]) == ["coset"]
     assert payload["pairwise_deviations"] == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "4", "--kappa", "1", "--y", "0.3,-0.9,0.5,1", "--path", "direct"],
+    ["--d", "3", "--kappa", "1/2", "--y=100,-100,30", "--path", "coset"],
+    ["--d", "2", "--kappa", "3/2", "--y", "5,-2", "--argument", "real"],
+])
+def test_bessel_header_reports_the_order_it_built(monkeypatch, argv):
+    built = []
+    real_build = intertwine.build_rule
+
+    def recording_build(d, kappa, order):
+        built.append(order)
+        return real_build(d, kappa, order)
+
+    monkeypatch.setattr(intertwine, "build_rule", recording_build)
+    rc, payload = run_json(["bessel"] + argv)
+    assert rc == 0
+    assert built and set(built) == {payload["quad_order"]}
+
+
+def test_bessel_oversized_argument_is_usage_error():
+    rc, out, err = run_cli(["bessel", "--d", "4", "--kappa", "1",
+                            "--y=300,-300,0,0", "--path", "direct"])
+    assert rc == 2
+    assert out == ""
+    assert "nodes" in err
 
 
 def test_bessel_real_argument_is_real_valued():
@@ -415,6 +456,7 @@ def test_lebesgue_requires_n_max():
     ["--delta", "-1.5"],     # Cesaro order must exceed -1
     ["--delta", "nan"],
     ["--quad-order", "2"],   # sphere order below 4
+    ["--d", "4", "--kappa", "1/2", "--ell", "1"],  # no kink-split rule on S^3
 ])
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
 def test_lebesgue_bad_input_writes_nothing(tmp_path, bad, suffix):
@@ -520,6 +562,23 @@ def test_bounds_degree_list_must_be_positive_and_nonempty(check, n_list):
     assert "--n must list degrees >= 1" in err
 
 
+@pytest.mark.parametrize("check, flag", [
+    ("knd", "ell"), ("kernel", "alpha"), ("kernel", "beta"), ("estimate", "delta")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bounds_flag_the_check_ignores_is_usage_error(tmp_path, check, flag, source):
+    argv = ["bounds", "--d", "3", "--kappa", "1", "--check", check, "--n", "8,16"]
+    if source == "flag":
+        argv += [f"--{flag}", "2"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = 2\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    rc, out, err = run_cli(argv)
+    assert rc == 2
+    assert out == ""
+    assert f"--{flag} is not read by --check {check}" in err
+
+
 def test_bounds_requires_check():
     rc, _, err = run_cli(["bounds", "--d", "2", "--kappa", "1"])
     assert rc == 2
@@ -546,6 +605,7 @@ IGNORED_FLAGS = [
     ("bessel", "--seed", "7"), ("lebesgue", "--seed", "7"),
     ("lebesgue", "--tolerance", "0.5"), ("bounds", "--tolerance", "0.5"),
     ("bounds", "--quad-order", "30"), ("kernel", "--quad-order", "30"),
+    ("bessel", "--quad-order", "30"),
 ]
 
 

@@ -53,6 +53,16 @@ def test_sphere_rule_kink_split_handles_half_integer_kappa():
         assert abs(quad - closed) <= 1e-8 * closed
 
 
+def test_sphere_rule_refuses_half_integer_kappa_at_d4():
+    # S^3 has no split rule, and the flat one misses the kinked weight by
+    # about 1e-2 (a Gram residual), so 2 kappa odd is refused there
+    for kappa in (Fraction(1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="d = 4"):
+            build_sphere_rule(4, 8, kappa_hint=kappa)
+    for kappa in (None, 0, 1, Fraction(1, 3)):
+        assert len(build_sphere_rule(4, 8, kappa_hint=kappa)) > 0
+
+
 def test_hweight_examples():
     kp = KappaParams(2, 1)
     assert hweight(np.array([1.0, 0.0]), kp) == 1.0

@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dunklsym.bessel import bessel_k, bessel_k2_direct, bessel_recursive, dunkl_exp_axis
 from dunklsym.intertwine import AxisFunction, vk_axis, vk_d2_generic
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import (
@@ -229,11 +228,6 @@ X3 = np.array([0.6, 0.8, 0.0])
 RULE_TAKERS = {
     "vk_axis": (3, lambda r: vk_axis(AxisFunction(ell=1, profile=np.cos), X3, KP3, r)),
     "vk_d2_generic": (2, lambda r: vk_d2_generic(lambda u, v: u * v, [0.3, 0.4], KP2, r)),
-    "dunkl_exp_axis": (3, lambda r: dunkl_exp_axis(1, X3, KP3, r)),
-    "bessel_k_direct": (3, lambda r: bessel_k(3, 1, X3, r, path="direct")),
-    "bessel_k_coset": (3, lambda r: bessel_k(3, 1, X3, r, path="coset")),
-    "bessel_k2_direct": (2, lambda r: bessel_k2_direct(1, [0.3, 0.4], [0.5, -0.2], r)),
-    "bessel_recursive": (2, lambda r: bessel_recursive(3, 1, X3, r)),
 }
 BAD_RULES = {
     "none": lambda d: None,

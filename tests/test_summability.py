@@ -169,6 +169,7 @@ def test_sweep_order_progress_and_rerun():
     (KP31, [1.5], 3, 0, None),
     (KP31, [-1.0], 3, 1, None),              # Cesaro order must exceed -1
     (KP31, [1.5], 3, 1, 3),                  # sphere order below 4
+    (KappaParams(4, Fraction(1, 2)), [1.5], 3, 1, None),  # no kink split on S^3
 ])
 def test_sweep_refuses_bad_arguments(params, deltas, n_max, ell, order):
     with pytest.raises(ValueError):
@@ -195,9 +196,12 @@ def test_batched_kernels_match_per_row(params):
             assert abs(value - one) <= 1e-13 * max(1.0, abs(one)), name
     off = X.copy()
     off[4] *= 1.01  # one row off the sphere fails the whole batch
+    nan = X.copy()
+    nan[2, 0] = np.nan  # so does a NaN row, batched or alone
     for name in ("cesaro", "repro"):
-        with pytest.raises(ValueError, match="sphere"):
-            calls[name](off)
+        for bad in (off, nan, nan[2]):
+            with pytest.raises(ValueError, match="sphere"):
+                calls[name](bad)
 
 
 AXIS_TAKERS = {
