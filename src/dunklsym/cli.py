@@ -247,7 +247,8 @@ def _cmd_bessel(args) -> int:
         raise ValueError(refusals[path])
     wanted = [r for r in routes if r not in refusals] if path == "all" else [path]
     # the order of the rule for y that the simplex routes build (the radial
-    # order of the recursion); the closed form and kappa = 0 build none
+    # order of the recursion); the closed form builds none, and at kappa = 0
+    # the rule is the vertex rule, whose order counts no nodes
     order = (exponential_order(float(np.ptp(y)) / 2, imaginary)
              if params.kappa != 0 and wanted != ["closed"] else None)
     config = RunConfig(command="bessel", d=d, kappa=str(params.kappa),

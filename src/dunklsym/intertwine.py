@@ -7,7 +7,10 @@ simplex representation
     V F(x) = c_kappa int_T f(x_1 t_0 + ... + x_d t_{d-1})
                           t_{ell-1} (t_0 ... t_{d-1})^(kappa-1) dt,
 
-with c_kappa = Gamma(d kappa + 1) / (kappa Gamma(kappa)^d).  This module
+with c_kappa = Gamma(d kappa + 1) / (kappa Gamma(kappa)^d).  As kappa -> 0
+that measure tends to a unit point mass at each vertex of T, so V_0 is the
+identity with no special case: simplexquad.build_rule returns the vertex rule
+at kappa = 0 and c_kappa is 1.  This module
 provides that representation numerically (vk_axis, at one point or many;
 every kernel at e_ell is a profile handed to it, a polynomial one with the
 rule polynomial_rule builds, an exponential one with exponential_rule's),
@@ -32,8 +35,8 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_dunkl
-from .simplexquad import (CHUNK_ELEMENTS, SimplexRule, build_rule, chunk_slices, exact_order,
-                          exponential_order, integrate, require_rule, tensor_grid)
+from .simplexquad import (SimplexRule, build_rule, chunk_slices, exact_order, exponential_order,
+                          integrate, require_rule, tensor_grid)
 
 Z2D_ORDER = 48  # per-axis Gauss-Jacobi order of vk_z2d's tensor rule
 
@@ -47,12 +50,13 @@ class AxisFunction:
     profile: Callable[[np.ndarray], np.ndarray]
 
 
-def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule | None):
+def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule):
     """V_kappa F at x of shape (d,), or at every row of an (N, d) array, for
     a single-component F.
 
     The factor t_{ell-1} is part of the integrand so one rule per (d, kappa)
-    serves every axis.  kappa = 0 short-circuits to the identity operator.
+    serves every axis.  At kappa = 0 the vertex rule gives F(x) exactly: the
+    node e_ell carries weight 1 and every other vertex the factor t_{ell-1} = 0.
     The kernels at e_ell (repro_kernel_axis, cesaro_kernel_axis,
     dunkl_exp_axis) are this map applied to a one-variable profile, which
     takes arrays of any shape (polynomial ones on polynomial_rule, exponential
@@ -65,41 +69,34 @@ def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule | None):
         raise ValueError(f"x must have shape ({params.d},) or (N, {params.d})")
     if not 1 <= F.ell <= params.d:
         raise ValueError(f"axis {F.ell} out of range 1..{params.d}")
-    if params.kappa == 0:
-        values = np.asarray(F.profile(X[:, F.ell - 1]))
-    else:
-        require_rule(rule, params)
-        values = params.c_kappa * np.concatenate([
-            integrate(rule, lambda T: F.profile(X[sl] @ T.T) * T[:, F.ell - 1])
-            for sl in chunk_slices(len(X), len(rule))])
+    require_rule(rule, params)
+    values = params.c_kappa * np.concatenate([
+        integrate(rule, lambda T: F.profile(X[sl] @ T.T) * T[:, F.ell - 1])
+        for sl in chunk_slices(len(X), len(rule))])
     return values[0] if x.ndim == 1 else values
 
 
-def polynomial_rule(params: KappaParams, n: int) -> SimplexRule | None:
+def polynomial_rule(params: KappaParams, n: int) -> SimplexRule:
     """The rule vk_axis needs for a polynomial profile of degree n: exact for
-    the degree n + 1 integrand g(<x, t>) t_{ell-1}; None at kappa = 0."""
+    the degree n + 1 integrand g(<x, t>) t_{ell-1}.  build_rule refuses one
+    of more than CHUNK_ELEMENTS nodes, and gives the vertex rule at kappa = 0."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return (build_rule(params.d, params.kappa_float, exact_order(n + 1))
-            if params.kappa != 0 else None)
+    return build_rule(params.d, params.kappa_float, exact_order(n + 1))
 
 
-def exponential_rule(params: KappaParams, y, imaginary: bool) -> SimplexRule | None:
+def exponential_rule(params: KappaParams, y, imaginary: bool) -> SimplexRule:
     """The rule for the exponent <y, t> of the profile e^{i s} (imaginary) or
     e^s, y of shape (d,) or (N, d): per-axis order exponential_order(rho),
     rho the largest half range (max - min) / 2 of a row of y, which is half
-    the range of the exponent at the simplex vertices; None at kappa = 0.
-    ValueError, before any rule is built, for a non-finite entry of y or a
-    rule of more than CHUNK_ELEMENTS nodes."""
+    the range of the exponent at the simplex vertices.  ValueError for a
+    non-finite entry of y; build_rule refuses a rule of more than
+    CHUNK_ELEMENTS nodes before computing any, and gives the vertex rule at
+    kappa = 0."""
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("the argument y must be finite")
-    if params.kappa == 0:
-        return None
     order = exponential_order(float(np.max(np.ptp(y, axis=-1))) / 2, imaginary)
-    if order ** (params.d - 1) > CHUNK_ELEMENTS:
-        raise ValueError(f"the argument needs a per-axis order {order} simplex rule, "
-                         f"over {CHUNK_ELEMENTS} nodes at d = {params.d}")
     return build_rule(params.d, params.kappa_float, order)
 
 
@@ -184,8 +181,6 @@ def vk_d2_generic(f, x, params: KappaParams, rule: SimplexRule) -> float:
     if params.d != 2:
         raise ValueError("vk_d2_generic requires d = 2")
     x = np.asarray(x, dtype=float)
-    if params.kappa == 0:
-        return float(np.asarray(f(np.asarray([x[0]]), np.asarray([x[1]])))[0])
     require_rule(rule, params)
 
     def integrand(T):
@@ -270,7 +265,7 @@ def vk_sphere_average(f, x, params: KappaParams, sphere_rule) -> tuple[float, fl
         raise ValueError("x must be a multiple of a coordinate vector e_ell")
     lam = float(params.lambda_kappa)
 
-    rule = build_rule(params.d, params.kappa_float, 48) if params.kappa != 0 else None
+    rule = build_rule(params.d, params.kappa_float, 48)
     F = AxisFunction(ell=ell, profile=lambda s: np.asarray(f(r * s), dtype=float))
     sphere_vals = vk_axis(F, sphere_rule.nodes, params, rule)
     h2 = hweight(sphere_rule.nodes, params) ** 2

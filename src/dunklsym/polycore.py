@@ -223,7 +223,7 @@ class KappaParams:
     the summability threshold at the coordinate vectors, and c_kappa the
     normalization of the simplex representation of the intertwining operator.
     kappa = 0 is admitted for the classical reductions (the operator is then
-    the identity and c_kappa degenerates to None).
+    the identity, represented by the unit vertex masses with c_kappa = 1).
     """
 
     d: int
@@ -247,10 +247,11 @@ class KappaParams:
         return float(self.kappa)
 
     @property
-    def c_kappa(self) -> float | None:
-        """Gamma(d kappa + 1) / (kappa Gamma(kappa)^d); None when kappa = 0."""
+    def c_kappa(self) -> float:
+        """Gamma(d kappa + 1) / (kappa Gamma(kappa)^d); 1 at kappa = 0, where
+        the simplex measure tends to the unit vertex masses of the vertex rule."""
         if self.kappa == 0:
-            return None
+            return 1.0
         k = self.kappa_float
         return math.exp(
             math.lgamma(self.d * k + 1) - math.lgamma(k + 1) - (self.d - 1) * math.lgamma(k)

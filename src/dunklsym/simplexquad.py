@@ -13,6 +13,12 @@ because the Jacobian contributes (1-u_j)^(d-1-j) and the residual powers of
 t_{j+1}, ..., t_0 supply the rest.  Each axis gets a Gauss-Jacobi rule.  Every
 constructed rule is validated, on its own nodes and weights, against the
 closed-form Dirichlet moments before it is handed out.
+
+At kappa = 0 the normalized weight c_kappa (t_0 ... t_{d-1})^(kappa-1) dt
+tends to a unit point mass at each vertex of T, so build_rule returns that
+limit: the d vertices with unit weights.  It is exact by construction and
+skips the moment battery.  build_rule also owns the node budget: a rule of
+more than CHUNK_ELEMENTS nodes is refused before any node is computed.
 """
 
 from __future__ import annotations
@@ -160,7 +166,10 @@ class SimplexRule:
 
     @property
     def mass(self) -> float:
-        """Gamma(kappa)^d / Gamma(d kappa), the total weight."""
+        """Gamma(kappa)^d / Gamma(d kappa), the total weight; d at kappa = 0,
+        the vertex rule's, so c_kappa * mass = d for every kappa."""
+        if self.kappa == 0:
+            return float(self.d)
         return math.exp(self.d * math.lgamma(self.kappa) - math.lgamma(self.d * self.kappa))
 
     def __len__(self) -> int:
@@ -171,9 +180,9 @@ def require_rule(rule: SimplexRule | None, params) -> None:
     """ValueError unless rule is a simplex rule for params' (d, kappa).
 
     A function, not a method, because the missing rule (None) is one of the
-    cases it refuses.  Callers run it only when kappa > 0."""
+    cases it refuses."""
     if rule is None:
-        raise ValueError("a simplex rule is required when kappa > 0")
+        raise ValueError("a simplex rule is required")
     if rule.d != params.d or abs(rule.kappa - params.kappa_float) > 1e-13:
         raise ValueError(
             f"rule is for (d={rule.d}, kappa={rule.kappa}), "
@@ -233,13 +242,21 @@ def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
 
     The rule is exact for polynomials in t of total degree <= 2*order - 1 and
     is validated against closed-form moments up to degree min(6, 2*order - 1)
-    before being returned; validation failure aborts construction.
+    before being returned; validation failure aborts construction.  kappa = 0
+    gives the vertex rule (module docstring), whatever the order.  ValueError
+    for negative kappa, and for order^(d-1) > CHUNK_ELEMENTS nodes.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
     kappa = float(kappa)
+    if kappa == 0:
+        return SimplexRule(d=d, kappa=0.0, order=per_axis_order,
+                           nodes=np.eye(d), weights=np.ones(d))
+    if per_axis_order ** (d - 1) > CHUNK_ELEMENTS:
+        raise ValueError(f"a per-axis order {per_axis_order} simplex rule has over "
+                         f"{CHUNK_ELEMENTS} nodes at d = {d}")
     U, W = tensor_grid([
         gauss_jacobi01(per_axis_order, kappa - 1.0, (d - j) * kappa - 1.0)
         for j in range(1, d)

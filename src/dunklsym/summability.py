@@ -431,7 +431,7 @@ def kernel_bound_check(n: int, delta, ell: int, params: KappaParams,
     lam = float(params.lambda_kappa)
     k = params.kappa_float
     d = params.d
-    rule = build_rule(d, k, default_order(n)) if params.kappa != 0 else None
+    rule = build_rule(d, k, default_order(n))
     front = float(n) ** (lam - (d - 1) * k - delta)
     exponent = lam - (d - 1) * k + float(delta) + 1.0
     profile = AxisFunction(

@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 
-from dunklsym import cli, intertwine
+from dunklsym import cli, intertwine, simplexquad
 from dunklsym.harmonics import repro_kernel_axis
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import MomentValidationError
@@ -350,6 +350,31 @@ def test_bessel_oversized_argument_is_usage_error():
     assert rc == 2
     assert out == ""
     assert "nodes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--d", "4", "--kappa", "1", "--n", "400", "--x", "0.6,0.8,0,0"],
+    ["kernel", "--d", "3", "--kappa", "1", "--n", "100000", "--x", "0.6,0.8,0"],
+    ["bounds", "--d", "4", "--kappa", "1", "--check", "kernel", "--n", "4000"],
+], ids=["kernel-d4", "kernel-d3", "bounds-kernel-d4"])
+def test_oversized_rule_is_usage_error_before_any_node(monkeypatch, argv):
+    def no_nodes(*args):
+        raise AssertionError("nodes were computed for an oversized rule")
+
+    monkeypatch.setattr(simplexquad, "gauss_jacobi01", no_nodes)
+    rc, out, err = run_cli(argv)
+    assert rc == 2
+    assert out == ""
+    assert "nodes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--d", "4", "--kappa", "0", "--n", "400", "--x", "0.6,0.8,0,0"],
+    ["bessel", "--d", "4", "--kappa", "0", "--y=1e7,-1e7,0,0"],
+], ids=["kernel", "bessel"])
+def test_kappa_zero_runs_on_the_vertex_rule_at_any_size(argv):
+    rc, payload = run_json(argv)
+    assert rc == 0
 
 
 def test_bessel_real_argument_is_real_valued():

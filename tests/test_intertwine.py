@@ -1,7 +1,6 @@
 """The intertwining operator: exact monomial images, the simplex quadrature
 path, the two-variable generic path, and the sphere-average identity."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -70,10 +69,14 @@ def test_quadrature_matches_exact_images():
 
 
 def test_kappa_zero_is_identity():
+    # the vertex rule gives F(x) exactly, at one point and at many
     kp = KappaParams(3, 0)
     F = AxisFunction(ell=2, profile=lambda s: np.cos(s))
     x = np.array([0.3, -0.8, 0.5])
-    assert abs(vk_axis(F, x, kp, None) - math.cos(-0.8)) < 1e-15
+    rule = build_rule(3, 0, 1)
+    assert vk_axis(F, x, kp, rule) == np.cos(-0.8)
+    X = np.random.default_rng(3).normal(size=(9, 3))
+    assert np.array_equal(vk_axis(F, X, kp, rule), np.cos(X[:, 1]))
 
 
 def test_small_kappa_approaches_identity():

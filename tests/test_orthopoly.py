@@ -1,11 +1,13 @@
 """Jacobi/Gegenbauer evaluation and Cesaro machinery.
 
-Two oracles: scipy.special's eval_jacobi / eval_gegenbauer (independent code
-path), and an exact Fraction three-term recurrence for rational parameters."""
+Three oracles: scipy.special's eval_jacobi / eval_gegenbauer (independent code
+path), an exact Fraction three-term recurrence for rational parameters, and
+mpmath's hypergeometric jacobi at 40 digits for large degrees."""
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer, eval_jacobi, roots_jacobi
@@ -106,6 +108,25 @@ def test_jacobi_all_rows_and_longdouble():
     Pl = jacobi_all(12, jp, t, dtype=np.longdouble)
     assert Pl.dtype == np.longdouble
     np.testing.assert_allclose(Pl.astype(float), P, rtol=1e-13)
+
+
+@pytest.mark.parametrize("a, b", [(-0.5, -0.5), (3.0, 3.0), (6.5, 6.5), (1.5, 0.0),
+                                  (3.0, -0.4)])
+def test_jacobi_all_against_mpmath(a, b):
+    # the hypergeometric 2F1 form, not a recurrence, at 40 digits.  Error
+    # relative to max(1, sup |P_n|), the endpoint value since max(a, b) >=
+    # -1/2: near a zero the plain relative error of any float64 route is
+    # unbounded.  The symmetric pairs (the kernels' alpha = beta = lambda -
+    # 1/2) stay below 5e-14; (3, -0.4) at n = 512 is the worst, 1.2e-12.
+    ns = (1, 2, 7, 33, 128, 255, 400, 512)
+    t = np.concatenate([[-1.0, -0.9995], np.linspace(-0.99, 0.99, 12), [0.9995, 1.0]])
+    P = jacobi_all(max(ns), JacobiParams(a, b), t)
+    with mpmath.workdps(40):
+        for n in ns:
+            sup = max(1.0, abs(float(mpmath.jacobi(n, a, b, 1))),
+                      abs(float(mpmath.jacobi(n, a, b, -1))))
+            want = np.array([float(mpmath.jacobi(n, a, b, ti, zeroprec=1000)) for ti in t])
+            assert np.max(np.abs(P[n] - want)) <= 2e-12 * sup, n
 
 
 def poch(a: Fraction, n: int) -> Fraction:

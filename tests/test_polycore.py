@@ -220,7 +220,7 @@ def test_kappa_params_derived_values():
     assert abs(kph.c_kappa - want) < 1e-12 * want
     # a_kappa for d=2, kappa=1 is 1/(2 pi)
     assert abs(KappaParams(2, 1).a_kappa - 1 / (2 * math.pi)) < 1e-14
-    assert KappaParams(2, 0).c_kappa is None
+    assert KappaParams(2, 0).c_kappa == 1.0
     with pytest.raises(ValueError):
         KappaParams(1, 1)
     with pytest.raises(ValueError):

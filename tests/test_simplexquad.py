@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dunklsym import simplexquad
 from dunklsym.intertwine import AxisFunction, vk_axis, vk_d2_generic
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import (
@@ -96,6 +97,33 @@ def test_build_rule_node_layout():
         build_rule(1, 1.0, 8)
     with pytest.raises(ValueError):
         build_rule(3, -1.0, 8)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_kappa_zero_gives_the_vertex_rule(d):
+    # the kappa -> 0 limit of c_kappa (t_0...t_{d-1})^(kappa-1) dt: a unit
+    # mass at each vertex, whatever the order asked for
+    rule = build_rule(d, 0, 301)
+    assert rule.order == 301 and len(rule) == d
+    assert np.array_equal(rule.nodes, np.eye(d))
+    assert np.array_equal(rule.weights, np.ones(d))
+    assert rule.mass == d == KappaParams(d, 0).c_kappa * rule.mass
+    for alpha in multi_indices(d, 4):
+        got = integrate(rule, lambda t, a=alpha: np.prod(t ** np.array(a), axis=1))
+        want = d if sum(alpha) == 0 else int(max(alpha) == sum(alpha))
+        assert got == want, alpha
+
+
+def test_oversized_rule_is_refused_before_any_node(monkeypatch):
+    def no_nodes(*args):
+        raise AssertionError("nodes were computed for an oversized rule")
+
+    monkeypatch.setattr(simplexquad, "gauss_jacobi01", no_nodes)
+    for d, order in ((2, 4_000_001), (3, 2001), (4, 159), (5, 45)):
+        assert order ** (d - 1) > simplexquad.CHUNK_ELEMENTS
+        with pytest.raises(ValueError, match="nodes"):
+            build_rule(d, 1.0, order)
+        assert len(build_rule(d, 0.0, order)) == d  # the vertex rule has d nodes
 
 
 def test_mass_is_beta_for_d2():

@@ -122,7 +122,7 @@ def test_table_matches_reproducing_kernel(d, kappa, n_max, order):
     # simplex rule of higher order than the table's own polynomial_rule
     params = KappaParams(d, kappa)
     X = table_points(d)
-    rule = build_rule(d, float(kappa), order) if kappa else None
+    rule = build_rule(d, float(kappa), order)
     lam = float(params.lambda_kappa)
     for ell in range(1, d + 1):
         B = _axis_kernel_table(n_max, ell, params, X)
@@ -181,7 +181,7 @@ def test_batched_kernels_match_per_row(params):
     rng = np.random.default_rng(52)
     X = rng.normal(size=(7, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    rule = build_rule(3, params.kappa_float, 32) if params.kappa != 0 else None
+    rule = build_rule(3, params.kappa_float, 32)
     calls = {
         "cesaro": lambda x: cesaro_kernel_axis(9, 1.5, 2, x, params),
         "repro": lambda x: repro_kernel_axis(6, 3, x, params),
