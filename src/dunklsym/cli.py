@@ -13,6 +13,10 @@ the clock, the environment, or unseeded randomness.  Arguments are checked
 before the first byte is written.  Interrupted sweeps leave a valid file
 containing the completed rows only.
 
+The argument parser is built once per process and shared by every call of
+`main`, which parses into a fresh namespace each time; simplex rules are
+likewise built once per process (see simplexquad).
+
 Exit codes: 0 success, 1 a verification the run performs failed (an
 intertwining identity, a tolerance on pairwise deviations, a stability
 window, the self-check of a quadrature rule or basis), 2 usage or
@@ -22,6 +26,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -206,8 +211,9 @@ def _cmd_kernel(args) -> int:
         raise ValueError("--x must be nonzero; it is projected onto the sphere")
     x = x / norm
     delta = _merged(args, "delta", float)
-    config = RunConfig(command="kernel", d=d, kappa=str(params.kappa),
-                       ell=ell, quad_order=exact_order(n + 1))
+    # at kappa = 0 the rule is the vertex rule, whose order counts no nodes
+    config = RunConfig(command="kernel", d=d, kappa=str(params.kappa), ell=ell,
+                       quad_order=exact_order(n + 1) if params.kappa != 0 else None)
     extra = {"n": n, "x": [float(v) for v in x]}
     if delta is None:
         extra["kind"] = "projection"
@@ -450,6 +456,7 @@ def _add_common(p: argparse.ArgumentParser, *reads: str,
         p.add_argument("--seed", type=int, help="seed for sampled points")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dunklsym",

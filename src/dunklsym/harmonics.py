@@ -36,11 +36,12 @@ from .simplexquad import SelfCheckError
 
 def require_sphere_rule(d: int, kappa_hint=None) -> None:
     """ValueError unless build_sphere_rule has a rule for S^(d-1) at this
-    kappa: d in {2, 3, 4}, and at d = 4 no kappa with 2 kappa odd, whose
-    kinked weight would need a split rule that S^3 does not have."""
+    kappa: d in {2, 3, 4}, and at d = 4 only a kappa with 2 kappa even,
+    whose weight is a polynomial; any other weight is kinked and would need
+    a split rule that S^3 does not have."""
     if d not in (2, 3, 4):
         raise ValueError("only d in {2, 3, 4} is supported")
-    if d == 4 and _wants_kink_split(kappa_hint):
+    if d == 4 and kappa_hint is not None and Fraction(kappa_hint).denominator != 1:
         raise ValueError("d = 4 needs 2 kappa even: S^3 has no rule split "
                          "at the kinks of the weight")
 
@@ -158,8 +159,9 @@ def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
     kappa_hint only matters when it makes 2 kappa an odd integer, in which
     case the d = 2 and d = 3 rules subdivide along the kinks of the weight
     (see _sphere3_kink).  d = 4 has no split variant, and a flat product
-    rule integrates the kinked weight only to about 1e-2 (the Gram residual
-    of a d = 4, kappa = 1/2 basis), so that case is a ValueError."""
+    rule integrates a kinked weight only to about 1e-2 (the Gram residual
+    of a d = 4 basis at kappa 1/2 or 1/3), so at d = 4 any kappa with 2 kappa
+    not even is a ValueError."""
     if order < 4:
         raise ValueError("order must be >= 4")
     require_sphere_rule(d, kappa_hint)

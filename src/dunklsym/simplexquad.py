@@ -19,11 +19,18 @@ tends to a unit point mass at each vertex of T, so build_rule returns that
 limit: the d vertices with unit weights.  It is exact by construction and
 skips the moment battery.  build_rule also owns the node budget: a rule of
 more than CHUNK_ELEMENTS nodes is refused before any node is computed.
+
+Each distinct (d, kappa, order) rule, the vertex rule included, is built and
+validated once per process and shared by every later call: its nodes and
+weights are read-only.  Kept rules hold at most CHUNK_ELEMENTS node
+coordinates plus weights, the least recently used going first; a larger
+rule is returned but not kept.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -237,6 +244,14 @@ def tensor_grid(axes) -> tuple[np.ndarray, np.ndarray]:
             np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1))
 
 
+# (d, kappa, order) -> the rule build_rule made, least recently used first
+_RULES: OrderedDict[tuple[int, float, int], SimplexRule] = OrderedDict()
+
+
+def _elements(rule: SimplexRule) -> int:
+    return rule.nodes.size + rule.weights.size
+
+
 def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
     """Tensor Gauss-Jacobi rule on T^d for the Dirichlet weight.
 
@@ -244,19 +259,37 @@ def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
     is validated against closed-form moments up to degree min(6, 2*order - 1)
     before being returned; validation failure aborts construction.  kappa = 0
     gives the vertex rule (module docstring), whatever the order.  ValueError
-    for negative kappa, and for order^(d-1) > CHUNK_ELEMENTS nodes.
+    for negative kappa, and for order^(d-1) > CHUNK_ELEMENTS nodes.  Repeated
+    calls return the same read-only rule (module docstring).
     """
     if d < 2:
         raise ValueError("need d >= 2")
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     kappa = float(kappa)
+    if kappa != 0 and per_axis_order ** (d - 1) > CHUNK_ELEMENTS:
+        raise ValueError(f"a per-axis order {per_axis_order} simplex rule has over "
+                         f"{CHUNK_ELEMENTS} nodes at d = {d}")
+    key = (d, kappa, per_axis_order)
+    rule = _RULES.get(key)
+    if rule is not None:
+        _RULES.move_to_end(key)
+        return rule
+    rule = _new_rule(d, kappa, per_axis_order)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    if _elements(rule) <= CHUNK_ELEMENTS:
+        _RULES[key] = rule
+        while sum(map(_elements, _RULES.values())) > CHUNK_ELEMENTS:
+            _RULES.popitem(last=False)
+    return rule
+
+
+def _new_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
+    """The rule build_rule returns, built and validated."""
     if kappa == 0:
         return SimplexRule(d=d, kappa=0.0, order=per_axis_order,
                            nodes=np.eye(d), weights=np.ones(d))
-    if per_axis_order ** (d - 1) > CHUNK_ELEMENTS:
-        raise ValueError(f"a per-axis order {per_axis_order} simplex rule has over "
-                         f"{CHUNK_ELEMENTS} nodes at d = {d}")
     U, W = tensor_grid([
         gauss_jacobi01(per_axis_order, kappa - 1.0, (d - j) * kappa - 1.0)
         for j in range(1, d)

@@ -236,6 +236,7 @@ def test_oversized_or_non_finite_argument_is_refused_before_any_rule(monkeypatch
         raise AssertionError("a rule was built for a refused argument")
 
     # build_rule holds the node budget, so the patch sits one level below it
+    simplexquad._RULES.clear()  # no kept rule stands in for a built one
     monkeypatch.setattr(simplexquad, "gauss_jacobi01", no_rule)
     params = KappaParams(4, 1)
     big = np.array([300.0, -300.0, 0.0, 0.0])  # per-axis order 221: 221^3 nodes

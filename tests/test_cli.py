@@ -129,6 +129,34 @@ def test_failed_self_check_exits_one(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def test_parser_is_built_once_and_reused(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 2\nkappa = 1\nn = 2\nquad-order = 30\n", encoding="utf-8")
+    calls = [
+        ["hbasis", "--config", str(cfg)],
+        ["verify", "--d", "2", "--kappa", "1", "--max-degree", "2"],
+        ["kernel", "--d", "3", "--kappa", "1/2", "--n", "3", "--x", "0.6,0.8,0",
+         "--delta", "1.5"],
+        ["kernel", "--d", "3", "--kappa", "1", "--n", "2", "--tolerance", "1"],
+        ["bessel", "--d", "3", "--kappa", "1", "--y", "0.3,-0.2,0.5"],
+        ["hbasis", "--d", "2", "--kappa", "1", "--n", "2"],
+        ["lebesgue", "--d", "2", "--kappa", "1", "--delta", "1", "--n-max", "3"],
+        ["bounds", "--d", "2", "--kappa", "1", "--check", "knd", "--n", "8,16"],
+    ]
+    first = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        first.append(run_cli(argv))
+    assert [rc for rc, _, _ in first] == [0, 0, 0, 2, 0, 0, 0, 0]
+    assert "unrecognized arguments: --tolerance" in first[3][2]
+    # the config file's order does not outlive its call
+    assert json.loads(first[0][1])["quad_order"] == 30
+    assert json.loads(first[5][1])["quad_order"] == 24
+    cli._build_parser.cache_clear()
+    assert [run_cli(argv) for argv in calls] == first
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_hbasis_reads_config_file_with_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -361,6 +389,7 @@ def test_oversized_rule_is_usage_error_before_any_node(monkeypatch, argv):
     def no_nodes(*args):
         raise AssertionError("nodes were computed for an oversized rule")
 
+    simplexquad._RULES.clear()  # no kept rule stands in for a built one
     monkeypatch.setattr(simplexquad, "gauss_jacobi01", no_nodes)
     rc, out, err = run_cli(argv)
     assert rc == 2
@@ -375,6 +404,30 @@ def test_oversized_rule_is_usage_error_before_any_node(monkeypatch, argv):
 def test_kappa_zero_runs_on_the_vertex_rule_at_any_size(argv):
     rc, payload = run_json(argv)
     assert rc == 0
+    assert "quad_order" not in payload  # the vertex rule's order counts no nodes
+
+
+def test_bessel_validates_each_distinct_rule_once(monkeypatch):
+    built, validated = [], []
+    real_build, real_validate = intertwine.build_rule, simplexquad._validate_moments
+
+    def recording_build(d, kappa, order):
+        built.append((d, float(kappa), order))
+        return real_build(d, kappa, order)
+
+    def recording_validate(rule, degree):
+        validated.append((rule.d, rule.kappa, rule.order))
+        return real_validate(rule, degree)
+
+    simplexquad._RULES.clear()
+    monkeypatch.setattr(intertwine, "build_rule", recording_build)
+    monkeypatch.setattr(simplexquad, "_validate_moments", recording_validate)
+    rc, payload = run_json(["bessel", "--d", "3", "--kappa", "1", "--y", "0.4,0.1,-0.3"])
+    assert rc == 0
+    assert sorted(payload["paths"]) == ["coset", "direct", "recursive"]
+    # direct and coset share the rule for y; the recursion builds its own
+    assert len(built) > len(set(built))
+    assert sorted(validated) == sorted(set(built))
 
 
 def test_bessel_real_argument_is_real_valued():

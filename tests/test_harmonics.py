@@ -54,12 +54,14 @@ def test_sphere_rule_kink_split_handles_half_integer_kappa():
 
 
 def test_sphere_rule_refuses_half_integer_kappa_at_d4():
-    # S^3 has no split rule, and the flat one misses the kinked weight by
-    # about 1e-2 (a Gram residual), so 2 kappa odd is refused there
-    for kappa in (Fraction(1, 2), Fraction(3, 2)):
+    # S^3 has no split rule, and the flat one misses a kinked weight by
+    # about 1e-2 (a Gram residual: 1e-2 at kappa 1/2, 2.2e-2 at 1/3), so
+    # every kappa with 2 kappa not even is refused there
+    for kappa in (Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(5, 3),
+                  Fraction(5, 4), 0.3):
         with pytest.raises(ValueError, match="d = 4"):
             build_sphere_rule(4, 8, kappa_hint=kappa)
-    for kappa in (None, 0, 1, Fraction(1, 3)):
+    for kappa in (None, 0, 1, 2):
         assert len(build_sphere_rule(4, 8, kappa_hint=kappa)) > 0
 
 

@@ -118,12 +118,62 @@ def test_oversized_rule_is_refused_before_any_node(monkeypatch):
     def no_nodes(*args):
         raise AssertionError("nodes were computed for an oversized rule")
 
+    simplexquad._RULES.clear()  # no kept rule stands in for a built one
     monkeypatch.setattr(simplexquad, "gauss_jacobi01", no_nodes)
     for d, order in ((2, 4_000_001), (3, 2001), (4, 159), (5, 45)):
         assert order ** (d - 1) > simplexquad.CHUNK_ELEMENTS
         with pytest.raises(ValueError, match="nodes"):
             build_rule(d, 1.0, order)
         assert len(build_rule(d, 0.0, order)) == d  # the vertex rule has d nodes
+
+
+@pytest.mark.parametrize("d, kappa", [(3, 1), (4, 0.5), (3, 0)])
+def test_rule_is_built_once_and_read_only(d, kappa):
+    rule = build_rule(d, kappa, 6)
+    assert build_rule(d, float(kappa), 6) is rule
+    assert build_rule(d, kappa, 7) is not rule
+    for array in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+
+
+def test_oversized_rule_is_refused_with_a_warm_cache(monkeypatch):
+    kept = [build_rule(d, 1.0, 8) for d in (2, 3, 4, 5)]
+
+    def no_nodes(*args):
+        raise AssertionError("nodes were computed")
+
+    monkeypatch.setattr(simplexquad, "gauss_jacobi01", no_nodes)
+    for d, order in ((2, 4_000_001), (3, 2001), (4, 159), (5, 45)):
+        with pytest.raises(ValueError, match="nodes"):
+            build_rule(d, 1.0, order)
+    # the kept rules come back without a node being computed
+    assert all(build_rule(d, 1.0, 8) is rule for d, rule in zip((2, 3, 4, 5), kept))
+
+
+def test_kept_rules_stay_within_the_element_budget():
+    def held():
+        return sum(r.nodes.size + r.weights.size for r in simplexquad._RULES.values())
+
+    simplexquad._RULES.clear()
+    # d = 3 at order m has m^2 nodes of 3 coordinates and a weight: 4 m^2
+    # elements, so orders 600, 700 and 800 hold 1.44, 1.96 and 2.56 million
+    small, middle = build_rule(3, 1.0, 600), build_rule(3, 1.0, 700)
+    assert build_rule(3, 1.0, 600) is small  # now the most recently used
+    large = build_rule(3, 1.0, 800)
+    # 5.96 million would exceed the budget: the least recently used goes
+    assert list(simplexquad._RULES) == [(3, 1.0, 600), (3, 1.0, 800)]
+    assert held() == simplexquad.CHUNK_ELEMENTS
+    assert build_rule(3, 1.0, 800) is large
+    assert build_rule(3, 1.0, 700) is not middle  # built anew
+    assert held() <= simplexquad.CHUNK_ELEMENTS
+    # a rule over the budget on its own (1100^2 nodes) is returned, not kept
+    before = list(simplexquad._RULES)
+    assert len(build_rule(3, 1.0, 1100)) == 1100 ** 2
+    assert list(simplexquad._RULES) == before
+    simplexquad._RULES.clear()
 
 
 def test_mass_is_beta_for_d2():
