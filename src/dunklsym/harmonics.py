@@ -3,19 +3,25 @@ h-harmonic spaces as exact Dunkl-Laplacian nullspaces, and reproducing
 kernels at coordinate vectors.
 
 The weight prod |x_i - x_j|^(2 kappa) is polynomial exactly when 2 kappa is
-an even integer; for odd 2 kappa it has absolute-value kinks across every
-plane x_i = x_j.  build_sphere_rule therefore carries a kappa hint: when the
-hint makes 2 kappa odd, the d = 2 rule splits the circle at the two kink
-angles and the d = 3 rule splits the polar interval at every latitude where
-the kink circles x_i = x_j appear, vanish, or cross each other, and then
-splits each latitude circle at the azimuths the kink curves pass through.
-Piecewise the integrand is analytic and per-arc Gauss nodes converge
-spectrally; a flat product rule would be stuck near order^(-2).
+an even integer; otherwise it has kinks, |.|^(2 kappa) singularities, across
+every plane x_i = x_j.  build_sphere_rule therefore carries a kappa hint:
+when 2 kappa is not an even integer, the d = 2 rule splits the circle at the
+two kink angles and the d = 3 rule splits the polar interval at every
+latitude where the kink circles x_i = x_j appear, vanish, or cross each
+other, and then splits each latitude circle at the azimuths the kink curves
+pass through.  For odd 2 kappa the integrand is analytic up to the ends of
+each arc and per-arc Gauss nodes converge spectrally; for fractional 2 kappa
+the arc ends keep an algebraic singularity that slows them, but far less
+than it slows a flat product rule, which would be stuck near order^(-2).
 
 Basis construction is exact where exactness is cheap: the Laplacian matrix
-and its nullspace are rational, so the dimension count is a hard check, and
-only the final orthonormalization uses floating point (then snapped back to
-exact dyadic rationals so the basis stays exactly annihilated).
+and its nullspace are rational (a fraction-free elimination on integers), so
+the dimension count is a hard check, and only the final orthonormalization
+uses floating point (then applied exactly, as dyadic rationals, to the
+nullspace in one integer product per coefficient, so the basis stays
+exactly annihilated).  Monomial values come from running-product power
+tables with no pow call, and Gram matrices are summed over node chunks whose
+temporaries stay within simplexquad.CHUNK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -25,13 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import roots_jacobi
 
 from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
 from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_laplacian
-from .simplexquad import SelfCheckError
+from .simplexquad import SelfCheckError, chunk_slices
 
 
 def require_sphere_rule(d: int, kappa_hint=None) -> None:
@@ -66,7 +71,7 @@ def _wants_kink_split(kappa_hint) -> bool:
     if kappa_hint is None:
         return False
     two_kappa = 2 * Fraction(kappa_hint)
-    return two_kappa.denominator == 1 and two_kappa.numerator % 2 == 1
+    return two_kappa.denominator != 1 or two_kappa.numerator % 2 == 1
 
 
 def _gauss_on(a: float, b: float, x: np.ndarray, w: np.ndarray):
@@ -156,12 +161,15 @@ def _sphere4_plain(order: int) -> SphereRule:
 def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
     """Surface-measure quadrature on S^(d-1), d in {2, 3, 4}.
 
-    kappa_hint only matters when it makes 2 kappa an odd integer, in which
+    kappa_hint only matters when 2 kappa is not an even integer, in which
     case the d = 2 and d = 3 rules subdivide along the kinks of the weight
-    (see _sphere3_kink).  d = 4 has no split variant, and a flat product
-    rule integrates a kinked weight only to about 1e-2 (the Gram residual
-    of a d = 4 basis at kappa 1/2 or 1/3), so at d = 4 any kappa with 2 kappa
-    not even is a ValueError."""
+    (see _sphere3_kink).  With the split, a_kappa int h^2 - 1 is about 1e-5
+    (d = 2, order 24) and 1e-6 (d = 3, order 48) at kappa 1/3, whose
+    |.|^(2/3) arc endpoints Gauss-Legendre panels do not absorb, and below
+    1e-8 at kappa 1/2, 5/4 and 5/3.  d = 4 has no split variant, and a flat
+    product rule integrates a kinked weight only to about 1e-2 (the Gram
+    residual of a d = 4 basis at kappa 1/2 or 1/3), so at d = 4 any kappa
+    with 2 kappa not even is a ValueError."""
     if order < 4:
         raise ValueError("order must be >= 4")
     require_sphere_rule(d, kappa_hint)
@@ -223,32 +231,93 @@ def harmonic_dim(n: int, d: int) -> int:
 
 
 def _monomial_values(nodes: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """x^alpha, shape (n_nodes, n_monomials): a power table per coordinate,
-    gathered and multiplied in coordinate order, so bit for bit the values
-    of np.prod(nodes[:, None, :] ** exps[None, :, :], axis=2)."""
-    powers = nodes[:, :, None] ** np.arange(exps.max(initial=0) + 1)
-    out = powers[:, 0, exps[:, 0]]
+    """x^alpha, shape (n_monomials, n_nodes), with no pow call.
+
+    Each coordinate's powers are a running product along a node-contiguous
+    row, x^j = x^(j-1) x.  From the cube on, the product is carried as an
+    unevaluated sum hi + lo, each step's rounding error taken exactly by
+    Dekker's product (Numer. Math. 18 (1971)), so every power is within one
+    rounding of the exact one, as a libm pow is.  The factors are gathered
+    and multiplied in coordinate order: a value carries at most one rounding
+    per factor of exponent >= 2 and one per product of factors."""
+    coords = np.ascontiguousarray(nodes.T)
+    top = exps.max(initial=0)
+    powers = np.empty((coords.shape[0], top + 1, coords.shape[1]))
+    powers[:, 0] = 1.0
+    if top >= 1:
+        powers[:, 1] = coords
+    if top >= 2:
+        powers[:, 2] = coords * coords
+    if top >= 3:
+        xh, xl = _split(coords)
+        hi, lo = powers[:, 2], _product_error(coords, coords, powers[:, 2], xh, xl)
+        for j in range(3, top + 1):
+            p = hi * coords
+            lo = lo * coords + _product_error(hi, coords, p, xh, xl)
+            hi = p + lo
+            lo -= hi - p
+            powers[:, j] = hi
+    out = powers[0, exps[:, 0]]
     for k in range(1, exps.shape[1]):
-        out = out * powers[:, k, exps[:, k]]
+        out *= powers[k, exps[:, k]]
     return out
 
 
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    big = a * 134217729.0  # 2^27 + 1
+    hi = big - (big - a)
+    return hi, a - hi
+
+
+def _product_error(a, b, p, bh, bl):
+    """a b - p exactly, for p = fl(a b) and b split as bh + bl."""
+    ah, al = _split(a)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _laplacian_matrix(n: int, params: KappaParams) -> list[list[int]]:
+    """The integer matrix of q^2 Delta_kappa (kappa = p/q) from the degree-n
+    monomials (columns, in compositions order) to the degree n - 2 ones."""
+    lower = {e: i for i, e in enumerate(compositions(params.d, n - 2))}
+    monos = list(compositions(params.d, n))
+    rows = [[0] * len(monos) for _ in lower]
+    for col, e in enumerate(monos):
+        for mono, coef in scaled_laplacian({e: 1}, params).items():
+            rows[lower[mono]][col] = coef
+    return rows
+
+
 def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis of an integer matrix by exact rational row reduction."""
+    """Nullspace basis of an integer matrix, one vector per free column, in
+    reduced row echelon form.
+
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22 (1968)): with p the
+    pivot and prev the pivot before it, every other row becomes
+    (p row_i - row_i[c] row_r) // prev, and the division is exact.  After
+    each step every row is p times the row rational Gauss-Jordan holds, so
+    the pivot order is the same and each entry of the result is one
+    quotient, -row[free] / row[pivot]."""
     rows = [row[:] for row in rows]
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(rows[r][c])
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            elif p != prev:
+                rows[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -258,9 +327,38 @@ def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][free]
+            v[pc] = Fraction(-rows[ri][free], rows[ri][pc])
         basis.append(v)
     return basis
+
+
+def _inverse_lower(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower triangular L with nonzero diagonal, by forward
+    substitution; the result is exactly lower triangular."""
+    inv = np.zeros_like(L)
+    for i in range(len(L)):
+        inv[i] = -(L[i, :i] @ inv[:i])
+        inv[i, i] += 1.0
+        inv[i] /= L[i, i]
+    return inv
+
+
+def _exact_mix(mix: np.ndarray, null: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of mix @ null in exact arithmetic, mix read as the dyadic
+    rationals its floats are: each mix row is written as integers over one
+    power of two and the nullspace as integers over one denominator, so each
+    coefficient is one integer dot product and one Fraction."""
+    den = math.lcm(*(v.denominator for row in null for v in row))
+    cols = list(zip(*([v.numerator * (den // v.denominator) for v in row] for row in null)))
+    exact = []
+    for mrow in mix:
+        ratios = [float(v).as_integer_ratio() for v in mrow]
+        scale = math.lcm(*(q for _, q in ratios))
+        ints = [a * (scale // q) for a, q in ratios]
+        terms = [(j, a) for j, a in enumerate(ints) if a]
+        exact.append(tuple(Fraction(sum(a * col[j] for j, a in terms), scale * den)
+                           for col in cols))
+    return tuple(exact)
 
 
 @dataclass(frozen=True)
@@ -291,7 +389,7 @@ class HarmonicBasis:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.d:
             raise ValueError(f"points must have {self.d} coordinates")
-        return self.coefficients @ _monomial_values(pts, np.asarray(self.exponents)).T
+        return self.coefficients @ _monomial_values(pts, np.asarray(self.exponents))
 
     def basis(self) -> list[Polynomial]:
         return [Polynomial(self.d, dict(zip(self.exponents, row)))
@@ -316,12 +414,7 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     if n < 2:
         null = [[Fraction(i == j) for j in range(len(monos))] for i in range(len(monos))]
     else:
-        lower = {e: i for i, e in enumerate(compositions(d, n - 2))}
-        rows = [[0] * len(monos) for _ in lower]
-        for col, e in enumerate(monos):
-            for mono, coef in scaled_laplacian({e: 1}, params).items():
-                rows[lower[mono]][col] = coef
-        null = _rational_nullspace(rows, len(monos))
+        null = _rational_nullspace(_laplacian_matrix(n, params), len(monos))
     expected = harmonic_dim(n, d)
     if len(null) != expected:
         raise SelfCheckError(
@@ -330,11 +423,17 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
 
     exps = np.asarray(monos)
     raw = np.array([[float(c) for c in row] for row in null])
+    # per node: the power table, the monomials and one gathered factor, the
+    # basis values and their weighted copy
+    per_node = d * (n + 1) + 2 * len(monos) + 2 * len(null)
 
     def gram(coeffs: np.ndarray, rule: SphereRule) -> np.ndarray:
-        vals = coeffs @ _monomial_values(rule.nodes, exps).T
         wh2 = rule.weights * hweight(rule.nodes, params) ** 2
-        g = params.a_kappa * (vals * wh2) @ vals.T
+        a = params.a_kappa
+        g = np.zeros((len(coeffs), len(coeffs)))
+        for sl in chunk_slices(len(rule), per_node):
+            vals = coeffs @ _monomial_values(rule.nodes[sl], exps)
+            g += a * (vals * wh2[sl]) @ vals.T
         return (g + g.T) / 2
 
     G = gram(raw, sphere_rule)
@@ -343,14 +442,8 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     except np.linalg.LinAlgError as exc:
         raise SelfCheckError(
             "Gram matrix is not positive definite; raise the sphere order") from exc
-    mix = solve_triangular(L, np.eye(len(null)), lower=True)
-
     # exact dyadic mix applied to the exact nullspace: stays in the nullspace
-    mix_frac = [[Fraction(v) for v in row] for row in mix]
-    exact = tuple(
-        tuple(sum(mi * nv for mi, nv in zip(mrow, col)) for col in zip(*null))
-        for mrow in mix_frac
-    )
+    exact = _exact_mix(_inverse_lower(L), null)
     coeffs = np.array([[float(c) for c in row] for row in exact])
 
     check_rule = build_sphere_rule(d, 2 * sphere_rule.order, kappa_hint=params.kappa)

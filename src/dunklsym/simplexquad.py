@@ -36,6 +36,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
+# roots_jacobi imports scipy.linalg on its first call (~40 ms); every command
+# builds a Gauss-Jacobi rule, so that import belongs to start-up, not to the
+# first operation
+import scipy.linalg  # noqa: F401
 from scipy.special import roots_jacobi
 
 

@@ -2,13 +2,24 @@
 as exact nullspaces, and the reproducing kernels at coordinate vectors."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklsym.harmonics import (
     HarmonicBasis,
+    _exact_mix,
+    _inverse_lower,
+    _laplacian_matrix,
+    _monomial_values,
+    _rational_nullspace,
     build_sphere_rule,
     harmonic_dim,
     hharmonic_basis,
@@ -19,7 +30,7 @@ from dunklsym.harmonics import (
     surface_area,
 )
 from dunklsym.orthopoly import zn_eval
-from dunklsym.polycore import KappaParams, Polynomial, dunkl_laplacian
+from dunklsym.polycore import KappaParams, Polynomial, compositions, dunkl_laplacian
 
 
 def test_surface_area_values():
@@ -235,13 +246,142 @@ def test_basis_evaluate_shapes():
 
 
 @pytest.mark.parametrize("d, n, kappa", [(3, 6, Fraction(1, 2)), (4, 2, 1), (2, 4, 1)])
-def test_basis_evaluate_is_bit_identical_to_power_grid(d, n, kappa):
-    # reference: the (node, monomial, coordinate) pow grid evaluate used before
-    # the per-coordinate power table; both multiply in coordinate order
+def test_basis_evaluate_matches_exact_monomials(d, n, kappa):
+    # reference: each monomial in exact rational arithmetic at the float
+    # nodes.  The table rounds each power of exponent >= 2 once (up to a
+    # double-double residue) and each product of factors once: with r such
+    # roundings a value is within gamma_r = r u' / (1 - r u') of exact,
+    # u' = 2^-53 (1 + 2^-40)
     kp = KappaParams(d, kappa)
     basis = hharmonic_basis(n, kp, build_sphere_rule(d, 24, kappa_hint=kappa))
     exps = np.asarray(basis.exponents)
+    u = Fraction(1, 2 ** 53) * (1 + Fraction(1, 2 ** 40))
+    roundings = [sum(a >= 2 for a in alpha) + max(0, sum(a >= 1 for a in alpha) - 1)
+                 for alpha in exps]
+    gammas = [r * u / (1 - r * u) for r in roundings]
     for order in (24, 48):
-        pts = build_sphere_rule(d, order, kappa_hint=kappa).nodes
-        mono = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
-        assert np.array_equal(basis.evaluate(pts), basis.coefficients @ mono.T)
+        nodes = build_sphere_rule(d, order, kappa_hint=kappa).nodes
+        pts = nodes[:: max(1, len(nodes) // 60)]
+        exact = [[math.prod(Fraction(float(x)) ** int(a) for x, a in zip(pt, alpha))
+                  for pt in pts] for alpha in exps]
+        table = _monomial_values(pts, exps)
+        for row, exact_row, gamma in zip(table, exact, gammas):
+            for v, e in zip(row, exact_row):
+                assert abs(Fraction(float(v)) - e) <= gamma * abs(e)
+        # evaluate against the coefficients applied to the once-rounded
+        # monomials: the table's error plus one rounding, and two matrix
+        # products of len(exps) terms
+        rounded = np.array([[float(e) for e in row] for row in exact])
+        scale = np.abs(basis.coefficients) @ np.abs(rounded)
+        tol = 1.01 * float(max(gammas) + 2 * u + 2 * len(exps) * u) * scale
+        got = basis.evaluate(pts)
+        assert np.all(np.abs(got - basis.coefficients @ rounded) <= tol)
+
+
+def test_sphere_rule_kink_split_handles_fractional_kappa():
+    # 2 kappa not an integer: the split rule still takes the kinks, though
+    # Gauss-Legendre panels do not absorb the |.|^(2/3) arc ends at kappa 1/3
+    for d, order in ((2, 24), (3, 48)):
+        for kappa, tol in ((Fraction(1, 3), 2e-5), (Fraction(5, 4), 1e-8),
+                           (Fraction(5, 3), 1e-8)):
+            kp = KappaParams(d, kappa)
+            rule = build_sphere_rule(d, order, kappa_hint=kappa)
+            mass = kp.a_kappa * float(rule.weights @ hweight(rule.nodes, kp) ** 2)
+            assert abs(mass - 1) <= tol, (d, kappa)
+
+
+def gauss_jordan_nullspace(rows, ncols):
+    """Reference: the nullspace by rational Gauss-Jordan on Fractions."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [v / inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -rows[ri][free]
+        basis.append(v)
+    return basis
+
+
+def fraction_mix(mix, null):
+    """Reference: mix @ null as sums of Fraction products."""
+    return tuple(tuple(sum(Fraction(m) * v for m, v in zip(mrow, col)) for col in zip(*null))
+                 for mrow in mix)
+
+
+@pytest.mark.parametrize("d, n, kappa", [
+    (2, 8, Fraction(1, 3)), (2, 7, 2), (3, 8, Fraction(1, 2)), (3, 7, Fraction(5, 3)),
+    (3, 6, 2), (4, 4, Fraction(1, 3)), (4, 5, Fraction(1, 2)), (4, 3, 2),
+])
+def test_fraction_free_nullspace_is_the_rational_one(d, n, kappa):
+    rows = _laplacian_matrix(n, KappaParams(d, kappa))
+    ncols = len(list(compositions(d, n)))
+    got = _rational_nullspace(rows, ncols)
+    assert len(got) == harmonic_dim(n, d)
+    assert got == gauss_jordan_nullspace(rows, ncols)
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+MIX_NULLSPACES = [
+    _rational_nullspace(_laplacian_matrix(n, KappaParams(d, kappa)), len(list(compositions(d, n))))
+    for d, n, kappa in ((2, 5, Fraction(1, 3)), (3, 4, Fraction(1, 2)), (4, 3, Fraction(5, 3)))]
+
+
+@st.composite
+def mix_and_nullspace(draw):
+    null = draw(st.sampled_from(MIX_NULLSPACES))
+    dim = len(null)
+    entries = draw(st.lists(st.floats(-1e8, 1e8), min_size=dim * (dim + 1) // 2,
+                            max_size=dim * (dim + 1) // 2))
+    mix = np.zeros((dim, dim))
+    mix[np.tril_indices(dim)] = entries
+    return mix, null
+
+
+@settings(max_examples=30, deadline=None)
+@given(mix_and_nullspace())
+def test_integer_mix_is_the_fraction_mix(case):
+    mix, null = case
+    got = _exact_mix(mix, null)
+    assert got == fraction_mix(mix, null)
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+def test_inverse_lower_is_lower_triangular_inverse():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(9, 30))
+    L = np.linalg.cholesky(a @ a.T)
+    inv = _inverse_lower(L)
+    assert np.array_equal(inv, np.tril(inv))
+    assert np.max(np.abs(inv @ L - np.eye(9))) <= 1e-13
+
+
+def test_first_rules_import_no_scipy_module():
+    # roots_jacobi imports scipy.linalg on its first call; the package
+    # imports it up front, so a process's first rules pay no import time
+    code = ("import sys, dunklsym; before = set(sys.modules); "
+            "dunklsym.build_sphere_rule(4, 8); dunklsym.build_rule(3, 0.5, 6); "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('scipy')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
