@@ -250,10 +250,10 @@ def _monomial_values(nodes: np.ndarray, exps: np.ndarray) -> np.ndarray:
         powers[:, 2] = coords * coords
     if top >= 3:
         xh, xl = _split(coords)
-        hi, lo = powers[:, 2], _product_error(coords, coords, powers[:, 2], xh, xl)
+        hi, lo = powers[:, 2], _product_error(coords, powers[:, 2], xh, xl)
         for j in range(3, top + 1):
             p = hi * coords
-            lo = lo * coords + _product_error(hi, coords, p, xh, xl)
+            lo = lo * coords + _product_error(hi, p, xh, xl)
             hi = p + lo
             lo -= hi - p
             powers[:, j] = hi
@@ -270,7 +270,7 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _product_error(a, b, p, bh, bl):
+def _product_error(a, p, bh, bl):
     """a b - p exactly, for p = fl(a b) and b split as bh + bl."""
     ah, al = _split(a)
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
