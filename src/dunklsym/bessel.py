@@ -15,10 +15,12 @@ exponential_order derives from half the range of the argument's entries
 quadrature error stays below 2^-53 of the value for every argument; a
 non-finite argument is refused before any rule is built, and simplexquad.
 build_rule refuses a rule of more than CHUNK_ELEMENTS nodes before computing
-any.  At kappa = 0 that rule is the vertex rule, whatever the argument: the
-simplex routes then give the exponential and its orbit average exactly, with
-no branch of their own.  Only the recursion refuses kappa = 0, because its
-radial Beta weight needs kappa > 0.  J_nu is scipy's jv.
+any (at d = 2, one whose order^2 Jacobi matrix is larger).  At kappa = 0
+that rule is the vertex rule, whatever the argument: the simplex routes then
+give the exponential and its orbit average exactly, with no branch of their
+own.  Only the recursion refuses kappa = 0, because its radial Beta weight
+needs kappa > 0.  J_nu is computed here from its power series, Miller's
+backward recurrence and the Hankel expansion (classical_bessel_j).
 
 Two constant conventions circulate for the d = 2 closed form.  This module
 adopts the one with unit limit as the argument product z = (x_1-x_2)(y_1-y_2)
@@ -35,7 +37,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import jv
 
 from .intertwine import AxisFunction, exponential_rule, vk_axis
 from .polycore import KappaParams
@@ -91,17 +92,102 @@ def bessel_k(params: KappaParams, y, path: str = "direct", ell: int = 1,
 
 
 def classical_bessel_j(nu: float, z: float) -> float:
-    """J_nu(z) for nu >= -1/2, by scipy.special.jv; a negative z needs an
-    integer order.  Against 40-digit mpmath, for nu <= 20 and z <= 400, jv
-    stays within 1e-12 of the amplitude sqrt(2/(pi z)), where a float64
-    series or Poisson integral cancels (z/2)^(nu+1/2) and loses every digit."""
+    """J_nu(z) for nu >= -1/2; a negative z needs an integer order, and gets
+    the parity (-1)^nu.  For x = |z|:
+
+    - x^2 < 4(nu + 1): the power series, whose terms shrink from the first
+      on, so it loses at most a digit to cancellation;
+    - x > max(50, 2 nu^2): the Hankel expansion, its terms below 1/4 of the
+      one before from the start, with cos(x - phi) formed as cos x cos phi +
+      sin x sin phi, phi = (nu/2 + 1/4) pi, since x - phi loses the digits
+      of a large x;
+    - otherwise Miller's backward recurrence (_miller).
+
+    Against 40-digit mpmath, for nu <= 60 and 0 < z <= 1e7, the value stays
+    within 3e-14 of max(|J|, sqrt(2/(pi z))); a float64 series or Poisson
+    integral cancels (z/2)^(nu+1/2) there and loses every digit."""
     nu = float(nu)
     if nu < -0.5:
         raise ValueError("order must be >= -1/2")
     z = float(z)
     if z < 0 and nu != int(nu):
         raise ValueError("negative argument requires an integer order")
-    return float(jv(nu, z))
+    x = abs(z)
+    if x == 0:
+        return 1.0 if nu == 0 else (0.0 if nu > 0 else math.inf)
+    if not math.isfinite(x):
+        return 0.0 if x == math.inf else math.nan
+    if x * x < 4 * (nu + 1):
+        value = _bessel_series(nu, x)
+    elif x > max(50.0, 2 * nu * nu):
+        value = _bessel_hankel(nu, x)
+    else:
+        value = _miller(nu, x)
+    return -value if z < 0 and int(nu) % 2 else value
+
+
+def _bessel_series(nu: float, x: float) -> float:
+    """sum_k (-x^2/4)^k / (k! Gamma(nu + k + 1)) times (x/2)^nu, the
+    leading factor through logarithms where it would overflow."""
+    q = -x * x / 4
+    term = total = 1.0
+    k = 0
+    while abs(term) > 1e-17 * abs(total):
+        k += 1
+        term *= q / (k * (nu + k))
+        total += term
+    try:
+        return total * ((x / 2) ** nu / math.gamma(nu + 1))
+    except OverflowError:
+        return math.copysign(
+            math.exp(math.log(abs(total)) + nu * math.log(x / 2) - math.lgamma(nu + 1)), total)
+
+
+def _bessel_hankel(nu: float, x: float) -> float:
+    """sqrt(2/(pi x)) (P cos(x - phi) - Q sin(x - phi)), P and Q the even and
+    odd terms of the asymptotic series in 1/(8x), with alternating signs."""
+    mu = 4 * nu * nu
+    sums = [1.0, 0.0]  # P, Q
+    term, k = 1.0, 0
+    while abs(term) > 1e-17:
+        k += 1
+        term *= (mu - (2 * k - 1) ** 2) / (8 * k * x) * (-1 if k % 2 == 0 else 1)
+        sums[k % 2] += term
+    phi = (nu / 2 + 0.25) * math.pi
+    c, s, cp, sp = math.cos(x), math.sin(x), math.cos(phi), math.sin(phi)
+    return math.sqrt(2 / (math.pi * x)) * (sums[0] * (c * cp + s * sp)
+                                            - sums[1] * (s * cp - c * sp))
+
+
+def _miller(nu: float, x: float) -> float:
+    """J_nu(x) by the backward recurrence J_(mu-1) = (2 mu / x) J_mu - J_(mu+1)
+    on the orders nu0 + n, nu0 = nu - floor(nu) (nu itself below 1), from
+    n = floor(nu) + x + 12 x^(1/3) + 30 down to 0, rescaled past 1e250, then
+    normalized by (x/2)^nu0 = sum_k c_k J_(nu0+2k)(x), c_0 = Gamma(nu0 + 1),
+    c_k = (nu0 + 2k) Gamma(nu0 + k) / k!.  At nu0 < 1 the c_k grow at most
+    like k, so neither they nor the sum overflow whatever nu is."""
+    m = max(0, math.floor(nu))
+    nu0 = nu - m
+    top = m + int(x + 12 * x ** (1 / 3) + 30)
+    c = [1.0]  # c_k / Gamma(nu0 + 1)
+    g = 1.0  # (nu0 + 1)_(k-1) / k!
+    for k in range(1, top // 2 + 1):
+        c.append((nu0 + 2 * k) * g)
+        g *= (nu0 + k) / (k + 1)
+    after, cur = 0.0, 1.0
+    total = at = 0.0
+    for n in range(top, 0, -1):
+        if n == m:
+            at = cur
+        if n % 2 == 0:
+            total += c[n // 2] * cur
+        after, cur = cur, 2 * (nu0 + n) / x * cur - after
+        if abs(cur) > 1e250:
+            after, cur, total, at = after * 1e-250, cur * 1e-250, total * 1e-250, at * 1e-250
+    if m == 0:
+        at = cur
+    total += cur
+    return at / total * (x / 2) ** nu0 / math.gamma(nu0 + 1)
 
 
 # ---------------------------------------------------------------------------

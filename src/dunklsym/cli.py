@@ -260,14 +260,21 @@ def _cmd_bessel(args) -> int:
     config = RunConfig(command="bessel", d=d, kappa=str(params.kappa),
                        quad_order=order, tolerance=tolerance)
     values: dict[str, complex] = {}
-    for name in wanted:
-        if name == "closed":
-            values[name] = bessel_k2_closed(params.kappa_float,
-                                            np.array([1.0, 0.0]), y)
-        elif name == "recursive":
-            values[name] = bessel_recursive(params, y, imaginary=imaginary)
-        else:
-            values[name] = bessel_k(params, y, path=name, imaginary=imaginary)
+    try:
+        for name in wanted:
+            if name == "closed":
+                values[name] = bessel_k2_closed(params.kappa_float,
+                                                np.array([1.0, 0.0]), y)
+            elif name == "recursive":
+                values[name] = bessel_recursive(params, y, imaginary=imaginary)
+            else:
+                values[name] = bessel_k(params, y, path=name, imaginary=imaginary)
+    except ValueError as exc:
+        # y is checked, so a rule route that could take the closed form failed
+        # on the size of its rule, refused before any node
+        if name == "closed" or "closed" in refusals:
+            raise
+        raise ValueError(f"{exc}; --path closed builds no rule") from exc
 
     names = sorted(values)
     deviations = {}

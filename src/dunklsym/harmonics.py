@@ -31,12 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
 from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_laplacian
-from .simplexquad import SelfCheckError, chunk_slices
+from .simplexquad import SelfCheckError, chunk_slices, gauss_jacobi
 
 
 def require_sphere_rule(d: int, kappa_hint=None) -> None:
@@ -82,7 +81,7 @@ def _circle_rule(order: int, split: bool) -> SphereRule:
     n = max(2 * order, 8)
     if split:
         # kinks of |x_1 - x_2| sit where cos = sin
-        x, w = np.polynomial.legendre.leggauss(max(order, 4))
+        x, w = gauss_jacobi(max(order, 4), 0, 0)
         th, wt = [], []
         for a, b in ((math.pi / 4, 5 * math.pi / 4), (5 * math.pi / 4, 9 * math.pi / 4)):
             t, ww = _gauss_on(a, b, x, w)
@@ -98,7 +97,7 @@ def _circle_rule(order: int, split: bool) -> SphereRule:
 
 
 def _sphere3_plain(order: int) -> SphereRule:
-    u, wu = np.polynomial.legendre.leggauss(order)
+    u, wu = gauss_jacobi(order, 0, 0)
     nphi = 2 * order
     phi = 2 * math.pi * np.arange(nphi) / nphi
     U, PH = np.meshgrid(u, phi, indexing="ij")
@@ -119,36 +118,32 @@ def _sphere3_kink(order: int) -> SphereRule:
     each other at the diagonal points, |sin psi| = 1/sqrt(3); both latitudes
     are panel boundaries so that within a panel the number and smooth
     dependence of the azimuth cuts never changes."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = gauss_jacobi(order, 0, 0)
     psi3 = math.asin(1 / math.sqrt(3))
     bounds = [-math.pi / 2, -math.pi / 4, -psi3, psi3, math.pi / 4, math.pi / 2]
-    nodes, weights = [], []
+    arcs = []  # (start, end, cos psi, sin psi, latitude weight times cos psi)
     for a, b in zip(bounds[:-1], bounds[1:]):
         psi, wpsi = _gauss_on(a, b, gx, gw)
         for ps, wp in zip(psi, wpsi):
             u = math.sin(ps)
             s = math.cos(ps)
-            cuts = [math.pi / 4, 5 * math.pi / 4]
+            cuts = {math.pi / 4, 5 * math.pi / 4}
             if abs(u) < s:
                 ac = math.acos(u / s)
                 an = math.asin(u / s)
-                cuts += [ac, 2 * math.pi - ac, an % (2 * math.pi),
-                         (math.pi - an) % (2 * math.pi)]
-            cuts = np.sort(np.unique(np.mod(cuts, 2 * math.pi)))
-            cuts = np.concatenate([cuts, [cuts[0] + 2 * math.pi]])
-            for c0, c1 in zip(cuts[:-1], cuts[1:]):
-                if c1 - c0 < 1e-14:
-                    continue
-                phi, wphi = _gauss_on(c0, c1, gx, gw)
-                nodes.append(np.stack(
-                    [s * np.cos(phi), s * np.sin(phi), np.full_like(phi, u)], axis=-1))
-                weights.append(wp * s * wphi)
-    return SphereRule(d=3, order=order,
-                      nodes=np.concatenate(nodes), weights=np.concatenate(weights))
+                cuts |= {ac, 2 * math.pi - ac, an % (2 * math.pi), (math.pi - an) % (2 * math.pi)}
+            cuts = sorted({c % (2 * math.pi) for c in cuts})
+            arcs += [(c0, c1, s, u, wp * s)
+                     for c0, c1 in zip(cuts, cuts[1:] + [cuts[0] + 2 * math.pi])
+                     if c1 - c0 >= 1e-14]
+    c0, c1, s, u, ws = (np.array(col)[:, None] for col in zip(*arcs))
+    phi, wphi = _gauss_on(c0, c1, gx, gw)
+    nodes = np.stack([s * np.cos(phi), s * np.sin(phi), np.broadcast_to(u, phi.shape)], axis=-1)
+    return SphereRule(d=3, order=order, nodes=nodes.reshape(-1, 3), weights=(ws * wphi).ravel())
 
 
 def _sphere4_plain(order: int) -> SphereRule:
-    u, wu = roots_jacobi(order, 0.5, 0.5)  # weight (1-u^2)^(1/2) on [-1, 1]
+    u, wu = gauss_jacobi(order, 0.5, 0.5)  # weight (1-u^2)^(1/2) on [-1, 1]
     inner = _sphere3_plain(order)
     s = np.sqrt(1 - u**2)
     nodes = np.concatenate(

@@ -32,11 +32,10 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_dunkl
 from .simplexquad import (SimplexRule, build_rule, chunk_slices, exact_order, exponential_order,
-                          integrate, require_rule, tensor_grid)
+                          gauss_jacobi, integrate, require_rule, tensor_grid)
 
 Z2D_ORDER = 48  # per-axis Gauss-Jacobi order of vk_z2d's tensor rule
 
@@ -239,7 +238,7 @@ def vk_z2d(f, x, kappas) -> float:
         if k == 0:
             axes.append((np.array([1.0]), np.array([1.0])))
         else:
-            t, w = roots_jacobi(Z2D_ORDER, k - 1.0, k - 1.0)
+            t, w = gauss_jacobi(Z2D_ORDER, k - 1.0, k - 1.0)
             w = w * (1 + t)
             axes.append((t, w / w.sum()))
     T, W = tensor_grid(axes)
@@ -271,7 +270,7 @@ def vk_sphere_average(f, x, params: KappaParams, sphere_rule) -> tuple[float, fl
     h2 = hweight(sphere_rule.nodes, params) ** 2
     lhs = params.a_kappa * float(np.dot(sphere_rule.weights, sphere_vals * h2))
 
-    t, w = roots_jacobi(64, lam - 0.5, lam - 0.5)
+    t, w = gauss_jacobi(64, lam - 0.5, lam - 0.5)
     b_lam = math.exp(math.lgamma(lam + 1) - 0.5 * math.log(math.pi) - math.lgamma(lam + 0.5))
     rhs = b_lam * float(np.dot(w, np.asarray(f(abs(r) * t), dtype=float)))
     return lhs, rhs

@@ -30,17 +30,14 @@ rule is returned but not kept.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
-# roots_jacobi imports scipy.linalg on its first call (~40 ms); every command
-# builds a Gauss-Jacobi rule, so that import belongs to start-up, not to the
-# first operation
-import scipy.linalg  # noqa: F401
-from scipy.special import roots_jacobi
+
+from .orthopoly import JacobiParams, jacobi_rows
 
 
 def dirichlet_moment(d: int, kappa: float, alpha) -> float:
@@ -92,17 +89,50 @@ def dirichlet_moment_exact(d: int, kappa: Fraction, alpha) -> tuple[Fraction, in
 def gauss_jacobi01(order: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule on [0,1] for the weight u^p (1-u)^q, exponents > -1.
 
-    When p + q = -1, scipy divides by zero in a np.where branch it then
-    discards; the warning is silenced here and the returned rule checked
-    instead."""
+    On [-1, 1], u = (1 + x) / 2, this is the Jacobi weight (1-x)^a (1+x)^b
+    with (a, b) = (q, p).  The nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix (Golub and Welsch, Math. Comp. 23 (1969)), its
+    first off-diagonal entry written as its limit, since the general formula
+    is 0/0 at a + b = -1.  One Newton step on P_m, with P_m and P_(m-1) from
+    orthopoly.jacobi_rows, refines them; u and 1 - u are formed from 1 + x
+    and 1 - x, which are exact near their endpoint, and the step, so both
+    keep their relative accuracy there.  The weights are 1/((1-x^2) P_m'^2),
+    P_m' carried to the refined node by P_m'' from the Jacobi differential
+    equation, scaled to the exact mass B(p+1, q+1).  ValueError for
+    order^2 > CHUNK_ELEMENTS, before the order x order matrix exists."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x, w = roots_jacobi(order, q, p)  # scipy weight: (1-x)^q (1+x)^p on [-1,1]
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-        raise ValueError(f"Gauss-Jacobi rule of order {order} for exponents "
-                         f"({p}, {q}) is not finite")
-    return (x + 1) / 2, w * 0.5 ** (p + q + 1)
+    if order * order > CHUNK_ELEMENTS:
+        raise ValueError(f"a Gauss-Jacobi rule of order {order} needs a Jacobi matrix of "
+                         f"over {CHUNK_ELEMENTS} elements")
+    jp = JacobiParams(float(q), float(p))
+    a, b, m = jp.alpha, jp.beta, order
+    n = np.arange(1.0, m)
+    s = 2 * n + a + b
+    off = np.empty(m - 1)  # squared off-diagonal entries, rows n - 1 and n
+    off[:1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+    off[1:] = 4 * n[1:] * (n[1:] + a) * (n[1:] + b) * (n[1:] + a + b) / (
+        s[1:] ** 2 * (s[1:] + 1) * (s[1:] - 1))
+    jac = np.zeros((m, m))
+    jac.flat[::m + 1] = np.concatenate([[(b - a) / (a + b + 2)], (b * b - a * a) / (s * (s + 2))])
+    jac.flat[1::m + 1] = np.sqrt(off)
+    x = np.linalg.eigvalsh(jac, UPLO="U")
+    prev, cur = deque(jacobi_rows(m, jp, x), maxlen=2)
+    c = 2 * m + a + b
+    dp = (m * (a - b - c * x) * cur + 2 * (m + a) * (m + b) * prev) / (c * (1 - x) * (1 + x))
+    dx = cur / dp  # the refined node is x - dx
+    ddp = -((b - a - (a + b + 2) * x) * dp + m * (m + a + b + 1) * cur) / ((1 - x) * (1 + x))
+    lo, hi = (1 + x - dx) / 2, (1 - x + dx) / 2  # u and 1 - u
+    w = 1 / (lo * hi * (dp - dx * ddp) ** 2)
+    mass = math.exp(math.lgamma(p + 1) + math.lgamma(q + 1) - math.lgamma(p + q + 2))
+    return np.where(x < 0, lo, 1 - hi), w * (mass / w.sum())
+
+
+def gauss_jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule on [-1, 1] for the weight (1-x)^alpha (1+x)^beta:
+    gauss_jacobi01's rule moved by x = 2u - 1."""
+    u, w = gauss_jacobi01(order, beta, alpha)
+    return 2 * u - 1, w * 2.0 ** (alpha + beta + 1)
 
 
 def exact_order(degree: int) -> int:
@@ -209,17 +239,31 @@ class MomentValidationError(SelfCheckError):
     """A constructed rule failed the Dirichlet-moment battery."""
 
 
+def _reference_moments(rule: SimplexRule, seqs) -> np.ndarray:
+    """dirichlet_moment for each sorted coordinate sequence of seqs, a depth
+    first walk in which every sequence comes after its prefix: from
+    M(0) = rule.mass, M(alpha + e_i) = M(alpha) (kappa + alpha_i) /
+    (d kappa + |alpha|), the ratio of the Gamma products."""
+    d, kappa = rule.d, rule.kappa
+    ref = np.empty(len(seqs))
+    chain = [rule.mass] * (max(map(len, seqs), default=0) + 1)  # along the current path
+    for j, s in enumerate(seqs):
+        if s:
+            chain[len(s)] = (chain[len(s) - 1] * (kappa + s.count(s[-1]) - 1)
+                             / (d * kappa + len(s) - 1))
+        ref[j] = chain[len(s)]
+    return ref
+
+
 def _validate_moments(rule: SimplexRule, max_total_degree: int, rtol: float = 1e-10):
-    """Compare sum_k w_k t_k^alpha, over the rule's own nodes, with
-    dirichlet_moment for every |alpha| <= degree.  A monomial is a sorted
-    sequence s of coordinates; sorting the sequences walks them depth first,
-    each after its prefix s[:-1], so row len(s) of `path`, w t^s on a block of
-    nodes, is the prefix's row times t_{s[-1]}.  A block has CHUNK_ELEMENTS //
-    (number of monomials) nodes."""
-    d = rule.d
+    """Compare sum_k w_k t_k^alpha, over the rule's own nodes, with the
+    Dirichlet moment (_reference_moments) for every |alpha| <= degree.  A
+    monomial is a sorted sequence s of coordinates; sorting the sequences
+    walks them depth first, each after its prefix s[:-1], so row len(s) of
+    `path`, w t^s on a block of nodes, is the prefix's row times t_{s[-1]}.
+    A block has CHUNK_ELEMENTS // (number of monomials) nodes."""
     seqs = sorted(s for m in range(max_total_degree + 1)
-                  for s in combinations_with_replacement(range(d), m))
-    alphas = [tuple(s.count(i) for i in range(d)) for s in seqs]
+                  for s in combinations_with_replacement(range(rule.d), m))
     got = np.zeros(len(seqs))
     for sl in chunk_slices(len(rule), len(seqs)):
         T = np.ascontiguousarray(rule.nodes[sl].T)
@@ -229,13 +273,14 @@ def _validate_moments(rule: SimplexRule, max_total_degree: int, rtol: float = 1e
             if s:
                 np.multiply(path[len(s) - 1], T[s[-1]], out=path[len(s)])
             got[j] += path[len(s)].sum()
-    ref = np.array([dirichlet_moment(d, rule.kappa, alpha) for alpha in alphas])
+    ref = _reference_moments(rule, seqs)
     err = np.abs(got - ref) / ref
     worst = int(np.argmax(err))  # the first NaN, if any
     if not err[worst] <= rtol:
+        alpha = tuple(seqs[worst].count(i) for i in range(rule.d))
         raise MomentValidationError(
-            f"moment validation failed at alpha={alphas[worst]}: rel err {err[worst]:.3e} "
-            f"(d={d}, kappa={rule.kappa}, order={rule.order})"
+            f"moment validation failed at alpha={alpha}: rel err {err[worst]:.3e} "
+            f"(d={rule.d}, kappa={rule.kappa}, order={rule.order})"
         )
 
 

@@ -1,14 +1,19 @@
 """Command-line interface: exit codes, output formats, determinism.
 
-Every invocation goes through cli.main(argv) in-process.  Output is
-captured with redirect_stdout/redirect_stderr rather than capsys so the
-tests behave the same whether or not pytest's capture is active.
+Every invocation goes through cli.main(argv), in-process except for one
+fresh process in which scipy cannot be imported.  Output is captured with
+redirect_stdout/redirect_stderr rather than capsys so the tests behave the
+same whether or not pytest's capture is active.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +402,23 @@ def test_oversized_rule_is_usage_error_before_any_node(monkeypatch, argv):
     assert "nodes" in err
 
 
+def test_oversized_d2_bessel_rule_is_refused_before_any_node(monkeypatch):
+    # half-range 1e5 needs order 67 974; its Jacobi matrix alone is over the
+    # element budget, so gauss_jacobi01 refuses it before forming the matrix,
+    # and the closed form, which builds no rule, still runs
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("nodes were computed for an oversized rule")
+
+    simplexquad._RULES.clear()
+    monkeypatch.setattr(simplexquad.np.linalg, "eigvalsh", no_nodes)
+    argv = ["bessel", "--d", "2", "--kappa", "1/2", "--y=1e5,-1e5"]
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "")
+    assert "Jacobi matrix" in err and "--path closed" in err
+    rc, payload = run_json(argv + ["--path", "closed"])
+    assert rc == 0 and list(payload["paths"]) == ["closed"]
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "--d", "4", "--kappa", "0", "--n", "400", "--x", "0.6,0.8,0,0"],
     ["bessel", "--d", "4", "--kappa", "0", "--y=1e7,-1e7,0,0"],
@@ -714,3 +736,37 @@ def test_config_key_the_subcommand_lacks_is_usage_error(tmp_path, command, line)
     assert rc == 2
     assert out == ""
     assert "config key" in err
+
+
+def test_commands_run_with_scipy_unimportable():
+    # the package's own Gauss-Jacobi rule and Bessel J stand in for scipy's:
+    # with every scipy import refused, each subcommand still exits 0
+    argvs = [
+        ["bessel", "--d", "2", "--kappa", "1/2", "--y", "0.3,-0.4", "--path", "all"],
+        ["bessel", "--d", "3", "--kappa", "1", "--y", "0.4,0.1,-0.3", "--path", "all"],
+        ["kernel", "--d", "2", "--kappa", "1", "--n", "3", "--x", "0.6,0.8", "--delta", "1.5"],
+        ["hbasis", "--d", "3", "--kappa", "1/2", "--n", "2"],
+        ["hbasis", "--d", "4", "--kappa", "1", "--n", "2"],
+        ["lebesgue", "--d", "3", "--kappa", "1/2", "--n-max", "4", "--delta", "1"],
+        ["verify", "--d", "3", "--kappa", "1", "--max-degree", "4"],
+        ["bounds", "--d", "3", "--kappa", "1", "--check", "knd"],
+    ]
+    code = f"""
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is not available")
+
+sys.meta_path.insert(0, RefuseScipy())
+from dunklsym import cli
+codes = [cli.main(argv) for argv in {argvs!r}]
+print("exit codes", codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == f"exit codes {[0] * len(argvs)} []", out.stderr

@@ -2,11 +2,7 @@
 as exact nullspaces, and the reproducing kernels at coordinate vectors."""
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +12,12 @@ from hypothesis import strategies as st
 from dunklsym.harmonics import (
     HarmonicBasis,
     _exact_mix,
+    _gauss_on,
     _inverse_lower,
     _laplacian_matrix,
     _monomial_values,
     _rational_nullspace,
+    _sphere3_kink,
     build_sphere_rule,
     harmonic_dim,
     hharmonic_basis,
@@ -31,6 +29,7 @@ from dunklsym.harmonics import (
 )
 from dunklsym.orthopoly import zn_eval
 from dunklsym.polycore import KappaParams, Polynomial, compositions, dunkl_laplacian
+from dunklsym.simplexquad import gauss_jacobi
 
 
 def test_surface_area_values():
@@ -62,6 +61,40 @@ def test_sphere_rule_kink_split_handles_half_integer_kappa():
         quad = float(rule.weights @ hweight(rule.nodes, kp) ** 2)
         closed = 1.0 / kp.a_kappa
         assert abs(quad - closed) <= 1e-8 * closed
+
+
+def kink_rule_per_arc(order):
+    """The d = 3 split rule built one latitude and one arc at a time."""
+    gx, gw = gauss_jacobi(order, 0, 0)
+    psi3 = math.asin(1 / math.sqrt(3))
+    bounds = [-math.pi / 2, -math.pi / 4, -psi3, psi3, math.pi / 4, math.pi / 2]
+    nodes, weights = [], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        psi, wpsi = _gauss_on(a, b, gx, gw)
+        for ps, wp in zip(psi, wpsi):
+            u, s = math.sin(ps), math.cos(ps)
+            cuts = [math.pi / 4, 5 * math.pi / 4]
+            if abs(u) < s:
+                ac, an = math.acos(u / s), math.asin(u / s)
+                cuts += [ac, 2 * math.pi - ac, an % (2 * math.pi), (math.pi - an) % (2 * math.pi)]
+            cuts = np.sort(np.unique(np.mod(cuts, 2 * math.pi)))
+            cuts = np.concatenate([cuts, [cuts[0] + 2 * math.pi]])
+            for c0, c1 in zip(cuts[:-1], cuts[1:]):
+                if c1 - c0 < 1e-14:
+                    continue
+                phi, wphi = _gauss_on(c0, c1, gx, gw)
+                nodes.append(np.stack(
+                    [s * np.cos(phi), s * np.sin(phi), np.full_like(phi, u)], axis=-1))
+                weights.append(wp * s * wphi)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("order", [4, 5, 24, 48])
+def test_kink_rule_is_the_per_arc_loop(order):
+    rule = _sphere3_kink(order)
+    nodes, weights = kink_rule_per_arc(order)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
 
 
 def test_sphere_rule_refuses_half_integer_kappa_at_d4():
@@ -372,16 +405,3 @@ def test_inverse_lower_is_lower_triangular_inverse():
     assert np.array_equal(inv, np.tril(inv))
     assert np.max(np.abs(inv @ L - np.eye(9))) <= 1e-13
 
-
-def test_first_rules_import_no_scipy_module():
-    # roots_jacobi imports scipy.linalg on its first call; the package
-    # imports it up front, so a process's first rules pay no import time
-    code = ("import sys, dunklsym; before = set(sys.modules); "
-            "dunklsym.build_sphere_rule(4, 8); dunklsym.build_rule(3, 0.5, 6); "
-            "print(sorted(m for m in set(sys.modules) - before if m.startswith('scipy')))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,8 +17,10 @@ from dunklsym import simplexquad
 from dunklsym.intertwine import AxisFunction, vk_axis, vk_d2_generic
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import (
+    CHUNK_ELEMENTS,
     MomentValidationError,
     SimplexRule,
+    _reference_moments,
     _validate_moments,
     build_rule,
     default_order,
@@ -83,6 +86,57 @@ def test_gauss_jacobi01_interval_rule():
     assert abs(w @ x - math.gamma(2.5) * math.gamma(2.5) / math.gamma(5.0)) < 1e-14
     with pytest.raises(ValueError):
         gauss_jacobi01(0, 0.0, 0.0)
+
+
+# (p, q) of u^p (1-u)^q as the package builds them: simplex axes
+# (kappa - 1, (d - j) kappa - 1) at kappa 1/2, 1 and 1/3, Legendre panels of
+# the sphere rules, the S^3 polar weight, and a Z_2^d axis at kappa 1/2
+GJ_PAIRS = [(-0.5, -0.5), (-0.5, 0.0), (0.0, 0.0), (0.0, 1.0), (0.5, 0.5), (-2 / 3, -1 / 3)]
+
+
+@pytest.mark.parametrize("p, q", GJ_PAIRS, ids=str)
+def test_gauss_jacobi01_against_mpmath(p, q):
+    # 40-digit mpmath rules (Jacobi (q, p) on [-1, 1], moved to [0, 1]) at
+    # every order to 12 and at 20, 33 and 64; nodes next to u = 0 to 1e-12
+    # of u, the others to an ulp, and every weight to 1e-12 of itself
+    for order in [*range(1, 13), 20, 33, 64]:
+        with mpmath.workdps(40):
+            x, w = mpmath.gauss_quadrature(order, "jacobi", q, p)
+            scale = mpmath.mpf(2) ** (p + q + 1)
+            want_u = np.array([float((xi + 1) / 2) for xi in x])
+            want_w = np.array([float(wi / scale) for wi in w])
+        ranks = np.argsort(want_u)
+        want_u, want_w = want_u[ranks], want_w[ranks]
+        u, w = gauss_jacobi01(order, p, q)
+        assert np.all(np.abs(u - want_u) <= np.maximum(1e-12 * want_u, 2.3e-16)), order
+        assert np.all(np.abs(w - want_w) <= 1e-12 * want_w), order
+
+
+def test_gauss_jacobi01_endpoint_integral():
+    # int_0^1 u^(-1/2) e^(-45 u) du = sqrt(pi/45) erf(sqrt(45)): the
+    # integrand sits next to u = 0, where the weights need relative accuracy
+    with mpmath.workdps(40):
+        want = float(mpmath.sqrt(mpmath.pi / 45) * mpmath.erf(mpmath.sqrt(45)))
+    u, w = gauss_jacobi01(62, -0.5, 0.0)
+    assert abs(w @ np.exp(-45 * u) - want) <= 1e-13 * want
+
+
+def test_oversized_gauss_jacobi01_is_refused():
+    order = math.isqrt(CHUNK_ELEMENTS) + 1
+    with pytest.raises(ValueError, match="Jacobi matrix"):
+        gauss_jacobi01(order, 0.0, 0.0)
+    with pytest.raises(ValueError, match="exceed -1"):
+        gauss_jacobi01(4, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_reference_moments_match_dirichlet_moment(d):
+    seqs = sorted(s for m in range(7)
+                  for s in itertools.combinations_with_replacement(range(d), m))
+    for kappa in (1 / 3, 0.5, 1.0, 5 / 3, 2.5):
+        ref = _reference_moments(build_rule(d, kappa, 4), seqs)
+        want = [dirichlet_moment(d, kappa, [s.count(i) for i in range(d)]) for s in seqs]
+        assert np.allclose(ref, want, rtol=1e-14, atol=0), (d, kappa)
 
 
 def test_build_rule_node_layout():
@@ -276,8 +330,8 @@ def test_exact_order_is_tight(d, kappa, degree):
 
 @pytest.mark.parametrize("d, kappa, order", [(4, 0.25, 6), (5, 0.2, 4)])
 def test_axis_exponents_summing_to_minus_one(d, kappa, order):
-    # the last tensor axis has weight u^(kappa-1) (1-u)^(-kappa), where scipy's
-    # roots_jacobi divides by zero in a branch it discards
+    # the last tensor axis has weight u^(kappa-1) (1-u)^(-kappa), whose Jacobi
+    # matrix has a 0/0 first off-diagonal entry in the general formula
     _validate_moments(build_rule(d, kappa, order), 2 * order - 1)
 
 
