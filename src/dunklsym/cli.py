@@ -290,7 +290,8 @@ def _cmd_bessel(args) -> int:
     payload["pairwise_deviations"] = deviations
     payload["max_deviation"] = worst
     _emit_json(payload, _merged(args, "out", str))
-    return 0 if worst <= tolerance else 1
+    scale = max(1.0, max(abs(v) for v in values.values()))
+    return 0 if worst <= tolerance * scale else 1
 
 
 def _cmd_lebesgue(args) -> int:
@@ -447,17 +448,18 @@ def _params(args, d: int) -> KappaParams:
 
 
 def _add_common(p: argparse.ArgumentParser, *reads: str,
-                quad_order: str | None = None) -> None:
+                quad_order: str | None = None, tolerance: str | None = None) -> None:
     """Flags of every subcommand plus those of `reads`: ignored flags are
     refused.  quad_order, when given, adds --quad-order with that help text:
-    which rule the order is of, and the subcommand's default."""
+    which rule the order is of, and the subcommand's default; tolerance
+    likewise adds --tolerance: what it bounds, and its default."""
     p.add_argument("--config", help="key=value config file; flags take precedence")
     p.add_argument("--d", type=int, help="number of variables")
     p.add_argument("--kappa", help="multiplicity: 'p/q' exact or decimal")
     if quad_order is not None:
         p.add_argument("--quad-order", type=int, dest="quad_order", help=quad_order)
-    if "tolerance" in reads:
-        p.add_argument("--tolerance", type=float, help="verification tolerance")
+    if tolerance is not None:
+        p.add_argument("--tolerance", type=float, help=tolerance)
     p.add_argument("--out", help="output path (.csv or .json); default stdout")
     if "seed" in reads:
         p.add_argument("--seed", type=int, help="seed for sampled points")
@@ -479,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check monomials up to this degree (default 6)")
 
     p = sub.add_parser("hbasis", help="orthonormal h-harmonic basis as JSON")
-    _add_common(p, "tolerance",
+    _add_common(p, tolerance="largest entry of |G - I| (default 1e-8)",
                 quad_order="sphere-rule order (default max(24, 2n + 12))")
     p.add_argument("--n", type=int, help="homogeneity degree")
 
@@ -492,7 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Cesaro order; omit for the degree-n projection kernel")
 
     p = sub.add_parser("bessel", help="generalized Bessel function, all routes")
-    _add_common(p, "tolerance")
+    _add_common(p, tolerance="largest pairwise route deviation, relative to "
+                             "max(1, max |value|) (default 1e-9)")
     p.add_argument("--y", help="comma-separated argument vector")
     p.add_argument("--path", choices=["direct", "closed", "recursive", "coset", "all"],
                    help="which route(s) to evaluate (default all)")

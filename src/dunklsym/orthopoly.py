@@ -92,15 +92,24 @@ def divided_difference_rows(n_max: int, jp: JacobiParams, z: np.ndarray):
     Opitz's formula gives [z] f = f(Z)[N, 0] for the lower bidiagonal Z with
     z on the diagonal and ones below it, so the three-term recurrence runs
     on the columns P_m(Z) e_0 and multiplying by t becomes multiplying by Z.
-    Repeated points need no special case."""
-    prev = cur = np.zeros_like(z)
-    cur[:, 0] = 1.0
-    yield cur[:, -1]
+    Repeated points need no special case.  The columns live in four
+    contiguous (N + 1, count) buffers, updated in place and rotated, so a
+    step allocates nothing but the copy of the row it yields."""
+    zt = np.ascontiguousarray(z.T)
+    prev, cur, zv, new = (np.zeros_like(zt) for _ in range(4))
+    cur[0] = 1.0
+    yield cur[-1].copy()
     for c1, c2, c3, c4 in _recurrence(n_max, jp):
-        zv = z * cur
-        zv[:, 1:] += cur[:, :-1]
-        prev, cur = cur, (c2 * cur + c3 * zv - c4 * prev) / c1
-        yield cur[:, -1]
+        np.multiply(zt, cur, out=zv)  # Z P_m(Z) e_0
+        zv[1:] += cur[:-1]
+        np.multiply(cur, c2, out=new)
+        zv *= c3
+        new += zv
+        prev *= c4
+        new -= prev
+        new /= c1
+        prev, cur, new = cur, new, prev
+        yield cur[-1].copy()
 
 
 def jacobi_all(n_max: int, jp: JacobiParams, t, dtype=float) -> np.ndarray:
@@ -189,17 +198,29 @@ def kernel_normalizer(n_max: int, jp: JacobiParams) -> np.ndarray:
     return out
 
 
-def cesaro_weights(n: int, delta) -> np.ndarray:
-    """Binomial Cesaro weights binom(n-k+delta, n-k)/binom(n+delta, n), k <= n.
-
-    All weights are positive for delta > -1, so plain log-gamma suffices."""
-    d = _as_delta(delta)
+def _log_binomials(n_max: int, d: float) -> np.ndarray:
+    """log binom(m + d, m) for m = 0, ..., n_max."""
 
     def lbinom(x, k):
         return math.lgamma(x + 1) - math.lgamma(k + 1) - math.lgamma(x - k + 1)
 
-    top = lbinom(n + d, n)
-    return np.exp([lbinom(n - k + d, n - k) - top for k in range(n + 1)])
+    return np.array([lbinom(m + d, m) for m in range(n_max + 1)])
+
+
+def cesaro_weights(n: int, delta) -> np.ndarray:
+    """Binomial Cesaro weights binom(n-k+delta, n-k)/binom(n+delta, n), k <= n.
+
+    All weights are positive for delta > -1, so plain log-gamma suffices."""
+    L = _log_binomials(n, _as_delta(delta))
+    return np.exp(L[::-1] - L[n])
+
+
+def cesaro_weight_matrix(n_max: int, delta) -> np.ndarray:
+    """Lower-triangular W with row n equal to cesaro_weights(n, delta), for
+    n <= n_max, from one vector of log-binomials: W[n, k] = exp(L[n-k] - L[n])."""
+    L = _log_binomials(n_max, _as_delta(delta))
+    lag = np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
+    return np.tril(np.exp(L[np.maximum(lag, 0)] - L[:, None]))
 
 
 def cesaro_kernel_endpoint(n: int, jp: JacobiParams, delta, t):

@@ -13,14 +13,16 @@ report the fitted constants, whose stability under n-doubling is the check.
 Sweeps do not integrate the simplex once per sphere node and degree.  They
 build one table of degree-k projection kernels per sphere node, k <= n_max,
 and each delta is then one product of a lower-triangular Cesaro-weight
-matrix with that table.  For kappa = 0, and for integer kappa at d = 3
-and 4, the table is exact: V_kappa of a Jacobi polynomial at x is a
-confluent divided difference of a shifted Jacobi polynomial at the
-coordinates of x, which one three-term recurrence on short vectors gives
-for every degree at once.  Every other (d, kappa) integrates the Jacobi
-moments of <x, t> on polynomial_rule(params, n_max), exact for every degree
-k <= n_max.  lebesgue_constant, one degree through cesaro_kernel_axis, is
-the separate route the tests hold the sweep against.
+matrix with that table.  The sphere nodes stream through in chunks, each
+adding to one running sum per delta, so a sweep's memory is O(chunk *
+n_max) plus the sphere rule, never the whole table.  For kappa = 0, and
+for integer kappa at d = 3 and 4, the table is exact: V_kappa of a Jacobi
+polynomial at x is a confluent divided difference of a shifted Jacobi
+polynomial at the coordinates of x, which one three-term recurrence on
+short vectors gives for every degree at once.  Every other (d, kappa)
+integrates the Jacobi moments of <x, t> on polynomial_rule(params, n_max),
+exact for every degree k <= n_max.  lebesgue_constant, one degree through
+cesaro_kernel_axis, is the separate route the tests hold the sweep against.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .orthopoly import (
     CesaroOrder,
     JacobiParams,
     cesaro_kernel_endpoint,
-    cesaro_weights,
+    cesaro_weight_matrix,
     divided_difference_rows,
     jacobi_all,
     jacobi_eval,
@@ -143,21 +145,25 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
     return A
 
 
-def _sweep_values(params: KappaParams, deltas, n_max: int, ell: int,
-                  sphere_order: int) -> dict[float, np.ndarray]:
+def _sweep_values(params: KappaParams, weights: dict[float, np.ndarray], n_max: int,
+                  ell: int, sphere_order: int) -> dict[float, np.ndarray]:
     """I_n for n = 0..n_max and each delta, on one sphere rule.
 
-    Row n of the lower-triangular W holds cesaro_weights(n, delta), so W @ B
-    is every Cesaro kernel K_n^delta(x, e_ell) at once."""
+    weights maps each delta to its cesaro_weight_matrix W, so W @ B is every
+    Cesaro kernel K_n^delta(x, e_ell) at once.  The sphere nodes stream
+    through in chunks: each chunk builds its own table B and h^2 weights and
+    adds |W @ B| @ wh2 to one running sum per delta, so memory is
+    O(chunk * n_max) plus the sphere rule.  A chunk holds B, W @ B and its
+    absolute value within simplexquad.CHUNK_ELEMENTS; a rule of up to about
+    20 000 nodes at n_max = 64 is one chunk."""
     sphere = build_sphere_rule(params.d, sphere_order, kappa_hint=params.kappa)
-    B = _axis_kernel_table(n_max, ell, params, sphere.nodes)
-    wh2 = params.a_kappa * sphere.weights * hweight(sphere.nodes, params) ** 2
-    out: dict[float, np.ndarray] = {}
-    for delta in deltas:
-        W = np.zeros((n_max + 1, n_max + 1))
-        for n in range(n_max + 1):
-            W[n, : n + 1] = cesaro_weights(n, delta)
-        out[delta] = np.abs(W @ B) @ wh2
+    out = {delta: np.zeros(n_max + 1) for delta in weights}
+    for sl in chunk_slices(len(sphere), 3 * (n_max + 1)):
+        nodes = sphere.nodes[sl]
+        B = _axis_kernel_table(n_max, ell, params, nodes)
+        wh2 = params.a_kappa * sphere.weights[sl] * hweight(nodes, params) ** 2
+        for delta, W in weights.items():
+            out[delta] += np.abs(W @ B) @ wh2
     return out
 
 
@@ -219,8 +225,9 @@ def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,
     deltas = [float(x) for x in deltas]
     check_sweep(params, deltas, n_max, ell, sphere_order)
     order = sphere_order if sphere_order is not None else default_sphere_order(n_max)
-    main = _sweep_values(params, deltas, n_max, ell, order)
-    coarse = _sweep_values(params, deltas, n_max, ell, coarse_sphere_order(order))
+    weights = {delta: cesaro_weight_matrix(n_max, delta) for delta in deltas}
+    main = _sweep_values(params, weights, n_max, ell, order)
+    coarse = _sweep_values(params, weights, n_max, ell, coarse_sphere_order(order))
     records = []
     for delta in deltas:
         for n in range(1, n_max + 1):

@@ -304,6 +304,18 @@ def test_bessel_all_routes_d3_skips_closed():
     assert payload["max_deviation"] <= 1e-9
 
 
+def test_bessel_tolerance_is_relative_to_the_value():
+    # routes that agree to 2e-15 relative on a value of 1.2e7 deviate by
+    # 2e-8 absolute: that passes the default 1e-9, scaled by max(1, |value|)
+    argv = ["bessel", "--d", "3", "--kappa", "1/2", "--y=20,-10,5", "--argument", "real"]
+    rc, payload = run_json(argv)
+    assert rc == 0
+    value = max(abs(complex(*pair)) for pair in payload["paths"].values())
+    assert value > 1e7 and 1e-9 < payload["max_deviation"] <= 1e-9 * value
+    rc, payload = run_json(argv + ["--tolerance", "1e-30"])
+    assert rc == 1 and payload["max_deviation"] > 1e-30 * value
+
+
 def test_bessel_explicit_closed_needs_d2():
     rc, _, err = run_cli(
         ["bessel", "--d", "3", "--kappa", "1", "--y", "0.1,0.2,0.3",

@@ -15,7 +15,9 @@ from scipy.special import eval_gegenbauer, eval_jacobi, roots_jacobi
 from dunklsym.orthopoly import (
     CesaroOrder,
     JacobiParams,
+    _recurrence,
     cesaro_kernel_endpoint,
+    cesaro_weight_matrix,
     cesaro_weights,
     divided_difference_rows,
     gegenbauer_eval,
@@ -205,6 +207,30 @@ def test_cesaro_weights_identities():
     assert abs(avg - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
+def lgamma_loop_weights(n, delta):
+    """The per-degree log-gamma loop the Cesaro weights were first built by."""
+
+    def lbinom(x, k):
+        return math.lgamma(x + 1) - math.lgamma(k + 1) - math.lgamma(x - k + 1)
+
+    top = lbinom(n + delta, n)
+    return np.exp([lbinom(n - k + delta, n - k) - top for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 7, 64, 512])
+@pytest.mark.parametrize("delta", [0.0, 0.5, 1.37, 2.0, 7.5])
+def test_cesaro_weight_matrix_rows_are_the_lgamma_loop(n_max, delta):
+    # one log-binomial vector gives every row bit for bit, and the weights
+    # a sweep multiplies by are exactly those of cesaro_weights
+    W = cesaro_weight_matrix(n_max, delta)
+    assert W.shape == (n_max + 1, n_max + 1)
+    for n in range(n_max + 1):
+        want = lgamma_loop_weights(n, delta)
+        assert np.array_equal(W[n, : n + 1], want), n
+        assert np.array_equal(cesaro_weights(n, delta), want), n
+        assert not W[n, n + 1:].any()
+
+
 def test_cesaro_kernel_endpoint_examples():
     jp = JacobiParams(0.0, 0.0)
     assert abs(cesaro_kernel_endpoint(0, jp, 1.5, 0.3) - 1.0) < 1e-14
@@ -294,6 +320,31 @@ def test_divided_difference_rows_distinct_and_confluent_points(a, b):
     t = np.linspace(-1, 1, 9)
     one = np.stack(list(divided_difference_rows(n_max, jp, t[:, None])))
     np.testing.assert_allclose(one, jacobi_all(n_max, jp, t), rtol=1e-13, atol=1e-13)
+
+
+def strided_divided_difference_rows(n_max, jp, z):
+    """The recurrence on (count, N + 1) arrays with a fresh temporary per
+    step, as it was before the in-place buffers."""
+    prev = cur = np.zeros_like(z)
+    cur[:, 0] = 1.0
+    yield cur[:, -1]
+    for c1, c2, c3, c4 in _recurrence(n_max, jp):
+        zv = z * cur
+        zv[:, 1:] += cur[:, :-1]
+        prev, cur = cur, (c2 * cur + c3 * zv - c4 * prev) / c1
+        yield cur[:, -1]
+
+
+@pytest.mark.parametrize("a, N", [(0.0, 0), (-0.5, 3), (1.0, 4), (2.5, 8)])
+def test_divided_difference_rows_are_bit_identical_to_strided_loop(a, N):
+    jp = JacobiParams(a, a)
+    z = np.random.default_rng(17).uniform(-1, 1, size=(40, N + 1))
+    z[:, -1] = z[:, 0]  # a repeated point
+    rows = list(divided_difference_rows(30, jp, z))
+    want = np.stack(list(strided_divided_difference_rows(30, jp, z)))
+    assert np.array_equal(np.stack(rows), want)
+    # each yielded row is its own array, not a view of a reused buffer
+    assert all(row.base is None for row in rows)
 
 
 def test_szego_fit_stability():

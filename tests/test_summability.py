@@ -3,16 +3,25 @@ classification, and the envelope checks behind the kernel estimates."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dunklsym import simplexquad
-from dunklsym.harmonics import _zn_values, build_sphere_rule, repro_kernel_axis
+from dunklsym import simplexquad, summability
+from dunklsym.harmonics import _zn_values, build_sphere_rule, hweight, repro_kernel_axis
 from dunklsym.intertwine import AxisFunction, polynomial_rule, vk_axis
-from dunklsym.orthopoly import JacobiParams, cesaro_kernel_endpoint, jacobi_eval
+from dunklsym.orthopoly import (
+    JacobiParams,
+    cesaro_kernel_endpoint,
+    cesaro_weights,
+    jacobi_eval,
+)
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import build_rule
 from dunklsym.summability import (
@@ -160,6 +169,90 @@ def test_sweep_order_progress_and_rerun():
         [(d, n) for d in (2.0, 1.0) for n in range(1, 5)]
     again = lebesgue_sweep(KP31, [2.0, 1.0], 4, sphere_order=16)
     assert [r.value for r in again] == [r.value for r in records]
+
+
+def unstreamed_sweep(params, deltas, n_max, ell, order):
+    """(value, estimate) per (delta, n), from whole tables: every sphere
+    node's kernel row at once, as the sweep computed before it streamed."""
+
+    def values(sphere_order):
+        sphere = build_sphere_rule(params.d, sphere_order, kappa_hint=params.kappa)
+        B = _axis_kernel_table(n_max, ell, params, sphere.nodes)
+        wh2 = params.a_kappa * sphere.weights * hweight(sphere.nodes, params) ** 2
+        out = {}
+        for delta in deltas:
+            W = np.zeros((n_max + 1, n_max + 1))
+            for n in range(n_max + 1):
+                W[n, : n + 1] = cesaro_weights(n, delta)
+            out[delta] = np.abs(W @ B) @ wh2
+        return out
+
+    main = values(order)
+    coarse = values(summability.coarse_sphere_order(order))
+    return [(float(main[delta][n]), float(abs(main[delta][n] - coarse[delta][n])))
+            for delta in deltas for n in range(1, n_max + 1)]
+
+
+STREAM_CASES = [(KP31, 12, 24), (KappaParams(3, Fraction(1, 2)), 8, 24),
+                (KappaParams(4, 1), 6, 12)]
+STREAM_IDS = ["exact-3-1", "tensor-3-1/2", "exact-4-1"]
+
+
+@pytest.mark.parametrize("params, n_max, order", STREAM_CASES, ids=STREAM_IDS)
+def test_one_chunk_sweep_is_the_unstreamed_sweep(params, n_max, order):
+    sphere = build_sphere_rule(params.d, order, kappa_hint=params.kappa)
+    assert len(simplexquad.chunk_slices(len(sphere), 3 * (n_max + 1))) == 1
+    records = lebesgue_sweep(params, [1.0, 1.37, 2.5], n_max, sphere_order=order)
+    want = unstreamed_sweep(params, [1.0, 1.37, 2.5], n_max, 1, order)
+    assert [(r.value, r.quad_error_estimate) for r in records] == want
+
+
+@pytest.mark.parametrize("params, n_max, order", STREAM_CASES, ids=STREAM_IDS)
+def test_streamed_sweep_matches_the_unstreamed_sweep(params, n_max, order, monkeypatch):
+    # a chunk budget that splits the main sphere rule into at least three
+    # chunks; no table is ever built on more nodes than one chunk
+    want = unstreamed_sweep(params, [1.0, 2.5], n_max, 2, order)
+    sphere = build_sphere_rule(params.d, order, kappa_hint=params.kappa)
+    per_row = 3 * (n_max + 1)
+    monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", per_row * (len(sphere) // 3))
+    assert len(simplexquad.chunk_slices(len(sphere), per_row)) >= 3
+    seen = []
+
+    def table(n_max, ell, params, X):
+        seen.append(len(X))
+        return _axis_kernel_table(n_max, ell, params, X)
+
+    monkeypatch.setattr(summability, "_axis_kernel_table", table)
+    records = lebesgue_sweep(params, [1.0, 2.5], n_max, 2, sphere_order=order)
+    assert len(seen) >= 4 and max(seen) <= len(sphere) // 3
+    for rec, (value, estimate) in zip(records, want, strict=True):
+        assert abs(rec.value - value) <= 1e-14 * value
+        assert abs(rec.quad_error_estimate - estimate) <= 1e-14 * value
+
+
+def test_d4_sweep_memory_in_a_fresh_process():
+    # streamed sphere-node chunks: whole tables peaked at 214 MB.  Linux
+    # carries the parent's peak into the child's ru_maxrss across fork and
+    # exec, so there the child reads the peak of its own address space.
+    code = """
+import resource, sys
+from dunklsym import KappaParams, lebesgue_sweep
+lebesgue_sweep(KappaParams(4, 1), [4.0], 32)
+try:
+    with open("/proc/self/status") as status:
+        kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    print(kib / 1024)
+except (OSError, StopIteration):
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes or KiB
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 2**20)
+"""
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert float(out.stdout.split()[-1]) < 120, out.stdout
 
 
 @pytest.mark.parametrize("params, deltas, n_max, ell, order", [
