@@ -34,7 +34,7 @@ import numpy as np
 
 from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
-from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_laplacian
+from .polycore import KappaParams, Monomial, Polynomial, compositions, laplacian_sums
 from .simplexquad import SelfCheckError, chunk_slices, gauss_jacobi
 
 
@@ -273,14 +273,16 @@ def _product_error(a, p, bh, bl):
 
 def _laplacian_matrix(n: int, params: KappaParams) -> list[list[int]]:
     """The integer matrix of q^2 Delta_kappa (kappa = p/q) from the degree-n
-    monomials (columns, in compositions order) to the degree n - 2 ones."""
-    lower = {e: i for i, e in enumerate(compositions(params.d, n - 2))}
-    monos = list(compositions(params.d, n))
-    rows = [[0] * len(monos) for _ in lower]
-    for col, e in enumerate(monos):
-        for mono, coef in scaled_laplacian({e: 1}, params).items():
-            rows[lower[mono]][col] = coef
-    return rows
+    monomials (columns, in compositions order) to the degree n - 2 ones, in
+    one laplacian_sums call with group = column."""
+    monos, lower = compositions(params.d, n), compositions(params.d, n - 2)
+    cols, exps, coefs = laplacian_sums(monos, np.ones(len(monos), dtype=np.int64),
+                                       np.arange(len(monos)), params)
+    weight = (n + 1) ** np.arange(params.d - 1, -1, -1)
+    rows = np.searchsorted(lower @ weight, exps @ weight)
+    matrix = np.zeros((len(lower), len(monos)), dtype=coefs.dtype)
+    matrix[rows, cols] = coefs
+    return matrix.tolist()
 
 
 def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
@@ -405,7 +407,8 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     if sphere_rule.d != params.d:
         raise ValueError("sphere rule dimension does not match params")
     d = params.d
-    monos = list(compositions(d, n))
+    exps = compositions(d, n)
+    monos = tuple(map(tuple, exps.tolist()))
     if n < 2:
         null = [[Fraction(i == j) for j in range(len(monos))] for i in range(len(monos))]
     else:
@@ -416,7 +419,6 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
             f"nullspace dimension {len(null)} != {expected} for n={n}, d={d}, "
             f"kappa={params.kappa}; the Laplacian assembly is wrong")
 
-    exps = np.asarray(monos)
     raw = np.array([[float(c) for c in row] for row in null])
     # per node: the power table, the monomials and one gathered factor, the
     # basis values and their weighted copy
@@ -445,7 +447,7 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     G2 = gram(coeffs, check_rule)
     residual = float(np.max(np.abs(G2 - np.eye(len(null)))))
     return HarmonicBasis(
-        n=n, d=d, kappa=params.kappa, exponents=tuple(monos), coefficients=coeffs,
+        n=n, d=d, kappa=params.kappa, exponents=monos, coefficients=coeffs,
         exact_coefficients=exact, gram_residual=residual,
         gram_cond=float(np.linalg.cond(G)),
     )

@@ -33,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .polycore import KappaParams, Monomial, Polynomial, compositions, scaled_dunkl
+from . import simplexquad
+from .polycore import KappaParams, Polynomial, compositions, dunkl_sums
 from .simplexquad import (SimplexRule, build_rule, chunk_slices, exact_order, exponential_order,
                           gauss_jacobi, integrate, require_rule, tensor_grid)
 
@@ -99,27 +100,27 @@ def exponential_rule(params: KappaParams, y, imaginary: bool) -> SimplexRule:
     return build_rule(params.d, params.kappa_float, order)
 
 
-def _image_numerators(n: int, ell: int, d: int, p: int, q: int) -> dict[Monomial, int]:
-    """Integer coefficients of N_n = q^n (d kappa + 1)_n V[x_ell^n], kappa = p/q:
+def _image_numerators(n: int, d: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer coefficients of N_n = q^n (d kappa + 1)_n V[x_ell^n] for every
+    axis ell, kappa = p/q:
 
         N_alpha = multinomial(n, alpha) prod_{k=1}^{alpha_ell} (p + k q)
                   prod_{i != ell} prod_{k=0}^{alpha_i - 1} (p + k q).
 
-    Vanishing coefficients (kappa = 0 off the axis) are left out."""
+    Returns the degree-n exponents (M, d) in compositions order and the
+    Python-int coefficients (d, M), row ell - 1 for axis ell (zero off the
+    axis at kappa = 0)."""
     rising, shifted = [1], [1]  # prod_{k=0}^{a-1} and prod_{k=1}^{a} of (p + k q)
     for k in range(n):
         rising.append(rising[-1] * (p + k * q))
         shifted.append(shifted[-1] * (p + (k + 1) * q))
-    fact = [math.factorial(a) for a in range(n + 1)]
-    out = {}
-    for alpha in compositions(d, n):
-        num = fact[n] // math.prod(fact[a] for a in alpha) * shifted[alpha[ell - 1]]
-        for i, a in enumerate(alpha):
-            if i != ell - 1:
-                num *= rising[a]
-        if num:
-            out[alpha] = num
-    return out
+    rising, shifted = np.array(rising, dtype=object), np.array(shifted, dtype=object)
+    fact = np.array([math.factorial(a) for a in range(n + 1)], dtype=object)
+    exps = compositions(d, n)
+    factors = np.repeat(rising[exps][None], d, axis=0)  # (ell, alpha, i)
+    diagonal = np.arange(d)
+    factors[diagonal, :, diagonal] = shifted[exps].T
+    return exps, fact[n] // fact[exps].prod(axis=1) * factors.prod(axis=2)
 
 
 def vk_monomial_exact(n: int, ell: int, params: KappaParams) -> Polynomial:
@@ -141,8 +142,9 @@ def vk_monomial_exact(n: int, ell: int, params: KappaParams) -> Polynomial:
         raise ValueError(f"axis {ell} out of range 1..{d}")
     p, q = params.kappa.numerator, params.kappa.denominator
     den = math.prod(d * p + k * q for k in range(1, n + 1))
-    return Polynomial(d, {alpha: Fraction(num, den) for alpha, num
-                          in _image_numerators(n, ell, d, p, q).items()})
+    exps, coefs = _image_numerators(n, d, p, q)
+    return Polynomial(d, {tuple(alpha): Fraction(num, den)
+                          for alpha, num in zip(exps.tolist(), coefs[ell - 1])})
 
 
 def verify_intertwining(n_max: int, params: KappaParams) -> dict:
@@ -153,22 +155,55 @@ def verify_intertwining(n_max: int, params: KappaParams) -> dict:
     multiplied by q D_n, D_n = prod_{k=1}^{n} (d p + k q), which is nonzero:
     on the integer images N_n = D_n V[x_ell^n] it reads
 
-        q D_i N_n = delta_{i ell} n q (d p + n q) N_{n-1},
+        q D_i N_n - delta_{i ell} n q (d p + n q) N_{n-1} = 0.
 
-    with q D_i the integer core polycore.scaled_dunkl: no Fraction is built.
-    Returns {"passed": bool, "checks": int, "failed": [{ell, n, i}, ...]}."""
+    Every identity is a group (n, ell, i) of one polycore.dunkl_sums call,
+    and a group with a nonzero sum fails.  Work streams degree by degree:
+    the identities of consecutive degrees share a call while their terms fit
+    CHUNK_ELEMENTS, and a degree too large for one call is split by ell.
+    The sums run on int64 when an exact bound proves that no partial sum
+    reaches 2^63, and on Python ints otherwise; no Fraction is built.
+    Returns {"passed": bool, "checks": int, "failed": [{ell, n, i}, ...]}
+    in (ell, n, i) order; ValueError for a negative n_max."""
+    if n_max < 0:
+        raise ValueError("max degree must be >= 0")
     d = params.d
     p, q = params.kappa.numerator, params.kappa.denominator
-    images = {(ell, n): _image_numerators(n, ell, d, p, q)
-              for ell in range(1, d + 1) for n in range(n_max + 1)}
-    failed = []
-    for (ell, n), image in images.items():
-        for i in range(1, d + 1):
-            factor = n * q * (d * p + n * q) if i == ell else 0
-            rhs = {m: factor * c for m, c in images[ell, n - 1].items()} if factor else {}
-            if scaled_dunkl(image, i, params) != rhs:
-                failed.append({"ell": ell, "n": n, "i": i})
-    return {"passed": not failed, "checks": d * len(images), "failed": failed}
+    axes = np.arange(d)
+    failed, block, budget = [], [], 0
+
+    def check_block():
+        parts = [np.concatenate(column) for column in zip(*block)]
+        bad, _, _ = dunkl_sums(*parts[:4], q, p, plus=tuple(parts[4:]))
+        failed.extend((g // d % d + 1, g // (d * d), g % d + 1) for g in np.unique(bad).tolist())
+
+    previous = (np.zeros((0, d), dtype=np.int64), np.zeros((d, 0), dtype=object))
+    for n in range(n_max + 1):
+        exps, coefs = _image_numerators(n, d, p, q)
+        factor = n * q * (d * p + n * q)
+        size = len(exps)
+        per_ell = d * size * (1 + (d - 1) * n)  # at most 1 + (d - 1) n terms a row
+        for sl in chunk_slices(d, per_ell):
+            ells = axes[sl]
+            cost = len(ells) * per_ell
+            if block and budget + cost > simplexquad.CHUNK_ELEMENTS:
+                check_block()
+                block, budget = [], 0
+            group = (n * d + ells) * d  # group of (n, ell, i) is group + i
+            # rows (exps, coefs, axes, groups), then plus rows (exps, coefs, groups)
+            block.append((
+                np.tile(exps, (len(ells) * d, 1)),
+                np.repeat(coefs[ells], d, axis=0).ravel(),
+                np.tile(np.repeat(axes, size), len(ells)),
+                np.repeat((group[:, None] + axes).ravel(), size),
+                np.tile(previous[0], (len(ells), 1)),
+                (previous[1][ells] * -factor).ravel(),
+                np.repeat(group + ells, len(previous[0]))))
+            budget += cost
+        previous = exps, coefs
+    check_block()
+    return {"passed": not failed, "checks": d * d * (n_max + 1),
+            "failed": [{"ell": ell, "n": n, "i": i} for ell, n, i in sorted(failed)]}
 
 
 def vk_d2_generic(f, x, params: KappaParams, rule: SimplexRule) -> float:

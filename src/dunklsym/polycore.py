@@ -8,10 +8,14 @@ S_d acting on R^d is
     D_i f = d f / d x_i + kappa * sum_{j != i} (f(x) - f(x (i,j))) / (x_i - x_j),
 
 where x(i,j) swaps coordinates i and j.  The difference quotient is a genuine
-polynomial, computed by term-wise telescoping.  For kappa = p/q in lowest
-terms the core, scaled_dunkl, applies q D_i to an integer-coefficient map
-dict[Monomial, int]; dunkl_apply and dunkl_laplacian clear the denominators,
-run it and rescale.
+polynomial, computed by term-wise telescoping.  The core, dunkl_sums, works on
+integer arrays: rows (exponent tuple, integer coefficient, group), expanded
+into their derivative and telescoped terms and summed per (group, monomial)
+key by one sort, on int64 when an exact bound allows and on Python ints
+otherwise.  For kappa = p/q in lowest terms, scaled_dunkl (q D_i) and
+scaled_laplacian (q^2 Delta_kappa) are dict[Monomial, int] wrappers over it,
+as are partial_derivative and divided_difference; dunkl_apply and
+dunkl_laplacian clear the denominators, run the core and rescale.
 """
 
 from __future__ import annotations
@@ -287,79 +291,162 @@ class KappaParams:
 # ---------------------------------------------------------------------------
 
 
-def compositions(d: int, n: int) -> Iterator[Monomial]:
-    """Every exponent tuple of length d summing to n, in sorted order."""
-    if d == 1:
-        return iter([(n,)])
-    return ((a,) + rest for a in range(n + 1) for rest in compositions(d - 1, n - a))
+def compositions(d: int, n: int) -> np.ndarray:
+    """Every exponent tuple of length d summing to n, in sorted order, as the
+    rows of an int64 array: each pass appends one coordinate 0..n - (sum so far)."""
+    rows, sums = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(d - 1):
+        count = n - sums + 1
+        src = np.repeat(np.arange(len(rows)), count)
+        a = np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)
+        rows, sums = np.column_stack([rows[src], a]), sums[src] + a
+    return np.column_stack([rows, n - sums])
 
 
-def _accumulate(out: dict, terms: Mapping[Monomial, Scalar], k: int, dcoef: Scalar,
-                tcoef: Scalar, partners: Iterable[int]) -> dict:
-    """Add dcoef d/dx_k + tcoef sum_{j in partners} (1 - (k,j)) / (x_k - x_j)
-    of terms into out (axes 0-based; coefficients in the ring terms uses;
-    cancelled entries stay as zeros).  For exponents a > b on axes (k, j),
-    (x_k^a x_j^b - x_k^b x_j^a) / (x_k - x_j) = sum_{r<a-b} x_k^{a-1-r} x_j^{b+r}."""
+INT64_LIMIT = 2**63
+
+
+def dunkl_sums(exps: np.ndarray, coefs: np.ndarray, axes: np.ndarray, groups: np.ndarray,
+               dcoef: int, tcoef: int, partner: int | None = None,
+               plus: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integer Dunkl core: exact sums, per group, of
+
+        dcoef d/dx_k + tcoef sum_j (1 - (k,j)) / (x_k - x_j)
+
+    applied to the rows coefs[r] x^exps[r], k = axes[r] (0-based), j over
+    every other axis or over partner alone, plus the rows of
+    plus = (exps, coefs, groups) as they are.
+
+    Each row expands into its derivative term and its telescoped terms: for
+    exponents a > b on axes (k, j), (x_k^a x_j^b - x_k^b x_j^a) / (x_k - x_j)
+    = sum_{r<a-b} x_k^{a-1-r} x_j^{b+r}.  (group, monomial) is one
+    mixed-radix int64 key, and equal keys are summed by one argsort and
+    np.add.reduceat (the sums are exact in any order, so the sort need not
+    be stable).  The coefficients run on int64 when an exact Python-int
+    bound on the sum of the absolute contributions, which bounds every
+    partial sum, is below 2^63, and on Python ints (object arrays)
+    otherwise; the same code serves both.
+
+    Returns (groups, exps, coefs) of the nonzero sums, sorted by group and
+    then by exponent tuple.  ValueError if the keys would not fit int64."""
+    exps = np.asarray(exps, dtype=np.int64)
+    d = exps.shape[1]
+    pexps, pcoefs, pgroups = plus if plus is not None else (exps[:0], coefs[:0], groups[:0])
+    pexps, pcoefs = np.asarray(pexps, dtype=np.int64), np.asarray(pcoefs)
+    radix = int(max(exps.max(initial=0), pexps.max(initial=0))) + 1
+    span = radix**d
+    if span * (int(max(np.max(groups, initial=0), np.max(pgroups, initial=0))) + 1) >= INT64_LIMIT:
+        raise ValueError("monomial keys exceed int64: degree or group count too large")
+    weight = radix ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    base = np.asarray(groups, dtype=np.int64) * span + exps @ weight
+
+    # Terms come in units that share a coefficient: a plus row, a derivative
+    # term, or the |a - b| telescoped terms of a pair (row, j), whose keys
+    # step by weight[j] - weight[k].  A unit is (coefficient array, source
+    # rows, int64 factors, scalar, key of the first term, key step, count);
+    # only the plus unit, whose scalar is 1, may be empty.
+    a = exps[np.arange(len(exps)), axes]
+    top = int(abs(np.asarray(coefs, dtype=object)).max(initial=0))
+    bound = int(abs(pcoefs.astype(object)).sum())
+    ones = np.ones(len(pexps), dtype=np.int64)
+    units = [(pcoefs, np.arange(len(pexps)), ones, 1,
+              np.asarray(pgroups, dtype=np.int64) * span + pexps @ weight, 0 * ones, ones)]
     if dcoef:
-        for mono, coef in terms.items():
-            e = mono[k]
-            if e:
-                m = mono[:k] + (e - 1,) + mono[k + 1:]
-                out[m] = out.get(m, 0) + dcoef * e * coef
+        bound += abs(dcoef) * top * int(a.sum())
+        row = np.flatnonzero(a)
+        ones = np.ones(len(row), dtype=np.int64)
+        if len(row):
+            units.append((coefs, row, a[row], dcoef, base[row] - weight[axes[row]], 0 * ones, ones))
     if tcoef:
-        for j in partners:
-            for mono, coef in terms.items():
-                a, b = mono[k], mono[j]
-                if a == b:
-                    continue
-                step = tcoef * coef if a > b else -tcoef * coef
-                lo, hi = min(a, b), max(a, b)
-                base = list(mono)
-                for r in range(hi - lo):
-                    base[k] = hi - 1 - r
-                    base[j] = lo + r
-                    m = tuple(base)
-                    out[m] = out.get(m, 0) + step
-    return out
+        cols = np.arange(d)
+        mask = cols != axes[:, None] if partner is None else cols == partner
+        reach = np.abs(exps - a[:, None]) * mask
+        bound += abs(tcoef) * top * int(reach.sum())
+        row, j = np.nonzero(reach)
+        ak, b, wk, wj = a[row], exps[row, j], weight[axes[row]], weight[j]
+        first = base[row] + (np.maximum(ak, b) - 1 - ak) * wk + (np.minimum(ak, b) - b) * wj
+        if len(row):
+            units.append((coefs, row, np.sign(ak - b), tcoef, first, wj - wk, reach[row, j]))
+    dtype = np.int64 if bound < INT64_LIMIT else object
+
+    # rows without terms are left out of the bound, so convert after the gather
+    values = np.concatenate([np.asarray(c)[row].astype(dtype) * factor * scalar
+                             for c, row, factor, scalar, *_ in units])
+    first, step, count = (np.concatenate(column) for column in list(zip(*units))[4:])
+    offset = np.cumsum(count) - count  # index of each unit's first term
+    keys = (np.repeat(first - offset * step, count)
+            + np.arange(count.sum()) * np.repeat(step, count))
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))  # keys >= 0
+    sums = np.add.reduceat(np.repeat(values, count)[order], starts)
+    keep = sums != 0
+    out_groups, mono = np.divmod(keys[starts[keep]], span)
+    return out_groups, (mono[:, None] // weight) % radix, sums[keep]
 
 
-def scaled_dunkl(terms: Mapping[Monomial, int], i: int, params: KappaParams,
-                 out: dict[Monomial, int] | None = None) -> dict[Monomial, int]:
+def _rows(terms: Mapping[Monomial, int], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent and coefficient arrays of an integer-coefficient map."""
+    exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), d)
+    return exps, np.array(list(terms.values()), dtype=object)
+
+
+def _terms(exps: np.ndarray, coefs: np.ndarray) -> dict[Monomial, int]:
+    return dict(zip(map(tuple, exps.tolist()), coefs.tolist()))
+
+
+def _apply(terms: Mapping[Monomial, int], d: int, k: int, dcoef: int, tcoef: int,
+           partner: int | None = None) -> dict[Monomial, int]:
+    """dunkl_sums on one integer-coefficient map along axis k (0-based), as a map."""
+    exps, coefs = _rows(terms, d)
+    zeros = np.zeros(len(coefs), dtype=np.int64)
+    _, exps, coefs = dunkl_sums(exps, coefs, zeros + k, zeros, dcoef, tcoef, partner)
+    return _terms(exps, coefs)
+
+
+def laplacian_sums(exps: np.ndarray, coefs: np.ndarray, groups: np.ndarray,
+                   params: KappaParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q^2 Delta_kappa = sum_i (q D_i)^2, kappa = p/q, summed per group: two
+    dunkl_sums passes, the first keyed by (group, i)."""
+    d, p, q = params.d, params.kappa.numerator, params.kappa.denominator
+    axes = np.tile(np.arange(d), len(exps))
+    inner, exps, coefs = dunkl_sums(np.repeat(exps, d, axis=0), np.repeat(coefs, d), axes,
+                                    np.repeat(groups, d) * d + axes, q, p)
+    return dunkl_sums(exps, coefs, inner % d, inner // d, q, p)
+
+
+def scaled_dunkl(terms: Mapping[Monomial, int], i: int, params: KappaParams) -> dict[Monomial, int]:
     """q D_i on an integer-coefficient map, for kappa = p/q in lowest terms:
-    adds q d/dx_i + p sum_{j != i} (1 - (i,j)) / (x_i - x_j) of every term
-    into out (a new dict when None), drops the entries that cancel, and
-    returns out.  Integer in, integer out: no Fraction is built."""
+    q d/dx_i + p sum_{j != i} (1 - (i,j)) / (x_i - x_j), through dunkl_sums.
+    Integer in, integer out (sorted, without zero entries): no Fraction is built."""
     _check_axis(i, params.d)
-    k = i - 1
-    out = _accumulate({} if out is None else out, terms, k, params.kappa.denominator,
-                      params.kappa.numerator, [j for j in range(params.d) if j != k])
-    for m in [m for m, c in out.items() if not c]:
-        del out[m]
-    return out
+    return _apply(terms, params.d, i - 1, params.kappa.denominator, params.kappa.numerator)
 
 
 def scaled_laplacian(terms: Mapping[Monomial, int], params: KappaParams) -> dict[Monomial, int]:
     """q^2 Delta_kappa = sum_i (q D_i)^2 on an integer-coefficient map."""
-    out: dict[Monomial, int] = {}
-    for i in range(1, params.d + 1):
-        scaled_dunkl(scaled_dunkl(terms, i, params), i, params, out)
-    return out
+    exps, coefs = _rows(terms, params.d)
+    _, exps, coefs = laplacian_sums(exps, coefs, np.zeros(len(coefs), dtype=np.int64), params)
+    return _terms(exps, coefs)
 
 
-def _through_core(p: Polynomial, params: KappaParams, core, q_power: int) -> Polynomial:
-    """core(L p) / (L q^q_power), L the least common denominator of p."""
-    if p.dim != params.d:
-        raise ValueError(f"polynomial dimension {p.dim} != params.d {params.d}")
+def _through_core(p: Polynomial, core, scale: int) -> Polynomial:
+    """core(L p) / (L scale), L the least common denominator of p."""
     lcd = math.lcm(*(c.denominator for c in p.terms.values()))
     out = core({m: c.numerator * (lcd // c.denominator) for m, c in p.terms.items()})
-    scale = lcd * params.kappa.denominator ** q_power
-    return Polynomial(p.dim, {m: Fraction(c, scale) for m, c in out.items()})
+    return Polynomial(p.dim, {m: Fraction(c, lcd * scale) for m, c in out.items()})
+
+
+def _check_params(p: Polynomial, params: KappaParams) -> None:
+    if p.dim != params.d:
+        raise ValueError(f"polynomial dimension {p.dim} != params.d {params.d}")
 
 
 def partial_derivative(p: Polynomial, i: int) -> Polynomial:
     """Exact formal d/dx_i, axis i in 1..d."""
     _check_axis(i, p.dim)
-    return Polynomial(p.dim, _accumulate({}, p.terms, i - 1, 1, 0, ()))
+    return _through_core(p, lambda terms: _apply(terms, p.dim, i - 1, 1, 0), 1)
 
 
 def transposition_action(p: Polynomial, i: int, j: int) -> Polynomial:
@@ -379,15 +466,19 @@ def divided_difference(p: Polynomial, i: int, j: int) -> Polynomial:
     _check_axis(j, p.dim)
     if i == j:
         raise ValueError("divided difference needs i != j")
-    return Polynomial(p.dim, _accumulate({}, p.terms, i - 1, 0, 1, (j - 1,)))
+    return _through_core(p, lambda terms: _apply(terms, p.dim, i - 1, 0, 1, j - 1), 1)
 
 
 def dunkl_apply(p: Polynomial, i: int, params: KappaParams) -> Polynomial:
     """The Dunkl operator D_i p for S_d with multiplicity params.kappa, via
     scaled_dunkl on p with its denominators cleared."""
-    return _through_core(p, params, lambda terms: scaled_dunkl(terms, i, params), 1)
+    _check_params(p, params)
+    return _through_core(p, lambda terms: scaled_dunkl(terms, i, params),
+                         params.kappa.denominator)
 
 
 def dunkl_laplacian(p: Polynomial, params: KappaParams) -> Polynomial:
     """Delta_kappa p = sum_i D_i^2 p, via scaled_laplacian."""
-    return _through_core(p, params, lambda terms: scaled_laplacian(terms, params), 2)
+    _check_params(p, params)
+    return _through_core(p, lambda terms: scaled_laplacian(terms, params),
+                         params.kappa.denominator**2)

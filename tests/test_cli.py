@@ -104,6 +104,14 @@ def test_verify_fractional_kappa_string():
     assert payload["kappa"] == "1/2"
 
 
+def test_verify_negative_degree_is_refused():
+    rc, out, err = run_cli(
+        ["verify", "--d", "3", "--kappa", "1/2", "--max-degree", "-1"])
+    assert rc == 2
+    assert out == ""
+    assert "max degree" in err
+
+
 def test_verify_failure_exits_one(monkeypatch):
     # exit-code wiring: a failing report must surface as exit 1
     fake = {"passed": False, "checks": 7,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dunklsym import intertwine
+from dunklsym import intertwine, simplexquad
 from dunklsym.harmonics import build_sphere_rule
 from dunklsym.intertwine import (
     AxisFunction,
@@ -94,28 +94,56 @@ def test_verify_intertwining_counts_and_passes():
     assert verify_intertwining(4, KappaParams(3, Fraction(5, 3)))["passed"]
 
 
-@pytest.mark.parametrize("bad_n", [0, 3, 5])
-def test_verify_intertwining_reports_a_corrupted_image(monkeypatch, bad_n):
+@pytest.mark.parametrize("d, kappa, n_max, bad_n", [
+    pytest.param(3, Fraction(1, 2), 5, 0, id="0"),
+    pytest.param(3, Fraction(1, 2), 5, 3, id="3"),
+    pytest.param(3, Fraction(1, 2), 5, 5, id="5"),
+    pytest.param(4, Fraction(1, 2), 5, 3, id="d4"),
+    # images past 2^63: the sums run on Python ints
+    pytest.param(3, Fraction(997, 991), 8, 5, id="past-int64"),
+])
+def test_verify_intertwining_reports_a_corrupted_image(monkeypatch, d, kappa, n_max, bad_n):
     # one coefficient of the integer image N_bad_n at ell = 2 is off by one;
     # it is the left side of (2, bad_n, i) for every i, and the right side
     # of (2, bad_n + 1, 2).  D_i kills no nonconstant monomial for kappa > 0.
-    d, ell, n_max = 3, 2, 5
+    ell = 2
     numerators = intertwine._image_numerators
+    if kappa == Fraction(997, 991):
+        assert max(numerators(n_max, d, 997, 991)[1].ravel()) > 2**63
 
-    def corrupted(n, axis, *args):
-        out = numerators(n, axis, *args)
-        if (n, axis) == (bad_n, ell):
-            alpha = next(iter(out))
-            out[alpha] += 1
-        return out
+    def corrupted(n, *args):
+        exps, coefs = numerators(n, *args)
+        if n == bad_n:
+            coefs[ell - 1, 0] += 1
+        return exps, coefs
 
     monkeypatch.setattr(intertwine, "_image_numerators", corrupted)
-    report = verify_intertwining(n_max, KappaParams(d, Fraction(1, 2)))
+    report = verify_intertwining(n_max, KappaParams(d, kappa))
     want = [(ell, bad_n, i) for i in range(1, d + 1) if bad_n >= 1]
     if bad_n < n_max:
         want.append((ell, bad_n + 1, ell))
     assert not report["passed"] and report["checks"] == d * d * (n_max + 1)
     assert [(f["ell"], f["n"], f["i"]) for f in report["failed"]] == want
+
+
+@pytest.mark.parametrize("budget", [1, 3000])
+def test_verify_intertwining_report_does_not_depend_on_the_blocks(monkeypatch, budget):
+    # budget 1: one ell of one degree per core call; 3000: a few degrees per call
+    numerators = intertwine._image_numerators
+
+    def corrupted(n, *args):
+        exps, coefs = numerators(n, *args)
+        if n in (2, 4):
+            coefs[n - 2, -1] -= 1
+        return exps, coefs
+
+    monkeypatch.setattr(intertwine, "_image_numerators", corrupted)
+    params = KappaParams(3, Fraction(5, 3))
+    whole = verify_intertwining(6, params)
+    monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", budget)
+    assert verify_intertwining(6, params) == whole
+    assert [(f["ell"], f["n"]) for f in whole["failed"]] == [
+        (1, 2), (1, 2), (1, 2), (1, 3), (3, 4), (3, 4), (3, 4), (3, 5)]
 
 
 @pytest.mark.parametrize("kappa", [0, Fraction(1, 2), Fraction(5, 3), 3])
@@ -136,6 +164,13 @@ def test_fraction_wrapper_satisfies_the_intertwining_identity(d, kappa):
 def test_verify_intertwining_headroom_d5_degree12():
     report = verify_intertwining(12, KappaParams(5, Fraction(1, 2)))
     assert report["passed"] and report["checks"] == 325
+
+
+def test_verify_intertwining_refuses_a_negative_degree():
+    # no identity to check is not a pass
+    with pytest.raises(ValueError, match="max degree"):
+        verify_intertwining(-1, KappaParams(3, Fraction(1, 2)))
+    assert verify_intertwining(0, KappaParams(3, Fraction(1, 2)))["checks"] == 9
 
 
 def test_vk_axis_argument_errors():

@@ -1,8 +1,11 @@
-"""Exact polynomial arithmetic and Dunkl operators, checked against sympy.
+"""Exact polynomial arithmetic and Dunkl operators, checked against sympy
+and against a per-term dict loop.
 
 sympy implements the difference quotients by generic rational-function
 cancellation, a completely different mechanism from the term-wise
-telescoping used in the package, so agreement is a real oracle."""
+telescoping used in the package, so agreement is a real oracle.  The dict
+loop (`accumulate`) is the Python-int reference for the package's array
+core: same arithmetic, so results must be equal, not close."""
 
 import math
 from fractions import Fraction
@@ -13,13 +16,17 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunklsym.harmonics import _laplacian_matrix
 from dunklsym.polycore import (
     KappaParams,
     Polynomial,
+    compositions,
     divided_difference,
     dunkl_apply,
     dunkl_laplacian,
     partial_derivative,
+    scaled_dunkl,
+    scaled_laplacian,
     transposition_action,
 )
 
@@ -283,3 +290,114 @@ def test_derivative_is_linear_and_leibniz(a, b):
     lhs = partial_derivative(a * b, 1)
     rhs = partial_derivative(a, 1) * b + a * partial_derivative(b, 1)
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the array core against the per-term dict loop
+# ---------------------------------------------------------------------------
+
+
+def accumulate(out, terms, k, dcoef, tcoef, partners):
+    """Add dcoef d/dx_k + tcoef sum_{j in partners} (1 - (k,j)) / (x_k - x_j)
+    of terms into out, one term at a time (axes 0-based; cancelled entries
+    stay as zeros).  For exponents a > b on axes (k, j),
+    (x_k^a x_j^b - x_k^b x_j^a) / (x_k - x_j) = sum_{r<a-b} x_k^{a-1-r} x_j^{b+r}."""
+    if dcoef:
+        for mono, coef in terms.items():
+            e = mono[k]
+            if e:
+                m = mono[:k] + (e - 1,) + mono[k + 1:]
+                out[m] = out.get(m, 0) + dcoef * e * coef
+    if tcoef:
+        for j in partners:
+            for mono, coef in terms.items():
+                a, b = mono[k], mono[j]
+                if a == b:
+                    continue
+                step = tcoef * coef if a > b else -tcoef * coef
+                lo, hi = min(a, b), max(a, b)
+                base = list(mono)
+                for r in range(hi - lo):
+                    base[k] = hi - 1 - r
+                    base[j] = lo + r
+                    m = tuple(base)
+                    out[m] = out.get(m, 0) + step
+    return out
+
+
+def nonzero(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def reference_scaled_dunkl(terms, i, params, out=None):
+    k = i - 1
+    partners = [j for j in range(params.d) if j != k]
+    return accumulate({} if out is None else out, terms, k, params.kappa.denominator,
+                      params.kappa.numerator, partners)
+
+
+def reference_scaled_laplacian(terms, params):
+    out = {}
+    for i in range(1, params.d + 1):
+        reference_scaled_dunkl(nonzero(reference_scaled_dunkl(terms, i, params)), i, params, out)
+    return nonzero(out)
+
+
+def reference_laplacian_matrix(n, params):
+    lower = {e: r for r, e in enumerate(map(tuple, compositions(params.d, n - 2).tolist()))}
+    monos = list(map(tuple, compositions(params.d, n).tolist()))
+    rows = [[0] * len(monos) for _ in lower]
+    for col, e in enumerate(monos):
+        for mono, coef in reference_scaled_laplacian({e: 1}, params).items():
+            rows[lower[mono]][col] = coef
+    return rows
+
+
+CORE_KAPPAS = (0, Fraction(1, 2), Fraction(5, 3), 2, Fraction(997, 991))
+
+
+@st.composite
+def integer_maps(draw):
+    """(d, integer-coefficient map, axis i, partner j != i), d = 2..5; the
+    coefficients reach past 2^63, so both coefficient dtypes of the core run."""
+    d = draw(st.integers(2, 5))
+    mono = st.tuples(*[st.integers(0, 7)] * d)
+    coef = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80))
+    terms = draw(st.dictionaries(mono, coef, max_size=10))
+    i = draw(st.integers(1, d))
+    j = draw(st.integers(1, d).filter(lambda j: j != i))
+    return d, terms, i, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_maps(), st.sampled_from(CORE_KAPPAS))
+def test_array_core_matches_the_dict_loop(case, kappa):
+    d, terms, i, j = case
+    params = KappaParams(d, kappa)
+    assert scaled_dunkl(terms, i, params) == nonzero(reference_scaled_dunkl(terms, i, params))
+    assert scaled_laplacian(terms, params) == reference_scaled_laplacian(terms, params)
+    p = Polynomial(d, terms)
+    assert partial_derivative(p, i).terms == nonzero(accumulate({}, terms, i - 1, 1, 0, ()))
+    assert (divided_difference(p, i, j).terms
+            == nonzero(accumulate({}, terms, i - 1, 0, 1, (j - 1,))))
+
+
+def test_array_core_output_is_sorted_and_integer():
+    params = KappaParams(3, Fraction(997, 991))
+    out = scaled_laplacian({(4, 0, 3): 2**70, (1, 5, 1): -3}, params)
+    assert list(out) == sorted(out)
+    assert all(type(c) is int and c for c in out.values())
+    # a huge coefficient on a term the operator kills does not force the
+    # int64 sums of the rest to take it
+    terms = {(0, 0, 0): 2**80, (2, 1, 1): 1}
+    assert scaled_dunkl(terms, 1, params) == nonzero(reference_scaled_dunkl(terms, 1, params))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_laplacian_matrix_is_the_dict_loop_one(d):
+    for kappa in CORE_KAPPAS:
+        params = KappaParams(d, kappa)
+        for n in range(2, 9):
+            got = _laplacian_matrix(n, params)
+            assert got == reference_laplacian_matrix(n, params)
+            assert all(type(v) is int for row in got for v in row)
