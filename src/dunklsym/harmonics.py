@@ -20,8 +20,14 @@ the dimension count is a hard check, and only the final orthonormalization
 uses floating point (then applied exactly, as dyadic rationals, to the
 nullspace in one integer product per coefficient, so the basis stays
 exactly annihilated).  Monomial values come from running-product power
-tables with no pow call, and Gram matrices are summed over node chunks whose
-temporaries stay within simplexquad.CHUNK_ELEMENTS.
+tables with no pow call.  Gram matrices are summed over node blocks of
+_GRAM_BLOCK elements of temporaries (2 MB of float64, an L2 cache): each
+block forms its own h^2 weights, monomial table and basis values, and
+nothing is evaluated over the whole rule at once.  Only this step uses the
+small block: its dense (vals * w h^2) @ vals.T product gains from cached
+operands, while the sweeps and kernels, whose per-chunk work is a few wide
+numpy calls, ran slower with a budget this small and keep
+simplexquad.CHUNK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
 from .polycore import KappaParams, Monomial, Polynomial, compositions, laplacian_sums
-from .simplexquad import SelfCheckError, chunk_slices, gauss_jacobi
+from .simplexquad import SelfCheckError, gauss_jacobi
 
 
 def require_sphere_rule(d: int, kappa_hint=None) -> None:
@@ -146,11 +152,11 @@ def _sphere4_plain(order: int) -> SphereRule:
     u, wu = gauss_jacobi(order, 0.5, 0.5)  # weight (1-u^2)^(1/2) on [-1, 1]
     inner = _sphere3_plain(order)
     s = np.sqrt(1 - u**2)
-    nodes = np.concatenate(
-        [np.concatenate([si * inner.nodes, np.full((len(inner), 1), ui)], axis=1)
-         for ui, si in zip(u, s)])
-    weights = np.concatenate([wi * inner.weights for wi in wu])
-    return SphereRule(d=4, order=order, nodes=nodes, weights=weights)
+    nodes = np.empty((len(u), len(inner), 4))
+    np.multiply(s[:, None, None], inner.nodes, out=nodes[..., :3])
+    nodes[..., 3] = u[:, None]
+    weights = wu[:, None] * inner.weights
+    return SphereRule(d=4, order=order, nodes=nodes.reshape(-1, 4), weights=weights.ravel())
 
 
 def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
@@ -175,11 +181,12 @@ def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
         rule = _sphere3_kink(order) if split else _sphere3_plain(order)
     else:
         rule = _sphere4_plain(order)
+    # written so that a NaN node or weight fails: NaN compares false both ways
     total = float(rule.weights.sum())
-    if abs(total / surface_area(d) - 1) > 1e-10:
+    if not abs(total / surface_area(d) - 1) <= 1e-10:
         raise SelfCheckError(f"sphere rule mass {total} does not match the surface area")
-    norms = np.linalg.norm(rule.nodes, axis=1)
-    if np.max(np.abs(norms - 1)) > 1e-14:
+    norms = np.sqrt(np.einsum("ij,ij->i", rule.nodes, rule.nodes))
+    if not np.max(np.abs(norms - 1)) <= 1e-14:
         raise SelfCheckError("sphere rule nodes drifted off the unit sphere")
     return rule
 
@@ -358,6 +365,29 @@ def _exact_mix(mix: np.ndarray, null: list[list[Fraction]]) -> tuple[tuple[Fract
     return tuple(exact)
 
 
+# elements of Gram temporaries per node block: 2 MB of float64, one L2 cache
+_GRAM_BLOCK = 2**18
+
+
+def _gram(coeffs: np.ndarray, exps: np.ndarray, params: KappaParams,
+          rule: SphereRule) -> np.ndarray:
+    """a_kappa sum_nodes w h^2 v v^T for v the values of the polynomials
+    coeffs @ x^exps, summed over node blocks whose temporaries stay within
+    _GRAM_BLOCK elements."""
+    # per node: the power table, the monomials and one gathered factor, the
+    # basis values and their weighted copy
+    per_node = exps.shape[1] * (exps.max(initial=0) + 1) + 2 * len(exps) + 2 * len(coeffs)
+    step = max(1, _GRAM_BLOCK // per_node)
+    a = params.a_kappa
+    g = np.zeros((len(coeffs), len(coeffs)))
+    for start in range(0, len(rule), step):
+        nodes = rule.nodes[start:start + step]
+        wh2 = rule.weights[start:start + step] * hweight(nodes, params) ** 2
+        vals = coeffs @ _monomial_values(nodes, exps)
+        g += a * (vals * wh2) @ vals.T
+    return (g + g.T) / 2
+
+
 @dataclass(frozen=True)
 class HarmonicBasis:
     """An orthonormal basis of the degree-n h-harmonics.
@@ -420,20 +450,7 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
             f"kappa={params.kappa}; the Laplacian assembly is wrong")
 
     raw = np.array([[float(c) for c in row] for row in null])
-    # per node: the power table, the monomials and one gathered factor, the
-    # basis values and their weighted copy
-    per_node = d * (n + 1) + 2 * len(monos) + 2 * len(null)
-
-    def gram(coeffs: np.ndarray, rule: SphereRule) -> np.ndarray:
-        wh2 = rule.weights * hweight(rule.nodes, params) ** 2
-        a = params.a_kappa
-        g = np.zeros((len(coeffs), len(coeffs)))
-        for sl in chunk_slices(len(rule), per_node):
-            vals = coeffs @ _monomial_values(rule.nodes[sl], exps)
-            g += a * (vals * wh2[sl]) @ vals.T
-        return (g + g.T) / 2
-
-    G = gram(raw, sphere_rule)
+    G = _gram(raw, exps, params, sphere_rule)
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -444,7 +461,7 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     coeffs = np.array([[float(c) for c in row] for row in exact])
 
     check_rule = build_sphere_rule(d, 2 * sphere_rule.order, kappa_hint=params.kappa)
-    G2 = gram(coeffs, check_rule)
+    G2 = _gram(coeffs, exps, params, check_rule)
     residual = float(np.max(np.abs(G2 - np.eye(len(null)))))
     return HarmonicBasis(
         n=n, d=d, kappa=params.kappa, exponents=monos, coefficients=coeffs,

@@ -9,15 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunklsym import harmonics
 from dunklsym.harmonics import (
+    _GRAM_BLOCK,
     HarmonicBasis,
+    SphereRule,
     _exact_mix,
+    _gram,
     _gauss_on,
     _inverse_lower,
     _laplacian_matrix,
     _monomial_values,
     _rational_nullspace,
     _sphere3_kink,
+    _sphere3_plain,
     build_sphere_rule,
     harmonic_dim,
     hharmonic_basis,
@@ -29,7 +34,7 @@ from dunklsym.harmonics import (
 )
 from dunklsym.orthopoly import zn_eval
 from dunklsym.polycore import KappaParams, Polynomial, compositions, dunkl_laplacian
-from dunklsym.simplexquad import gauss_jacobi
+from dunklsym.simplexquad import SelfCheckError, gauss_jacobi
 
 
 def test_surface_area_values():
@@ -95,6 +100,92 @@ def test_kink_rule_is_the_per_arc_loop(order):
     nodes, weights = kink_rule_per_arc(order)
     assert np.array_equal(rule.nodes, nodes)
     assert np.array_equal(rule.weights, weights)
+
+
+def sphere4_per_latitude(order):
+    """The d = 4 rule built one latitude at a time, by concatenation."""
+    u, wu = gauss_jacobi(order, 0.5, 0.5)
+    inner = _sphere3_plain(order)
+    s = np.sqrt(1 - u**2)
+    nodes = np.concatenate(
+        [np.concatenate([si * inner.nodes, np.full((len(inner), 1), ui)], axis=1)
+         for ui, si in zip(u, s)])
+    weights = np.concatenate([wi * inner.weights for wi in wu])
+    return nodes, weights
+
+
+def sphere3_per_latitude(order):
+    """The plain d = 3 rule built one latitude circle at a time."""
+    u, wu = gauss_jacobi(order, 0, 0)
+    nphi = 2 * order
+    phi = 2 * math.pi * np.arange(nphi) / nphi
+    nodes, weights = [], []
+    for ui, wi in zip(u, wu):
+        si = np.sqrt(1 - ui**2)
+        nodes.append(np.stack([si * np.cos(phi), si * np.sin(phi), np.full(nphi, ui)], axis=-1))
+        weights.append(np.full(nphi, wi * (2 * math.pi / nphi)))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def circle_reference(order, split):
+    """The d = 2 rule: equal angles, or one Gauss-Legendre panel on each arc
+    between the kinks of |x_1 - x_2| at pi/4 and 5 pi/4."""
+    if split:
+        x, w = gauss_jacobi(max(order, 4), 0, 0)
+        half = math.pi / 2  # half the length of each arc
+        theta = np.concatenate([start + half + half * x
+                                for start in (math.pi / 4, 5 * math.pi / 4)])
+        weights = np.concatenate([w * half, w * half])
+    else:
+        n = max(2 * order, 8)
+        theta = 2 * math.pi * np.arange(n) / n
+        weights = np.full(n, 2 * math.pi / n)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1), weights
+
+
+@pytest.mark.parametrize("order", [4, 24, 48])
+def test_d4_rule_is_the_per_latitude_concatenation(order):
+    rule = build_sphere_rule(4, order)
+    nodes, weights = sphere4_per_latitude(order)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+
+
+@pytest.mark.parametrize("order", [8, 24, 48])
+@pytest.mark.parametrize("d, hint", [(2, None), (2, Fraction(1, 2)), (3, None),
+                                     (3, Fraction(1, 2))])
+def test_d2_d3_rules_are_the_reference_rules(d, hint, order):
+    rule = build_sphere_rule(d, order, kappa_hint=hint)
+    if d == 2:
+        nodes, weights = circle_reference(order, hint is not None)
+    elif hint is None:
+        nodes, weights = sphere3_per_latitude(order)
+    else:
+        nodes, weights = kink_rule_per_arc(order)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+
+
+def corrupted(rule, kind):
+    nodes, weights = rule.nodes.copy(), rule.weights.copy()
+    if kind == "nan node":
+        nodes[3, 1] = np.nan
+    elif kind == "nan weight":
+        weights[3] = np.nan
+    elif kind == "node off the sphere":
+        nodes[3] *= 1 + 1e-12
+    else:
+        weights *= 1 + 1e-9
+    return SphereRule(d=rule.d, order=rule.order, nodes=nodes, weights=weights)
+
+
+@pytest.mark.parametrize("kind", ["nan node", "nan weight", "node off the sphere",
+                                  "mass off"])
+def test_sphere_rule_self_checks_refuse_a_bad_rule(monkeypatch, kind):
+    good = harmonics._sphere3_plain
+    monkeypatch.setattr(harmonics, "_sphere3_plain", lambda order: corrupted(good(order), kind))
+    with pytest.raises(SelfCheckError):
+        build_sphere_rule(3, 8)
 
 
 def test_sphere_rule_refuses_half_integer_kappa_at_d4():
@@ -169,6 +260,34 @@ def test_gram_residuals():
     ruleh = build_sphere_rule(3, 24, kappa_hint=Fraction(1, 2))
     basish = hharmonic_basis(3, KappaParams(3, Fraction(1, 2)), ruleh)
     assert basish.gram_residual <= 1e-6
+
+
+def one_pass_gram(coeffs, exps, params, rule):
+    """The Gram matrix as one product over the whole rule."""
+    wh2 = rule.weights * hweight(rule.nodes, params) ** 2
+    vals = coeffs @ _monomial_values(rule.nodes, exps)
+    g = params.a_kappa * (vals * wh2) @ vals.T
+    return (g + g.T) / 2
+
+
+@pytest.mark.parametrize("d, n, kappa", [(4, 2, 1), (3, 6, Fraction(1, 2))])
+def test_blocked_gram_is_the_one_pass_sum(d, n, kappa):
+    params = KappaParams(d, kappa)
+    basis = hharmonic_basis(n, params, build_sphere_rule(d, 24, kappa_hint=kappa))
+    check = build_sphere_rule(d, 48, kappa_hint=kappa)
+    exps = np.asarray(basis.exponents)
+    # a block holds at most _GRAM_BLOCK / (2 len(exps)) nodes: ten blocks or more
+    assert 2 * len(exps) * len(check) >= 10 * _GRAM_BLOCK
+    raw = np.array([[float(c) for c in row]
+                    for row in _rational_nullspace(_laplacian_matrix(n, params), len(exps))])
+    for coeffs in (raw, basis.coefficients):
+        ref = one_pass_gram(coeffs, exps, params, check)
+        got = _gram(coeffs, exps, params, check)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if d == 4:
+        assert basis.gram_residual <= 1e-14
+    else:
+        assert basis.gram_residual == pytest.approx(4.3796e-9, rel=1e-5)
 
 
 def test_known_harmonic_in_d2_nullspace():
