@@ -21,13 +21,15 @@ uses floating point (then applied exactly, as dyadic rationals, to the
 nullspace in one integer product per coefficient, so the basis stays
 exactly annihilated).  Monomial values come from running-product power
 tables with no pow call.  Gram matrices are summed over node blocks of
-_GRAM_BLOCK elements of temporaries (2 MB of float64, an L2 cache): each
-block forms its own h^2 weights, monomial table and basis values, and
-nothing is evaluated over the whole rule at once.  Only this step uses the
-small block: its dense (vals * w h^2) @ vals.T product gains from cached
-operands, while the sweeps and kernels, whose per-chunk work is a few wide
-numpy calls, ran slower with a budget this small and keep
-simplexquad.CHUNK_ELEMENTS.
+simplexquad.BLOCK_ELEMENTS elements of temporaries (2 MB of float64, an L2
+cache), from simplexquad.block_slices: each block forms its own h^2
+weights, monomial table and basis values, and nothing is evaluated over the
+whole rule at once.  The same block serves the two other steps whose
+temporaries grow with the node count times a width: the Lebesgue sweep's
+tensor table (summability._axis_kernel_table) and its Cesaro reduction.
+The sweep's exact divided-difference table keeps simplexquad.CHUNK_ELEMENTS:
+it makes about ten numpy calls per degree on short vectors, whose fixed
+cost small blocks multiply, and blocks that small made it slower.
 """
 
 from __future__ import annotations
@@ -41,19 +43,33 @@ import numpy as np
 from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
 from .polycore import KappaParams, Monomial, Polynomial, compositions, laplacian_sums
-from .simplexquad import SelfCheckError, gauss_jacobi
+from .simplexquad import SelfCheckError, block_slices, gauss_jacobi
 
 
-def require_sphere_rule(d: int, kappa_hint=None) -> None:
+def require_sphere_rule(d: int, kappa_hint=None, order: int | None = None) -> None:
     """ValueError unless build_sphere_rule has a rule for S^(d-1) at this
-    kappa: d in {2, 3, 4}, and at d = 4 only a kappa with 2 kappa even,
-    whose weight is a polynomial; any other weight is kinked and would need
-    a split rule that S^3 does not have."""
+    kappa, and at this order when one is given: d in {2, 3, 4}; at d = 4
+    only a kappa with 2 kappa even, whose weight is a polynomial, since any
+    other weight is kinked and would need a split rule that S^3 does not
+    have; and an order of at least min_sphere_order(d, kappa_hint)."""
     if d not in (2, 3, 4):
         raise ValueError("only d in {2, 3, 4} is supported")
     if d == 4 and kappa_hint is not None and Fraction(kappa_hint).denominator != 1:
         raise ValueError("d = 4 needs 2 kappa even: S^3 has no rule split "
                          "at the kinks of the weight")
+    low = min_sphere_order(d, kappa_hint)
+    if order is not None and order < low:
+        raise ValueError(f"sphere order must be >= {low}" + (
+            f" at d = 3 and kappa {Fraction(kappa_hint)}: the rule split at the "
+            "kinks of the weight fails its own mass check at order 4" if low > 4 else ""))
+
+
+def min_sphere_order(d: int, kappa_hint=None) -> int:
+    """Smallest order build_sphere_rule accepts: 4, and 5 for the d = 3
+    rule split at the kinks, whose order-4 version has too few nodes per
+    arc to give the surface area to its mass check's 1e-10 (it is off by
+    about 2e-9)."""
+    return 5 if d == 3 and _wants_kink_split(kappa_hint) else 4
 
 
 def surface_area(d: int) -> float:
@@ -171,9 +187,7 @@ def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
     product rule integrates a kinked weight only to about 1e-2 (the Gram
     residual of a d = 4 basis at kappa 1/2 or 1/3), so at d = 4 any kappa
     with 2 kappa not even is a ValueError."""
-    if order < 4:
-        raise ValueError("order must be >= 4")
-    require_sphere_rule(d, kappa_hint)
+    require_sphere_rule(d, kappa_hint, order)
     split = _wants_kink_split(kappa_hint)
     if d == 2:
         rule = _circle_rule(order, split)
@@ -365,24 +379,19 @@ def _exact_mix(mix: np.ndarray, null: list[list[Fraction]]) -> tuple[tuple[Fract
     return tuple(exact)
 
 
-# elements of Gram temporaries per node block: 2 MB of float64, one L2 cache
-_GRAM_BLOCK = 2**18
-
-
 def _gram(coeffs: np.ndarray, exps: np.ndarray, params: KappaParams,
           rule: SphereRule) -> np.ndarray:
     """a_kappa sum_nodes w h^2 v v^T for v the values of the polynomials
     coeffs @ x^exps, summed over node blocks whose temporaries stay within
-    _GRAM_BLOCK elements."""
+    simplexquad.BLOCK_ELEMENTS elements."""
     # per node: the power table, the monomials and one gathered factor, the
     # basis values and their weighted copy
     per_node = exps.shape[1] * (exps.max(initial=0) + 1) + 2 * len(exps) + 2 * len(coeffs)
-    step = max(1, _GRAM_BLOCK // per_node)
     a = params.a_kappa
     g = np.zeros((len(coeffs), len(coeffs)))
-    for start in range(0, len(rule), step):
-        nodes = rule.nodes[start:start + step]
-        wh2 = rule.weights[start:start + step] * hweight(nodes, params) ** 2
+    for sl in block_slices(len(rule), per_node):
+        nodes = rule.nodes[sl]
+        wh2 = rule.weights[sl] * hweight(nodes, params) ** 2
         vals = coeffs @ _monomial_values(nodes, exps)
         g += a * (vals * wh2) @ vals.T
     return (g + g.T) / 2

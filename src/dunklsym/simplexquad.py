@@ -189,12 +189,27 @@ def default_order(degree: int) -> int:
 
 # Element budget of the largest temporary a batched evaluation holds at once.
 CHUNK_ELEMENTS = 4_000_000
+# Element budget of a cache-sized block: 2 MB of float64, one L2 cache.
+BLOCK_ELEMENTS = 2**18
 
 
 def chunk_slices(count: int, per_row: int):
     """Slices of range(count) of at least one row and CHUNK_ELEMENTS // per_row rows."""
     step = max(1, CHUNK_ELEMENTS // per_row)
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def block_slices(count: int, per_row: int):
+    """Slices of range(count) of BLOCK_ELEMENTS // per_row rows, and never a
+    block of one row unless count is 1: a remainder of one row joins the block
+    before it, since numpy computes a one-row (or one-column) matrix product
+    by a matrix-vector call, whose last bit can differ from the matrix
+    product's."""
+    step = max(2, BLOCK_ELEMENTS // per_row)
+    starts = list(range(0, count, step))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
 
 
 @dataclass(frozen=True)

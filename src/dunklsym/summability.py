@@ -15,7 +15,10 @@ build one table of degree-k projection kernels per sphere node, k <= n_max,
 and each delta is then one product of a lower-triangular Cesaro-weight
 matrix with that table.  The sphere nodes stream through in chunks, each
 adding to one running sum per delta, so a sweep's memory is O(chunk *
-n_max) plus the sphere rule, never the whole table.  For kappa = 0, and
+n_max) plus the sphere rule, never the whole table; within a chunk, the
+tensor table and the Cesaro products run in cache-sized blocks
+(simplexquad.block_slices), whose temporaries do not grow with the chunk.
+For kappa = 0, and
 for integer kappa at d = 3 and 4, the table is exact: V_kappa of a Jacobi
 polynomial at x is a confluent divided difference of a shifted Jacobi
 polynomial at the coordinates of x, which one three-term recurrence on
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .harmonics import (
     _check_on_sphere,
     build_sphere_rule,
     hweight,
+    min_sphere_order,
     require_sphere_rule,
 )
 from .intertwine import AxisFunction, polynomial_rule, vk_axis
@@ -54,7 +58,7 @@ from .orthopoly import (
     kernel_normalizer,
 )
 from .polycore import KappaParams
-from .simplexquad import build_rule, chunk_slices, default_order
+from .simplexquad import block_slices, build_rule, chunk_slices, default_order
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,14 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
     1 - j) P_{k+N}^(alpha-N, alpha-N).  Tensor: the Jacobi moments of <x, t>
     on polynomial_rule(params, n_max), exact for the degree n_max + 1
     integrand P_k(<x, t>) t_ell, so a larger order changes the table only by
-    rounding.  Points go through in chunks whose largest temporary (the
-    divided-difference vectors, the tensor rule's node matrix) stays within
-    simplexquad.CHUNK_ELEMENTS."""
+    rounding.  The exact branch takes points in chunks whose
+    divided-difference vectors stay within simplexquad.CHUNK_ELEMENTS.  The
+    tensor branch takes them in cache-sized blocks (simplexquad.block_slices):
+    each block forms its node products S = X @ T.T, runs the Jacobi
+    recurrence on S and sums each row against the rule's weights, so no
+    temporary spans more than a block.  The table has the same bits
+    whatever the blocks: no block has a single row, whose node product
+    numpy would compute by a matrix-vector call."""
     jp = _jacobi_params(params)
     X = np.asarray(X, dtype=float)
     A = np.empty((n_max + 1, len(X)))
@@ -133,7 +142,9 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
         rule = polynomial_rule(params, n_max)
         T = rule.nodes
         w_eff = params.c_kappa * rule.weights * T[:, ell - 1]
-        for sl in chunk_slices(len(X), len(rule)):
+        # about eight temporaries per (sphere node, simplex node) pair: S, the
+        # recurrence's two rows and its intermediates, and W * row
+        for sl in block_slices(len(X), 8 * len(rule)):
             S = X[sl] @ T.T
             W = np.broadcast_to(w_eff, S.shape)
             rows = jacobi_rows(n_max, jp, S)
@@ -153,17 +164,31 @@ def _sweep_values(params: KappaParams, weights: dict[float, np.ndarray], n_max: 
     Cesaro kernel K_n^delta(x, e_ell) at once.  The sphere nodes stream
     through in chunks: each chunk builds its own table B and h^2 weights and
     adds |W @ B| @ wh2 to one running sum per delta, so memory is
-    O(chunk * n_max) plus the sphere rule.  A chunk holds B, W @ B and its
-    absolute value within simplexquad.CHUNK_ELEMENTS; a rule of up to about
-    20 000 nodes at n_max = 64 is one chunk."""
+    O(chunk * n_max) plus the sphere rule.  A chunk has
+    simplexquad.CHUNK_ELEMENTS // (3 (n_max + 1)) nodes; a rule of up to
+    about 20 000 nodes at n_max = 64 is one chunk.  W @ B goes into one
+    buffer per chunk, a cache-sized block of columns at a time, and the
+    absolute value is taken in place.  At small n_max a product over the
+    whole chunk is a poor BLAS call (n_max = 8 on 12 672 nodes, 2-core
+    x86-64: 8 ms on two threads, against 0.2 ms in blocks on one).  Blocks are a power of two of
+    columns, so they start on multiples of the BLAS kernels' column
+    unrolling; blocks that do not can round differently from one product
+    over the chunk."""
     sphere = build_sphere_rule(params.d, sphere_order, kappa_hint=params.kappa)
     out = {delta: np.zeros(n_max + 1) for delta in weights}
     for sl in chunk_slices(len(sphere), 3 * (n_max + 1)):
         nodes = sphere.nodes[sl]
         B = _axis_kernel_table(n_max, ell, params, nodes)
         wh2 = params.a_kappa * sphere.weights[sl] * hweight(nodes, params) ** 2
+        WB = np.empty_like(B)
+        # a column of B and of W @ B is 2 (n_max + 1) elements; rounded up
+        # to a power of two, so that blocks are a power of two of columns
+        cols = block_slices(B.shape[1], 1 << (2 * n_max + 1).bit_length())
         for delta, W in weights.items():
-            out[delta] += np.abs(W @ B) @ wh2
+            for blk in cols:
+                np.matmul(W, B[:, blk], out=WB[:, blk])
+            out[delta] += np.abs(WB, out=WB) @ wh2
+        del B, WB  # free this chunk's table before the next one is built
     return out
 
 
@@ -212,8 +237,15 @@ def check_sweep(params: KappaParams, deltas, n_max: int, ell: int,
         raise ValueError("n_max must be >= 1")
     if not 1 <= ell <= params.d:
         raise ValueError(f"axis {ell} out of range 1..{params.d}")
-    if sphere_order is not None and sphere_order < 4:
-        raise ValueError("sphere order must be >= 4")
+    if sphere_order is not None:
+        # the error estimate builds a second rule, of coarse_sphere_order
+        low = min_sphere_order(params.d, params.kappa)
+        first = next(o for o in count(low) if coarse_sphere_order(o) >= low)
+        if sphere_order < first:
+            raise ValueError(f"sphere order must be >= {first}" + (
+                f" at d = 3 and kappa {params.kappa}: the error estimate builds a "
+                f"second rule of order max(4, 3 order // 4), and the rule split at "
+                f"the kinks of the weight needs order >= {low}" if low > 4 else ""))
 
 
 def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,

@@ -206,6 +206,23 @@ def test_hbasis_requires_n():
     assert "--n is required" in err
 
 
+@pytest.mark.parametrize("kappa", ["1/2", "1/3"])
+def test_hbasis_refuses_a_kink_rule_order_that_fails_its_mass_check(kappa):
+    # the d = 3 rule split at the kinks of the weight misses the surface area
+    # by about 2e-9 at order 4; order 5 builds
+    argv = ["hbasis", "--d", "3", "--kappa", kappa, "--n", "2", "--quad-order"]
+    rc, out, err = run_cli(argv + ["4"])
+    assert rc == 2
+    assert out == ""
+    assert "sphere order must be >= 5" in err
+    # order 5 builds; so coarse a rule leaves the basis outside the Gram
+    # check's default tolerance, which is exit 1 with the basis written
+    rc, out, _ = run_cli(argv + ["5"])
+    assert rc == 1
+    payload = json.loads(out)
+    assert payload["dim"] == 5 and payload["gram_residual"] > 1e-8
+
+
 # ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------
@@ -576,6 +593,9 @@ def test_lebesgue_requires_n_max():
     ["--delta", "-1.5"],     # Cesaro order must exceed -1
     ["--delta", "nan"],
     ["--quad-order", "2"],   # sphere order below 4
+    # an error-estimate rule of order 4, where the d = 3 kink rule fails its
+    # own mass check
+    ["--d", "3", "--kappa", "1/2", "--quad-order", "6"],
     ["--d", "4", "--kappa", "1/2", "--ell", "1"],  # no kink-split rule on S^3
 ])
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
@@ -590,6 +610,25 @@ def test_lebesgue_bad_input_writes_nothing(tmp_path, bad, suffix):
     assert rc == 2
     assert out == ""
     assert not path.exists()
+
+
+@pytest.mark.parametrize("order", ["4", "5", "6"])
+def test_lebesgue_names_the_smallest_order_a_kink_rule_accepts(order):
+    # the error estimate's rule has order max(4, 3 order // 4), which is 4
+    # up to order 6; the d = 3 kink rule fails its mass check at order 4
+    argv = ["lebesgue", "--d", "3", "--kappa", "1/2", "--delta", "1",
+            "--n-max", "2", "--quad-order"]
+    rc, out, err = run_cli(argv + [order])
+    assert (rc, out) == (2, "")
+    assert "sphere order must be >= 7" in err
+    rc, out, _ = run_cli(argv + ["7"])
+    assert rc == 0
+    assert out.splitlines()[-1].startswith("3,0.5,1,1.0,2,")
+    # a plain rule (2 kappa even) and the d = 2 split rule build at order 4
+    for d, kappa in (("3", "1"), ("2", "1/2")):
+        rc, _, _ = run_cli(["lebesgue", "--d", d, "--kappa", kappa, "--delta", "1",
+                            "--n-max", "2", "--quad-order", "4"])
+        assert rc == 0
 
 
 def test_lebesgue_interrupt_leaves_valid_partial_csv(tmp_path, monkeypatch):

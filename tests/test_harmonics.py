@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dunklsym import harmonics
 from dunklsym.harmonics import (
-    _GRAM_BLOCK,
     HarmonicBasis,
     SphereRule,
     _exact_mix,
@@ -27,6 +26,7 @@ from dunklsym.harmonics import (
     harmonic_dim,
     hharmonic_basis,
     hweight,
+    min_sphere_order,
     norm_const_a,
     repro_kernel_axis,
     repro_kernel_basis,
@@ -34,7 +34,7 @@ from dunklsym.harmonics import (
 )
 from dunklsym.orthopoly import zn_eval
 from dunklsym.polycore import KappaParams, Polynomial, compositions, dunkl_laplacian
-from dunklsym.simplexquad import SelfCheckError, gauss_jacobi
+from dunklsym.simplexquad import BLOCK_ELEMENTS, SelfCheckError, gauss_jacobi
 
 
 def test_surface_area_values():
@@ -56,6 +56,20 @@ def test_sphere_rule_plain_moments():
         build_sphere_rule(3, 3)
     with pytest.raises(ValueError):
         build_sphere_rule(5, 16)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kappa", [None, 1, Fraction(1, 2), Fraction(1, 3), Fraction(5, 3)])
+def test_min_sphere_order_is_the_smallest_that_builds(d, kappa):
+    low = min_sphere_order(d, kappa)
+    for order in range(low, 13):
+        build_sphere_rule(d, order, kappa_hint=kappa)  # passes its own checks
+    if low > 4:
+        with pytest.raises(ValueError, match=f"sphere order must be >= {low}"):
+            build_sphere_rule(d, low - 1, kappa_hint=kappa)
+        # the refused rule is the one that misses its mass check's 1e-10
+        assert abs(_sphere3_kink(low - 1).weights.sum() / surface_area(3) - 1) > 1e-10
+    assert low == (5 if d == 3 and kappa is not None and Fraction(kappa).denominator > 1 else 4)
 
 
 def test_sphere_rule_kink_split_handles_half_integer_kappa():
@@ -276,8 +290,8 @@ def test_blocked_gram_is_the_one_pass_sum(d, n, kappa):
     basis = hharmonic_basis(n, params, build_sphere_rule(d, 24, kappa_hint=kappa))
     check = build_sphere_rule(d, 48, kappa_hint=kappa)
     exps = np.asarray(basis.exponents)
-    # a block holds at most _GRAM_BLOCK / (2 len(exps)) nodes: ten blocks or more
-    assert 2 * len(exps) * len(check) >= 10 * _GRAM_BLOCK
+    # a block holds at most BLOCK_ELEMENTS / (2 len(exps)) nodes: ten blocks or more
+    assert 2 * len(exps) * len(check) >= 10 * BLOCK_ELEMENTS
     raw = np.array([[float(c) for c in row]
                     for row in _rational_nullspace(_laplacian_matrix(n, params), len(exps))])
     for coeffs in (raw, basis.coefficients):

@@ -17,11 +17,13 @@ from dunklsym import simplexquad
 from dunklsym.intertwine import AxisFunction, vk_axis, vk_d2_generic
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import (
+    BLOCK_ELEMENTS,
     CHUNK_ELEMENTS,
     MomentValidationError,
     SimplexRule,
     _reference_moments,
     _validate_moments,
+    block_slices,
     build_rule,
     default_order,
     dirichlet_moment,
@@ -228,6 +230,22 @@ def test_kept_rules_stay_within_the_element_budget():
     assert len(build_rule(3, 1.0, 1100)) == 1100 ** 2
     assert list(simplexquad._RULES) == before
     simplexquad._RULES.clear()
+
+
+@pytest.mark.parametrize("count, per_row", [
+    (0, 1), (1, 1), (2, BLOCK_ELEMENTS), (BLOCK_ELEMENTS, 1), (BLOCK_ELEMENTS + 1, 1),
+    (BLOCK_ELEMENTS + 2, 1), (3 * 1000 + 1, BLOCK_ELEMENTS // 1000), (12672, 200),
+    (7, BLOCK_ELEMENTS), (8, BLOCK_ELEMENTS // 3),
+])
+def test_block_slices_cover_the_rows_without_a_one_row_block(count, per_row):
+    blocks = block_slices(count, per_row)
+    assert [i for sl in blocks for i in range(count)[sl]] == list(range(count))
+    step = max(2, BLOCK_ELEMENTS // per_row)
+    if count > 1:
+        # every block but the last has the budget's rows, and the last one
+        # takes a remainder of one row
+        assert all(sl.stop - sl.start == step for sl in blocks[:-1])
+        assert 2 <= blocks[-1].stop - blocks[-1].start <= step + 1
 
 
 def test_mass_is_beta_for_d2():

@@ -21,6 +21,7 @@ from dunklsym.orthopoly import (
     cesaro_kernel_endpoint,
     cesaro_weights,
     jacobi_eval,
+    jacobi_rows,
 )
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import build_rule
@@ -142,22 +143,42 @@ def test_table_matches_reproducing_kernel(d, kappa, n_max, order):
             assert np.max(np.abs(B[k] - want)) <= tol, (ell, k)
 
 
+# a block budget under which every table and reduction is one block
+ONE_BLOCK = 10**12
+
+
 @pytest.mark.parametrize("params", [KP31, KappaParams(2, Fraction(3, 2))],
                          ids=["exact", "tensor"])
 def test_table_chunking_is_bit_identical(params, monkeypatch):
-    # the same table from one chunk and from many; every tensor chunk keeps
-    # at least two rows, because numpy computes a one-row node product by a
-    # matrix-vector call whose last bit can differ from the matrix product
+    # the same table from one chunk and from many
     sphere = build_sphere_rule(params.d, 24, kappa_hint=params.kappa)
-    one = _axis_kernel_table(12, 1, params, sphere.nodes)
     if params.d == 3:
-        budget = 1  # one sphere node per exact-branch chunk
-    else:  # two sphere nodes per chunk of the table's own tensor rule
-        budget = 2 * len(polynomial_rule(params, 12))
-        assert len(sphere) % 2 == 0
-    monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", budget)
-    many = _axis_kernel_table(12, 1, params, sphere.nodes)
-    assert np.array_equal(one, many)
+        one = _axis_kernel_table(12, 1, params, sphere.nodes)
+        monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", 1)  # one node per chunk
+        assert np.array_equal(one, _axis_kernel_table(12, 1, params, sphere.nodes))
+        return
+    # tensor blocks of sphere nodes on an odd node count: blocks of two, whose
+    # last takes the remainder of one (numpy computes a one-row node product
+    # by a matrix-vector call whose last bit can differ from the matrix
+    # product's), then a few larger blocks
+    X = sphere.nodes[:-1]
+    assert len(X) % 2 == 1
+    monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", ONE_BLOCK)
+    one = _axis_kernel_table(12, 1, params, X)
+    seen = []
+
+    def rows(n_max, jp, t):
+        seen.append(len(t))
+        return jacobi_rows(n_max, jp, t)
+
+    monkeypatch.setattr(summability, "jacobi_rows", rows)
+    monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", 1)
+    assert np.array_equal(one, _axis_kernel_table(12, 1, params, X))
+    assert seen == [2] * (len(X) // 2 - 1) + [3]
+    seen.clear()
+    monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", 2**10)
+    assert np.array_equal(one, _axis_kernel_table(12, 1, params, X))
+    assert 3 <= len(seen) < len(X) // 2
 
 
 def test_sweep_order_progress_and_rerun():
@@ -171,12 +192,12 @@ def test_sweep_order_progress_and_rerun():
     assert [r.value for r in again] == [r.value for r in records]
 
 
-def unstreamed_sweep(params, deltas, n_max, ell, order):
+def unstreamed_sweep(params, deltas, n_max, ell, order, sphere_rule=build_sphere_rule):
     """(value, estimate) per (delta, n), from whole tables: every sphere
     node's kernel row at once, as the sweep computed before it streamed."""
 
     def values(sphere_order):
-        sphere = build_sphere_rule(params.d, sphere_order, kappa_hint=params.kappa)
+        sphere = sphere_rule(params.d, sphere_order, kappa_hint=params.kappa)
         B = _axis_kernel_table(n_max, ell, params, sphere.nodes)
         wh2 = params.a_kappa * sphere.weights * hweight(sphere.nodes, params) ** 2
         out = {}
@@ -198,13 +219,43 @@ STREAM_CASES = [(KP31, 12, 24), (KappaParams(3, Fraction(1, 2)), 8, 24),
 STREAM_IDS = ["exact-3-1", "tensor-3-1/2", "exact-4-1"]
 
 
+def odd_sphere_rule(d, order, kappa_hint=None):
+    """The sphere rule without its last node: an odd node count, so that
+    blocks of two rows or columns leave a remainder of one."""
+    rule = build_sphere_rule(d, order, kappa_hint=kappa_hint)
+    return dataclasses.replace(rule, nodes=rule.nodes[:-1], weights=rule.weights[:-1])
+
+
 @pytest.mark.parametrize("params, n_max, order", STREAM_CASES, ids=STREAM_IDS)
-def test_one_chunk_sweep_is_the_unstreamed_sweep(params, n_max, order):
+def test_one_chunk_sweep_is_the_unstreamed_sweep(params, n_max, order, monkeypatch):
     sphere = build_sphere_rule(params.d, order, kappa_hint=params.kappa)
     assert len(simplexquad.chunk_slices(len(sphere), 3 * (n_max + 1))) == 1
     records = lebesgue_sweep(params, [1.0, 1.37, 2.5], n_max, sphere_order=order)
     want = unstreamed_sweep(params, [1.0, 1.37, 2.5], n_max, 1, order)
     assert [(r.value, r.quad_error_estimate) for r in records] == want
+    # blocks of the tensor table's rows and of the reduction's columns
+    # against one block each, on rules of an odd node count: blocks of two
+    # whose last takes the remainder of one, then blocks of 20 table rows and
+    # 128 or 256 columns
+    monkeypatch.setattr(summability, "build_sphere_rule", odd_sphere_rule)
+    monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", ONE_BLOCK)
+    want = unstreamed_sweep(params, [1.0, 1.37, 2.5], n_max, 1, order, odd_sphere_rule)
+    for budget in (1, 2**12):
+        monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", budget)
+        records = lebesgue_sweep(params, [1.0, 1.37, 2.5], n_max, sphere_order=order)
+        assert [(r.value, r.quad_error_estimate) for r in records] == want
+
+
+def test_reduction_blocks_keep_the_bits_past_n_max_13(monkeypatch):
+    # with 14 or more terms per entry, OpenBLAS can round the columns of a
+    # block that does not start on a multiple of its kernel's unrolling
+    # differently from one product; blocks of 163 columns (2 (n_max + 1)
+    # elements a column, not rounded to a power of two) moved six records
+    monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", ONE_BLOCK)
+    want = lebesgue_sweep(KP31, [1.0, 1.37, 2.5], 24, sphere_order=40)
+    for budget in (2**11, 2**13, 2**15):  # blocks of 32, 128 and 512 columns
+        monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", budget)
+        assert lebesgue_sweep(KP31, [1.0, 1.37, 2.5], 24, sphere_order=40) == want
 
 
 @pytest.mark.parametrize("params, n_max, order", STREAM_CASES, ids=STREAM_IDS)
@@ -230,14 +281,21 @@ def test_streamed_sweep_matches_the_unstreamed_sweep(params, n_max, order, monke
         assert abs(rec.quad_error_estimate - estimate) <= 1e-14 * value
 
 
-def test_d4_sweep_memory_in_a_fresh_process():
-    # streamed sphere-node chunks: whole tables peaked at 214 MB.  Linux
-    # carries the parent's peak into the child's ru_maxrss across fork and
-    # exec, so there the child reads the peak of its own address space.
-    code = """
+@pytest.mark.parametrize("sweep, bound_mb", [
+    # streamed sphere-node chunks: whole tables peaked at 214 MB
+    ("KappaParams(4, 1), [4.0], 32", 120),
+    # cache-sized blocks of the tensor table: whole-chunk temporaries peaked
+    # at 193 MB, the blocks at 47 MB
+    ("KappaParams(3, Fraction(1, 2)), [0.5, 1.0, 1.5], 24", 80),
+], ids=["d4-exact", "d3-tensor"])
+def test_sweep_memory_in_a_fresh_process(sweep, bound_mb):
+    # Linux carries the parent's peak into the child's ru_maxrss across fork
+    # and exec, so there the child reads the peak of its own address space.
+    code = f"""
 import resource, sys
+from fractions import Fraction
 from dunklsym import KappaParams, lebesgue_sweep
-lebesgue_sweep(KappaParams(4, 1), [4.0], 32)
+lebesgue_sweep({sweep})
 try:
     with open("/proc/self/status") as status:
         kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
@@ -252,7 +310,7 @@ except (OSError, StopIteration):
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert float(out.stdout.split()[-1]) < 120, out.stdout
+    assert float(out.stdout.split()[-1]) < bound_mb, out.stdout
 
 
 @pytest.mark.parametrize("params, deltas, n_max, ell, order", [
