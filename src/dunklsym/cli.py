@@ -185,7 +185,7 @@ def _cmd_hbasis(args) -> int:
     d = _require_d(args)
     params = _params(args, d)
     n = int(_required(args, "n"))
-    tolerance = _merged(args, "tolerance", float, 1e-8)
+    tolerance = _tolerance(args, 1e-8)
     order = _merged(args, "quad_order", int, max(24, 2 * n + 12))
     config = RunConfig(command="hbasis", d=d, kappa=str(params.kappa),
                        quad_order=order, tolerance=tolerance)
@@ -237,7 +237,7 @@ def _cmd_bessel(args) -> int:
     if argument not in ("imaginary", "real"):
         raise ValueError("--argument must be 'imaginary' or 'real'")
     imaginary = argument == "imaginary"
-    tolerance = _merged(args, "tolerance", float, 1e-9)
+    tolerance = _tolerance(args, 1e-9)
 
     routes = ["direct", "closed", "recursive", "coset"]
     if path not in routes + ["all"]:
@@ -438,6 +438,15 @@ def _required(args, key: str):
     if value is None:
         raise ValueError(f"--{key.replace('_', '-')} is required")
     return value
+
+
+def _tolerance(args, default: float) -> float:
+    """--tolerance from the flag or the config file: a NaN, negative or
+    infinite bound would fail or pass its check whatever the run found."""
+    tolerance = _merged(args, "tolerance", float, default)
+    if not (tolerance >= 0 and np.isfinite(tolerance)):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance}")
+    return tolerance
 
 
 def _params(args, d: int) -> KappaParams:

@@ -1,5 +1,5 @@
 """The reflection-invariant weight on the sphere, quadrature adapted to it,
-h-harmonic spaces as exact Dunkl-Laplacian nullspaces, and reproducing
+h-harmonic spaces as exact projections of monomials, and reproducing
 kernels at coordinate vectors.
 
 The weight prod |x_i - x_j|^(2 kappa) is polynomial exactly when 2 kappa is
@@ -14,15 +14,17 @@ each arc and per-arc Gauss nodes converge spectrally; for fractional 2 kappa
 the arc ends keep an algebraic singularity that slows them, but far less
 than it slows a flat product rule, which would be stuck near order^(-2).
 
-Basis construction is exact where exactness is cheap: the Laplacian matrix
-and its nullspace are rational (a fraction-free elimination on integers), so
-the dimension count is a hard check, and only the final orthonormalization
-uses floating point (then applied exactly, as dyadic rationals, to the
-nullspace in one integer product per coefficient, so the basis stays
-exactly annihilated).  Monomial values come from running-product power
-tables with no pow call.  Gram matrices are summed over node blocks of
-simplexquad.BLOCK_ELEMENTS elements of temporaries (2 MB of float64, an L2
-cache), from simplexquad.block_slices: each block forms its own h^2
+Basis construction is exact where exactness is cheap: the projection
+formula of Dunkl and Xu maps the monomials x^alpha with alpha_d <= 1 to a
+basis of the degree-n h-harmonics, taken as integer rows with no
+elimination, and the Dunkl Laplacian of every row is checked to vanish
+exactly.  Only the final orthonormalization uses floating point (then
+applied exactly, as dyadic rationals, to the integer rows in one integer
+product per coefficient, so the basis stays exactly annihilated).  Monomial
+values come from running-product power tables with no pow call.  Gram
+matrices are summed over node blocks of simplexquad.BLOCK_ELEMENTS elements
+of temporaries (2 MB of float64, an L2 cache), from
+simplexquad.block_slices: each block forms its own h^2
 weights, monomial table and basis values, and nothing is evaluated over the
 whole rule at once.  The same block serves the two other steps whose
 temporaries grow with the node count times a width: the Lebesgue sweep's
@@ -42,7 +44,8 @@ import numpy as np
 
 from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
-from .polycore import KappaParams, Monomial, Polynomial, compositions, laplacian_sums
+from .polycore import (KappaParams, Monomial, Polynomial, compositions, dunkl_sums,
+                       laplacian_sums)
 from .simplexquad import SelfCheckError, block_slices, gauss_jacobi
 
 
@@ -292,62 +295,44 @@ def _product_error(a, p, bh, bl):
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _laplacian_matrix(n: int, params: KappaParams) -> list[list[int]]:
-    """The integer matrix of q^2 Delta_kappa (kappa = p/q) from the degree-n
-    monomials (columns, in compositions order) to the degree n - 2 ones, in
-    one laplacian_sums call with group = column."""
-    monos, lower = compositions(params.d, n), compositions(params.d, n - 2)
-    cols, exps, coefs = laplacian_sums(monos, np.ones(len(monos), dtype=np.int64),
-                                       np.arange(len(monos)), params)
-    weight = (n + 1) ** np.arange(params.d - 1, -1, -1)
-    rows = np.searchsorted(lower @ weight, exps @ weight)
-    matrix = np.zeros((len(lower), len(monos)), dtype=coefs.dtype)
-    matrix[rows, cols] = coefs
-    return matrix.tolist()
+def _projected_rows(n: int, params: KappaParams) -> list[list[int]]:
+    """Integer multiples of proj_n x^alpha, one row per alpha with
+    alpha_d <= 1, over the columns compositions(d, n).
 
-
-def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis of an integer matrix, one vector per free column, in
-    reduced row echelon form.
-
-    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22 (1968)): with p the
-    pivot and prev the pivot before it, every other row becomes
-    (p row_i - row_i[c] row_r) // prev, and the division is exact.  After
-    each step every row is p times the row rational Gauss-Jordan holds, so
-    the pivot order is the same and each entry of the result is one
-    quotient, -row[free] / row[pivot]."""
-    rows = [row[:] for row in rows]
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        p = top[c]
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-            elif p != prev:
-                rows[i] = [p * a // prev for a in row]
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = Fraction(-rows[ri][free], rows[ri][pc])
-        basis.append(v)
-    return basis
+    proj_n P = sum_{j <= n/2} ||x||^(2j) Delta_kappa^j P / (4^j j! (-lambda - n + 1)_j)
+    (Dunkl and Xu, Orthogonal Polynomials of Several Variables, 2nd ed.,
+    2014, ch. 7); its image of these monomials is a basis of the degree-n
+    h-harmonics, since they span a complement of ||x||^2 P_(n-2).  With
+    lambda = P/Q, kappa = p/q and J = n // 2, the projection times
+    q^(2J) 4^J J! prod_{i<J} (Q(i - n + 1) - P) is sum_j w_j ||x||^(2j)
+    (q^2 Delta_kappa)^j P with the integer weights
+    w_j = Q^j 4^(J-j) (J!/j!) q^(2(J-j)) prod_{i=j}^{J-1} (Q(i - n + 1) - P),
+    none of whose factors is 0 (i - n + 1 < 0 <= P).  The powers come from
+    laplacian_sums with one group per monomial, and the sum runs by Horner's
+    rule in ||x||^2, each factor d exponent shifts summed in dunkl_sums."""
+    d, q = params.d, params.kappa.denominator
+    P, Q = params.lambda_kappa.numerator, params.lambda_kappa.denominator
+    monos = compositions(d, n)
+    chosen = monos[monos[:, -1] <= 1]
+    J = n // 2
+    powers = [(np.arange(len(chosen)), chosen, np.ones(len(chosen), dtype=np.int64))]
+    for _ in range(J):
+        groups, exps, coefs = powers[-1]
+        powers.append(laplacian_sums(exps, coefs, groups, params))
+    weights = [Q**j * 4 ** (J - j) * (math.factorial(J) // math.factorial(j)) * q ** (2 * (J - j))
+               * math.prod(Q * (i - n + 1) - P for i in range(j, J)) for j in range(J + 1)]
+    groups, exps, coefs = powers[0][0][:0], chosen[:0], np.zeros(0, dtype=object)
+    shifts = 2 * np.eye(d, dtype=np.int64)
+    for (pg, pe, pc), w in zip(powers[::-1], weights[::-1]):
+        plus = (np.concatenate([(exps[:, None] + shifts).reshape(-1, d), pe]),
+                np.concatenate([np.repeat(coefs, d), pc.astype(object) * w]),
+                np.concatenate([np.repeat(groups, d), pg]))
+        # no operator rows: dunkl_sums only sums the plus rows per (group, monomial)
+        groups, exps, coefs = dunkl_sums(pe[:0], pc[:0], pg[:0], pg[:0], 0, 0, plus=plus)
+    key = (n + 1) ** np.arange(d - 1, -1, -1)
+    rows = np.zeros((len(chosen), len(monos)), dtype=object)
+    rows[groups, np.searchsorted(monos @ key, exps @ key)] = coefs.astype(object)
+    return rows.tolist()
 
 
 def _inverse_lower(L: np.ndarray) -> np.ndarray:
@@ -361,21 +346,19 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _exact_mix(mix: np.ndarray, null: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows of mix @ null in exact arithmetic, mix read as the dyadic
+def _exact_mix(mix: np.ndarray, rows: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of mix @ rows in exact arithmetic, mix read as the dyadic
     rationals its floats are: each mix row is written as integers over one
-    power of two and the nullspace as integers over one denominator, so each
-    coefficient is one integer dot product and one Fraction."""
-    den = math.lcm(*(v.denominator for row in null for v in row))
-    cols = list(zip(*([v.numerator * (den // v.denominator) for v in row] for row in null)))
+    power of two, so each coefficient is one integer dot product and one
+    Fraction."""
+    cols = list(zip(*rows))
     exact = []
     for mrow in mix:
         ratios = [float(v).as_integer_ratio() for v in mrow]
         scale = math.lcm(*(q for _, q in ratios))
         ints = [a * (scale // q) for a, q in ratios]
         terms = [(j, a) for j, a in enumerate(ints) if a]
-        exact.append(tuple(Fraction(sum(a * col[j] for j, a in terms), scale * den)
-                           for col in cols))
+        exact.append(tuple(Fraction(sum(a * col[j] for j, a in terms), scale) for col in cols))
     return tuple(exact)
 
 
@@ -403,9 +386,10 @@ class HarmonicBasis:
 
     coefficients holds the float expansion over `exponents`;
     exact_coefficients holds the same rows as exact rationals (dyadic
-    snapshots of the orthonormalizing mix applied to the exact nullspace),
-    so every element of basis() is annihilated by the Dunkl Laplacian as a
-    polynomial identity, while orthonormality holds to gram_residual."""
+    snapshots of the orthonormalizing mix applied to the integer rows of
+    the projected monomials), so every element of basis() is annihilated by
+    the Dunkl Laplacian as a polynomial identity, while orthonormality
+    holds to gram_residual."""
 
     n: int
     d: int
@@ -435,46 +419,45 @@ class HarmonicBasis:
 def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> HarmonicBasis:
     """Construct an orthonormal basis of the degree-n h-harmonics.
 
-    Steps: exact integer matrix of q^2 Delta_kappa (kappa = p/q) on degree-n
-    monomials, exact nullspace (dimension is a hard invariant and a mismatch
-    raises), Gram matrix of the nullspace under the a_kappa-normalized
-    h^2 sphere inner product by quadrature, Cholesky orthonormalization.
-    The Gram residual is re-measured with an independent rule at twice the
-    order so a too-coarse sphere rule is visible in the output."""
+    Steps: integer multiples of the projections proj_n x^alpha, alpha_d <= 1
+    (_projected_rows), checked exactly: q^2 Delta_kappa of every row is the
+    zero polynomial and there are harmonic_dim(n, d) nonzero rows, or
+    SelfCheckError; their Gram matrix under the a_kappa-normalized h^2
+    sphere inner product by quadrature; Cholesky orthonormalization, whose
+    float mix is applied to the integer rows exactly.  The Gram residual is
+    re-measured with an independent rule at twice the order so a too-coarse
+    sphere rule is visible in the output."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if sphere_rule.d != params.d:
         raise ValueError("sphere rule dimension does not match params")
     d = params.d
     exps = compositions(d, n)
-    monos = tuple(map(tuple, exps.tolist()))
-    if n < 2:
-        null = [[Fraction(i == j) for j in range(len(monos))] for i in range(len(monos))]
-    else:
-        null = _rational_nullspace(_laplacian_matrix(n, params), len(monos))
+    rows = _projected_rows(n, params)
+    table = np.array(rows, dtype=object)
+    r, c = np.nonzero(table)
     expected = harmonic_dim(n, d)
-    if len(null) != expected:
+    if len(set(r.tolist())) != expected or len(laplacian_sums(exps[c], table[r, c], r, params)[0]):
         raise SelfCheckError(
-            f"nullspace dimension {len(null)} != {expected} for n={n}, d={d}, "
-            f"kappa={params.kappa}; the Laplacian assembly is wrong")
+            f"the projected rows are not {expected} nonzero h-harmonics for n={n}, d={d}, "
+            f"kappa={params.kappa}; the projection is wrong")
 
-    raw = np.array([[float(c) for c in row] for row in null])
-    G = _gram(raw, exps, params, sphere_rule)
+    G = _gram(np.array(rows, dtype=float), exps, params, sphere_rule)
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise SelfCheckError(
             "Gram matrix is not positive definite; raise the sphere order") from exc
-    # exact dyadic mix applied to the exact nullspace: stays in the nullspace
-    exact = _exact_mix(_inverse_lower(L), null)
+    # exact dyadic mix applied to the integer rows: stays h-harmonic
+    exact = _exact_mix(_inverse_lower(L), rows)
     coeffs = np.array([[float(c) for c in row] for row in exact])
 
     check_rule = build_sphere_rule(d, 2 * sphere_rule.order, kappa_hint=params.kappa)
     G2 = _gram(coeffs, exps, params, check_rule)
-    residual = float(np.max(np.abs(G2 - np.eye(len(null)))))
+    residual = float(np.max(np.abs(G2 - np.eye(len(rows)))))
     return HarmonicBasis(
-        n=n, d=d, kappa=params.kappa, exponents=monos, coefficients=coeffs,
-        exact_coefficients=exact, gram_residual=residual,
+        n=n, d=d, kappa=params.kappa, exponents=tuple(map(tuple, exps.tolist())),
+        coefficients=coeffs, exact_coefficients=exact, gram_residual=residual,
         gram_cond=float(np.linalg.cond(G)),
     )
 

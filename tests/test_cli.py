@@ -223,6 +223,35 @@ def test_hbasis_refuses_a_kink_rule_order_that_fails_its_mass_check(kappa):
     assert payload["dim"] == 5 and payload["gram_residual"] > 1e-8
 
 
+@pytest.mark.parametrize("d, kappa, n", [("3", "2", "8"), ("4", "1", "8"), ("4", "1", "10")])
+def test_hbasis_passes_its_gram_check_at_the_default_order(d, kappa, n):
+    # bases of the Laplacian nullspace missed 1e-8 here (2.1e-7 and 3.5e-8),
+    # and at d = 4, n = 10 their Gram matrix was not positive definite
+    rc, payload = run_json(["hbasis", "--d", d, "--kappa", kappa, "--n", n])
+    assert rc == 0
+    assert payload["quad_order"] == max(24, 2 * int(n) + 12)
+    assert payload["gram_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["hbasis", "bessel"])
+def test_bad_tolerance_is_usage_error(tmp_path, command, source, value):
+    # a NaN or negative bound fails every check and an infinite one passes
+    # every check, so the run is refused before it writes anything
+    argv = list(BASE_ARGV[command])
+    if source == "flag":
+        argv.append(f"--tolerance={value}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tolerance = {value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    rc, out, err = run_cli(argv)
+    assert rc == 2
+    assert out == ""
+    assert "--tolerance must be finite and >= 0" in err
+
+
 # ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------

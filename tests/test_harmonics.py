@@ -1,5 +1,6 @@
 """Sphere quadrature for the reflection-invariant weight, h-harmonic bases
-as exact nullspaces, and the reproducing kernels at coordinate vectors."""
+as exact projections of monomials, and the reproducing kernels at
+coordinate vectors."""
 
 import math
 from fractions import Fraction
@@ -17,9 +18,8 @@ from dunklsym.harmonics import (
     _gram,
     _gauss_on,
     _inverse_lower,
-    _laplacian_matrix,
     _monomial_values,
-    _rational_nullspace,
+    _projected_rows,
     _sphere3_kink,
     _sphere3_plain,
     build_sphere_rule,
@@ -253,14 +253,64 @@ def test_harmonic_dim_formula():
 
 
 def test_basis_dimensions_and_annihilation():
-    for d, kappa, n_max in ((2, 1, 4), (3, 1, 3), (3, Fraction(1, 2), 2)):
+    # one degree >= 6 per d, where a basis is worst conditioned
+    for d, kappa, degrees in ((2, 1, (0, 1, 2, 3, 4, 8)), (3, 1, (0, 1, 2, 3)), (3, 2, (8,)),
+                              (3, Fraction(1, 2), (0, 1, 2, 6)), (4, 1, (6,))):
         kp = KappaParams(d, kappa)
         rule = build_sphere_rule(d, 24, kappa_hint=kp.kappa)
-        for n in range(n_max + 1):
+        for n in degrees:
             basis = hharmonic_basis(n, kp, rule)
             assert len(basis) == harmonic_dim(n, d)
             for p in basis.basis():
                 assert dunkl_laplacian(p, kp).is_zero()
+
+
+@pytest.mark.parametrize("fault", ["not h-harmonic", "zero row"])
+def test_projected_rows_that_are_not_h_harmonic_are_refused(monkeypatch, fault):
+    good = harmonics._projected_rows
+
+    def corrupted(n, params):
+        rows = good(n, params)
+        if fault == "zero row":
+            rows[2] = [0] * len(rows[2])
+        else:
+            rows[2][0] += 1
+        return rows
+
+    monkeypatch.setattr(harmonics, "_projected_rows", corrupted)
+    with pytest.raises(SelfCheckError, match="projected rows"):
+        hharmonic_basis(4, KappaParams(3, 1), build_sphere_rule(3, 24))
+
+
+def projection_reference(alpha, params):
+    """proj_n x^alpha = sum_j ||x||^(2j) Delta^j x^alpha / (4^j j! (-lambda - n + 1)_j)
+    in Fractions, through Polynomial and dunkl_laplacian."""
+    d, n = params.d, sum(alpha)
+    r2 = Polynomial(d, {tuple(2 * (k == i) for k in range(d)): 1 for i in range(d)})
+    power, lap, coef = Polynomial.constant(d, 1), Polynomial.monomial(alpha), Fraction(1)
+    out = lap
+    for j in range(1, n // 2 + 1):
+        power, lap = power * r2, dunkl_laplacian(lap, params)
+        coef /= 4 * j * (-params.lambda_kappa - n + j)
+        out = out + power * lap * coef
+    return out
+
+
+@pytest.mark.parametrize("d, n, kappa", [(2, 7, Fraction(1, 3)), (3, 6, Fraction(5, 3)),
+                                         (3, 5, 0), (4, 4, 2), (4, 1, 1), (2, 0, 1)])
+def test_projected_rows_are_multiples_of_the_projection_formula(d, n, kappa):
+    params = KappaParams(d, kappa)
+    exps = [tuple(e) for e in compositions(d, n).tolist()]
+    chosen = [e for e in exps if e[-1] <= 1]
+    rows = _projected_rows(n, params)
+    assert len(rows) == len(chosen) == harmonic_dim(n, d)
+    assert all(type(v) is int for row in rows for v in row)
+    for row, alpha in zip(rows, chosen):
+        want = projection_reference(alpha, params)
+        mono, c = next(want.sorted_terms())
+        scale = Fraction(row[exps.index(mono)]) / c
+        assert scale != 0
+        assert Polynomial(d, dict(zip(exps, row))) == want * scale
 
 
 def test_gram_residuals():
@@ -292,8 +342,7 @@ def test_blocked_gram_is_the_one_pass_sum(d, n, kappa):
     exps = np.asarray(basis.exponents)
     # a block holds at most BLOCK_ELEMENTS / (2 len(exps)) nodes: ten blocks or more
     assert 2 * len(exps) * len(check) >= 10 * BLOCK_ELEMENTS
-    raw = np.array([[float(c) for c in row]
-                    for row in _rational_nullspace(_laplacian_matrix(n, params), len(exps))])
+    raw = np.array(_projected_rows(n, params), dtype=float)
     for coeffs in (raw, basis.coefficients):
         ref = one_pass_gram(coeffs, exps, params, check)
         got = _gram(coeffs, exps, params, check)
@@ -301,7 +350,7 @@ def test_blocked_gram_is_the_one_pass_sum(d, n, kappa):
     if d == 4:
         assert basis.gram_residual <= 1e-14
     else:
-        assert basis.gram_residual == pytest.approx(4.3796e-9, rel=1e-5)
+        assert basis.gram_residual == pytest.approx(4.56835e-9, rel=1e-5)
 
 
 def test_known_harmonic_in_d2_nullspace():
@@ -456,77 +505,34 @@ def test_sphere_rule_kink_split_handles_fractional_kappa():
             assert abs(mass - 1) <= tol, (d, kappa)
 
 
-def gauss_jordan_nullspace(rows, ncols):
-    """Reference: the nullspace by rational Gauss-Jordan on Fractions."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][free]
-        basis.append(v)
-    return basis
-
-
-def fraction_mix(mix, null):
-    """Reference: mix @ null as sums of Fraction products."""
-    return tuple(tuple(sum(Fraction(m) * v for m, v in zip(mrow, col)) for col in zip(*null))
+def fraction_mix(mix, rows):
+    """Reference: mix @ rows as sums of Fraction products."""
+    return tuple(tuple(sum(Fraction(m) * v for m, v in zip(mrow, col)) for col in zip(*rows))
                  for mrow in mix)
 
 
-@pytest.mark.parametrize("d, n, kappa", [
-    (2, 8, Fraction(1, 3)), (2, 7, 2), (3, 8, Fraction(1, 2)), (3, 7, Fraction(5, 3)),
-    (3, 6, 2), (4, 4, Fraction(1, 3)), (4, 5, Fraction(1, 2)), (4, 3, 2),
-])
-def test_fraction_free_nullspace_is_the_rational_one(d, n, kappa):
-    rows = _laplacian_matrix(n, KappaParams(d, kappa))
-    ncols = len(list(compositions(d, n)))
-    got = _rational_nullspace(rows, ncols)
-    assert len(got) == harmonic_dim(n, d)
-    assert got == gauss_jordan_nullspace(rows, ncols)
-    assert all(type(v) is Fraction for row in got for v in row)
-
-
-MIX_NULLSPACES = [
-    _rational_nullspace(_laplacian_matrix(n, KappaParams(d, kappa)), len(list(compositions(d, n))))
-    for d, n, kappa in ((2, 5, Fraction(1, 3)), (3, 4, Fraction(1, 2)), (4, 3, Fraction(5, 3)))]
+MIX_ROWS = [_projected_rows(n, KappaParams(d, kappa))
+            for d, n, kappa in ((2, 5, Fraction(1, 3)), (3, 4, Fraction(1, 2)),
+                                (4, 3, Fraction(5, 3)))]
 
 
 @st.composite
-def mix_and_nullspace(draw):
-    null = draw(st.sampled_from(MIX_NULLSPACES))
-    dim = len(null)
+def mix_and_rows(draw):
+    rows = draw(st.sampled_from(MIX_ROWS))
+    dim = len(rows)
     entries = draw(st.lists(st.floats(-1e8, 1e8), min_size=dim * (dim + 1) // 2,
                             max_size=dim * (dim + 1) // 2))
     mix = np.zeros((dim, dim))
     mix[np.tril_indices(dim)] = entries
-    return mix, null
+    return mix, rows
 
 
 @settings(max_examples=30, deadline=None)
-@given(mix_and_nullspace())
+@given(mix_and_rows())
 def test_integer_mix_is_the_fraction_mix(case):
-    mix, null = case
-    got = _exact_mix(mix, null)
-    assert got == fraction_mix(mix, null)
+    mix, rows = case
+    got = _exact_mix(mix, rows)
+    assert got == fraction_mix(mix, rows)
     assert all(type(v) is Fraction for row in got for v in row)
 
 

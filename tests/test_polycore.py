@@ -16,7 +16,6 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklsym.harmonics import _laplacian_matrix
 from dunklsym.polycore import (
     KappaParams,
     Polynomial,
@@ -24,6 +23,7 @@ from dunklsym.polycore import (
     divided_difference,
     dunkl_apply,
     dunkl_laplacian,
+    laplacian_sums,
     partial_derivative,
     scaled_dunkl,
     scaled_laplacian,
@@ -343,16 +343,6 @@ def reference_scaled_laplacian(terms, params):
     return nonzero(out)
 
 
-def reference_laplacian_matrix(n, params):
-    lower = {e: r for r, e in enumerate(map(tuple, compositions(params.d, n - 2).tolist()))}
-    monos = list(map(tuple, compositions(params.d, n).tolist()))
-    rows = [[0] * len(monos) for _ in lower]
-    for col, e in enumerate(monos):
-        for mono, coef in reference_scaled_laplacian({e: 1}, params).items():
-            rows[lower[mono]][col] = coef
-    return rows
-
-
 CORE_KAPPAS = (0, Fraction(1, 2), Fraction(5, 3), 2, Fraction(997, 991))
 
 
@@ -394,10 +384,23 @@ def test_array_core_output_is_sorted_and_integer():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_laplacian_matrix_is_the_dict_loop_one(d):
+def test_grouped_laplacian_sums_is_the_dict_loop_per_group(d):
+    # several polynomials in one call, one group id each (with gaps between
+    # the ids), as the h-harmonic projection applies it
     for kappa in CORE_KAPPAS:
         params = KappaParams(d, kappa)
-        for n in range(2, 9):
-            got = _laplacian_matrix(n, params)
-            assert got == reference_laplacian_matrix(n, params)
-            assert all(type(v) is int for row in got for v in row)
+        for n in range(9):
+            exps = compositions(d, n)
+            groups = np.arange(len(exps)) % 5 * 3
+            coefs = 7 * np.arange(len(exps)) - 11
+            got_groups, got_exps, got_coefs = laplacian_sums(exps, coefs, groups, params)
+            assert np.all(np.diff(got_groups) >= 0)
+            assert set(got_groups.tolist()) <= set(groups.tolist())
+            for g in sorted(set(groups.tolist())):
+                mine = groups == g
+                want = reference_scaled_laplacian(
+                    dict(zip(map(tuple, exps[mine].tolist()), coefs[mine].tolist())), params)
+                got = dict(zip(map(tuple, got_exps[got_groups == g].tolist()),
+                               got_coefs[got_groups == g].tolist()))
+                assert got == want
+                assert list(got) == sorted(got)
