@@ -14,6 +14,15 @@ each arc and per-arc Gauss nodes converge spectrally; for fractional 2 kappa
 the arc ends keep an algebraic singularity that slows them, but far less
 than it slows a flat product rule, which would be stuck near order^(-2).
 
+sphere_rule_blocks is the one way sphere-rule nodes are formed: a stream of
+blocks, each formed from the rule's one-dimensional factors (the latitude
+rule, the S^(d-2) rule it scales, or the arcs of each latitude) when it is
+handed out, its unit norm checked, and the mass checked after the last.
+build_sphere_rule is that stream as one array, for callers that hold a
+rule; the package's own sphere integrals, the check Gram of
+hharmonic_basis and both rules of a Lebesgue sweep, walk the stream and
+never hold a rule whole.
+
 Basis construction is exact where exactness is cheap: the projection
 formula of Dunkl and Xu maps the monomials x^alpha with alpha_d <= 1 to a
 basis of the degree-n h-harmonics, taken as integer rows with no
@@ -46,7 +55,8 @@ from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
 from .polycore import (KappaParams, Monomial, Polynomial, compositions, dunkl_sums,
                        laplacian_sums)
-from .simplexquad import SelfCheckError, block_slices, gauss_jacobi
+from . import simplexquad
+from .simplexquad import SelfCheckError, block_slices, chunk_slices, gauss_jacobi
 
 
 def require_sphere_rule(d: int, kappa_hint=None, order: int | None = None) -> None:
@@ -102,7 +112,23 @@ def _gauss_on(a: float, b: float, x: np.ndarray, w: np.ndarray):
     return (a + b) / 2 + (b - a) / 2 * x, w * (b - a) / 2
 
 
-def _circle_rule(order: int, split: bool) -> SphereRule:
+# Each rule family below is (row length, form): form(rows, cols) gives the
+# nodes and weights at positions cols of each row in rows, formed together
+# from the rule's one-dimensional factors.  A row is the whole circle, a
+# latitude, or one arc of a latitude.
+
+
+def _node_count(d: int, order: int, split: bool) -> int:
+    """Nodes of a rule, known before any Gauss rule is built.  The d = 3
+    split rule has order nodes on each of two arcs per latitude of its polar
+    panels (|psi| > pi/4) and six per latitude of the three between, where
+    the six cuts of _sphere3_kink are distinct away from the panel ends."""
+    if d == 2:
+        return 2 * max(order, 4) if split else max(2 * order, 8)
+    return 22 * order**2 if split else 2 * order ** (d - 1)
+
+
+def _circle_rule(order: int, split: bool):
     n = max(2 * order, 8)
     if split:
         # kinks of |x_1 - x_2| sit where cos = sin
@@ -118,22 +144,29 @@ def _circle_rule(order: int, split: bool) -> SphereRule:
         theta = 2 * math.pi * np.arange(n) / n
         weights = np.full(n, 2 * math.pi / n)
     nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return SphereRule(d=2, order=order, nodes=nodes, weights=weights)
+    return len(weights), lambda rows, cols: (nodes[cols], weights[cols])
 
 
-def _sphere3_plain(order: int) -> SphereRule:
-    u, wu = gauss_jacobi(order, 0, 0)
-    nphi = 2 * order
-    phi = 2 * math.pi * np.arange(nphi) / nphi
-    U, PH = np.meshgrid(u, phi, indexing="ij")
-    s = np.sqrt(1 - U**2)
-    nodes = np.stack([s * np.cos(PH), s * np.sin(PH), U], axis=-1).reshape(-1, 3)
-    weights = (wu[:, None] * (2 * math.pi / nphi) * np.ones_like(PH)).ravel()
-    return SphereRule(d=3, order=order, nodes=nodes, weights=weights)
+def _sphere_product(d: int, order: int):
+    """S^(d-1), d in {3, 4}, as latitude rows: each node u of the Gauss rule
+    for (1 - u^2)^((d-3)/2) scales the plain S^(d-2) rule of the same order
+    by sqrt(1 - u^2) and takes u as its last coordinate."""
+    u, wu = gauss_jacobi(order, (d - 3) / 2, (d - 3) / 2)
+    s = np.sqrt(1 - u**2)
+    inner = _rule_rows(d - 1, order, False)[1]
+    inner_nodes, inner_weights = inner(slice(None), slice(None))
+
+    def form(rows, cols):
+        nodes = np.empty((len(u[rows]), len(inner_weights[cols]), d))
+        np.multiply(s[rows, None, None], inner_nodes[cols], out=nodes[..., :-1])
+        nodes[..., -1] = u[rows, None]
+        return nodes.reshape(-1, d), (wu[rows, None] * inner_weights[cols]).ravel()
+
+    return len(inner_weights), form
 
 
-def _sphere3_kink(order: int) -> SphereRule:
-    """d = 3 rule split along the curves x_i = x_j.
+def _sphere3_kink(order: int):
+    """d = 3 rule split along the curves x_i = x_j, one row per arc.
 
     In polar coordinates (x, y, z) = (cos psi cos phi, cos psi sin phi,
     sin psi): the plane x = y cuts every latitude at phi in {pi/4, 5pi/4};
@@ -162,24 +195,75 @@ def _sphere3_kink(order: int) -> SphereRule:
                      for c0, c1 in zip(cuts, cuts[1:] + [cuts[0] + 2 * math.pi])
                      if c1 - c0 >= 1e-14]
     c0, c1, s, u, ws = (np.array(col)[:, None] for col in zip(*arcs))
-    phi, wphi = _gauss_on(c0, c1, gx, gw)
-    nodes = np.stack([s * np.cos(phi), s * np.sin(phi), np.broadcast_to(u, phi.shape)], axis=-1)
-    return SphereRule(d=3, order=order, nodes=nodes.reshape(-1, 3), weights=(ws * wphi).ravel())
+
+    def form(rows, cols):
+        phi, wphi = _gauss_on(c0[rows], c1[rows], gx[cols], gw[cols])
+        nodes = np.stack([s[rows] * np.cos(phi), s[rows] * np.sin(phi),
+                          np.broadcast_to(u[rows], phi.shape)], axis=-1)
+        return nodes.reshape(-1, 3), (ws[rows] * wphi).ravel()
+
+    return order, form
 
 
-def _sphere4_plain(order: int) -> SphereRule:
-    u, wu = gauss_jacobi(order, 0.5, 0.5)  # weight (1-u^2)^(1/2) on [-1, 1]
-    inner = _sphere3_plain(order)
-    s = np.sqrt(1 - u**2)
-    nodes = np.empty((len(u), len(inner), 4))
-    np.multiply(s[:, None, None], inner.nodes, out=nodes[..., :3])
-    nodes[..., 3] = u[:, None]
-    weights = wu[:, None] * inner.weights
-    return SphereRule(d=4, order=order, nodes=nodes.reshape(-1, 4), weights=weights.ravel())
+def _rule_rows(d: int, order: int, split: bool):
+    if d == 2:
+        return _circle_rule(order, split)
+    return _sphere3_kink(order) if d == 3 and split else _sphere_product(d, order)
+
+
+def _form_range(form, length: int, start: int, stop: int):
+    """Nodes start..stop-1 of a family: the end of the first row, the whole
+    rows after it, and the start of the last, each formed in one call."""
+    r0, k0 = divmod(start, length)
+    r1, k1 = divmod(stop, length)
+    if r0 == r1:
+        return form(slice(r0, r0 + 1), slice(k0, k1))
+    pieces = []
+    if k0:
+        pieces.append(form(slice(r0, r0 + 1), slice(k0, None)))
+        r0 += 1
+    if r1 > r0:
+        pieces.append(form(slice(r0, r1), slice(None)))
+    if k1:
+        pieces.append(form(slice(r1, r1 + 1), slice(k1)))
+    return pieces[0] if len(pieces) == 1 else tuple(map(np.concatenate, zip(*pieces)))
+
+
+def sphere_rule_blocks(d: int, order: int, kappa_hint, per_node: int,
+                       slices=block_slices):
+    """The nodes and weights of build_sphere_rule(d, order, kappa_hint), as
+    blocks over slices(node count, per_node) with the same bits.  A block is
+    formed from the rule's one-dimensional factors when it is handed out,
+    so only a block and the factors are ever held, and there is no node
+    budget.  Every block has passed the unit-norm check when it is handed
+    out, and the mass is checked after the last one: a consumer that walks
+    the stream to its end has used only a rule that passed both, or gets
+    SelfCheckError."""
+    require_sphere_rule(d, kappa_hint, order)
+    split = _wants_kink_split(kappa_hint)
+    count = _node_count(d, order, split)
+    length, form = _rule_rows(d, order, split)
+    return _checked_blocks(d, form, length, slices(count, per_node))
+
+
+def _checked_blocks(d: int, form, length: int, slices):
+    total = 0.0
+    for sl in slices:
+        nodes, weights = _form_range(form, length, sl.start, sl.stop)
+        # written so that a NaN node or weight fails: NaN compares false both ways
+        norms = np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
+        if not np.max(np.abs(norms - 1)) <= 1e-14:
+            raise SelfCheckError("sphere rule nodes drifted off the unit sphere")
+        total += float(weights.sum())
+        yield nodes, weights
+    if not abs(total / surface_area(d) - 1) <= 1e-10:
+        raise SelfCheckError(f"sphere rule mass {total} does not match the surface area")
 
 
 def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
-    """Surface-measure quadrature on S^(d-1), d in {2, 3, 4}.
+    """Surface-measure quadrature on S^(d-1), d in {2, 3, 4}: the blocks of
+    sphere_rule_blocks, as one rule of at most simplexquad.CHUNK_ELEMENTS
+    nodes.  A larger rule is a ValueError before any node is formed.
 
     kappa_hint only matters when 2 kappa is not an even integer, in which
     case the d = 2 and d = 3 rules subdivide along the kinks of the weight
@@ -191,21 +275,14 @@ def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
     residual of a d = 4 basis at kappa 1/2 or 1/3), so at d = 4 any kappa
     with 2 kappa not even is a ValueError."""
     require_sphere_rule(d, kappa_hint, order)
-    split = _wants_kink_split(kappa_hint)
-    if d == 2:
-        rule = _circle_rule(order, split)
-    elif d == 3:
-        rule = _sphere3_kink(order) if split else _sphere3_plain(order)
-    else:
-        rule = _sphere4_plain(order)
-    # written so that a NaN node or weight fails: NaN compares false both ways
-    total = float(rule.weights.sum())
-    if not abs(total / surface_area(d) - 1) <= 1e-10:
-        raise SelfCheckError(f"sphere rule mass {total} does not match the surface area")
-    norms = np.sqrt(np.einsum("ij,ij->i", rule.nodes, rule.nodes))
-    if not np.max(np.abs(norms - 1)) <= 1e-14:
-        raise SelfCheckError("sphere rule nodes drifted off the unit sphere")
-    return rule
+    count = _node_count(d, order, _wants_kink_split(kappa_hint))
+    if count > simplexquad.CHUNK_ELEMENTS:
+        raise ValueError(f"a sphere rule of order {order} at d = {d} has {count} nodes, "
+                         f"over the {simplexquad.CHUNK_ELEMENTS} a built rule may hold")
+    # within the budget, chunk_slices makes the stream one block; unpacking
+    # walks it to its end, past the mass check
+    [(nodes, weights)] = sphere_rule_blocks(d, order, kappa_hint, 1, chunk_slices)
+    return SphereRule(d=d, order=order, nodes=nodes, weights=weights)
 
 
 def hweight(x, params: KappaParams):
@@ -362,21 +439,28 @@ def _exact_mix(mix: np.ndarray, rows: list[list[int]]) -> tuple[tuple[Fraction, 
     return tuple(exact)
 
 
-def _gram(coeffs: np.ndarray, exps: np.ndarray, params: KappaParams,
-          rule: SphereRule) -> np.ndarray:
+def _gram_node_cost(width: int, exps: np.ndarray) -> int:
+    """Elements of _gram's temporaries per node: the power table, the
+    monomials and one gathered factor, the basis values and their weighted
+    copy."""
+    return exps.shape[1] * (exps.max(initial=0) + 1) + 2 * len(exps) + 2 * width
+
+
+def _gram(coeffs: np.ndarray, exps: np.ndarray, params: KappaParams, blocks) -> np.ndarray:
     """a_kappa sum_nodes w h^2 v v^T for v the values of the polynomials
-    coeffs @ x^exps, summed over node blocks whose temporaries stay within
+    coeffs @ x^exps, over an iterable of (nodes, weights) blocks: the
+    stream of sphere_rule_blocks, or a built rule as one block.  Each block
+    is summed in node blocks whose temporaries stay within
     simplexquad.BLOCK_ELEMENTS elements."""
-    # per node: the power table, the monomials and one gathered factor, the
-    # basis values and their weighted copy
-    per_node = exps.shape[1] * (exps.max(initial=0) + 1) + 2 * len(exps) + 2 * len(coeffs)
+    per_node = _gram_node_cost(len(coeffs), exps)
     a = params.a_kappa
     g = np.zeros((len(coeffs), len(coeffs)))
-    for sl in block_slices(len(rule), per_node):
-        nodes = rule.nodes[sl]
-        wh2 = rule.weights[sl] * hweight(nodes, params) ** 2
-        vals = coeffs @ _monomial_values(nodes, exps)
-        g += a * (vals * wh2) @ vals.T
+    for block_nodes, block_weights in blocks:
+        for sl in block_slices(len(block_weights), per_node):
+            nodes = block_nodes[sl]
+            wh2 = block_weights[sl] * hweight(nodes, params) ** 2
+            vals = coeffs @ _monomial_values(nodes, exps)
+            g += a * (vals * wh2) @ vals.T
     return (g + g.T) / 2
 
 
@@ -425,8 +509,9 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     SelfCheckError; their Gram matrix under the a_kappa-normalized h^2
     sphere inner product by quadrature; Cholesky orthonormalization, whose
     float mix is applied to the integer rows exactly.  The Gram residual is
-    re-measured with an independent rule at twice the order so a too-coarse
-    sphere rule is visible in the output."""
+    re-measured with an independent rule at twice the order, streamed by
+    sphere_rule_blocks and never held whole, so a too-coarse sphere rule is
+    visible in the output."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if sphere_rule.d != params.d:
@@ -442,7 +527,8 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
             f"the projected rows are not {expected} nonzero h-harmonics for n={n}, d={d}, "
             f"kappa={params.kappa}; the projection is wrong")
 
-    G = _gram(np.array(rows, dtype=float), exps, params, sphere_rule)
+    G = _gram(np.array(rows, dtype=float), exps, params,
+              [(sphere_rule.nodes, sphere_rule.weights)])
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -452,8 +538,13 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     exact = _exact_mix(_inverse_lower(L), rows)
     coeffs = np.array([[float(c) for c in row] for row in exact])
 
-    check_rule = build_sphere_rule(d, 2 * sphere_rule.order, kappa_hint=params.kappa)
-    G2 = _gram(coeffs, exps, params, check_rule)
+    # stream blocks of BLOCK_ELEMENTS node coordinates and weights, which
+    # _gram sums in its smaller blocks.  Stream blocks as small as _gram's
+    # own let glibc hand each block's temporaries back to the system and
+    # fault them in again: 10 800 page faults and 60% more time at d = 4,
+    # n = 2, in a fresh process.
+    check = sphere_rule_blocks(d, 2 * sphere_rule.order, params.kappa, d + 1)
+    G2 = _gram(coeffs, exps, params, check)
     residual = float(np.max(np.abs(G2 - np.eye(len(rows)))))
     return HarmonicBasis(
         n=n, d=d, kappa=params.kappa, exponents=tuple(map(tuple, exps.tolist())),

@@ -92,19 +92,22 @@ def divided_difference_rows(n_max: int, jp: JacobiParams, z: np.ndarray):
     Opitz's formula gives [z] f = f(Z)[N, 0] for the lower bidiagonal Z with
     z on the diagonal and ones below it, so the three-term recurrence runs
     on the columns P_m(Z) e_0 and multiplying by t becomes multiplying by Z.
-    Repeated points need no special case.  The columns live in four
+    Repeated points need no special case.  The columns live in three
     contiguous (N + 1, count) buffers, updated in place and rotated, so a
-    step allocates nothing but the copy of the row it yields."""
+    step allocates nothing but the copy of the row it yields.  A step whose
+    c2 is 0, as every step of a symmetric (alpha = beta) recurrence is,
+    skips that term; the others add it last, which by the commutativity of
+    IEEE addition gives the bits of adding it first."""
     zt = np.ascontiguousarray(z.T)
-    prev, cur, zv, new = (np.zeros_like(zt) for _ in range(4))
+    prev, cur, new = (np.zeros_like(zt) for _ in range(3))
     cur[0] = 1.0
     yield cur[-1].copy()
     for c1, c2, c3, c4 in _recurrence(n_max, jp):
-        np.multiply(zt, cur, out=zv)  # Z P_m(Z) e_0
-        zv[1:] += cur[:-1]
-        np.multiply(cur, c2, out=new)
-        zv *= c3
-        new += zv
+        np.multiply(zt, cur, out=new)  # Z P_m(Z) e_0
+        new[1:] += cur[:-1]
+        new *= c3
+        if c2:
+            new += c2 * cur
         prev *= c4
         new -= prev
         new /= c1

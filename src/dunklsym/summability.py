@@ -13,10 +13,12 @@ report the fitted constants, whose stability under n-doubling is the check.
 Sweeps do not integrate the simplex once per sphere node and degree.  They
 build one table of degree-k projection kernels per sphere node, k <= n_max,
 and each delta is then one product of a lower-triangular Cesaro-weight
-matrix with that table.  The sphere nodes stream through in chunks, each
-adding to one running sum per delta, so a sweep's memory is O(chunk *
-n_max) plus the sphere rule, never the whole table; within a chunk, the
-tensor table and the Cesaro products run in cache-sized blocks
+matrix with that table.  Neither sphere rule of a sweep is built: both come
+from harmonics.sphere_rule_blocks, the one way nodes are formed, as a
+stream of chunks that it forms from the rule's one-dimensional factors.
+Each chunk adds to one running sum per delta, so a sweep's memory is
+O(chunk * n_max), never the whole table or the whole rule; within a chunk,
+the tensor table and the Cesaro products run in cache-sized blocks
 (simplexquad.block_slices), whose temporaries do not grow with the chunk.
 For kappa = 0, and
 for integer kappa at d = 3 and 4, the table is exact: V_kappa of a Jacobi
@@ -44,6 +46,7 @@ from .harmonics import (
     hweight,
     min_sphere_order,
     require_sphere_rule,
+    sphere_rule_blocks,
 )
 from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import (
@@ -120,7 +123,8 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
     recurrence on S and sums each row against the rule's weights, so no
     temporary spans more than a block.  The table has the same bits
     whatever the blocks: no block has a single row, whose node product
-    numpy would compute by a matrix-vector call."""
+    numpy would compute by a matrix-vector call.  On both branches each row
+    is written into the table by the multiply that applies its normalizer."""
     jp = _jacobi_params(params)
     X = np.asarray(X, dtype=float)
     A = np.empty((n_max + 1, len(X)))
@@ -137,7 +141,7 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
             z = np.repeat(X[sl], repeats, axis=1)
             rows = divided_difference_rows(n_max + N, shifted, z)
             for k, row in enumerate(islice(rows, N, None)):
-                A[k, sl] = row
+                np.multiply(row, scale[k], out=A[k, sl])
     else:
         rule = polynomial_rule(params, n_max)
         T = rule.nodes
@@ -149,46 +153,52 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
             W = np.broadcast_to(w_eff, S.shape)
             rows = jacobi_rows(n_max, jp, S)
             next(rows)
-            A[0, sl] = W.sum(axis=1)  # P_0 = 1 needs no product
+            np.multiply(W.sum(axis=1), scale[0], out=A[0, sl])  # P_0 = 1 needs no product
             for k, row in enumerate(rows, start=1):
-                A[k, sl] = (W * row).sum(axis=1)
-    A *= scale[:, None]
+                np.multiply((W * row).sum(axis=1), scale[k], out=A[k, sl])
     return A
 
 
+def _sweep_node_cost(n_max: int) -> int:
+    """Elements per sphere node of a sweep chunk: the table B, W @ B, and
+    the divided-difference or tensor work on them."""
+    return 3 * (n_max + 1)
+
+
 def _sweep_values(params: KappaParams, weights: dict[float, np.ndarray], n_max: int,
-                  ell: int, sphere_order: int) -> dict[float, np.ndarray]:
-    """I_n for n = 0..n_max and each delta, on one sphere rule.
+                  ell: int, blocks) -> dict[float, np.ndarray]:
+    """I_n for n = 0..n_max and each delta, on one sphere rule given as an
+    iterable of (nodes, weights) blocks: the stream of sphere_rule_blocks,
+    or a built rule as one block.
 
     weights maps each delta to its cesaro_weight_matrix W, so W @ B is every
-    Cesaro kernel K_n^delta(x, e_ell) at once.  The sphere nodes stream
-    through in chunks: each chunk builds its own table B and h^2 weights and
-    adds |W @ B| @ wh2 to one running sum per delta, so memory is
-    O(chunk * n_max) plus the sphere rule.  A chunk has
-    simplexquad.CHUNK_ELEMENTS // (3 (n_max + 1)) nodes; a rule of up to
-    about 20 000 nodes at n_max = 64 is one chunk.  W @ B goes into one
-    buffer per chunk, a cache-sized block of columns at a time, and the
-    absolute value is taken in place.  At small n_max a product over the
-    whole chunk is a poor BLAS call (n_max = 8 on 12 672 nodes, 2-core
-    x86-64: 8 ms on two threads, against 0.2 ms in blocks on one).  Blocks are a power of two of
-    columns, so they start on multiples of the BLAS kernels' column
-    unrolling; blocks that do not can round differently from one product
-    over the chunk."""
-    sphere = build_sphere_rule(params.d, sphere_order, kappa_hint=params.kappa)
+    Cesaro kernel K_n^delta(x, e_ell) at once.  The sphere nodes go through
+    in chunks of simplexquad.CHUNK_ELEMENTS // _sweep_node_cost(n_max)
+    nodes: each chunk builds its own table B and h^2 weights and adds
+    |W @ B| @ wh2 to one running sum per delta, so memory is O(chunk *
+    n_max); a rule of up to about 20 000 nodes at n_max = 64 is one chunk.
+    W @ B goes into one buffer per chunk, a cache-sized block of columns at
+    a time, and the absolute value is taken in place.  At small n_max a
+    product over the whole chunk is a poor BLAS call (n_max = 8 on 12 672
+    nodes, 2-core x86-64: 8 ms on two threads, against 0.2 ms in blocks on
+    one).  Blocks are a power of two of columns, so they start on multiples
+    of the BLAS kernels' column unrolling; blocks that do not can round
+    differently from one product over the chunk."""
     out = {delta: np.zeros(n_max + 1) for delta in weights}
-    for sl in chunk_slices(len(sphere), 3 * (n_max + 1)):
-        nodes = sphere.nodes[sl]
-        B = _axis_kernel_table(n_max, ell, params, nodes)
-        wh2 = params.a_kappa * sphere.weights[sl] * hweight(nodes, params) ** 2
-        WB = np.empty_like(B)
-        # a column of B and of W @ B is 2 (n_max + 1) elements; rounded up
-        # to a power of two, so that blocks are a power of two of columns
-        cols = block_slices(B.shape[1], 1 << (2 * n_max + 1).bit_length())
-        for delta, W in weights.items():
-            for blk in cols:
-                np.matmul(W, B[:, blk], out=WB[:, blk])
-            out[delta] += np.abs(WB, out=WB) @ wh2
-        del B, WB  # free this chunk's table before the next one is built
+    for block_nodes, block_weights in blocks:
+        for sl in chunk_slices(len(block_weights), _sweep_node_cost(n_max)):
+            nodes = block_nodes[sl]
+            B = _axis_kernel_table(n_max, ell, params, nodes)
+            wh2 = params.a_kappa * block_weights[sl] * hweight(nodes, params) ** 2
+            WB = np.empty_like(B)
+            # a column of B and of W @ B is 2 (n_max + 1) elements; rounded up
+            # to a power of two, so that blocks are a power of two of columns
+            cols = block_slices(B.shape[1], 1 << (2 * n_max + 1).bit_length())
+            for delta, W in weights.items():
+                for blk in cols:
+                    np.matmul(W, B[:, blk], out=WB[:, blk])
+                out[delta] += np.abs(WB, out=WB) @ wh2
+            del B, WB  # free this chunk's table before the next one is built
     return out
 
 
@@ -258,8 +268,13 @@ def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,
     check_sweep(params, deltas, n_max, ell, sphere_order)
     order = sphere_order if sphere_order is not None else default_sphere_order(n_max)
     weights = {delta: cesaro_weight_matrix(n_max, delta) for delta in deltas}
-    main = _sweep_values(params, weights, n_max, ell, order)
-    coarse = _sweep_values(params, weights, n_max, ell, coarse_sphere_order(order))
+
+    def values(rule_order: int) -> dict[float, np.ndarray]:
+        blocks = sphere_rule_blocks(params.d, rule_order, params.kappa,
+                                    _sweep_node_cost(n_max), chunk_slices)
+        return _sweep_values(params, weights, n_max, ell, blocks)
+
+    main, coarse = values(order), values(coarse_sphere_order(order))
     records = []
     for delta in deltas:
         for n in range(1, n_max + 1):

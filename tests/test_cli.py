@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dunklsym import cli, intertwine, simplexquad
+from dunklsym import cli, harmonics, intertwine, simplexquad
 from dunklsym.harmonics import repro_kernel_axis
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import MomentValidationError
@@ -110,6 +110,19 @@ def test_verify_negative_degree_is_refused():
     assert rc == 2
     assert out == ""
     assert "max degree" in err
+
+
+def test_hbasis_oversized_sphere_rule_is_refused(monkeypatch):
+    # order 400 at d = 4 asks for 128 M nodes: refused before any Gauss rule
+    def no_gauss_rule(*args):
+        raise AssertionError("a Gauss rule was built for a refused sphere rule")
+
+    monkeypatch.setattr(harmonics, "gauss_jacobi", no_gauss_rule)
+    rc, out, err = run_cli(
+        ["hbasis", "--d", "4", "--kappa", "1", "--n", "2", "--quad-order", "400"])
+    assert rc == 2
+    assert out == ""
+    assert "128000000 nodes" in err
 
 
 def test_verify_failure_exits_one(monkeypatch):

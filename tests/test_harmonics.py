@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 from dunklsym import harmonics
 from dunklsym.harmonics import (
     HarmonicBasis,
-    SphereRule,
     _exact_mix,
     _gram,
     _gauss_on,
     _inverse_lower,
     _monomial_values,
     _projected_rows,
+    _gram_node_cost,
+    _node_count,
     _sphere3_kink,
-    _sphere3_plain,
     build_sphere_rule,
     harmonic_dim,
     hharmonic_basis,
@@ -30,11 +30,13 @@ from dunklsym.harmonics import (
     norm_const_a,
     repro_kernel_axis,
     repro_kernel_basis,
+    sphere_rule_blocks,
     surface_area,
 )
 from dunklsym.orthopoly import zn_eval
 from dunklsym.polycore import KappaParams, Polynomial, compositions, dunkl_laplacian
-from dunklsym.simplexquad import BLOCK_ELEMENTS, SelfCheckError, gauss_jacobi
+from dunklsym import simplexquad
+from dunklsym.simplexquad import BLOCK_ELEMENTS, SelfCheckError, block_slices, gauss_jacobi
 
 
 def test_surface_area_values():
@@ -68,7 +70,8 @@ def test_min_sphere_order_is_the_smallest_that_builds(d, kappa):
         with pytest.raises(ValueError, match=f"sphere order must be >= {low}"):
             build_sphere_rule(d, low - 1, kappa_hint=kappa)
         # the refused rule is the one that misses its mass check's 1e-10
-        assert abs(_sphere3_kink(low - 1).weights.sum() / surface_area(3) - 1) > 1e-10
+        _, weights = unchecked_kink_rule(low - 1)
+        assert abs(weights.sum() / surface_area(3) - 1) > 1e-10
     assert low == (5 if d == 3 and kappa is not None and Fraction(kappa).denominator > 1 else 4)
 
 
@@ -80,6 +83,12 @@ def test_sphere_rule_kink_split_handles_half_integer_kappa():
         quad = float(rule.weights @ hweight(rule.nodes, kp) ** 2)
         closed = 1.0 / kp.a_kappa
         assert abs(quad - closed) <= 1e-8 * closed
+
+
+def unchecked_kink_rule(order):
+    """The d = 3 split rule's nodes and weights as its family forms them,
+    before the checks of sphere_rule_blocks."""
+    return _sphere3_kink(order)[1](slice(None), slice(None))
 
 
 def kink_rule_per_arc(order):
@@ -110,21 +119,21 @@ def kink_rule_per_arc(order):
 
 @pytest.mark.parametrize("order", [4, 5, 24, 48])
 def test_kink_rule_is_the_per_arc_loop(order):
-    rule = _sphere3_kink(order)
+    got_nodes, got_weights = unchecked_kink_rule(order)
     nodes, weights = kink_rule_per_arc(order)
-    assert np.array_equal(rule.nodes, nodes)
-    assert np.array_equal(rule.weights, weights)
+    assert np.array_equal(got_nodes, nodes)
+    assert np.array_equal(got_weights, weights)
 
 
 def sphere4_per_latitude(order):
     """The d = 4 rule built one latitude at a time, by concatenation."""
     u, wu = gauss_jacobi(order, 0.5, 0.5)
-    inner = _sphere3_plain(order)
+    inner_nodes, inner_weights = sphere3_per_latitude(order)
     s = np.sqrt(1 - u**2)
     nodes = np.concatenate(
-        [np.concatenate([si * inner.nodes, np.full((len(inner), 1), ui)], axis=1)
+        [np.concatenate([si * inner_nodes, np.full((len(inner_weights), 1), ui)], axis=1)
          for ui, si in zip(u, s)])
-    weights = np.concatenate([wi * inner.weights for wi in wu])
+    weights = np.concatenate([wi * inner_weights for wi in wu])
     return nodes, weights
 
 
@@ -180,8 +189,8 @@ def test_d2_d3_rules_are_the_reference_rules(d, hint, order):
     assert np.array_equal(rule.weights, weights)
 
 
-def corrupted(rule, kind):
-    nodes, weights = rule.nodes.copy(), rule.weights.copy()
+def corrupted(nodes, weights, kind):
+    nodes, weights = nodes.copy(), weights.copy()
     if kind == "nan node":
         nodes[3, 1] = np.nan
     elif kind == "nan weight":
@@ -190,16 +199,63 @@ def corrupted(rule, kind):
         nodes[3] *= 1 + 1e-12
     else:
         weights *= 1 + 1e-9
-    return SphereRule(d=rule.d, order=rule.order, nodes=nodes, weights=weights)
+    return nodes, weights
 
 
 @pytest.mark.parametrize("kind", ["nan node", "nan weight", "node off the sphere",
                                   "mass off"])
 def test_sphere_rule_self_checks_refuse_a_bad_rule(monkeypatch, kind):
-    good = harmonics._sphere3_plain
-    monkeypatch.setattr(harmonics, "_sphere3_plain", lambda order: corrupted(good(order), kind))
+    # the fault goes into every stretch of rows the generator forms, so
+    # that it reaches both the whole rule and every block of a streamed walk
+    good = harmonics._rule_rows
+
+    def rows(d, order, split):
+        length, form = good(d, order, split)
+        return length, lambda r, c: corrupted(*form(r, c), kind)
+
+    monkeypatch.setattr(harmonics, "_rule_rows", rows)
     with pytest.raises(SelfCheckError):
         build_sphere_rule(3, 8)
+    blocks = sphere_rule_blocks(3, 8, None, BLOCK_ELEMENTS // 40)
+    with pytest.raises(SelfCheckError):
+        for _ in blocks:
+            pass
+
+
+@pytest.mark.parametrize("order", [4, 5, 7, 16, 33, 64])
+@pytest.mark.parametrize("d, hint", [(2, None), (2, Fraction(1, 2)), (3, None),
+                                     (3, Fraction(1, 2)), (4, None)])
+def test_streamed_rule_is_the_built_rule(d, hint, order):
+    # blocks of 2, 3, 40 and 5 000 nodes, and the whole rule, which split
+    # rows and arcs anywhere, each size while it makes at most 2 000 blocks;
+    # the count is known before any node exists
+    if order < min_sphere_order(d, hint):
+        return
+    rule = build_sphere_rule(d, order, kappa_hint=hint)
+    assert len(rule) == _node_count(d, order, hint is not None)
+    for size in (2, 3, 40, 5000, len(rule)):
+        if len(rule) > 2000 * size:
+            continue
+        per_node = max(1, BLOCK_ELEMENTS // size)
+        blocks = list(sphere_rule_blocks(d, order, hint, per_node))
+        assert [len(w) for _, w in blocks] == \
+            [sl.stop - sl.start for sl in block_slices(len(rule), per_node)]
+        assert np.array_equal(np.concatenate([n for n, _ in blocks]), rule.nodes)
+        assert np.array_equal(np.concatenate([w for _, w in blocks]), rule.weights)
+
+
+@pytest.mark.parametrize("d, order, hint", [(2, 2_000_001, None), (3, 1415, None),
+                                            (3, 427, Fraction(1, 2)), (4, 400, 1)])
+def test_oversized_rule_is_refused_before_any_node(monkeypatch, d, order, hint):
+    # a rule over CHUNK_ELEMENTS nodes is refused before any Gauss rule, the
+    # first factor of every rule but the plain circle, is built
+    def no_gauss_rule(*args):
+        raise AssertionError("a Gauss rule was built for a refused sphere rule")
+
+    monkeypatch.setattr(harmonics, "gauss_jacobi", no_gauss_rule)
+    assert _node_count(d, order, harmonics._wants_kink_split(hint)) > simplexquad.CHUNK_ELEMENTS
+    with pytest.raises(ValueError, match="nodes, over"):
+        build_sphere_rule(d, order, kappa_hint=hint)
 
 
 def test_sphere_rule_refuses_half_integer_kappa_at_d4():
@@ -345,8 +401,13 @@ def test_blocked_gram_is_the_one_pass_sum(d, n, kappa):
     raw = np.array(_projected_rows(n, params), dtype=float)
     for coeffs in (raw, basis.coefficients):
         ref = one_pass_gram(coeffs, exps, params, check)
-        got = _gram(coeffs, exps, params, check)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the built rule as one block, and the stream in blocks of the
+        # check in hharmonic_basis and in _gram's own blocks
+        streams = [sphere_rule_blocks(d, 48, kappa, per_node)
+                   for per_node in (d + 1, _gram_node_cost(len(coeffs), exps))]
+        for blocks in [[(check.nodes, check.weights)]] + streams:
+            got = _gram(coeffs, exps, params, blocks)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     if d == 4:
         assert basis.gram_residual <= 1e-14
     else:

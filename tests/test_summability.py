@@ -226,6 +226,11 @@ def odd_sphere_rule(d, order, kappa_hint=None):
     return dataclasses.replace(rule, nodes=rule.nodes[:-1], weights=rule.weights[:-1])
 
 
+def odd_sphere_blocks(d, order, kappa_hint, per_node, slices):
+    rule = odd_sphere_rule(d, order, kappa_hint)
+    return [(rule.nodes, rule.weights)]
+
+
 @pytest.mark.parametrize("params, n_max, order", STREAM_CASES, ids=STREAM_IDS)
 def test_one_chunk_sweep_is_the_unstreamed_sweep(params, n_max, order, monkeypatch):
     sphere = build_sphere_rule(params.d, order, kappa_hint=params.kappa)
@@ -237,7 +242,9 @@ def test_one_chunk_sweep_is_the_unstreamed_sweep(params, n_max, order, monkeypat
     # against one block each, on rules of an odd node count: blocks of two
     # whose last takes the remainder of one, then blocks of 20 table rows and
     # 128 or 256 columns
-    monkeypatch.setattr(summability, "build_sphere_rule", odd_sphere_rule)
+    # the sweep takes each odd rule as one block, as it takes a rule a
+    # caller built
+    monkeypatch.setattr(summability, "sphere_rule_blocks", odd_sphere_blocks)
     monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", ONE_BLOCK)
     want = unstreamed_sweep(params, [1.0, 1.37, 2.5], n_max, 1, order, odd_sphere_rule)
     for budget in (1, 2**12):
@@ -281,21 +288,26 @@ def test_streamed_sweep_matches_the_unstreamed_sweep(params, n_max, order, monke
         assert abs(rec.quad_error_estimate - estimate) <= 1e-14 * value
 
 
-@pytest.mark.parametrize("sweep, bound_mb", [
-    # streamed sphere-node chunks: whole tables peaked at 214 MB
-    ("KappaParams(4, 1), [4.0], 32", 120),
+@pytest.mark.parametrize("call, bound_mb", [
+    # streamed sphere-node chunks: whole tables peaked at 214 MB; a streamed
+    # sphere rule as well: 58.7 MB, where the built 221 184-node rule
+    # peaked at 62.3 MB
+    ("lebesgue_sweep(KappaParams(4, 1), [4.0], 32)", 61),
     # cache-sized blocks of the tensor table: whole-chunk temporaries peaked
     # at 193 MB, the blocks at 47 MB
-    ("KappaParams(3, Fraction(1, 2)), [0.5, 1.0, 1.5], 24", 80),
-], ids=["d4-exact", "d3-tensor"])
-def test_sweep_memory_in_a_fresh_process(sweep, bound_mb):
+    ("lebesgue_sweep(KappaParams(3, Fraction(1, 2)), [0.5, 1.0, 1.5], 24)", 80),
+    # the order-48 check rule streamed: 41.7 MB, where the built 221 184-node
+    # rule peaked at 47.7 MB
+    ("hharmonic_basis(2, KappaParams(4, 1), build_sphere_rule(4, 24, kappa_hint=1))", 44),
+], ids=["d4-exact", "d3-tensor", "d4-hbasis"])
+def test_sweep_memory_in_a_fresh_process(call, bound_mb):
     # Linux carries the parent's peak into the child's ru_maxrss across fork
     # and exec, so there the child reads the peak of its own address space.
     code = f"""
 import resource, sys
 from fractions import Fraction
-from dunklsym import KappaParams, lebesgue_sweep
-lebesgue_sweep({sweep})
+from dunklsym import KappaParams, build_sphere_rule, hharmonic_basis, lebesgue_sweep
+{call}
 try:
     with open("/proc/self/status") as status:
         kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
