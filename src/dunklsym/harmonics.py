@@ -372,9 +372,10 @@ def _product_error(a, p, bh, bl):
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _projected_rows(n: int, params: KappaParams) -> list[list[int]]:
+def _projected_rows(n: int, params: KappaParams) -> np.ndarray:
     """Integer multiples of proj_n x^alpha, one row per alpha with
-    alpha_d <= 1, over the columns compositions(d, n).
+    alpha_d <= 1, over the columns compositions(d, n): an object array of
+    Python ints.
 
     proj_n P = sum_{j <= n/2} ||x||^(2j) Delta_kappa^j P / (4^j j! (-lambda - n + 1)_j)
     (Dunkl and Xu, Orthogonal Polynomials of Several Variables, 2nd ed.,
@@ -409,7 +410,7 @@ def _projected_rows(n: int, params: KappaParams) -> list[list[int]]:
     key = (n + 1) ** np.arange(d - 1, -1, -1)
     rows = np.zeros((len(chosen), len(monos)), dtype=object)
     rows[groups, np.searchsorted(monos @ key, exps @ key)] = coefs.astype(object)
-    return rows.tolist()
+    return rows
 
 
 def _inverse_lower(L: np.ndarray) -> np.ndarray:
@@ -423,7 +424,7 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _exact_mix(mix: np.ndarray, rows: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
+def _exact_mix(mix: np.ndarray, rows: np.ndarray) -> tuple[tuple[Fraction, ...], ...]:
     """The rows of mix @ rows in exact arithmetic, mix read as the dyadic
     rationals its floats are: each mix row is written as integers over one
     power of two, so each coefficient is one integer dot product and one
@@ -519,15 +520,14 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     d = params.d
     exps = compositions(d, n)
     rows = _projected_rows(n, params)
-    table = np.array(rows, dtype=object)
-    r, c = np.nonzero(table)
+    r, c = np.nonzero(rows)
     expected = harmonic_dim(n, d)
-    if len(set(r.tolist())) != expected or len(laplacian_sums(exps[c], table[r, c], r, params)[0]):
+    if len(set(r.tolist())) != expected or len(laplacian_sums(exps[c], rows[r, c], r, params)[0]):
         raise SelfCheckError(
             f"the projected rows are not {expected} nonzero h-harmonics for n={n}, d={d}, "
             f"kappa={params.kappa}; the projection is wrong")
 
-    G = _gram(np.array(rows, dtype=float), exps, params,
+    G = _gram(rows.astype(float), exps, params,
               [(sphere_rule.nodes, sphere_rule.weights)])
     try:
         L = np.linalg.cholesky(G)

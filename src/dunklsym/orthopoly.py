@@ -29,19 +29,19 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("Jacobi parameters must both exceed -1")
+        if not (-1 < self.alpha < math.inf and -1 < self.beta < math.inf):  # also refuses NaN
+            raise ValueError("Jacobi parameters must both be finite and exceed -1")
 
 
 @dataclass(frozen=True)
 class CesaroOrder:
-    """Cesaro smoothing order delta > -1."""
+    """Finite Cesaro smoothing order delta > -1."""
 
     delta: float
 
     def __post_init__(self):
-        if not self.delta > -1:  # also refuses NaN
-            raise ValueError("Cesaro order must exceed -1")
+        if not -1 < self.delta < math.inf:  # also refuses NaN
+            raise ValueError("Cesaro order must be finite and exceed -1")
 
 
 def _as_delta(delta) -> float:

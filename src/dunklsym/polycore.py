@@ -12,10 +12,9 @@ polynomial, computed by term-wise telescoping.  The core, dunkl_sums, works on
 integer arrays: rows (exponent tuple, integer coefficient, group), expanded
 into their derivative and telescoped terms and summed per (group, monomial)
 key by one sort, on int64 when an exact bound allows and on Python ints
-otherwise.  For kappa = p/q in lowest terms, scaled_dunkl (q D_i) and
-scaled_laplacian (q^2 Delta_kappa) are dict[Monomial, int] wrappers over it,
-as are partial_derivative and divided_difference; dunkl_apply and
-dunkl_laplacian clear the denominators, run the core and rescale.
+otherwise.  The Polynomial operators cross into it once and back once: they
+clear the denominators of p, run dunkl_sums or laplacian_sums on its rows
+(for kappa = p/q in lowest terms, q D_i and q^2 Delta_kappa) and rescale.
 """
 
 from __future__ import annotations
@@ -276,13 +275,14 @@ class KappaParams:
         return math.exp(log_val) / omega
 
     @staticmethod
-    def from_string(d: int, text: str, max_denominator: int = 10**6) -> "KappaParams":
-        """Parse kappa from 'p/q' (exact) or a decimal (nearest rational)."""
+    def from_string(d: int, text: str) -> "KappaParams":
+        """Parse kappa from 'p/q' (exact) or a decimal (the nearest rational
+        with denominator at most 10^6)."""
         text = text.strip()
         if "/" in text:
             kappa = Fraction(text)
         else:
-            kappa = Fraction(text).limit_denominator(max_denominator)
+            kappa = Fraction(text).limit_denominator(10**6)
         return KappaParams(d, kappa)
 
 
@@ -386,25 +386,6 @@ def dunkl_sums(exps: np.ndarray, coefs: np.ndarray, axes: np.ndarray, groups: np
     return out_groups, (mono[:, None] // weight) % radix, sums[keep]
 
 
-def _rows(terms: Mapping[Monomial, int], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exponent and coefficient arrays of an integer-coefficient map."""
-    exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), d)
-    return exps, np.array(list(terms.values()), dtype=object)
-
-
-def _terms(exps: np.ndarray, coefs: np.ndarray) -> dict[Monomial, int]:
-    return dict(zip(map(tuple, exps.tolist()), coefs.tolist()))
-
-
-def _apply(terms: Mapping[Monomial, int], d: int, k: int, dcoef: int, tcoef: int,
-           partner: int | None = None) -> dict[Monomial, int]:
-    """dunkl_sums on one integer-coefficient map along axis k (0-based), as a map."""
-    exps, coefs = _rows(terms, d)
-    zeros = np.zeros(len(coefs), dtype=np.int64)
-    _, exps, coefs = dunkl_sums(exps, coefs, zeros + k, zeros, dcoef, tcoef, partner)
-    return _terms(exps, coefs)
-
-
 def laplacian_sums(exps: np.ndarray, coefs: np.ndarray, groups: np.ndarray,
                    params: KappaParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """q^2 Delta_kappa = sum_i (q D_i)^2, kappa = p/q, summed per group: two
@@ -416,26 +397,17 @@ def laplacian_sums(exps: np.ndarray, coefs: np.ndarray, groups: np.ndarray,
     return dunkl_sums(exps, coefs, inner % d, inner // d, q, p)
 
 
-def scaled_dunkl(terms: Mapping[Monomial, int], i: int, params: KappaParams) -> dict[Monomial, int]:
-    """q D_i on an integer-coefficient map, for kappa = p/q in lowest terms:
-    q d/dx_i + p sum_{j != i} (1 - (i,j)) / (x_i - x_j), through dunkl_sums.
-    Integer in, integer out (sorted, without zero entries): no Fraction is built."""
-    _check_axis(i, params.d)
-    return _apply(terms, params.d, i - 1, params.kappa.denominator, params.kappa.numerator)
-
-
-def scaled_laplacian(terms: Mapping[Monomial, int], params: KappaParams) -> dict[Monomial, int]:
-    """q^2 Delta_kappa = sum_i (q D_i)^2 on an integer-coefficient map."""
-    exps, coefs = _rows(terms, params.d)
-    _, exps, coefs = laplacian_sums(exps, coefs, np.zeros(len(coefs), dtype=np.int64), params)
-    return _terms(exps, coefs)
-
-
-def _through_core(p: Polynomial, core, scale: int) -> Polynomial:
-    """core(L p) / (L scale), L the least common denominator of p."""
+def _through_core(p: Polynomial, scale: int, core) -> Polynomial:
+    """core(L p) / (L scale), L the least common denominator of p: core takes
+    the rows (exps, coefs, groups) of L p, all in group 0, and returns
+    (groups, exps, coefs) as dunkl_sums does."""
     lcd = math.lcm(*(c.denominator for c in p.terms.values()))
-    out = core({m: c.numerator * (lcd // c.denominator) for m, c in p.terms.items()})
-    return Polynomial(p.dim, {m: Fraction(c, lcd * scale) for m, c in out.items()})
+    exps = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.dim)
+    coefs = np.array([c.numerator * (lcd // c.denominator) for c in p.terms.values()],
+                     dtype=object)
+    _, exps, coefs = core(exps, coefs, np.zeros(len(coefs), dtype=np.int64))
+    return Polynomial(p.dim, {tuple(m): Fraction(c, lcd * scale)
+                              for m, c in zip(exps.tolist(), coefs.tolist())})
 
 
 def _check_params(p: Polynomial, params: KappaParams) -> None:
@@ -446,7 +418,8 @@ def _check_params(p: Polynomial, params: KappaParams) -> None:
 def partial_derivative(p: Polynomial, i: int) -> Polynomial:
     """Exact formal d/dx_i, axis i in 1..d."""
     _check_axis(i, p.dim)
-    return _through_core(p, lambda terms: _apply(terms, p.dim, i - 1, 1, 0), 1)
+    # every row is in group 0 and acts on axis i: the axes are the groups + i - 1
+    return _through_core(p, 1, lambda e, c, g: dunkl_sums(e, c, g + i - 1, g, 1, 0))
 
 
 def transposition_action(p: Polynomial, i: int, j: int) -> Polynomial:
@@ -466,19 +439,22 @@ def divided_difference(p: Polynomial, i: int, j: int) -> Polynomial:
     _check_axis(j, p.dim)
     if i == j:
         raise ValueError("divided difference needs i != j")
-    return _through_core(p, lambda terms: _apply(terms, p.dim, i - 1, 0, 1, j - 1), 1)
+    return _through_core(p, 1, lambda e, c, g: dunkl_sums(e, c, g + i - 1, g, 0, 1, j - 1))
 
 
 def dunkl_apply(p: Polynomial, i: int, params: KappaParams) -> Polynomial:
-    """The Dunkl operator D_i p for S_d with multiplicity params.kappa, via
-    scaled_dunkl on p with its denominators cleared."""
+    """The Dunkl operator D_i p for S_d with multiplicity params.kappa: for
+    kappa = r/q in lowest terms, q D_i = q d/dx_i + r sum_{j != i} (1 - (i,j))
+    / (x_i - x_j) by dunkl_sums on p with its denominators cleared."""
     _check_params(p, params)
-    return _through_core(p, lambda terms: scaled_dunkl(terms, i, params),
-                         params.kappa.denominator)
+    _check_axis(i, p.dim)
+    r, q = params.kappa.numerator, params.kappa.denominator
+    return _through_core(p, q, lambda e, c, g: dunkl_sums(e, c, g + i - 1, g, q, r))
 
 
 def dunkl_laplacian(p: Polynomial, params: KappaParams) -> Polynomial:
-    """Delta_kappa p = sum_i D_i^2 p, via scaled_laplacian."""
+    """Delta_kappa p = sum_i D_i^2 p: q^2 Delta_kappa by laplacian_sums on p
+    with its denominators cleared."""
     _check_params(p, params)
-    return _through_core(p, lambda terms: scaled_laplacian(terms, params),
-                         params.kappa.denominator**2)
+    return _through_core(p, params.kappa.denominator**2,
+                         lambda e, c, g: laplacian_sums(e, c, g, params))

@@ -270,13 +270,14 @@ def _reference_moments(rule: SimplexRule, seqs) -> np.ndarray:
     return ref
 
 
-def _validate_moments(rule: SimplexRule, max_total_degree: int, rtol: float = 1e-10):
+def _validate_moments(rule: SimplexRule, max_total_degree: int):
     """Compare sum_k w_k t_k^alpha, over the rule's own nodes, with the
-    Dirichlet moment (_reference_moments) for every |alpha| <= degree.  A
-    monomial is a sorted sequence s of coordinates; sorting the sequences
-    walks them depth first, each after its prefix s[:-1], so row len(s) of
-    `path`, w t^s on a block of nodes, is the prefix's row times t_{s[-1]}.
-    A block has CHUNK_ELEMENTS // (number of monomials) nodes."""
+    Dirichlet moment (_reference_moments) for every |alpha| <= degree, to
+    a relative 1e-10.  A monomial is a sorted sequence s of coordinates;
+    sorting the sequences walks them depth first, each after its prefix
+    s[:-1], so row len(s) of `path`, w t^s on a block of nodes, is the
+    prefix's row times t_{s[-1]}.  A block has CHUNK_ELEMENTS // (number of
+    monomials) nodes."""
     seqs = sorted(s for m in range(max_total_degree + 1)
                   for s in combinations_with_replacement(range(rule.d), m))
     got = np.zeros(len(seqs))
@@ -291,7 +292,7 @@ def _validate_moments(rule: SimplexRule, max_total_degree: int, rtol: float = 1e
     ref = _reference_moments(rule, seqs)
     err = np.abs(got - ref) / ref
     worst = int(np.argmax(err))  # the first NaN, if any
-    if not err[worst] <= rtol:
+    if not err[worst] <= 1e-10:
         alpha = tuple(seqs[worst].count(i) for i in range(rule.d))
         raise MomentValidationError(
             f"moment validation failed at alpha={alpha}: rel err {err[worst]:.3e} "

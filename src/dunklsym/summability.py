@@ -166,17 +166,18 @@ def _sweep_node_cost(n_max: int) -> int:
 
 
 def _sweep_values(params: KappaParams, weights: dict[float, np.ndarray], n_max: int,
-                  ell: int, blocks) -> dict[float, np.ndarray]:
+                  ell: int, chunks) -> dict[float, np.ndarray]:
     """I_n for n = 0..n_max and each delta, on one sphere rule given as an
-    iterable of (nodes, weights) blocks: the stream of sphere_rule_blocks,
-    or a built rule as one block.
+    iterable of (nodes, weights) chunks of at most
+    simplexquad.CHUNK_ELEMENTS // _sweep_node_cost(n_max) nodes: the stream
+    of sphere_rule_blocks cut by chunk_slices, or a built rule that fits
+    one chunk.
 
     weights maps each delta to its cesaro_weight_matrix W, so W @ B is every
-    Cesaro kernel K_n^delta(x, e_ell) at once.  The sphere nodes go through
-    in chunks of simplexquad.CHUNK_ELEMENTS // _sweep_node_cost(n_max)
-    nodes: each chunk builds its own table B and h^2 weights and adds
-    |W @ B| @ wh2 to one running sum per delta, so memory is O(chunk *
-    n_max); a rule of up to about 20 000 nodes at n_max = 64 is one chunk.
+    Cesaro kernel K_n^delta(x, e_ell) at once.  Each chunk builds its own
+    table B and h^2 weights and adds |W @ B| @ wh2 to one running sum per
+    delta, so memory is O(chunk * n_max); a rule of up to about 20 000 nodes
+    at n_max = 64 is one chunk.
     W @ B goes into one buffer per chunk, a cache-sized block of columns at
     a time, and the absolute value is taken in place.  At small n_max a
     product over the whole chunk is a poor BLAS call (n_max = 8 on 12 672
@@ -185,20 +186,18 @@ def _sweep_values(params: KappaParams, weights: dict[float, np.ndarray], n_max: 
     of the BLAS kernels' column unrolling; blocks that do not can round
     differently from one product over the chunk."""
     out = {delta: np.zeros(n_max + 1) for delta in weights}
-    for block_nodes, block_weights in blocks:
-        for sl in chunk_slices(len(block_weights), _sweep_node_cost(n_max)):
-            nodes = block_nodes[sl]
-            B = _axis_kernel_table(n_max, ell, params, nodes)
-            wh2 = params.a_kappa * block_weights[sl] * hweight(nodes, params) ** 2
-            WB = np.empty_like(B)
-            # a column of B and of W @ B is 2 (n_max + 1) elements; rounded up
-            # to a power of two, so that blocks are a power of two of columns
-            cols = block_slices(B.shape[1], 1 << (2 * n_max + 1).bit_length())
-            for delta, W in weights.items():
-                for blk in cols:
-                    np.matmul(W, B[:, blk], out=WB[:, blk])
-                out[delta] += np.abs(WB, out=WB) @ wh2
-            del B, WB  # free this chunk's table before the next one is built
+    for nodes, chunk_weights in chunks:
+        B = _axis_kernel_table(n_max, ell, params, nodes)
+        wh2 = params.a_kappa * chunk_weights * hweight(nodes, params) ** 2
+        WB = np.empty_like(B)
+        # a column of B and of W @ B is 2 (n_max + 1) elements; rounded up
+        # to a power of two, so that blocks are a power of two of columns
+        cols = block_slices(B.shape[1], 1 << (2 * n_max + 1).bit_length())
+        for delta, W in weights.items():
+            for blk in cols:
+                np.matmul(W, B[:, blk], out=WB[:, blk])
+            out[delta] += np.abs(WB, out=WB) @ wh2
+        del B, WB  # free this chunk's table before the next one is built
     return out
 
 
@@ -270,9 +269,9 @@ def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,
     weights = {delta: cesaro_weight_matrix(n_max, delta) for delta in deltas}
 
     def values(rule_order: int) -> dict[float, np.ndarray]:
-        blocks = sphere_rule_blocks(params.d, rule_order, params.kappa,
+        chunks = sphere_rule_blocks(params.d, rule_order, params.kappa,
                                     _sweep_node_cost(n_max), chunk_slices)
-        return _sweep_values(params, weights, n_max, ell, blocks)
+        return _sweep_values(params, weights, n_max, ell, chunks)
 
     main, coarse = values(order), values(coarse_sphere_order(order))
     records = []
@@ -506,7 +505,7 @@ def knd_positivity_check(n_max: int, jp: JacobiParams, delta,
     range the kernel does go negative).  Reports the most negative grid
     value and the fitted constant max n k_n^delta(t, 1) (1-t+n^(-2))^(alpha
     + 3/2), whose stability under doubling n_max is the check."""
-    delta = float(delta)
+    delta = CesaroOrder(float(delta)).delta
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if jp.alpha < -0.5 or jp.beta < -0.5:

@@ -634,6 +634,7 @@ def test_lebesgue_requires_n_max():
     ["--ell", "3"],          # axis outside 1..d
     ["--delta", "-1.5"],     # Cesaro order must exceed -1
     ["--delta", "nan"],
+    ["--delta", "inf"],
     ["--quad-order", "2"],   # sphere order below 4
     # an error-estimate rule of order 4, where the d = 3 kink rule fails its
     # own mass check
@@ -778,6 +779,25 @@ def test_bounds_flag_the_check_ignores_is_usage_error(tmp_path, check, flag, sou
     assert rc == 2
     assert out == ""
     assert f"--{flag} is not read by --check {check}" in err
+
+
+@pytest.mark.parametrize("flag, value", [("delta", "inf"), ("alpha", "nan"), ("beta", "inf")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bounds_knd_non_finite_parameter_is_usage_error(tmp_path, flag, value, source):
+    # a non-finite Cesaro order or Jacobi exponent is refused before any
+    # output: an infinite order would pass as "stable", with Infinity (not
+    # JSON) in the payload
+    argv = ["bounds", "--d", "3", "--kappa", "1", "--check", "knd", "--n", "8"]
+    if source == "flag":
+        argv.append(f"--{flag}={value}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    rc, out, err = run_cli(argv)
+    assert rc == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_bounds_requires_check():

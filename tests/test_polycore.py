@@ -25,8 +25,6 @@ from dunklsym.polycore import (
     dunkl_laplacian,
     laplacian_sums,
     partial_derivative,
-    scaled_dunkl,
-    scaled_laplacian,
     transposition_action,
 )
 
@@ -329,6 +327,11 @@ def nonzero(terms):
     return {m: c for m, c in terms.items() if c}
 
 
+def over(terms, scale):
+    """The nonzero entries of an integer map divided by scale."""
+    return {m: Fraction(c, scale) for m, c in terms.items() if c}
+
+
 def reference_scaled_dunkl(terms, i, params, out=None):
     k = i - 1
     partners = [j for j in range(params.d) if j != k]
@@ -362,11 +365,15 @@ def integer_maps(draw):
 @settings(max_examples=150, deadline=None)
 @given(integer_maps(), st.sampled_from(CORE_KAPPAS))
 def test_array_core_matches_the_dict_loop(case, kappa):
+    # the operators clear no denominator on an integer polynomial, so they
+    # are the integer core's q D_i and q^2 Delta_kappa divided by q and q^2
     d, terms, i, j = case
     params = KappaParams(d, kappa)
-    assert scaled_dunkl(terms, i, params) == nonzero(reference_scaled_dunkl(terms, i, params))
-    assert scaled_laplacian(terms, params) == reference_scaled_laplacian(terms, params)
+    q = params.kappa.denominator
     p = Polynomial(d, terms)
+    assert dunkl_apply(p, i, params).terms == over(reference_scaled_dunkl(terms, i, params), q)
+    assert dunkl_laplacian(p, params).terms == over(reference_scaled_laplacian(terms, params),
+                                                    q**2)
     assert partial_derivative(p, i).terms == nonzero(accumulate({}, terms, i - 1, 1, 0, ()))
     assert (divided_difference(p, i, j).terms
             == nonzero(accumulate({}, terms, i - 1, 0, 1, (j - 1,))))
@@ -374,13 +381,15 @@ def test_array_core_matches_the_dict_loop(case, kappa):
 
 def test_array_core_output_is_sorted_and_integer():
     params = KappaParams(3, Fraction(997, 991))
-    out = scaled_laplacian({(4, 0, 3): 2**70, (1, 5, 1): -3}, params)
+    out = dunkl_laplacian(Polynomial(3, {(4, 0, 3): 2**70, (1, 5, 1): -3}), params).terms
     assert list(out) == sorted(out)
-    assert all(type(c) is int and c for c in out.values())
+    # q^2 Delta_kappa of an integer polynomial is an integer polynomial
+    assert all(c and (c * 991**2).denominator == 1 for c in out.values())
     # a huge coefficient on a term the operator kills does not force the
     # int64 sums of the rest to take it
     terms = {(0, 0, 0): 2**80, (2, 1, 1): 1}
-    assert scaled_dunkl(terms, 1, params) == nonzero(reference_scaled_dunkl(terms, 1, params))
+    assert (dunkl_apply(Polynomial(3, terms), 1, params).terms
+            == over(reference_scaled_dunkl(terms, 1, params), 991))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -333,6 +333,7 @@ except (OSError, StopIteration):
     (KP31, [-1.0], 3, 1, None),              # Cesaro order must exceed -1
     (KP31, [1.5], 3, 1, 3),                  # sphere order below 4
     (KappaParams(4, Fraction(1, 2)), [1.5], 3, 1, None),  # no kink split on S^3
+    (KP31, [math.inf], 3, 1, None),          # Cesaro order must be finite
 ])
 def test_sweep_refuses_bad_arguments(params, deltas, n_max, ell, order):
     with pytest.raises(ValueError):
