@@ -556,6 +556,9 @@ def main(argv=None) -> int:
     except SelfCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        print(f"error: an argument is too large: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,30 +59,24 @@ from . import simplexquad
 from .simplexquad import SelfCheckError, block_slices, chunk_slices, gauss_jacobi
 
 
+# Smallest order of every sphere rule family: at order 4 the kink rule (the d = 3
+# rule split along the planes x_i = x_j) misses its 1e-10 mass check by 2e-9.
+MIN_SPHERE_ORDER = 5
+
+
 def require_sphere_rule(d: int, kappa_hint=None, order: int | None = None) -> None:
     """ValueError unless build_sphere_rule has a rule for S^(d-1) at this
     kappa, and at this order when one is given: d in {2, 3, 4}; at d = 4
     only a kappa with 2 kappa even, whose weight is a polynomial, since any
     other weight is kinked and would need a split rule that S^3 does not
-    have; and an order of at least min_sphere_order(d, kappa_hint)."""
+    have; and an order of at least MIN_SPHERE_ORDER."""
     if d not in (2, 3, 4):
         raise ValueError("only d in {2, 3, 4} is supported")
-    if d == 4 and kappa_hint is not None and Fraction(kappa_hint).denominator != 1:
+    if d == 4 and _wants_kink_split(kappa_hint):
         raise ValueError("d = 4 needs 2 kappa even: S^3 has no rule split "
                          "at the kinks of the weight")
-    low = min_sphere_order(d, kappa_hint)
-    if order is not None and order < low:
-        raise ValueError(f"sphere order must be >= {low}" + (
-            f" at d = 3 and kappa {Fraction(kappa_hint)}: the rule split at the "
-            "kinks of the weight fails its own mass check at order 4" if low > 4 else ""))
-
-
-def min_sphere_order(d: int, kappa_hint=None) -> int:
-    """Smallest order build_sphere_rule accepts: 4, and 5 for the d = 3
-    rule split at the kinks, whose order-4 version has too few nodes per
-    arc to give the surface area to its mass check's 1e-10 (it is off by
-    about 2e-9)."""
-    return 5 if d == 3 and _wants_kink_split(kappa_hint) else 4
+    if order is not None and order < MIN_SPHERE_ORDER:
+        raise ValueError(f"sphere order must be >= {MIN_SPHERE_ORDER}")
 
 
 def surface_area(d: int) -> float:
@@ -96,6 +90,7 @@ class SphereRule:
     order: int
     nodes: np.ndarray  # (N, d), unit rows
     weights: np.ndarray  # (N,), surface measure
+    split: bool  # split at the kinks of a weight with 2 kappa not even
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -106,6 +101,19 @@ def _wants_kink_split(kappa_hint) -> bool:
         return False
     two_kappa = 2 * Fraction(kappa_hint)
     return two_kappa.denominator != 1 or two_kappa.numerator % 2 == 1
+
+
+def require_fit(rule: SphereRule, params: KappaParams) -> None:
+    """ValueError unless rule is the rule family for params' weight: on
+    S^(d-1), and split at the kinks exactly when the weight has kinks, as
+    build_sphere_rule(params.d, order, kappa_hint=params.kappa) builds it."""
+    if rule.d != params.d:
+        raise ValueError("sphere rule dimension does not match params")
+    wants = _wants_kink_split(params.kappa)
+    if rule.split != wants:
+        raise ValueError(f"kappa {params.kappa} needs a sphere rule {'' if wants else 'not '}"
+                         f"split at the kinks of the weight: build it with "
+                         f"kappa_hint={params.kappa}")
 
 
 def _gauss_on(a: float, b: float, x: np.ndarray, w: np.ndarray):
@@ -124,15 +132,15 @@ def _node_count(d: int, order: int, split: bool) -> int:
     panels (|psi| > pi/4) and six per latitude of the three between, where
     the six cuts of _sphere3_kink are distinct away from the panel ends."""
     if d == 2:
-        return 2 * max(order, 4) if split else max(2 * order, 8)
+        return 2 * order
     return 22 * order**2 if split else 2 * order ** (d - 1)
 
 
 def _circle_rule(order: int, split: bool):
-    n = max(2 * order, 8)
+    n = 2 * order
     if split:
         # kinks of |x_1 - x_2| sit where cos = sin
-        x, w = gauss_jacobi(max(order, 4), 0, 0)
+        x, w = gauss_jacobi(order, 0, 0)
         th, wt = [], []
         for a, b in ((math.pi / 4, 5 * math.pi / 4), (5 * math.pi / 4, 9 * math.pi / 4)):
             t, ww = _gauss_on(a, b, x, w)
@@ -275,14 +283,15 @@ def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
     residual of a d = 4 basis at kappa 1/2 or 1/3), so at d = 4 any kappa
     with 2 kappa not even is a ValueError."""
     require_sphere_rule(d, kappa_hint, order)
-    count = _node_count(d, order, _wants_kink_split(kappa_hint))
+    split = _wants_kink_split(kappa_hint)
+    count = _node_count(d, order, split)
     if count > simplexquad.CHUNK_ELEMENTS:
         raise ValueError(f"a sphere rule of order {order} at d = {d} has {count} nodes, "
                          f"over the {simplexquad.CHUNK_ELEMENTS} a built rule may hold")
     # within the budget, chunk_slices makes the stream one block; unpacking
     # walks it to its end, past the mass check
     [(nodes, weights)] = sphere_rule_blocks(d, order, kappa_hint, 1, chunk_slices)
-    return SphereRule(d=d, order=order, nodes=nodes, weights=weights)
+    return SphereRule(d=d, order=order, nodes=nodes, weights=weights, split=split)
 
 
 def hweight(x, params: KappaParams):
@@ -305,8 +314,7 @@ def norm_const_a(params: KappaParams, sphere_rule: SphereRule) -> tuple[float, f
     """The normalization making the h^2-weighted sphere measure a probability:
     (closed form, 1/quadrature of h^2), for cross-checking one against the
     other."""
-    if sphere_rule.d != params.d:
-        raise ValueError("sphere rule dimension does not match params")
+    require_fit(sphere_rule, params)
     closed = params.a_kappa
     quad = 1.0 / float(np.dot(sphere_rule.weights, hweight(sphere_rule.nodes, params) ** 2))
     return closed, quad
@@ -515,8 +523,7 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     visible in the output."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if sphere_rule.d != params.d:
-        raise ValueError("sphere rule dimension does not match params")
+    require_fit(sphere_rule, params)
     d = params.d
     exps = compositions(d, n)
     rows = _projected_rows(n, params)

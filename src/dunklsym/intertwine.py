@@ -289,7 +289,9 @@ def vk_sphere_average(f, x, params: KappaParams, sphere_rule) -> tuple[float, fl
     x must be a multiple of a coordinate vector (the only case where
     V[f(<x, .>)] is a single-component function with a known representation).
     Returns (lhs, rhs) computed independently; the caller asserts closeness."""
-    from .harmonics import hweight  # local import to avoid a cycle
+    from .harmonics import hweight, require_fit  # local import to avoid a cycle
+
+    require_fit(sphere_rule, params)
 
     x = np.asarray(x, dtype=float)
     ell = int(np.argmax(np.abs(x))) + 1

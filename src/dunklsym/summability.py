@@ -35,16 +35,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
 from .harmonics import (
+    MIN_SPHERE_ORDER,
     SphereRule,
     _check_on_sphere,
     build_sphere_rule,
     hweight,
-    min_sphere_order,
+    require_fit,
     require_sphere_rule,
     sphere_rule_blocks,
 )
@@ -61,7 +62,7 @@ from .orthopoly import (
     kernel_normalizer,
 )
 from .polycore import KappaParams
-from .simplexquad import block_slices, build_rule, chunk_slices, default_order
+from .simplexquad import SelfCheckError, block_slices, build_rule, chunk_slices, default_order
 
 
 @dataclass(frozen=True)
@@ -207,19 +208,26 @@ def default_sphere_order(n_max: int) -> int:
 
 
 def coarse_sphere_order(order: int) -> int:
-    """Order of the sphere rule each quadrature error estimate compares with."""
-    return max(4, (3 * order) // 4)
+    """Order of the sphere rule each quadrature error estimate compares with;
+    ValueError unless it is below order, since an estimate against the main
+    rule itself reads 0.  So every sweep needs order >= MIN_SPHERE_ORDER + 1."""
+    coarse = max(MIN_SPHERE_ORDER, 3 * order // 4)
+    if coarse >= order:
+        raise ValueError(f"sphere order must be >= {MIN_SPHERE_ORDER + 1}: the error estimate "
+                         f"needs a coarser rule, of order max({MIN_SPHERE_ORDER}, 3 order // 4)")
+    return coarse
 
 
 def lebesgue_constant(n: int, delta, ell: int, params: KappaParams,
                       sphere_rule: SphereRule) -> SweepRecord:
     """I_n = a_kappa int |K_n^delta(x, e_ell)| h^2(x) dsigma(x).
 
-    The error estimate compares against a sphere rule at three quarters of
-    the order; the sphere integral of the kinked |K| dominates the error
-    budget, not the smooth simplex integral."""
-    if sphere_rule.d != params.d:
-        raise ValueError("sphere rule dimension does not match params")
+    The error estimate compares against a sphere rule of order
+    coarse_sphere_order(sphere_rule.order); the sphere integral of the
+    kinked |K| dominates the error budget, not the smooth simplex integral."""
+    require_fit(sphere_rule, params)
+    coarse = build_sphere_rule(params.d, coarse_sphere_order(sphere_rule.order),
+                               kappa_hint=params.kappa)
 
     def value_on(rule: SphereRule) -> float:
         K = cesaro_kernel_axis(n, delta, ell, rule.nodes, params)
@@ -227,8 +235,6 @@ def lebesgue_constant(n: int, delta, ell: int, params: KappaParams,
         return float(np.dot(wh2, np.abs(K)))
 
     value = value_on(sphere_rule)
-    coarse = build_sphere_rule(params.d, coarse_sphere_order(sphere_rule.order),
-                               kappa_hint=params.kappa)
     estimate = abs(value - value_on(coarse))
     return SweepRecord(n=n, delta=float(delta), value=value,
                        quad_error_estimate=estimate, d=params.d,
@@ -238,8 +244,11 @@ def lebesgue_constant(n: int, delta, ell: int, params: KappaParams,
 def check_sweep(params: KappaParams, deltas, n_max: int, ell: int,
                 sphere_order: int | None = None) -> None:
     """ValueError for arguments lebesgue_sweep refuses, raised before any
-    work, so a caller can validate before it writes output."""
+    work, so a caller can validate before it writes output, among them a
+    sphere order that coarse_sphere_order refuses; OverflowError for a
+    kappa whose a_kappa, which every sweep multiplies by, overflows."""
     require_sphere_rule(params.d, params.kappa)
+    params.a_kappa
     for delta in deltas:
         CesaroOrder(float(delta))
     if n_max < 1:
@@ -247,14 +256,7 @@ def check_sweep(params: KappaParams, deltas, n_max: int, ell: int,
     if not 1 <= ell <= params.d:
         raise ValueError(f"axis {ell} out of range 1..{params.d}")
     if sphere_order is not None:
-        # the error estimate builds a second rule, of coarse_sphere_order
-        low = min_sphere_order(params.d, params.kappa)
-        first = next(o for o in count(low) if coarse_sphere_order(o) >= low)
-        if sphere_order < first:
-            raise ValueError(f"sphere order must be >= {first}" + (
-                f" at d = 3 and kappa {params.kappa}: the error estimate builds a "
-                f"second rule of order max(4, 3 order // 4), and the rule split at "
-                f"the kinks of the weight needs order >= {low}" if low > 4 else ""))
+        coarse_sphere_order(sphere_order)
 
 
 def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,
@@ -274,6 +276,8 @@ def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,
         return _sweep_values(params, weights, n_max, ell, chunks)
 
     main, coarse = values(order), values(coarse_sphere_order(order))
+    if not all(np.isfinite(v).all() for v in (*main.values(), *coarse.values())):
+        raise SelfCheckError("a Lebesgue sum is not finite")
     records = []
     for delta in deltas:
         for n in range(1, n_max + 1):
@@ -394,6 +398,7 @@ def cesaro_mean_at_axis(f, n: int, delta, ell: int, params: KappaParams,
     f = 1 this returns 1 for every n and delta up to quadrature error, and
     for smooth f it converges to f(e_ell) when delta clears the critical
     index."""
+    require_fit(sphere_rule, params)
     K = cesaro_kernel_axis(n, delta, ell, sphere_rule.nodes, params)
     wh2 = params.a_kappa * sphere_rule.weights * hweight(sphere_rule.nodes, params) ** 2
     return float(np.dot(wh2, np.asarray(f(sphere_rule.nodes)) * K))

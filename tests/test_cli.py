@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dunklsym import cli, harmonics, intertwine, simplexquad
+from dunklsym import cli, harmonics, intertwine, simplexquad, summability
 from dunklsym.harmonics import repro_kernel_axis
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import MomentValidationError
@@ -635,11 +635,12 @@ def test_lebesgue_requires_n_max():
     ["--delta", "-1.5"],     # Cesaro order must exceed -1
     ["--delta", "nan"],
     ["--delta", "inf"],
-    ["--quad-order", "2"],   # sphere order below 4
-    # an error-estimate rule of order 4, where the d = 3 kink rule fails its
-    # own mass check
-    ["--d", "3", "--kappa", "1/2", "--quad-order", "6"],
+    ["--quad-order", "2"],   # sphere order below the floor of every rule
+    # an error-estimate rule of order max(5, 3 order // 4) = 5, no coarser
+    # than the main rule
+    ["--d", "3", "--kappa", "1/2", "--quad-order", "5"],
     ["--d", "4", "--kappa", "1/2", "--ell", "1"],  # no kink-split rule on S^3
+    ["--quad-order", "4"],   # a rule order below the floor
 ])
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
 def test_lebesgue_bad_input_writes_nothing(tmp_path, bad, suffix):
@@ -657,21 +658,55 @@ def test_lebesgue_bad_input_writes_nothing(tmp_path, bad, suffix):
 
 @pytest.mark.parametrize("order", ["4", "5", "6"])
 def test_lebesgue_names_the_smallest_order_a_kink_rule_accepts(order):
-    # the error estimate's rule has order max(4, 3 order // 4), which is 4
-    # up to order 6; the d = 3 kink rule fails its mass check at order 4
-    argv = ["lebesgue", "--d", "3", "--kappa", "1/2", "--delta", "1",
-            "--n-max", "2", "--quad-order"]
-    rc, out, err = run_cli(argv + [order])
+    # the error estimate's rule has order max(5, 3 order // 4), which must be
+    # below the main order: 5 from order 6 on, and no coarser rule below it,
+    # whichever rule family the weight takes
+    for d, kappa, shown in (("3", "1/2", "0.5"), ("3", "1", "1.0"), ("2", "1/2", "0.5")):
+        rc, out, err = run_cli(["lebesgue", "--d", d, "--kappa", kappa, "--delta", "1",
+                                "--n-max", "2", "--quad-order", order])
+        if order == "6":
+            assert rc == 0
+            assert out.splitlines()[-1].startswith(f"{d},{shown},1,1.0,2,")
+        else:
+            assert (rc, out) == (2, "")
+            assert "sphere order must be >= 6" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--d", "2", "--kappa", "1e300", "--n", "2", "--x", "0.6,0.8"],
+    ["kernel", "--d", "2", "--kappa", "1e400", "--n", "2", "--x", "0.6,0.8"],
+    ["bessel", "--d", "3", "--kappa", "1e300", "--y", "0.3,-0.2,0.1"],
+    # a_kappa overflows before the header, not after it in the exact table's
+    # loop over N = d kappa
+    ["lebesgue", "--d", "3", "--kappa", "100000", "--delta", "1", "--n-max", "3"],
+    ["lebesgue", "--d", "3", "--kappa", "1e300", "--delta", "1", "--n-max", "3"],
+])
+def test_overflowing_kappa_is_a_usage_error(argv):
+    rc, out, err = run_cli(argv)
     assert (rc, out) == (2, "")
-    assert "sphere order must be >= 7" in err
-    rc, out, _ = run_cli(argv + ["7"])
-    assert rc == 0
-    assert out.splitlines()[-1].startswith("3,0.5,1,1.0,2,")
-    # a plain rule (2 kappa even) and the d = 2 split rule build at order 4
-    for d, kappa in (("3", "1"), ("2", "1/2")):
-        rc, _, _ = run_cli(["lebesgue", "--d", d, "--kappa", kappa, "--delta", "1",
-                            "--n-max", "2", "--quad-order", "4"])
-        assert rc == 0
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_takes_a_kappa_whose_floats_overflow():
+    # the identities are exact, so they need no float of kappa
+    rc, out, _ = run_cli(["verify", "--d", "3", "--kappa", "1e300"])
+    assert rc == 0 and json.loads(out)["passed"]
+
+
+def test_lebesgue_non_finite_sum_writes_the_header_only(monkeypatch):
+    real = summability._sweep_values
+
+    def values(*args):
+        out = real(*args)
+        out[1.0][3] = np.nan
+        return out
+
+    monkeypatch.setattr(summability, "_sweep_values", values)
+    rc, out, err = run_cli(SWEEP_ARGS)
+    assert rc == 1
+    assert "not finite" in err
+    header, rows = parse_csv(out)
+    assert header["command"] == "lebesgue" and rows == []
 
 
 def test_lebesgue_interrupt_leaves_valid_partial_csv(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dunklsym import harmonics
 from dunklsym.harmonics import (
+    MIN_SPHERE_ORDER,
     HarmonicBasis,
     _exact_mix,
     _gram,
@@ -26,7 +27,6 @@ from dunklsym.harmonics import (
     harmonic_dim,
     hharmonic_basis,
     hweight,
-    min_sphere_order,
     norm_const_a,
     repro_kernel_axis,
     repro_kernel_basis,
@@ -63,16 +63,15 @@ def test_sphere_rule_plain_moments():
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("kappa", [None, 1, Fraction(1, 2), Fraction(1, 3), Fraction(5, 3)])
 def test_min_sphere_order_is_the_smallest_that_builds(d, kappa):
-    low = min_sphere_order(d, kappa)
-    for order in range(low, 13):
+    # one floor for every family
+    for order in range(MIN_SPHERE_ORDER, 13):
         build_sphere_rule(d, order, kappa_hint=kappa)  # passes its own checks
-    if low > 4:
-        with pytest.raises(ValueError, match=f"sphere order must be >= {low}"):
-            build_sphere_rule(d, low - 1, kappa_hint=kappa)
-        # the refused rule is the one that misses its mass check's 1e-10
-        _, weights = unchecked_kink_rule(low - 1)
-        assert abs(weights.sum() / surface_area(3) - 1) > 1e-10
-    assert low == (5 if d == 3 and kappa is not None and Fraction(kappa).denominator > 1 else 4)
+    with pytest.raises(ValueError, match=f"sphere order must be >= {MIN_SPHERE_ORDER}"):
+        build_sphere_rule(d, MIN_SPHERE_ORDER - 1, kappa_hint=kappa)
+    # the floor's reason: the kink rule one order below it misses its mass
+    # check's 1e-10
+    _, weights = unchecked_kink_rule(MIN_SPHERE_ORDER - 1)
+    assert abs(weights.sum() / surface_area(3) - 1) > 1e-10
 
 
 def test_sphere_rule_kink_split_handles_half_integer_kappa():
@@ -154,13 +153,13 @@ def circle_reference(order, split):
     """The d = 2 rule: equal angles, or one Gauss-Legendre panel on each arc
     between the kinks of |x_1 - x_2| at pi/4 and 5 pi/4."""
     if split:
-        x, w = gauss_jacobi(max(order, 4), 0, 0)
+        x, w = gauss_jacobi(order, 0, 0)
         half = math.pi / 2  # half the length of each arc
         theta = np.concatenate([start + half + half * x
                                 for start in (math.pi / 4, 5 * math.pi / 4)])
         weights = np.concatenate([w * half, w * half])
     else:
-        n = max(2 * order, 8)
+        n = 2 * order
         theta = 2 * math.pi * np.arange(n) / n
         weights = np.full(n, 2 * math.pi / n)
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1), weights
@@ -168,6 +167,10 @@ def circle_reference(order, split):
 
 @pytest.mark.parametrize("order", [4, 24, 48])
 def test_d4_rule_is_the_per_latitude_concatenation(order):
+    if order < MIN_SPHERE_ORDER:
+        with pytest.raises(ValueError, match="sphere order must be"):
+            build_sphere_rule(4, order)
+        return
     rule = build_sphere_rule(4, order)
     nodes, weights = sphere4_per_latitude(order)
     assert np.array_equal(rule.nodes, nodes)
@@ -228,8 +231,11 @@ def test_sphere_rule_self_checks_refuse_a_bad_rule(monkeypatch, kind):
 def test_streamed_rule_is_the_built_rule(d, hint, order):
     # blocks of 2, 3, 40 and 5 000 nodes, and the whole rule, which split
     # rows and arcs anywhere, each size while it makes at most 2 000 blocks;
-    # the count is known before any node exists
-    if order < min_sphere_order(d, hint):
+    # the count is known before any node exists; below the floor both refuse
+    if order < MIN_SPHERE_ORDER:
+        for make in (build_sphere_rule, lambda *a: next(sphere_rule_blocks(*a, 1))):
+            with pytest.raises(ValueError, match="sphere order must be"):
+                make(d, order, hint)
         return
     rule = build_sphere_rule(d, order, kappa_hint=hint)
     assert len(rule) == _node_count(d, order, hint is not None)

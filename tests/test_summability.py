@@ -14,8 +14,15 @@ import numpy as np
 import pytest
 
 from dunklsym import simplexquad, summability
-from dunklsym.harmonics import _zn_values, build_sphere_rule, hweight, repro_kernel_axis
-from dunklsym.intertwine import AxisFunction, polynomial_rule, vk_axis
+from dunklsym.harmonics import (
+    _zn_values,
+    build_sphere_rule,
+    hharmonic_basis,
+    hweight,
+    norm_const_a,
+    repro_kernel_axis,
+)
+from dunklsym.intertwine import AxisFunction, polynomial_rule, vk_axis, vk_sphere_average
 from dunklsym.orthopoly import (
     JacobiParams,
     cesaro_kernel_endpoint,
@@ -24,7 +31,7 @@ from dunklsym.orthopoly import (
     jacobi_rows,
 )
 from dunklsym.polycore import KappaParams
-from dunklsym.simplexquad import build_rule
+from dunklsym.simplexquad import SelfCheckError, build_rule
 from dunklsym.summability import (
     BOUNDED_POWER_THRESHOLD,
     _axis_kernel_table,
@@ -331,13 +338,72 @@ except (OSError, StopIteration):
     (KP31, [1.5], 3, 4, None),               # axis outside 1..d
     (KP31, [1.5], 3, 0, None),
     (KP31, [-1.0], 3, 1, None),              # Cesaro order must exceed -1
-    (KP31, [1.5], 3, 1, 3),                  # sphere order below 4
+    (KP31, [1.5], 3, 1, 3),                  # sphere order below the floor
     (KappaParams(4, Fraction(1, 2)), [1.5], 3, 1, None),  # no kink split on S^3
     (KP31, [math.inf], 3, 1, None),          # Cesaro order must be finite
 ])
 def test_sweep_refuses_bad_arguments(params, deltas, n_max, ell, order):
     with pytest.raises(ValueError):
         lebesgue_sweep(params, deltas, n_max, ell, sphere_order=order)
+
+
+# every function that integrates a weight on a sphere rule it is handed
+SPHERE_CONSUMERS = {
+    "norm_const_a": lambda params, rule: norm_const_a(params, rule),
+    "hharmonic_basis": lambda params, rule: hharmonic_basis(2, params, rule),
+    "lebesgue_constant": lambda params, rule: lebesgue_constant(3, 1.5, 1, params, rule),
+    "cesaro_mean_at_axis": lambda params, rule: cesaro_mean_at_axis(
+        lambda X: X[:, 0], 3, 1.5, 1, params, rule),
+    "vk_sphere_average": lambda params, rule: vk_sphere_average(
+        lambda t: t ** 2, np.eye(params.d)[0], params, rule),
+}
+# (params, d, kappa hint) of a rule that does not fit the params' weight
+MISFITS = {
+    "wrong-d": (KP31, 2, None),
+    "flat-at-1/2": (KappaParams(3, Fraction(1, 2)), 3, None),
+    "split-at-1": (KP31, 3, Fraction(1, 2)),
+    "d4-flat-at-1/2": (KappaParams(4, Fraction(1, 2)), 4, None),
+}
+
+
+@pytest.mark.parametrize("misfit", sorted(MISFITS))
+@pytest.mark.parametrize("consumer", sorted(SPHERE_CONSUMERS))
+def test_sphere_consumer_refuses_a_rule_that_does_not_fit_the_weight(consumer, misfit):
+    params, d, hint = MISFITS[misfit]
+    rule = build_sphere_rule(d, 8, kappa_hint=hint)
+    with pytest.raises(ValueError, match="sphere rule"):
+        SPHERE_CONSUMERS[consumer](params, rule)
+
+
+def test_lebesgue_constant_refuses_an_order_with_no_coarser_rule(monkeypatch):
+    # coarse_sphere_order(5) is 5: refused before any kernel or second rule
+    def no_work(*args, **kwargs):
+        raise AssertionError("lebesgue_constant worked on a refused order")
+
+    rule = build_sphere_rule(3, 5)
+    monkeypatch.setattr(summability, "cesaro_kernel_axis", no_work)
+    monkeypatch.setattr(summability, "build_sphere_rule", no_work)
+    with pytest.raises(ValueError, match="sphere order must be >= 6"):
+        lebesgue_constant(3, 1.5, 1, KP31, rule)
+
+
+@pytest.mark.parametrize("poisoned", ["main", "coarse"])
+def test_sweep_with_a_non_finite_sum_fails_before_any_record(monkeypatch, poisoned):
+    real = summability._sweep_values
+    calls = []
+
+    def values(*args):
+        out = real(*args)
+        calls.append(args)
+        if len(calls) == ["main", "coarse"].index(poisoned) + 1:
+            out[1.5][2] = np.nan
+        return out
+
+    monkeypatch.setattr(summability, "_sweep_values", values)
+    records = []
+    with pytest.raises(SelfCheckError, match="not finite"):
+        lebesgue_sweep(KP31, [1.0, 1.5], 4, sphere_order=12, progress=records.append)
+    assert len(calls) == 2 and records == []
 
 
 @pytest.mark.parametrize("params", [KappaParams(3, 0), KappaParams(3, Fraction(1, 2)), KP31])
