@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intertwine import AxisFunction, exponential_rule, vk_axis
-from .polycore import KappaParams
+from .polycore import KappaParams, check_axis
 from .simplexquad import chunk_slices, exponential_order, gauss_jacobi01, integrate
 
 
@@ -72,8 +72,7 @@ def bessel_k(params: KappaParams, y, path: str = "direct", ell: int = 1,
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
         raise ValueError(f"y must have shape ({d},)")
-    if not 1 <= ell <= d:
-        raise ValueError(f"axis {ell} out of range 1..{d}")
+    check_axis(ell, d)
     if path == "coset":
         swapped = np.tile(y, (d, 1))
         rows = np.arange(d)

@@ -13,6 +13,12 @@ the clock, the environment, or unseeded randomness.  Arguments are checked
 before the first byte is written.  Interrupted sweeps leave a valid file
 containing the completed rows only.
 
+Every option goes through argparse.  The `key = value` lines of a --config
+file become `--key=value` flags placed before the command line's own, and
+the whole is parsed again: file values are checked exactly as flags are
+(types and choices), and since argparse keeps the last value of a flag, the
+command line wins.
+
 The argument parser is built once per process and shared by every call of
 `main`, which parses into a fresh namespace each time; simplex rules are
 likewise built once per process (see simplexquad).
@@ -29,17 +35,16 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .bessel import bessel_k, bessel_k2_closed, bessel_recursive
 from .harmonics import build_sphere_rule, hharmonic_basis, repro_kernel_axis
-from .intertwine import verify_intertwining
+from .intertwine import polynomial_rule, verify_intertwining
 from .orthopoly import JacobiParams
 from .polycore import KappaParams
-from .simplexquad import SelfCheckError, exact_order, exponential_order
+from .simplexquad import SelfCheckError, exponential_order
 from .summability import (
     cesaro_kernel_axis,
     check_sweep,
@@ -54,38 +59,15 @@ from .summability import (
 _DEFAULT_SEED = 20260815
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Snapshot of one run: everything that determines the output bytes."""
-
-    command: str
-    d: int
-    kappa: str
-    ell: int = 1
-    quad_order: int | None = None
-    tolerance: float | None = None
-    seed: int = _DEFAULT_SEED
-
-    def header_pairs(self, extra: dict) -> list[tuple[str, object]]:
-        pairs = [("version", __version__), ("command", self.command),
-                 ("d", self.d), ("kappa", self.kappa), ("ell", self.ell)]
-        if self.quad_order is not None:
-            pairs.append(("quad_order", self.quad_order))
-        if self.tolerance is not None:
-            pairs.append(("tolerance", self.tolerance))
-        pairs.append(("seed", self.seed))
-        pairs.extend(extra.items())
-        return pairs
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
 
 
-def _load_config_file(path: str, options: set[str]) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored; unknown keys refused."""
-    out: dict[str, str] = {}
+def _config_flags(path: str, options: set[str]) -> list[str]:
+    """key=value lines as --key=value flags; blank lines and # comments
+    ignored; keys that are not options of the subcommand refused."""
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -97,19 +79,8 @@ def _load_config_file(path: str, options: set[str]) -> dict[str, str]:
             key = key.strip().replace("-", "_")
             if key not in options:
                 raise ValueError(f"config key {key!r} is not an option of this subcommand")
-            out[key] = value.strip()
-    return out
-
-
-def _merged(args: argparse.Namespace, key: str, cast, fallback=None):
-    """Flag value if given, else config-file value, else fallback."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    file_values = getattr(args, "_config_file", {})
-    if key in file_values:
-        return cast(file_values[key])
-    return fallback
+            flags.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -127,11 +98,11 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in str(text).split(",") if p.strip()]
+    return [int(p) for p in text.split(",") if p.strip()]
 
 
 def _vector(text: str, d: int, name: str) -> np.ndarray:
-    vals = np.array([float(p) for p in str(text).split(",") if p.strip()])
+    vals = np.array([float(p) for p in text.split(",") if p.strip()])
     if len(vals) != d:
         raise ValueError(f"--{name} needs {d} comma-separated values, got {len(vals)}")
     if not np.all(np.isfinite(vals)):
@@ -148,6 +119,20 @@ def _complex_pair(z: complex) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _header(command: str, params: KappaParams, *, ell: int = 1,
+            quad_order: int | None = None, tolerance: float | None = None,
+            seed: int = _DEFAULT_SEED, **extra) -> dict:
+    """Snapshot of one run, the first keys of its output: everything that
+    determines the output bytes."""
+    header = {"version": __version__, "command": command, "d": params.d,
+              "kappa": str(params.kappa), "ell": ell}
+    if quad_order is not None:
+        header["quad_order"] = quad_order
+    if tolerance is not None:
+        header["tolerance"] = tolerance
+    return {**header, "seed": seed, **extra}
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out is None:
@@ -157,91 +142,73 @@ def _emit_json(payload: dict, out: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _json_header(config: RunConfig, extra: dict) -> dict:
-    return dict(config.header_pairs(extra))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_verify(args) -> int:
-    d = _require_d(args)
-    params = _params(args, d)
-    max_degree = _merged(args, "max_degree", int, 6)
-    config = RunConfig(command="verify", d=d, kappa=str(params.kappa))
-    report = verify_intertwining(max_degree, params)
-    payload = _json_header(config, {"max_degree": max_degree})
+    params = _params(args)
+    report = verify_intertwining(args.max_degree, params)
+    payload = _header("verify", params, max_degree=args.max_degree)
     payload["passed"] = report["passed"]
     payload["checks"] = report["checks"]
     payload["failed"] = [
-        {"d": d, "kappa": str(params.kappa), **item} for item in report["failed"]]
-    _emit_json(payload, _merged(args, "out", str))
+        {"d": params.d, "kappa": str(params.kappa), **item} for item in report["failed"]]
+    _emit_json(payload, args.out)
     return 0 if report["passed"] else 1
 
 
 def _cmd_hbasis(args) -> int:
-    d = _require_d(args)
-    params = _params(args, d)
-    n = int(_required(args, "n"))
+    params = _params(args)
+    n = _required(args, "n")
     tolerance = _tolerance(args, 1e-8)
-    order = _merged(args, "quad_order", int, max(24, 2 * n + 12))
-    config = RunConfig(command="hbasis", d=d, kappa=str(params.kappa),
-                       quad_order=order, tolerance=tolerance)
-    sphere = build_sphere_rule(d, order, kappa_hint=params.kappa)
+    order = max(24, 2 * n + 12) if args.quad_order is None else args.quad_order
+    sphere = build_sphere_rule(params.d, order, kappa_hint=params.kappa)
     basis = hharmonic_basis(n, params, sphere)
-    payload = _json_header(config, {"n": n})
+    payload = _header("hbasis", params, quad_order=order, tolerance=tolerance, n=n)
     payload["dim"] = len(basis)
     payload["gram_residual"] = basis.gram_residual
     payload["gram_cond"] = basis.gram_cond
     payload["basis"] = [json.loads(p.to_json()) for p in basis.basis()]
-    _emit_json(payload, _merged(args, "out", str))
+    _emit_json(payload, args.out)
     return 0 if basis.gram_residual <= tolerance else 1
 
 
 def _cmd_kernel(args) -> int:
-    d = _require_d(args)
-    params = _params(args, d)
-    n = int(_required(args, "n"))
-    ell = _merged(args, "ell", int, 1)
-    x = _vector(_required(args, "x"), d, "x")
+    params = _params(args)
+    n = _required(args, "n")
+    x = _vector(_required(args, "x"), params.d, "x")
     norm = float(np.linalg.norm(x))
     if norm == 0:
         raise ValueError("--x must be nonzero; it is projected onto the sphere")
     x = x / norm
-    delta = _merged(args, "delta", float)
-    # at kappa = 0 the rule is the vertex rule, whose order counts no nodes
-    config = RunConfig(command="kernel", d=d, kappa=str(params.kappa), ell=ell,
-                       quad_order=exact_order(n + 1) if params.kappa != 0 else None)
     extra = {"n": n, "x": [float(v) for v in x]}
-    if delta is None:
+    if args.delta is None:
         extra["kind"] = "projection"
-        value = repro_kernel_axis(n, ell, x, params)
+        value = repro_kernel_axis(n, args.ell, x, params)
     else:
         extra["kind"] = "cesaro"
-        extra["delta"] = delta
-        value = cesaro_kernel_axis(n, delta, ell, x, params)
-    payload = _json_header(config, extra)
+        extra["delta"] = args.delta
+        value = cesaro_kernel_axis(n, args.delta, args.ell, x, params)
+    # the rule the kernel ran on; at kappa = 0 it is the vertex rule, whose
+    # order counts no nodes
+    order = polynomial_rule(params, n).order if params.kappa != 0 else None
+    payload = _header("kernel", params, ell=args.ell, quad_order=order, **extra)
     payload["value"] = float(value)
-    _emit_json(payload, _merged(args, "out", str))
+    _emit_json(payload, args.out)
     return 0
 
 
 def _cmd_bessel(args) -> int:
-    d = _require_d(args)
-    params = _params(args, d)
+    params = _params(args)
+    d = params.d
     y = _vector(_required(args, "y"), d, "y")
-    path = _merged(args, "path", str, "all")
-    argument = _merged(args, "argument", str, "imaginary")
-    if argument not in ("imaginary", "real"):
-        raise ValueError("--argument must be 'imaginary' or 'real'")
-    imaginary = argument == "imaginary"
+    path = args.path
+    imaginary = args.argument == "imaginary"
     tolerance = _tolerance(args, 1e-9)
 
     routes = ["direct", "closed", "recursive", "coset"]
-    if path not in routes + ["all"]:
-        raise ValueError(f"unknown path {path!r}")
     refusals = {}  # route -> why it cannot run at this (d, kappa, argument)
     if d != 2:
         refusals["closed"] = "the closed form needs d = 2"
@@ -257,8 +224,6 @@ def _cmd_bessel(args) -> int:
     # the rule is the vertex rule, whose order counts no nodes
     order = (exponential_order(float(np.ptp(y)) / 2, imaginary)
              if params.kappa != 0 and wanted != ["closed"] else None)
-    config = RunConfig(command="bessel", d=d, kappa=str(params.kappa),
-                       quad_order=order, tolerance=tolerance)
     values: dict[str, complex] = {}
     try:
         for name in wanted:
@@ -284,58 +249,53 @@ def _cmd_bessel(args) -> int:
             dev = abs(values[a] - values[b])
             deviations[f"{a}_vs_{b}"] = dev
             worst = max(worst, dev)
-    payload = _json_header(config, {
-        "y": [float(v) for v in y], "argument": argument, "path": path})
+    payload = _header("bessel", params, quad_order=order, tolerance=tolerance,
+                      y=[float(v) for v in y], argument=args.argument, path=path)
     payload["paths"] = {name: _complex_pair(values[name]) for name in names}
     payload["pairwise_deviations"] = deviations
     payload["max_deviation"] = worst
-    _emit_json(payload, _merged(args, "out", str))
+    _emit_json(payload, args.out)
     scale = max(1.0, max(abs(v) for v in values.values()))
     return 0 if worst <= tolerance * scale else 1
 
 
 def _cmd_lebesgue(args) -> int:
-    d = _require_d(args)
-    params = _params(args, d)
-    ell = _merged(args, "ell", int, 1)
-    n_max = int(_required(args, "n_max"))
-    delta_text = _required(args, "delta")
-    deltas = _parse_float_list(delta_text)
+    params = _params(args)
+    n_max = _required(args, "n_max")
+    deltas = _parse_float_list(_required(args, "delta"))
     if not deltas:
         raise ValueError("--delta produced an empty list")
-    order = _merged(args, "quad_order", int, default_sphere_order(n_max))
-    check_sweep(params, deltas, n_max, ell, order)
-    out = _merged(args, "out", str)
-    config = RunConfig(command="lebesgue", d=d, kappa=str(params.kappa),
-                       ell=ell, quad_order=order)
+    order = default_sphere_order(n_max) if args.quad_order is None else args.quad_order
+    check_sweep(params, deltas, n_max, args.ell, order)
     # critical index for this group, with the sign-change-group threshold at
     # equal multiplicities printed alongside for context (display only)
-    extra = {"delta": ",".join(repr(v) for v in deltas), "n_max": n_max,
-             "critical_delta": float(params.critical_delta),
-             "z2d_equal_multiplicity_threshold":
-                 float(params.lambda_kappa - params.kappa)}
+    header = _header(
+        "lebesgue", params, ell=args.ell, quad_order=order,
+        delta=",".join(repr(v) for v in deltas), n_max=n_max,
+        critical_delta=float(params.critical_delta),
+        z2d_equal_multiplicity_threshold=float(params.lambda_kappa - params.kappa))
 
-    as_json = out is not None and out.endswith(".json")
-    if as_json:
-        rows: list[dict] = []
-        payload = _json_header(config, extra)
+    def sweep(progress) -> int:
+        """0, or 130 on Ctrl-C once progress has had the completed records."""
         try:
-            lebesgue_sweep(params, deltas, n_max, ell, sphere_order=order,
-                           progress=lambda r: rows.append({
-                               "d": r.d, "kappa": r.kappa, "ell": r.ell,
-                               "delta": r.delta, "n": r.n, "I_n": r.value,
-                               "err_est": r.quad_error_estimate}))
+            lebesgue_sweep(params, deltas, n_max, args.ell, sphere_order=order,
+                           progress=progress)
         except KeyboardInterrupt:
-            payload["records"] = rows
-            _emit_json(payload, out)
             return 130
-        payload["records"] = rows
-        _emit_json(payload, out)
         return 0
+
+    out = args.out
+    if out is not None and out.endswith(".json"):
+        rows: list[dict] = []
+        code = sweep(lambda r: rows.append({
+            "d": r.d, "kappa": r.kappa, "ell": r.ell, "delta": r.delta, "n": r.n,
+            "I_n": r.value, "err_est": r.quad_error_estimate}))
+        _emit_json({**header, "records": rows}, out)
+        return code
 
     fh = sys.stdout if out is None else open(out, "w", encoding="utf-8")
     try:
-        for key, value in config.header_pairs(extra):
+        for key, value in header.items():
             fh.write(f"# {key}={value}\n")
         fh.write("d,kappa,ell,delta,n,I_n,err_est\n")
         fh.flush()
@@ -345,75 +305,63 @@ def _cmd_lebesgue(args) -> int:
                      f"{rec.n},{rec.value!r},{rec.quad_error_estimate!r}\n")
             fh.flush()
 
-        try:
-            lebesgue_sweep(params, deltas, n_max, ell, sphere_order=order,
-                           progress=write_row)
-        except KeyboardInterrupt:
-            return 130
+        return sweep(write_row)
     finally:
         if fh is not sys.stdout:
             fh.close()
-    return 0
 
 
 def _cmd_bounds(args) -> int:
-    d = _require_d(args)
-    params = _params(args, d)
-    check = _merged(args, "check", str)
-    if check not in ("estimate", "kernel", "knd"):
+    params = _params(args)
+    check = args.check
+    if check is None:
         raise ValueError("--check must be one of estimate, kernel, knd")
     unread = {"knd": ("ell",), "kernel": ("alpha", "beta"), "estimate": ("delta",)}
     for key in unread[check]:
-        if _merged(args, key, str) is not None:
+        if getattr(args, key) is not None:
             raise ValueError(f"--{key} is not read by --check {check}")
-    ell = _merged(args, "ell", int, 1)
-    seed = _merged(args, "seed", int, _DEFAULT_SEED)
-    out = _merged(args, "out", str)
+    ell = 1 if args.ell is None else args.ell
     lam = float(params.lambda_kappa)
 
-    n_values = _parse_int_list(
-        _merged(args, "n", str, "32,64,128" if check == "knd" else "16,32,64,128"))
+    n_text = args.n
+    if n_text is None:
+        n_text = "32,64,128" if check == "knd" else "16,32,64,128"
+    n_values = _parse_int_list(n_text)
     if not n_values or min(n_values) < 1:
         raise ValueError("--n must list degrees >= 1")
     if check == "knd":
-        alpha = _merged(args, "alpha", float, lam - 0.5)
-        beta = _merged(args, "beta", float, lam - 0.5)
-        delta = _merged(args, "delta", float, alpha + beta + 2.0)
-        config = RunConfig(command="bounds", d=d, kappa=str(params.kappa), seed=seed)
+        alpha = lam - 0.5 if args.alpha is None else args.alpha
+        beta = lam - 0.5 if args.beta is None else args.beta
+        delta = alpha + beta + 2.0 if args.delta is None else args.delta
+        extra = {"check": check, "alpha": alpha, "beta": beta, "delta": delta}
         series = []
         for n_max in n_values:
             rep = knd_positivity_check(n_max, JacobiParams(alpha, beta), delta)
             series.append({"n": n_max, "fitted_c": rep["fitted_c"],
                            "min_value": rep["min_value"]})
         fitted = [row["fitted_c"] for row in series]
-        payload = _json_header(config, {
-            "check": check, "alpha": alpha, "beta": beta, "delta": delta})
-        payload["fitted_c"] = fitted[-1]
-        payload["ratio_series"] = series
-        payload["stable"] = _stable(fitted)
-        _emit_json(payload, out)
-        return 0 if payload["stable"] else 1
-
-    X = default_sample_points(d, seed)
-    if check == "estimate":
-        alpha = _merged(args, "alpha", float, (d - 1) * params.kappa_float + 0.5)
-        beta = _merged(args, "beta", float, alpha)
-        extra = {"check": check, "alpha": alpha, "beta": beta}
-        series = [{"n": n, "max_ratio": estimate_check(n, params, alpha, beta, X, ell=ell)}
-                  for n in n_values]
+        fitted_c = fitted[-1]
     else:
-        delta = _merged(args, "delta", float, 1.5)
-        extra = {"check": check, "delta": delta}
-        series = [{"n": n, "max_ratio": kernel_bound_check(n, delta, ell, params, X)}
-                  for n in n_values]
-    ratios = [row["max_ratio"] for row in series]
-    config = RunConfig(command="bounds", d=d, kappa=str(params.kappa),
-                       ell=ell, seed=seed)
-    payload = _json_header(config, extra)
-    payload["fitted_c"] = max(ratios)
+        X = default_sample_points(params.d, args.seed)
+        if check == "estimate":
+            alpha = ((params.d - 1) * params.kappa_float + 0.5
+                     if args.alpha is None else args.alpha)
+            beta = alpha if args.beta is None else args.beta
+            extra = {"check": check, "alpha": alpha, "beta": beta}
+            series = [{"n": n, "max_ratio": estimate_check(n, params, alpha, beta, X, ell=ell)}
+                      for n in n_values]
+        else:
+            delta = 1.5 if args.delta is None else args.delta
+            extra = {"check": check, "delta": delta}
+            series = [{"n": n, "max_ratio": kernel_bound_check(n, delta, ell, params, X)}
+                      for n in n_values]
+        fitted = [row["max_ratio"] for row in series]
+        fitted_c = max(fitted)
+    payload = _header("bounds", params, ell=ell, seed=args.seed, **extra)
+    payload["fitted_c"] = fitted_c
     payload["ratio_series"] = series
-    payload["stable"] = _stable(ratios)
-    _emit_json(payload, out)
+    payload["stable"] = _stable(fitted)
+    _emit_json(payload, args.out)
     return 0 if payload["stable"] else 1
 
 
@@ -429,39 +377,32 @@ def _stable(values: list[float]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _require_d(args) -> int:
-    return int(_required(args, "d"))
-
-
 def _required(args, key: str):
-    value = _merged(args, key, str)
+    value = getattr(args, key)
     if value is None:
         raise ValueError(f"--{key.replace('_', '-')} is required")
     return value
 
 
 def _tolerance(args, default: float) -> float:
-    """--tolerance from the flag or the config file: a NaN, negative or
-    infinite bound would fail or pass its check whatever the run found."""
-    tolerance = _merged(args, "tolerance", float, default)
+    """--tolerance, or default: a NaN, negative or infinite bound would fail
+    or pass its check whatever the run found."""
+    tolerance = default if args.tolerance is None else args.tolerance
     if not (tolerance >= 0 and np.isfinite(tolerance)):
         raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance}")
     return tolerance
 
 
-def _params(args, d: int) -> KappaParams:
-    kappa = _merged(args, "kappa", str)
-    if kappa is None:
-        raise ValueError("--kappa is required")
-    return KappaParams.from_string(d, str(kappa))
+def _params(args) -> KappaParams:
+    return KappaParams.from_string(_required(args, "d"), _required(args, "kappa"))
 
 
-def _add_common(p: argparse.ArgumentParser, *reads: str,
-                quad_order: str | None = None, tolerance: str | None = None) -> None:
-    """Flags of every subcommand plus those of `reads`: ignored flags are
-    refused.  quad_order, when given, adds --quad-order with that help text:
-    which rule the order is of, and the subcommand's default; tolerance
-    likewise adds --tolerance: what it bounds, and its default."""
+def _add_common(p: argparse.ArgumentParser, *, quad_order: str | None = None,
+                tolerance: str | None = None) -> None:
+    """Flags of every subcommand: ignored flags are refused.  quad_order,
+    when given, adds --quad-order with that help text: which rule the order
+    is of, and the subcommand's default; tolerance likewise adds
+    --tolerance: what it bounds, and its default."""
     p.add_argument("--config", help="key=value config file; flags take precedence")
     p.add_argument("--d", type=int, help="number of variables")
     p.add_argument("--kappa", help="multiplicity: 'p/q' exact or decimal")
@@ -470,8 +411,6 @@ def _add_common(p: argparse.ArgumentParser, *reads: str,
     if tolerance is not None:
         p.add_argument("--tolerance", type=float, help=tolerance)
     p.add_argument("--out", help="output path (.csv or .json); default stdout")
-    if "seed" in reads:
-        p.add_argument("--seed", type=int, help="seed for sampled points")
 
 
 @functools.cache
@@ -486,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exact intertwining identity check")
     _add_common(p)
-    p.add_argument("--max-degree", type=int, dest="max_degree",
+    p.add_argument("--max-degree", type=int, dest="max_degree", default=6,
                    help="check monomials up to this degree (default 6)")
 
     p = sub.add_parser("hbasis", help="orthonormal h-harmonic basis as JSON")
@@ -497,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="projection or Cesaro kernel at a point")
     _add_common(p)
     p.add_argument("--n", type=int, help="degree")
-    p.add_argument("--ell", type=int, help="axis index, 1-based (default 1)")
+    p.add_argument("--ell", type=int, default=1, help="axis index, 1-based (default 1)")
     p.add_argument("--x", help="comma-separated point, projected to the sphere")
     p.add_argument("--delta", type=float,
                    help="Cesaro order; omit for the degree-n projection kernel")
@@ -507,18 +446,19 @@ def _build_parser() -> argparse.ArgumentParser:
                              "max(1, max |value|) (default 1e-9)")
     p.add_argument("--y", help="comma-separated argument vector")
     p.add_argument("--path", choices=["direct", "closed", "recursive", "coset", "all"],
-                   help="which route(s) to evaluate (default all)")
-    p.add_argument("--argument", choices=["imaginary", "real"],
+                   default="all", help="which route(s) to evaluate (default all)")
+    p.add_argument("--argument", choices=["imaginary", "real"], default="imaginary",
                    help="evaluate K(., iy) (default) or K(., y)")
 
     p = sub.add_parser("lebesgue", help="Lebesgue constant sweep")
     _add_common(p, quad_order="sphere-rule order (default n_max + 16)")
-    p.add_argument("--ell", type=int, help="axis index, 1-based (default 1)")
+    p.add_argument("--ell", type=int, default=1, help="axis index, 1-based (default 1)")
     p.add_argument("--delta", help="comma list '1.0,1.5' or range 'a:b:step'")
     p.add_argument("--n-max", type=int, dest="n_max", help="sweep n = 1..n_max")
 
     p = sub.add_parser("bounds", help="fitted constants for the envelope checks")
-    _add_common(p, "seed")
+    _add_common(p)
+    p.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="seed for sampled points")
     p.add_argument("--check", choices=["estimate", "kernel", "knd"])
     p.add_argument("--ell", type=int, help="axis index, 1-based (default 1)")
     p.add_argument("--n", help="comma list of degrees for the doubling series")
@@ -539,20 +479,28 @@ _HANDLERS = {
 }
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """argv parsed; with --config, parsed again with the file's flags placed
+    before the command line's own, which therefore win."""
+    args = parser.parse_args(argv)
+    if args.command is None or args.config is None:
+        return args
+    options = set(vars(args)) - {"command", "config"}
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + _config_flags(args.config, options) + argv[at:])
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    config_path = getattr(args, "config", None)
-    options = set(vars(args)) - {"command", "config"}
-    try:
-        args._config_file = _load_config_file(config_path, options) if config_path else {}
-        return _HANDLERS[args.command](args)
     except SelfCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

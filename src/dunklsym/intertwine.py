@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import simplexquad
-from .polycore import KappaParams, Polynomial, compositions, dunkl_sums
+from .polycore import KappaParams, Polynomial, check_axis, compositions, dunkl_sums
 from .simplexquad import (SimplexRule, build_rule, chunk_slices, exact_order, exponential_order,
                           gauss_jacobi, integrate, require_rule, tensor_grid)
 
@@ -67,8 +67,7 @@ def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule):
     X = np.atleast_2d(x)
     if x.ndim > 2 or X.shape[1] != params.d:
         raise ValueError(f"x must have shape ({params.d},) or (N, {params.d})")
-    if not 1 <= F.ell <= params.d:
-        raise ValueError(f"axis {F.ell} out of range 1..{params.d}")
+    check_axis(F.ell, params.d)
     require_rule(rule, params)
     values = params.c_kappa * np.concatenate([
         integrate(rule, lambda T: F.profile(X[sl] @ T.T) * T[:, F.ell - 1])
@@ -138,8 +137,7 @@ def vk_monomial_exact(n: int, ell: int, params: KappaParams) -> Polynomial:
     if n < 0:
         raise ValueError("degree must be >= 0")
     d = params.d
-    if not 1 <= ell <= d:
-        raise ValueError(f"axis {ell} out of range 1..{d}")
+    check_axis(ell, d)
     p, q = params.kappa.numerator, params.kappa.denominator
     den = math.prod(d * p + k * q for k in range(1, n + 1))
     exps, coefs = _image_numerators(n, d, p, q)

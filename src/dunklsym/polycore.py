@@ -68,7 +68,7 @@ class Polynomial:
     @staticmethod
     def variable(dim: int, i: int) -> "Polynomial":
         """The coordinate polynomial x_i, with i in 1..dim."""
-        _check_axis(i, dim)
+        check_axis(i, dim)
         return Polynomial.monomial(k == i - 1 for k in range(dim))
 
     @staticmethod
@@ -207,7 +207,8 @@ class Polynomial:
         return Polynomial(obj["d"], terms)
 
 
-def _check_axis(i: int, dim: int) -> None:
+def check_axis(i: int, dim: int) -> None:
+    """ValueError unless 1 <= i <= dim: i names axis e_i of R^dim."""
     if not 1 <= i <= dim:
         raise ValueError(f"axis {i} out of range 1..{dim}")
 
@@ -417,15 +418,15 @@ def _check_params(p: Polynomial, params: KappaParams) -> None:
 
 def partial_derivative(p: Polynomial, i: int) -> Polynomial:
     """Exact formal d/dx_i, axis i in 1..d."""
-    _check_axis(i, p.dim)
+    check_axis(i, p.dim)
     # every row is in group 0 and acts on axis i: the axes are the groups + i - 1
     return _through_core(p, 1, lambda e, c, g: dunkl_sums(e, c, g + i - 1, g, 1, 0))
 
 
 def transposition_action(p: Polynomial, i: int, j: int) -> Polynomial:
     """p(x (i,j)): swap variables x_i and x_j."""
-    _check_axis(i, p.dim)
-    _check_axis(j, p.dim)
+    check_axis(i, p.dim)
+    check_axis(j, p.dim)
     if i == j:
         raise ValueError("transposition needs i != j")
     perm = list(range(p.dim))
@@ -435,8 +436,8 @@ def transposition_action(p: Polynomial, i: int, j: int) -> Polynomial:
 
 def divided_difference(p: Polynomial, i: int, j: int) -> Polynomial:
     """(p - p(x(i,j))) / (x_i - x_j), exact, by term-wise telescoping."""
-    _check_axis(i, p.dim)
-    _check_axis(j, p.dim)
+    check_axis(i, p.dim)
+    check_axis(j, p.dim)
     if i == j:
         raise ValueError("divided difference needs i != j")
     return _through_core(p, 1, lambda e, c, g: dunkl_sums(e, c, g + i - 1, g, 0, 1, j - 1))
@@ -447,7 +448,7 @@ def dunkl_apply(p: Polynomial, i: int, params: KappaParams) -> Polynomial:
     kappa = r/q in lowest terms, q D_i = q d/dx_i + r sum_{j != i} (1 - (i,j))
     / (x_i - x_j) by dunkl_sums on p with its denominators cleared."""
     _check_params(p, params)
-    _check_axis(i, p.dim)
+    check_axis(i, p.dim)
     r, q = params.kappa.numerator, params.kappa.denominator
     return _through_core(p, q, lambda e, c, g: dunkl_sums(e, c, g + i - 1, g, q, r))
 

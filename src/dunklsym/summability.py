@@ -61,7 +61,7 @@ from .orthopoly import (
     jacobi_rows,
     kernel_normalizer,
 )
-from .polycore import KappaParams
+from .polycore import KappaParams, check_axis
 from .simplexquad import SelfCheckError, block_slices, build_rule, chunk_slices, default_order
 
 
@@ -253,8 +253,7 @@ def check_sweep(params: KappaParams, deltas, n_max: int, ell: int,
         CesaroOrder(float(delta))
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not 1 <= ell <= params.d:
-        raise ValueError(f"axis {ell} out of range 1..{params.d}")
+    check_axis(ell, params.d)
     if sphere_order is not None:
         coarse_sphere_order(sphere_order)
 

@@ -308,6 +308,22 @@ def test_kernel_at_lambda_zero_is_twice_chebyshev():
     assert abs(payload["value"] - 2 * (4 * 0.6**3 - 3 * 0.6)) < 1e-13  # 2 T_3(0.6)
 
 
+@pytest.mark.parametrize("delta", [[], ["--delta", "1.5"]], ids=["projection", "cesaro"])
+def test_kernel_header_reports_the_order_it_built(monkeypatch, delta):
+    built = []
+    real_build = intertwine.build_rule
+
+    def recording_build(d, kappa, order):
+        built.append(order)
+        return real_build(d, kappa, order)
+
+    monkeypatch.setattr(intertwine, "build_rule", recording_build)
+    rc, payload = run_json(["kernel", "--d", "3", "--kappa", "1/2", "--n", "7",
+                            "--x", "0.6,0.8,0"] + delta)
+    assert rc == 0
+    assert built and set(built) == {payload["quad_order"]}
+
+
 def test_kernel_zero_point_is_error():
     rc, _, err = run_cli(
         ["kernel", "--d", "2", "--kappa", "1", "--n", "2", "--x", "0,0"])
@@ -425,7 +441,7 @@ def test_bessel_unknown_path_from_config_is_usage_error(tmp_path):
                                 "--y", "0.3,-0.2", "--config", str(cfg)])
         assert rc == 2
         assert out == ""
-        assert "unknown path 'nope'" in err
+        assert "invalid choice: 'nope'" in err
 
 
 def test_bessel_coset_path_alone():
@@ -892,6 +908,58 @@ def test_config_key_the_subcommand_lacks_is_usage_error(tmp_path, command, line)
     assert rc == 2
     assert out == ""
     assert "config key" in err
+
+
+# every option of every subcommand, each at a value other than its default
+CONFIG_RUNS = {
+    "verify": ["verify", "--d", "3", "--kappa", "2/3", "--max-degree", "3"],
+    "hbasis": ["hbasis", "--d", "3", "--kappa", "1/2", "--n", "2", "--quad-order", "22",
+               "--tolerance", "1e-6"],
+    "kernel": ["kernel", "--d", "3", "--kappa", "3/2", "--n", "4", "--x", "0.1,-0.5,0.3",
+               "--ell", "2", "--delta", "1.25"],
+    "bessel": ["bessel", "--d", "3", "--kappa", "1/2", "--y", "0.3,-0.2,0.1",
+               "--path", "coset", "--argument", "real", "--tolerance", "1e-7"],
+    "lebesgue": ["lebesgue", "--d", "2", "--kappa", "1", "--n-max", "3", "--delta", "1,1.5",
+                 "--quad-order", "20", "--ell", "2"],
+    "bounds-estimate": ["bounds", "--d", "2", "--kappa", "1/2", "--check", "estimate",
+                        "--n", "4,8", "--seed", "7", "--alpha", "1.2", "--beta", "0.9",
+                        "--ell", "2"],
+    "bounds-knd": ["bounds", "--d", "2", "--kappa", "1", "--check", "knd", "--n", "8",
+                   "--alpha", "0.5", "--beta", "0.25", "--delta", "3"],
+}
+BAD_CONFIG_VALUES = [("hbasis", "--n", "x"), ("bessel", "--path", "nope"),
+                     ("bessel", "--argument", "sideways"), ("bounds-estimate", "--check", "nope")]
+
+
+@pytest.mark.parametrize("run, flag, value", [
+    *[(run, flag, value) for run, argv in CONFIG_RUNS.items()
+      for flag, value in zip(argv[1::2], argv[2::2])],
+    *[(run, "--out", "out.json") for run in CONFIG_RUNS],
+    *BAD_CONFIG_VALUES,
+])
+def test_config_value_reads_as_its_flag(tmp_path, run, flag, value):
+    # one option moves from the command line to the file: stdout, stderr,
+    # exit code and --out bytes stay, and a bad value is refused either way
+    argv = CONFIG_RUNS[run]
+    at = argv.index(flag) if flag in argv else len(argv)
+    rest = argv[:at] + argv[at + 2:]
+    out_path = tmp_path / "out.json"
+    text = str(out_path) if flag == "--out" else value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = {text}\n", encoding="utf-8")
+    results = []
+    for source in ([f"{flag}={text}"], ["--config", str(cfg)]):
+        result = run_cli(rest + source)
+        written = out_path.read_bytes() if out_path.is_file() else None
+        out_path.unlink(missing_ok=True)
+        results.append((*result, written))
+    by_flag, by_file = results
+    assert by_file == by_flag
+    if (run, flag, value) in BAD_CONFIG_VALUES:
+        assert by_file[:2] == (2, "")
+    else:
+        assert by_file[0] == 0 and by_file[2] == ""
+        assert (by_file[1] == "") == (flag == "--out")
 
 
 def test_commands_run_with_scipy_unimportable():
