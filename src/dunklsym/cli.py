@@ -41,7 +41,7 @@ import numpy as np
 from . import __version__
 from .bessel import bessel_k, bessel_k2_closed, bessel_recursive
 from .harmonics import build_sphere_rule, hharmonic_basis, repro_kernel_axis
-from .intertwine import polynomial_rule, verify_intertwining
+from .intertwine import polynomial_order, verify_intertwining
 from .orthopoly import JacobiParams
 from .polycore import KappaParams
 from .simplexquad import SelfCheckError, exponential_order
@@ -191,9 +191,9 @@ def _cmd_kernel(args) -> int:
         extra["kind"] = "cesaro"
         extra["delta"] = args.delta
         value = cesaro_kernel_axis(n, args.delta, args.ell, x, params)
-    # the rule the kernel ran on; at kappa = 0 it is the vertex rule, whose
-    # order counts no nodes
-    order = polynomial_rule(params, n).order if params.kappa != 0 else None
+    # the order of the rule the kernel ran on, known without the rule; at
+    # kappa = 0 that is the vertex rule, whose order counts no nodes
+    order = polynomial_order(n) if params.kappa != 0 else None
     payload = _header("kernel", params, ell=args.ell, quad_order=order, **extra)
     payload["value"] = float(value)
     _emit_json(payload, args.out)
@@ -430,7 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hbasis", help="orthonormal h-harmonic basis as JSON")
     _add_common(p, tolerance="largest entry of |G - I| (default 1e-8)",
-                quad_order="sphere-rule order (default max(24, 2n + 12))")
+                quad_order="sphere-rule order (default max(24, 2n + 12)); at integer "
+                           "kappa the rule is built and fit-checked only, and the Gram "
+                           "matrix and its residual come from exact sphere moments")
     p.add_argument("--n", type=int, help="homogeneity degree")
 
     p = sub.add_parser("kernel", help="projection or Cesaro kernel at a point")

@@ -20,17 +20,23 @@ rule, the S^(d-2) rule it scales, or the arcs of each latitude) when it is
 handed out, its unit norm checked, and the mass checked after the last.
 build_sphere_rule is that stream as one array, for callers that hold a
 rule; the package's own sphere integrals, the check Gram of
-hharmonic_basis and both rules of a Lebesgue sweep, walk the stream and
-never hold a rule whole.
+hharmonic_basis at fractional kappa and both rules of a Lebesgue sweep,
+walk the stream and never hold a rule whole.
 
 Basis construction is exact where exactness is cheap: the projection
 formula of Dunkl and Xu maps the monomials x^alpha with alpha_d <= 1 to a
 basis of the degree-n h-harmonics, taken as integer rows with no
 elimination, and the Dunkl Laplacian of every row is checked to vanish
 exactly.  Only the final orthonormalization uses floating point (then
-applied exactly, as dyadic rationals, to the integer rows in one integer
-product per coefficient, so the basis stays exactly annihilated).  Monomial
-values come from running-product power tables with no pow call.  Gram
+applied exactly, as dyadic rationals, to the integer rows in one exact
+integer product, so the basis stays exactly annihilated).  At integer kappa
+h^2 is an integer polynomial and the Gram matrix of the rows is exact too:
+with mean_S x^e = prod_i (e_i - 1)!! / prod_{k<K} (d + 2k) for even e,
+|e| = 2K (0 when an e_i is odd), every h^2 moment of the monomials is a
+rational with one denominator per degree, so the Gram matrix and its check
+are formed from exact integers and rounded to float once, and no sphere
+rule is summed.  At fractional kappa they are quadratures: monomial
+values come from running-product power tables with no pow call, and Gram
 matrices are summed over node blocks of simplexquad.BLOCK_ELEMENTS elements
 of temporaries (2 MB of float64, an L2 cache), from
 simplexquad.block_slices: each block forms its own h^2
@@ -53,8 +59,8 @@ import numpy as np
 
 from .intertwine import AxisFunction, polynomial_rule, vk_axis
 from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
-from .polycore import (KappaParams, Monomial, Polynomial, compositions, dunkl_sums,
-                       laplacian_sums)
+from .polycore import (INT64_LIMIT, KappaParams, Monomial, Polynomial, compositions,
+                       dunkl_sums, laplacian_sums)
 from . import simplexquad
 from .simplexquad import SelfCheckError, block_slices, chunk_slices, gauss_jacobi
 
@@ -432,20 +438,38 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of integer arrays (int64 or Python ints), exactly, as Python
+    ints.  Each factor is split into signed limbs of w bits, w such that a
+    limb product summed over the inner dimension stays below 2^63; every
+    pair of limbs is one int64 matmul, shifted and summed as Python ints."""
+    w = (62 - a.shape[1].bit_length()) // 2
+
+    def limbs(x):
+        x = x.astype(object)
+        sign, mag = np.where(x < 0, -1, 1).astype(np.int64), np.abs(x)
+        count = max(1, -(-int(mag.max(initial=0)).bit_length() // w))
+        return [((mag >> (w * i)) & (2**w - 1)).astype(np.int64) * sign for i in range(count)]
+
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    for i, ai in enumerate(limbs(a)):
+        for j, bj in enumerate(limbs(b)):
+            out += (ai @ bj).astype(object) << (w * (i + j))
+    return out
+
+
 def _exact_mix(mix: np.ndarray, rows: np.ndarray) -> tuple[tuple[Fraction, ...], ...]:
     """The rows of mix @ rows in exact arithmetic, mix read as the dyadic
     rationals its floats are: each mix row is written as integers over one
-    power of two, so each coefficient is one integer dot product and one
-    Fraction."""
-    cols = list(zip(*rows))
-    exact = []
-    for mrow in mix:
-        ratios = [float(v).as_integer_ratio() for v in mrow]
-        scale = math.lcm(*(q for _, q in ratios))
-        ints = [a * (scale // q) for a, q in ratios]
-        terms = [(j, a) for j, a in enumerate(ints) if a]
-        exact.append(tuple(Fraction(sum(a * col[j] for j, a in terms), scale) for col in cols))
-    return tuple(exact)
+    power of two, so the coefficients are one exact integer product
+    (_exact_matmul) and one Fraction each."""
+    ratios = [[float(v).as_integer_ratio() for v in mrow] for mrow in mix]
+    scales = [math.lcm(*(q for _, q in row)) for row in ratios]
+    ints = np.array([[a * (scale // q) for a, q in row] for row, scale in zip(ratios, scales)],
+                    dtype=object)
+    sums = _exact_matmul(ints, rows)
+    return tuple(tuple(Fraction(v, scale) for v in row)
+                 for row, scale in zip(sums.tolist(), scales))
 
 
 def _gram_node_cost(width: int, exps: np.ndarray) -> int:
@@ -471,6 +495,79 @@ def _gram(coeffs: np.ndarray, exps: np.ndarray, params: KappaParams, blocks) -> 
             vals = coeffs @ _monomial_values(nodes, exps)
             g += a * (vals * wh2) @ vals.T
     return (g + g.T) / 2
+
+
+def _h2_terms(params: KappaParams) -> tuple[np.ndarray, np.ndarray]:
+    """h^2 = prod_{i<j} (x_i - x_j)^(2 kappa) at integer kappa as integer
+    rows (exps, coefs): each factor's binomial terms times every term so far,
+    summed per monomial in dunkl_sums."""
+    d, k2 = params.d, 2 * int(params.kappa)
+    t = np.arange(k2 + 1)
+    binomial = np.array([(-1) ** j * math.comb(k2, j) for j in range(k2 + 1)], dtype=object)
+    exps, coefs = np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64)
+    for i in range(d):
+        for j in range(i + 1, d):
+            factor = np.zeros((k2 + 1, d), dtype=np.int64)
+            factor[:, i], factor[:, j] = k2 - t, t
+            plus = ((exps[:, None] + factor).reshape(-1, d),
+                    np.outer(coefs.astype(object), binomial).ravel(),
+                    np.zeros(len(exps) * (k2 + 1), dtype=np.int64))
+            # no operator rows: dunkl_sums only sums the plus rows per monomial
+            _, exps, coefs = dunkl_sums(exps[:0], coefs[:0], t[:0], t[:0], 0, 0, plus=plus)
+    return exps, coefs
+
+
+def _sphere_moments(exps: np.ndarray, h2) -> tuple[np.ndarray, int]:
+    """mean_{S^(d-1)} x^e h^2 for each row e of exps, all of one total
+    degree, with h2 = (exps, coefs) of h^2, as integer numerators over one
+    denominator: with |e + gamma| = 2K for every term h_gamma x^gamma,
+    mean_S x^(e + gamma) = prod_i (e_i + gamma_i - 1)!! / prod_{k<K} (d + 2k)
+    when e + gamma is even and 0 otherwise, so only the gamma of e's parity
+    pattern add terms.  Exact: on int64 when sum |h_gamma| (2K - 1)!!, which
+    bounds every product and partial sum, is below 2^63, and on Python ints
+    otherwise."""
+    hexps, hcoefs = h2
+    d = exps.shape[1]
+    K = (int(exps[0].sum()) + int(hexps[0].sum())) // 2
+    odd = [1]  # odd[m] = (2m - 1)!!
+    for m in range(1, K + 1):
+        odd.append(odd[-1] * (2 * m - 1))
+    bound = int(np.abs(hcoefs.astype(object)).sum()) * odd[K]
+    dtype = np.int64 if bound < INT64_LIMIT else object
+    table = np.zeros(2 * K + 1, dtype=dtype)  # (e - 1)!!, 0 at odd e
+    table[::2] = odd
+    bits = 2 ** np.arange(d)
+    pattern, hpattern = (exps % 2) @ bits, (hexps % 2) @ bits
+    out = np.zeros(len(exps), dtype=dtype)
+    for p in np.unique(hpattern):
+        rows, terms = np.flatnonzero(pattern == p), np.flatnonzero(hpattern == p)
+        products = table[exps[rows, None] + hexps[None, terms]].prod(axis=-1)
+        out[rows] = products @ hcoefs[terms].astype(dtype)
+    return out, math.prod(d + 2 * k for k in range(K))
+
+
+def _moment_matrix(n: int, params: KappaParams) -> tuple[np.ndarray, int]:
+    """The h^2 sphere moments of the degree-n monomials at integer kappa, as
+    (Q, scale): a_kappa int_S x^(alpha + beta) h^2 = mean_S(x^(alpha + beta)
+    h^2) / mean_S(h^2) = Q[alpha, beta] / scale exactly, Q an integer matrix
+    over compositions(d, n).  An entry depends on alpha + beta alone, so only
+    the moments over compositions(d, 2n) are formed, then gathered."""
+    d, h2 = params.d, _h2_terms(params)
+    sums = compositions(d, 2 * n)
+    numerators, denominator = _sphere_moments(sums, h2)
+    mass, mass_denominator = _sphere_moments(sums[:1] * 0, h2)
+    key = (2 * n + 1) ** np.arange(d - 1, -1, -1)
+    index = compositions(d, n) @ key
+    gather = np.searchsorted(sums @ key, index[:, None] + index[None, :])
+    # mass_denominator divides denominator: its product runs over fewer k
+    return numerators[gather], int(mass[0]) * (denominator // mass_denominator)
+
+
+def _moment_gram(rows: np.ndarray, moments: np.ndarray, scale: int) -> np.ndarray:
+    """a_kappa int_S h^2 v v^T for v the polynomials rows @ x^alpha, rows
+    integer, from their moments (Q, scale) of _moment_matrix: R Q R^T /
+    scale, exact, each entry rounded to float once."""
+    return (_exact_matmul(_exact_matmul(rows, moments), rows.T) / scale).astype(float)
 
 
 @dataclass(frozen=True)
@@ -516,11 +613,18 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     (_projected_rows), checked exactly: q^2 Delta_kappa of every row is the
     zero polynomial and there are harmonic_dim(n, d) nonzero rows, or
     SelfCheckError; their Gram matrix under the a_kappa-normalized h^2
-    sphere inner product by quadrature; Cholesky orthonormalization, whose
-    float mix is applied to the integer rows exactly.  The Gram residual is
-    re-measured with an independent rule at twice the order, streamed by
-    sphere_rule_blocks and never held whole, so a too-coarse sphere rule is
-    visible in the output."""
+    sphere inner product; Cholesky orthonormalization, whose float mix is
+    applied to the integer rows exactly.
+
+    At integer kappa the Gram matrix is R Q R^T for the integer rows R and
+    the exact h^2 sphere moments Q of the monomials (_moment_matrix),
+    rounded to float once, and gram_residual is max |C Q^ C^T - I| for the
+    float coefficients C and Q rounded once: neither reads sphere_rule,
+    which only has to fit params.  At fractional kappa the Gram matrix is a
+    quadrature on sphere_rule, and the Gram residual is re-measured with an
+    independent rule at twice the order, streamed by sphere_rule_blocks and
+    never held whole, so a too-coarse sphere rule is visible in the
+    output."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     require_fit(sphere_rule, params)
@@ -534,8 +638,12 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
             f"the projected rows are not {expected} nonzero h-harmonics for n={n}, d={d}, "
             f"kappa={params.kappa}; the projection is wrong")
 
-    G = _gram(rows.astype(float), exps, params,
-              [(sphere_rule.nodes, sphere_rule.weights)])
+    if params.kappa.denominator == 1:
+        moments, scale = _moment_matrix(n, params)
+        G = _moment_gram(rows, moments, scale)
+    else:
+        G = _gram(rows.astype(float), exps, params,
+                  [(sphere_rule.nodes, sphere_rule.weights)])
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -545,13 +653,17 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     exact = _exact_mix(_inverse_lower(L), rows)
     coeffs = np.array([[float(c) for c in row] for row in exact])
 
-    # stream blocks of BLOCK_ELEMENTS node coordinates and weights, which
-    # _gram sums in its smaller blocks.  Stream blocks as small as _gram's
-    # own let glibc hand each block's temporaries back to the system and
-    # fault them in again: 10 800 page faults and 60% more time at d = 4,
-    # n = 2, in a fresh process.
-    check = sphere_rule_blocks(d, 2 * sphere_rule.order, params.kappa, d + 1)
-    G2 = _gram(coeffs, exps, params, check)
+    if params.kappa.denominator == 1:
+        # each moment an int / int division, rounded once
+        G2 = coeffs @ (moments.astype(object) / scale).astype(float) @ coeffs.T
+    else:
+        # stream blocks of BLOCK_ELEMENTS node coordinates and weights, which
+        # _gram sums in its smaller blocks.  Stream blocks as small as _gram's
+        # own let glibc hand each block's temporaries back to the system and
+        # fault them in again: 10 800 page faults and 60% more time at d = 4,
+        # n = 2, in a fresh process.
+        check = sphere_rule_blocks(d, 2 * sphere_rule.order, params.kappa, d + 1)
+        G2 = _gram(coeffs, exps, params, check)
     residual = float(np.max(np.abs(G2 - np.eye(len(rows)))))
     return HarmonicBasis(
         n=n, d=d, kappa=params.kappa, exponents=tuple(map(tuple, exps.tolist())),

@@ -75,13 +75,19 @@ def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule):
     return values[0] if x.ndim == 1 else values
 
 
-def polynomial_rule(params: KappaParams, n: int) -> SimplexRule:
-    """The rule vk_axis needs for a polynomial profile of degree n: exact for
-    the degree n + 1 integrand g(<x, t>) t_{ell-1}.  build_rule refuses one
-    of more than CHUNK_ELEMENTS nodes, and gives the vertex rule at kappa = 0."""
+def polynomial_order(n: int) -> int:
+    """The per-axis order of polynomial_rule for a profile of degree n: the
+    smallest exact for the degree n + 1 integrand g(<x, t>) t_{ell-1}."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return build_rule(params.d, params.kappa_float, exact_order(n + 1))
+    return exact_order(n + 1)
+
+
+def polynomial_rule(params: KappaParams, n: int) -> SimplexRule:
+    """The rule vk_axis needs for a polynomial profile of degree n, of
+    per-axis order polynomial_order(n).  build_rule refuses one of more than
+    CHUNK_ELEMENTS nodes, and gives the vertex rule at kappa = 0."""
+    return build_rule(params.d, params.kappa_float, polynomial_order(n))
 
 
 def exponential_rule(params: KappaParams, y, imaginary: bool) -> SimplexRule:

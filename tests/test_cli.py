@@ -324,6 +324,29 @@ def test_kernel_header_reports_the_order_it_built(monkeypatch, delta):
     assert built and set(built) == {payload["quad_order"]}
 
 
+@pytest.mark.parametrize("delta", [[], ["--delta", "1.5"]], ids=["projection", "cesaro"])
+def test_kernel_builds_its_rule_once_above_the_rule_cache(monkeypatch, delta):
+    # a rule over the cache's budget is not kept, so a second look-up of it
+    # would build and moment-check it again
+    monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", 100)
+    monkeypatch.setattr(simplexquad, "_RULES", type(simplexquad._RULES)())
+    built = []
+    real_new = simplexquad._new_rule
+
+    def recording_new(d, kappa, order):
+        built.append(order)
+        return real_new(d, kappa, order)
+
+    monkeypatch.setattr(simplexquad, "_new_rule", recording_new)
+    for _ in range(2):
+        built.clear()
+        # order 6 at n = 10: 36 nodes, and 144 elements with the weights
+        rc, payload = run_json(["kernel", "--d", "3", "--kappa", "1/2", "--n", "10",
+                                "--x", "0.6,0.8,0"] + delta)
+        assert rc == 0
+        assert built == [payload["quad_order"]] == [6]
+
+
 def test_kernel_zero_point_is_error():
     rc, _, err = run_cli(
         ["kernel", "--d", "2", "--kappa", "1", "--n", "2", "--x", "0,0"])

@@ -14,8 +14,12 @@ from dunklsym import harmonics
 from dunklsym.harmonics import (
     MIN_SPHERE_ORDER,
     HarmonicBasis,
+    _exact_matmul,
     _exact_mix,
     _gram,
+    _h2_terms,
+    _moment_gram,
+    _moment_matrix,
     _gauss_on,
     _inverse_lower,
     _monomial_values,
@@ -23,6 +27,7 @@ from dunklsym.harmonics import (
     _gram_node_cost,
     _node_count,
     _sphere3_kink,
+    _sphere_moments,
     build_sphere_rule,
     harmonic_dim,
     hharmonic_basis,
@@ -418,6 +423,82 @@ def test_blocked_gram_is_the_one_pass_sum(d, n, kappa):
         assert basis.gram_residual <= 1e-14
     else:
         assert basis.gram_residual == pytest.approx(4.56835e-9, rel=1e-5)
+
+
+@pytest.mark.parametrize("d, kappa, n", [(3, 1, 4), (3, 2, 8), (4, 1, 8)])
+def test_moment_gram_is_the_quadrature_gram(d, kappa, n):
+    params = KappaParams(d, kappa)
+    rule = build_sphere_rule(d, max(24, 2 * n + 12), kappa_hint=kappa)
+    rows = _projected_rows(n, params)
+    got = _moment_gram(rows, *_moment_matrix(n, params))
+    ref = _gram(rows.astype(float), compositions(d, n), params, [(rule.nodes, rule.weights)])
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d, kappa, n", [(3, 2, 8), (4, 1, 8)])
+def test_int64_moments_are_the_python_int_moments(monkeypatch, d, kappa, n):
+    params = KappaParams(d, kappa)
+    fast = _moment_matrix(n, params)
+    assert fast[0].dtype == np.int64
+    monkeypatch.setattr(harmonics, "INT64_LIMIT", 0)
+    slow = _moment_matrix(n, params)
+    assert slow[0].dtype == object
+    assert fast[0].tolist() == slow[0].tolist() and fast[1] == slow[1]
+
+
+def h2_mean(params):
+    """mean_S h^2 at integer kappa, exactly."""
+    numerators, denominator = _sphere_moments(np.zeros((1, params.d), dtype=np.int64),
+                                              _h2_terms(params))
+    return Fraction(int(numerators[0]), denominator)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kappa", [1, 2])
+def test_exact_h2_mean_is_the_normalization_and_the_rule_mass(d, kappa):
+    params = KappaParams(d, kappa)
+    mass = surface_area(d) * float(h2_mean(params))
+    assert abs(params.a_kappa * mass - 1) <= 1e-14
+    rule = build_sphere_rule(d, 24, kappa_hint=kappa)
+    assert abs(float(rule.weights @ hweight(rule.nodes, params) ** 2) / mass - 1) <= 1e-14
+
+
+def test_exact_h2_mean_values():
+    # mean over the circle of (x_1 - x_2)^2 = 1 - 2 x_1 x_2, and of 1
+    assert h2_mean(KappaParams(2, 1)) == 1
+    assert h2_mean(KappaParams(4, 0)) == 1
+    # mean over S^2 of x_1^4 is 3 / (3 * 5): the diagonal moment at kappa 0
+    moments, scale = _moment_matrix(2, KappaParams(3, 0))
+    assert Fraction(int(moments[0, 0]), scale) == Fraction(1, 5)
+
+
+def test_integer_kappa_basis_does_not_read_the_rule(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the check rule was streamed")
+
+    rules = [build_sphere_rule(3, order, kappa_hint=2) for order in (24, 30)]
+    monkeypatch.setattr(harmonics, "sphere_rule_blocks", no_stream)
+    params = KappaParams(3, 2)
+    a, b = (hharmonic_basis(8, params, rule) for rule in rules)
+    assert np.array_equal(a.coefficients, b.coefficients)
+    assert a.exact_coefficients == b.exact_coefficients
+    assert (a.gram_residual, a.gram_cond) == (b.gram_residual, b.gram_cond)
+    assert a.gram_residual <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_matmul_is_the_integer_product(data):
+    m, k, n = (data.draw(st.integers(1, 5)) for _ in range(3))
+    bits = data.draw(st.sampled_from([3, 40, 63, 200]))
+    ints = st.integers(-2**bits, 2**bits)
+    a, b = (np.array(data.draw(st.lists(ints, min_size=r * c, max_size=r * c)),
+                     dtype=object).reshape(r, c) for r, c in ((m, k), (k, n)))
+    got = _exact_matmul(a, b)
+    assert got.shape == (m, n)
+    assert all(type(v) is int for v in got.ravel())
+    assert got.tolist() == (a @ b).tolist()
 
 
 def test_known_harmonic_in_d2_nullspace():

@@ -303,8 +303,9 @@ def test_streamed_sweep_matches_the_unstreamed_sweep(params, n_max, order, monke
     # cache-sized blocks of the tensor table: whole-chunk temporaries peaked
     # at 193 MB, the blocks at 47 MB
     ("lebesgue_sweep(KappaParams(3, Fraction(1, 2)), [0.5, 1.0, 1.5], 24)", 80),
-    # the order-48 check rule streamed: 41.7 MB, where the built 221 184-node
-    # rule peaked at 47.7 MB
+    # integer kappa: the Gram step and its check read exact sphere moments,
+    # 34.6 MB; the order-48 check rule streamed peaked at 41.7 MB, and built
+    # whole, a 221 184-node rule, at 47.7 MB
     ("hharmonic_basis(2, KappaParams(4, 1), build_sphere_rule(4, 24, kappa_hint=1))", 44),
 ], ids=["d4-exact", "d3-tensor", "d4-hbasis"])
 def test_sweep_memory_in_a_fresh_process(call, bound_mb):
