@@ -6,21 +6,22 @@ represents the intertwining operator on single-coordinate functions.  The
 generalized Bessel function is its symmetrization, computable either as the
 plain Dirichlet-weight integral over the simplex or as an average over
 transpositions; d = 2 has a closed form through the classical J_nu, and
-d >= 3 satisfies a Beta-weight recursion onto dimension d - 1.
+d >= 3 satisfies a Beta-weight recursion onto dimension d - 1.  bessel_k
+takes each of these ROUTES by name; route_refusal says where each runs.
 
-No route takes a rule or an order.  Each builds its simplex rule through
-intertwine.exponential_rule, whose per-axis order simplexquad.
-exponential_order derives from half the range of the argument's entries
-(the recursion takes its radial order from the same bound), so the
+No route takes a rule or an order.  Each but the RULE_FREE closed form builds
+its simplex rule through intertwine.exponential_rule, whose per-axis order
+simplexquad.exponential_order derives from half the range of the argument's
+entries (the recursion takes its radial order from the same bound), so the
 quadrature error stays below 2^-53 of the value for every argument; a
-non-finite argument is refused before any rule is built, and simplexquad.
-build_rule refuses a rule of more than CHUNK_ELEMENTS nodes before computing
-any (at d = 2, one whose order^2 Jacobi matrix is larger).  At kappa = 0
-that rule is the vertex rule, whatever the argument: the simplex routes then
-give the exponential and its orbit average exactly, with no branch of their
-own.  Only the recursion refuses kappa = 0, because its radial Beta weight
-needs kappa > 0.  J_nu is computed here from its power series, Miller's
-backward recurrence and the Hankel expansion (classical_bessel_j).
+non-finite argument is refused before any rule is built, and
+simplexquad.build_rule refuses a rule of more than CHUNK_ELEMENTS nodes
+before computing any (at d = 2, one whose order^2 Jacobi matrix is larger).
+At kappa = 0 that rule is the vertex rule, whatever the argument: the simplex
+routes then give the exponential and its orbit average exactly, with no
+branch of their own.  Only the recursion refuses kappa = 0: its radial Beta
+weight needs kappa > 0.  J_nu is computed here from its power series,
+Miller's backward recurrence and the Hankel expansion (classical_bessel_j).
 
 Two constant conventions circulate for the d = 2 closed form.  This module
 adopts the one with unit limit as the argument product z = (x_1-x_2)(y_1-y_2)
@@ -57,29 +58,53 @@ def dunkl_exp_axis(ell: int, y, params: KappaParams, imaginary: bool = False):
     return values.astype(complex) if values.ndim else complex(values)
 
 
+ROUTES = ("direct", "closed", "recursive", "coset")
+RULE_FREE = ("closed",)  # the routes that build no simplex rule
+
+
+def route_refusal(path: str, params: KappaParams, imaginary: bool) -> str | None:
+    """Why route path cannot run at params' (d, kappa) and this argument, or
+    None when it can: the one statement of where each of ROUTES runs."""
+    if path not in ROUTES:
+        return f"unknown path {path!r}, expected one of {ROUTES}"
+    if path == "closed" and params.d != 2:
+        return "the closed form needs d = 2"
+    if path == "closed" and not imaginary:
+        return "the closed form is for the imaginary argument"
+    if path == "recursive" and (params.d < 3 or params.kappa == 0):
+        return "the recursion needs d >= 3 and kappa > 0"
+    return None
+
+
 def bessel_k(params: KappaParams, y, path: str = "direct", ell: int = 1,
              imaginary: bool = False) -> complex:
-    """Generalized Bessel function K(e_ell, y) for S_d.
+    """Generalized Bessel function K(e_ell, y) for S_d along any of ROUTES;
+    a route that route_refusal refuses raises its message before any rule.
 
     path="direct" integrates (c_kappa/d) e^{<y,t>} against the bare Dirichlet
     weight; path="coset" averages dunkl_exp_axis over the transpositions
     moving axis ell, (1/d) sum_j E(e_ell, y (ell j)), all d arguments in one
     call on one rule (they share their entries, so exponential_rule gives
-    them the rule of y).  Both are the same quantity; keeping them separate
-    gives an internal cross-check.  The value does not depend on ell.  At
-    kappa = 0 the direct route on the vertex rule is the mean of e^{y_j}."""
+    them the rule of y); "closed" is bessel_k2_closed(kappa, e_ell, y) and
+    "recursive" bessel_recursive.  All are the same quantity; keeping them
+    separate gives internal cross-checks.  The value does not depend on ell.
+    At kappa = 0 the direct route on the vertex rule is the mean of e^{y_j}."""
     d = params.d
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
         raise ValueError(f"y must have shape ({d},)")
     check_axis(ell, d)
+    if why := route_refusal(path, params, imaginary):
+        raise ValueError(why)
+    if path == "closed":
+        return bessel_k2_closed(params.kappa, np.eye(d)[ell - 1], y)
+    if path == "recursive":
+        return bessel_recursive(params, y, imaginary=imaginary)
     if path == "coset":
         swapped = np.tile(y, (d, 1))
         rows = np.arange(d)
         swapped[rows, ell - 1], swapped[rows, rows] = y, y[ell - 1]
         return complex(np.mean(dunkl_exp_axis(ell, swapped, params, imaginary=imaginary)))
-    if path != "direct":
-        raise ValueError(f"unknown path {path!r}, expected 'direct' or 'coset'")
     phase = 1j if imaginary else 1.0
     rule = exponential_rule(params, y, imaginary)
     return complex(params.c_kappa / d * integrate(rule, lambda T: np.exp(phase * (T @ y))))
@@ -292,10 +317,8 @@ def bessel_recursive(params: KappaParams, y, imaginary: bool = True) -> complex:
     integral on exponential_rule's rule for y', which serves every (1-r) y',
     all radial nodes in one (radial nodes, inner nodes) integrand."""
     d = params.d
-    if d < 3:
-        raise ValueError("the recursion needs d >= 3")
-    if params.kappa == 0:
-        raise ValueError("the radial Beta weight needs kappa > 0")
+    if why := route_refusal("recursive", params, imaginary):
+        raise ValueError(why)
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
         raise ValueError(f"y must have shape ({d},)")

@@ -35,11 +35,12 @@ import argparse
 import functools
 import json
 import sys
+from itertools import combinations
 
 import numpy as np
 
 from . import __version__
-from .bessel import bessel_k, bessel_k2_closed, bessel_recursive
+from .bessel import ROUTES, RULE_FREE, bessel_k, route_refusal
 from .harmonics import build_sphere_rule, hharmonic_basis, repro_kernel_axis
 from .intertwine import polynomial_order, verify_intertwining
 from .orthopoly import JacobiParams
@@ -202,55 +203,30 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_bessel(args) -> int:
     params = _params(args)
-    d = params.d
-    y = _vector(_required(args, "y"), d, "y")
-    path = args.path
+    y = _vector(_required(args, "y"), params.d, "y")
     imaginary = args.argument == "imaginary"
     tolerance = _tolerance(args, 1e-9)
-
-    routes = ["direct", "closed", "recursive", "coset"]
-    refusals = {}  # route -> why it cannot run at this (d, kappa, argument)
-    if d != 2:
-        refusals["closed"] = "the closed form needs d = 2"
-    elif not imaginary:
-        refusals["closed"] = "the closed form is for the imaginary argument"
-    if d < 3 or params.kappa == 0:
-        refusals["recursive"] = "the recursion needs d >= 3 and kappa > 0"
-    if path in refusals:
-        raise ValueError(refusals[path])
-    wanted = [r for r in routes if r not in refusals] if path == "all" else [path]
+    runs = [r for r in ROUTES if route_refusal(r, params, imaginary) is None]
+    wanted = runs if args.path == "all" else [args.path]
     # the order of the rule for y that the simplex routes build (the radial
-    # order of the recursion); the closed form builds none, and at kappa = 0
+    # order of the recursion); a RULE_FREE route builds none, and at kappa = 0
     # the rule is the vertex rule, whose order counts no nodes
     order = (exponential_order(float(np.ptp(y)) / 2, imaginary)
-             if params.kappa != 0 and wanted != ["closed"] else None)
-    values: dict[str, complex] = {}
+             if params.kappa != 0 and set(wanted) - set(RULE_FREE) else None)
     try:
-        for name in wanted:
-            if name == "closed":
-                values[name] = bessel_k2_closed(params.kappa_float,
-                                                np.array([1.0, 0.0]), y)
-            elif name == "recursive":
-                values[name] = bessel_recursive(params, y, imaginary=imaginary)
-            else:
-                values[name] = bessel_k(params, y, path=name, imaginary=imaginary)
+        values = {name: bessel_k(params, y, path=name, imaginary=imaginary) for name in wanted}
     except ValueError as exc:
-        # y is checked, so a rule route that could take the closed form failed
-        # on the size of its rule, refused before any node
-        if name == "closed" or "closed" in refusals:
+        # y is checked and a RULE_FREE route checks nothing more, so a route
+        # that can run here failed on the size of its rule, before any node
+        free = [r for r in RULE_FREE if r in runs]
+        if not free or not set(wanted) <= set(runs):
             raise
-        raise ValueError(f"{exc}; --path closed builds no rule") from exc
-
+        raise ValueError(f"{exc}; --path {free[0]} builds no rule") from exc
     names = sorted(values)
-    deviations = {}
-    worst = 0.0
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            dev = abs(values[a] - values[b])
-            deviations[f"{a}_vs_{b}"] = dev
-            worst = max(worst, dev)
+    deviations = {f"{a}_vs_{b}": abs(values[a] - values[b]) for a, b in combinations(names, 2)}
+    worst = max([0.0, *deviations.values()])
     payload = _header("bessel", params, quad_order=order, tolerance=tolerance,
-                      y=[float(v) for v in y], argument=args.argument, path=path)
+                      y=[float(v) for v in y], argument=args.argument, path=args.path)
     payload["paths"] = {name: _complex_pair(values[name]) for name in names}
     payload["pairwise_deviations"] = deviations
     payload["max_deviation"] = worst
@@ -447,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, tolerance="largest pairwise route deviation, relative to "
                              "max(1, max |value|) (default 1e-9)")
     p.add_argument("--y", help="comma-separated argument vector")
-    p.add_argument("--path", choices=["direct", "closed", "recursive", "coset", "all"],
+    p.add_argument("--path", choices=[*ROUTES, "all"],
                    default="all", help="which route(s) to evaluate (default all)")
     p.add_argument("--argument", choices=["imaginary", "real"], default="imaginary",
                    help="evaluate K(., iy) (default) or K(., y)")

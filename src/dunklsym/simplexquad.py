@@ -18,7 +18,8 @@ At kappa = 0 the normalized weight c_kappa (t_0 ... t_{d-1})^(kappa-1) dt
 tends to a unit point mass at each vertex of T, so build_rule returns that
 limit: the d vertices with unit weights.  It is exact by construction and
 skips the moment battery.  build_rule also owns the node budget: a rule of
-more than CHUNK_ELEMENTS nodes is refused before any node is computed.
+more than CHUNK_ELEMENTS nodes is refused before any node is computed, and
+so is a kappa whose total weight (dirichlet_mass) is not a normal float.
 
 Each distinct (d, kappa, order) rule, the vertex rule included, is built and
 validated once per process and shared by every later call: its nodes and
@@ -30,6 +31,7 @@ rule is returned but not kept.
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +53,24 @@ def dirichlet_moment(d: int, kappa: float, alpha) -> float:
     return math.exp(
         sum(math.lgamma(k + a) for a in alpha) - math.lgamma(d * k + sum(alpha))
     )
+
+
+def dirichlet_mass(d: int, kappa: float) -> float:
+    """Gamma(kappa)^d / Gamma(d kappa), the total Dirichlet weight on T^d; d at
+    kappa = 0, the vertex rule's, so c_kappa * mass = d for every kappa.
+    OverflowError unless it is a positive normal float: every weight and
+    moment of a rule is a fraction of it (at d = 3 it underflows past
+    kappa = 214.03)."""
+    if kappa == 0:
+        return float(d)
+    try:
+        mass = math.exp(d * math.lgamma(kappa) - math.lgamma(d * kappa))
+    except OverflowError:
+        mass = math.inf
+    if not sys.float_info.min <= mass <= sys.float_info.max:
+        raise OverflowError(f"kappa = {kappa} at d = {d}: the simplex weight's mass "
+                            f"Gamma(kappa)^d / Gamma(d kappa) is not a normal float")
+    return mass
 
 
 def _gamma_exact(q: Fraction) -> tuple[Fraction, int]:
@@ -222,11 +242,8 @@ class SimplexRule:
 
     @property
     def mass(self) -> float:
-        """Gamma(kappa)^d / Gamma(d kappa), the total weight; d at kappa = 0,
-        the vertex rule's, so c_kappa * mass = d for every kappa."""
-        if self.kappa == 0:
-            return float(self.d)
-        return math.exp(self.d * math.lgamma(self.kappa) - math.lgamma(self.d * self.kappa))
+        """The total weight, dirichlet_mass(d, kappa)."""
+        return dirichlet_mass(self.d, self.kappa)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -324,8 +341,10 @@ def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
     is validated against closed-form moments up to degree min(6, 2*order - 1)
     before being returned; validation failure aborts construction.  kappa = 0
     gives the vertex rule (module docstring), whatever the order.  ValueError
-    for negative kappa, and for order^(d-1) > CHUNK_ELEMENTS nodes.  Repeated
-    calls return the same read-only rule (module docstring).
+    for negative kappa and for order^(d-1) > CHUNK_ELEMENTS nodes, and
+    OverflowError for a kappa whose dirichlet_mass is not a normal float,
+    before any node.  Repeated calls return the same read-only rule (module
+    docstring).
     """
     if d < 2:
         raise ValueError("need d >= 2")
@@ -335,6 +354,7 @@ def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
     if kappa != 0 and per_axis_order ** (d - 1) > CHUNK_ELEMENTS:
         raise ValueError(f"a per-axis order {per_axis_order} simplex rule has over "
                          f"{CHUNK_ELEMENTS} nodes at d = {d}")
+    dirichlet_mass(d, kappa)
     key = (d, kappa, per_axis_order)
     rule = _RULES.get(key)
     if rule is not None:

@@ -33,6 +33,7 @@ cesaro_kernel_axis, is the separate route the tests hold the sweep against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -62,7 +63,14 @@ from .orthopoly import (
     kernel_normalizer,
 )
 from .polycore import KappaParams, check_axis
-from .simplexquad import SelfCheckError, block_slices, build_rule, chunk_slices, default_order
+from .simplexquad import (
+    SelfCheckError,
+    block_slices,
+    build_rule,
+    chunk_slices,
+    default_order,
+    dirichlet_mass,
+)
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,22 @@ def cesaro_kernel_axis(n: int, delta, ell: int, x, params: KappaParams):
 # ---------------------------------------------------------------------------
 
 
+def _table_scale(n_max: int, params: KappaParams) -> tuple[bool, np.ndarray]:
+    """(exact, scale): whether _axis_kernel_table takes its exact branch, and
+    the factor scale[k] of its row k <= n_max: kernel_normalizer, times
+    N! prod_{j=1..N} 2 / (k + 2 alpha + 1 - j), N = d kappa, on the exact
+    branch.  check_sweep refuses a sweep whose factors are not normal floats."""
+    jp = _jacobi_params(params)
+    scale = kernel_normalizer(n_max, jp)
+    shift = params.lambda_kappa - Fraction(1, 2) - params.d * params.kappa
+    exact = params.kappa.denominator == 1 and shift > -1
+    if exact:
+        degrees = np.arange(n_max + 1)
+        for j in range(1, params.d * int(params.kappa) + 1):
+            scale = scale * (2 * j / (degrees + 2 * jp.alpha + 1 - j))
+    return exact, scale
+
+
 def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
                        X: np.ndarray) -> np.ndarray:
     """B[k, i]: degree-k projection kernel at (X[i], e_ell), for k <= n_max.
@@ -129,15 +153,11 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
     jp = _jacobi_params(params)
     X = np.asarray(X, dtype=float)
     A = np.empty((n_max + 1, len(X)))
-    scale = kernel_normalizer(n_max, jp)
-    shift = params.lambda_kappa - Fraction(1, 2) - params.d * params.kappa
-    if params.kappa.denominator == 1 and shift > -1:
+    exact, scale = _table_scale(n_max, params)
+    if exact:
         N = params.d * int(params.kappa)
         repeats = [int(params.kappa) + (i == ell - 1) for i in range(params.d)]
-        degrees = np.arange(n_max + 1)
-        for j in range(1, N + 1):  # N! prod_j 2 / (k + 2 alpha + 1 - j)
-            scale = scale * (2 * j / (degrees + 2 * jp.alpha + 1 - j))
-        shifted = JacobiParams(float(shift), float(shift))
+        shifted = JacobiParams(jp.alpha - N, jp.alpha - N)
         for sl in chunk_slices(len(X), N + 1):
             z = np.repeat(X[sl], repeats, axis=1)
             rows = divided_difference_rows(n_max + N, shifted, z)
@@ -245,8 +265,11 @@ def check_sweep(params: KappaParams, deltas, n_max: int, ell: int,
                 sphere_order: int | None = None) -> None:
     """ValueError for arguments lebesgue_sweep refuses, raised before any
     work, so a caller can validate before it writes output, among them a
-    sphere order that coarse_sphere_order refuses; OverflowError for a
-    kappa whose a_kappa, which every sweep multiplies by, overflows."""
+    sphere order that coarse_sphere_order refuses.  OverflowError for a kappa
+    out of float range: its a_kappa, which every sweep multiplies by,
+    overflows, or a kernel table factor is not a normal float, the
+    dirichlet_mass of the tensor branch's simplex rule or a row factor
+    (_table_scale) of the exact branch."""
     require_sphere_rule(params.d, params.kappa)
     params.a_kappa
     for delta in deltas:
@@ -256,6 +279,12 @@ def check_sweep(params: KappaParams, deltas, n_max: int, ell: int,
     check_axis(ell, params.d)
     if sphere_order is not None:
         coarse_sphere_order(sphere_order)
+    exact, scale = _table_scale(n_max, params)
+    if not exact:
+        dirichlet_mass(params.d, params.kappa_float)
+    elif not np.all((scale >= sys.float_info.min) & (scale <= sys.float_info.max)):
+        raise OverflowError(f"kappa = {params.kappa} at d = {params.d}: a row factor of the "
+                            f"exact kernel table is {scale.min():.3g}, not a normal float")
 
 
 def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,

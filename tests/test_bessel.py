@@ -4,6 +4,7 @@ simplex integrals."""
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from dunklsym.bessel import (
+    ROUTES,
+    RULE_FREE,
     bessel_k,
     bessel_k2_closed,
     bessel_k2_direct,
@@ -18,8 +21,9 @@ from dunklsym.bessel import (
     classical_bessel_j,
     closed_form_report,
     dunkl_exp_axis,
+    route_refusal,
 )
-from dunklsym import simplexquad
+from dunklsym import intertwine, simplexquad
 from dunklsym.intertwine import AxisFunction, exponential_rule, vk_axis
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import CHUNK_ELEMENTS, build_rule, exponential_order, integrate
@@ -96,6 +100,41 @@ def test_k_axis_independence_and_path_agreement():
         assert abs(direct - coset[0]) < 1e-10
     with pytest.raises(ValueError):
         bessel_k(params, np.zeros(3), path="average")
+
+
+@pytest.mark.parametrize("imaginary", [True, False], ids=["imaginary", "real"])
+@pytest.mark.parametrize("kappa", [0, Fraction(1, 2), 1], ids=str)
+@pytest.mark.parametrize("d", [2, 3])
+def test_bessel_k_runs_every_route_where_route_refusal_allows(monkeypatch, d, kappa, imaginary):
+    params = KappaParams(d, kappa)
+    y = np.array([0.4, 0.1, -0.3])[:d]
+    runs = {"direct", "coset"}
+    if d == 2 and imaginary:
+        runs.add("closed")
+    if d >= 3 and kappa > 0:
+        runs.add("recursive")
+    assert {r for r in ROUTES if route_refusal(r, params, imaginary) is None} == runs
+    assert set(RULE_FREE) <= set(ROUTES)
+    swapped = np.tile(y, (d, 1))  # row j is y with entries 1 and j + 1 swapped
+    for j in range(d):
+        swapped[j, [0, j]] = y[[j, 0]]
+    own = {
+        "direct": lambda: direct_on_rule(
+            params, y, exponential_order(float(np.ptp(y)) / 2, imaginary), imaginary),
+        "coset": lambda: complex(np.mean(dunkl_exp_axis(1, swapped, params, imaginary))),
+        "closed": lambda: bessel_k2_closed(kappa, np.array([1.0, 0.0]), y),
+        "recursive": lambda: bessel_recursive(params, y, imaginary=imaginary),
+    }
+    for route in sorted(runs):
+        assert bessel_k(params, y, path=route, imaginary=imaginary) == complex(own[route]())
+
+    def no_rule(*args):
+        raise AssertionError("a rule was built for a refused route")
+
+    monkeypatch.setattr(intertwine, "build_rule", no_rule)
+    for route in sorted(set(ROUTES) - runs):
+        with pytest.raises(ValueError, match=re.escape(route_refusal(route, params, imaginary))):
+            bessel_k(params, y, path=route, imaginary=imaginary)
 
 
 def test_k_permutation_invariance_and_boundedness():

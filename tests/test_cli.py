@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -724,6 +725,30 @@ def test_overflowing_kappa_is_a_usage_error(argv):
     rc, out, err = run_cli(argv)
     assert (rc, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--d", "3", "--kappa", "501/2", "--n", "2", "--x", "0.6,0.8,0"],
+    ["bessel", "--d", "3", "--kappa", "501/2", "--y=0.1,0.2,0.3"],
+    ["bounds", "--d", "3", "--kappa", "501/2", "--check", "estimate", "--n", "4"],
+    ["lebesgue", "--d", "3", "--kappa", "501/2", "--delta", "1", "--n-max", "3"],
+    ["lebesgue", "--d", "3", "--kappa", "350", "--delta", "1", "--n-max", "3"],
+    ["lebesgue", "--d", "3", "--kappa", "400", "--delta", "1", "--n-max", "3"],
+], ids=["kernel", "bessel", "bounds", "lebesgue-tensor", "lebesgue-350", "lebesgue-400"])
+def test_kappa_out_of_float_range_is_refused_before_any_work(monkeypatch, argv):
+    # the simplex mass Gamma(kappa)^3 / Gamma(3 kappa) underflows at 501/2,
+    # and the exact sweep table's row factors at 350 and 400
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done for a kappa out of float range")
+
+    simplexquad._RULES.clear()  # no kept rule stands in for a built one
+    monkeypatch.setattr(simplexquad, "gauss_jacobi01", no_work)
+    monkeypatch.setattr(summability, "_sweep_values", no_work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "")
+    assert "not a normal float" in err
 
 
 def test_verify_takes_a_kappa_whose_floats_overflow():

@@ -39,6 +39,7 @@ from dunklsym.summability import (
     _fit_models,
     cesaro_kernel_axis,
     cesaro_mean_at_axis,
+    check_sweep,
     classify_growth,
     critical_sweep,
     default_sample_points,
@@ -346,6 +347,22 @@ except (OSError, StopIteration):
 def test_sweep_refuses_bad_arguments(params, deltas, n_max, ell, order):
     with pytest.raises(ValueError):
         lebesgue_sweep(params, deltas, n_max, ell, sphere_order=order)
+
+
+@pytest.mark.parametrize("kappa, runs", [
+    (Fraction(401, 2), True), (Fraction(501, 2), False),  # tensor table: the rule's mass
+    (300, True), (350, False), (400, False),               # exact table: its row factors
+], ids=str)
+def test_sweep_refuses_a_kappa_out_of_float_range(kappa, runs):
+    # at d = 3 the simplex mass Gamma(kappa)^3 / Gamma(3 kappa) underflows
+    # past kappa = 214.03, and the exact table's factor N! prod_j 2 / (k +
+    # 2 alpha + 1 - j) is 6.3e-270 at kappa = 300 and 0 at 350
+    params = KappaParams(3, kappa)
+    if runs:
+        check_sweep(params, [1.0], 3, 1)
+    else:
+        with pytest.raises(OverflowError, match="not a normal float"):
+            check_sweep(params, [1.0], 3, 1)
 
 
 # every function that integrates a weight on a sphere rule it is handed
