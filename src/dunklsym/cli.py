@@ -207,6 +207,8 @@ def _cmd_bessel(args) -> int:
     imaginary = args.argument == "imaginary"
     tolerance = _tolerance(args, 1e-9)
     runs = [r for r in ROUTES if route_refusal(r, params, imaginary) is None]
+    if args.path not in ("all", *runs):
+        raise ValueError(route_refusal(args.path, params, imaginary))
     wanted = runs if args.path == "all" else [args.path]
     # the order of the rule for y that the simplex routes build (the radial
     # order of the recursion); a RULE_FREE route builds none, and at kappa = 0
@@ -217,9 +219,8 @@ def _cmd_bessel(args) -> int:
         values = {name: bessel_k(params, y, path=name, imaginary=imaginary) for name in wanted}
     except ValueError as exc:
         # y is checked and a RULE_FREE route checks nothing more, so a route
-        # that can run here failed on the size of its rule, before any node
-        free = [r for r in RULE_FREE if r in runs]
-        if not free or not set(wanted) <= set(runs):
+        # that can run failed on the size of its rule, before any node
+        if not (free := [r for r in RULE_FREE if r in runs]):
             raise
         raise ValueError(f"{exc}; --path {free[0]} builds no rule") from exc
     names = sorted(values)

@@ -67,10 +67,17 @@ def dirichlet_mass(d: int, kappa: float) -> float:
         mass = math.exp(d * math.lgamma(kappa) - math.lgamma(d * kappa))
     except OverflowError:
         mass = math.inf
-    if not sys.float_info.min <= mass <= sys.float_info.max:
-        raise OverflowError(f"kappa = {kappa} at d = {d}: the simplex weight's mass "
-                            f"Gamma(kappa)^d / Gamma(d kappa) is not a normal float")
+    require_normal(mass, f"kappa = {kappa} at d = {d}: the simplex weight's mass "
+                         f"Gamma(kappa)^d / Gamma(d kappa)")
     return mass
+
+
+def require_normal(values, what: str) -> None:
+    """OverflowError, naming what, unless every entry of values is a positive
+    normal float: the one test of a kappa in float range."""
+    values = np.asarray(values, dtype=float)
+    if not np.all((values >= sys.float_info.min) & (values <= sys.float_info.max)):
+        raise OverflowError(f"{what} is {values.min():.3g}, not a normal float")
 
 
 def _gamma_exact(q: Fraction) -> tuple[Fraction, int]:
@@ -354,12 +361,12 @@ def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
     if kappa != 0 and per_axis_order ** (d - 1) > CHUNK_ELEMENTS:
         raise ValueError(f"a per-axis order {per_axis_order} simplex rule has over "
                          f"{CHUNK_ELEMENTS} nodes at d = {d}")
-    dirichlet_mass(d, kappa)
     key = (d, kappa, per_axis_order)
     rule = _RULES.get(key)
     if rule is not None:
         _RULES.move_to_end(key)
         return rule
+    dirichlet_mass(d, kappa)
     rule = _new_rule(d, kappa, per_axis_order)
     rule.nodes.flags.writeable = False
     rule.weights.flags.writeable = False

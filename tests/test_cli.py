@@ -447,9 +447,10 @@ def test_bessel_recursive_path_at_kappa_zero_is_usage_error():
 ])
 def test_bessel_unavailable_route_is_refused_before_any_rule(monkeypatch, argv, message):
     def no_rule(*args):
-        raise AssertionError("a rule was built for a refused route")
+        raise AssertionError("a rule or its order was computed for a refused route")
 
     monkeypatch.setattr(intertwine, "build_rule", no_rule)
+    monkeypatch.setattr(cli, "exponential_order", no_rule)
     y = "0.3,-0.2" if argv[1] == "2" else "0.3,-0.2,0.1"
     rc, out, err = run_cli(["bessel", "--kappa", "1", "--y", y] + argv)
     assert rc == 2

@@ -29,6 +29,7 @@ from dunklsym.orthopoly import (
     cesaro_weights,
     jacobi_eval,
     jacobi_rows,
+    kernel_normalizer,
 )
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import SelfCheckError, build_rule
@@ -356,13 +357,35 @@ def test_sweep_refuses_bad_arguments(params, deltas, n_max, ell, order):
 def test_sweep_refuses_a_kappa_out_of_float_range(kappa, runs):
     # at d = 3 the simplex mass Gamma(kappa)^3 / Gamma(3 kappa) underflows
     # past kappa = 214.03, and the exact table's factor N! prod_j 2 / (k +
-    # 2 alpha + 1 - j) is 6.3e-270 at kappa = 300 and 0 at 350
+    # 2 alpha + 1 - j) is 6.3e-270 at kappa = 300 and subnormal at 350
     params = KappaParams(3, kappa)
     if runs:
         check_sweep(params, [1.0], 3, 1)
     else:
         with pytest.raises(OverflowError, match="not a normal float"):
             check_sweep(params, [1.0], 3, 1)
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 100, 300, 320, 340])
+def test_exact_table_row_factors_keep_their_digits(kappa):
+    # the product N! prod_j 2 / (k + 2 alpha + 1 - j) passes through
+    # subnormal partial products from about kappa 295 at d = 3; the factors
+    # must still match the log-Gamma form and rise with k, as the exact
+    # factors do, and keep the plain loop's bits where it stays normal
+    params = KappaParams(3, kappa)
+    alpha, N = 3 * kappa, 3 * kappa
+    exact, scale = summability._table_scale(8, params)
+    assert exact
+    base = kernel_normalizer(8, JacobiParams(alpha, alpha))
+    logs = [math.lgamma(N + 1) + N * math.log(2) + math.lgamma(k + 2 * alpha + 1 - N)
+            - math.lgamma(k + 2 * alpha + 1) for k in range(9)]
+    np.testing.assert_allclose(scale, base * np.exp(logs), rtol=1e-10)
+    assert np.all(np.diff(scale) > 0)
+    if kappa <= 100:
+        plain = base.copy()
+        for j in range(1, N + 1):
+            plain = plain * (2 * j / (np.arange(9) + 2 * alpha + 1 - j))
+        assert np.array_equal(scale, plain)
 
 
 # every function that integrates a weight on a sphere rule it is handed
