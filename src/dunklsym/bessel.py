@@ -237,7 +237,8 @@ def bessel_k2_closed(kappa, x, y) -> complex:
 
     e^{i (x_1+x_2)(y_1+y_2)/2} g((x_1-x_2)(y_1-y_2)) with g from
     _even_profile.  Valid for every kappa >= 0; kappa = 0 collapses to the
-    elementary cos((x_1-x_2)(y_1-y_2)/2) times the phase."""
+    elementary cos((x_1-x_2)(y_1-y_2)/2) times the phase.  OverflowError
+    when the phase's angle is not a finite float."""
     kappa = float(kappa)
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
@@ -245,9 +246,11 @@ def bessel_k2_closed(kappa, x, y) -> complex:
     y = np.asarray(y, dtype=float)
     if x.shape != (2,) or y.shape != (2,):
         raise ValueError("x and y must be points in R^2")
-    z = (x[0] - x[1]) * (y[0] - y[1])
-    phase = cmath.exp(0.5j * (x[0] + x[1]) * (y[0] + y[1]))
-    return phase * _even_profile(kappa, z)
+    (x1, x2), (y1, y2) = x.tolist(), y.tolist()
+    angle = 0.5 * (x1 + x2) * (y1 + y2)
+    if not math.isfinite(angle):
+        raise OverflowError(f"the phase angle (x_1 + x_2)(y_1 + y_2) / 2 is {angle}")
+    return cmath.exp(1j * angle) * _even_profile(kappa, (x1 - x2) * (y1 - y2))
 
 
 def bessel_k2_direct(kappa, x, y) -> complex:

@@ -225,14 +225,14 @@ def _cmd_bessel(args) -> int:
         raise ValueError(f"{exc}; --path {free[0]} builds no rule") from exc
     names = sorted(values)
     deviations = {f"{a}_vs_{b}": abs(values[a] - values[b]) for a, b in combinations(names, 2)}
-    worst = max([0.0, *deviations.values()])
+    worst = float(np.max([0.0, *deviations.values()]))  # keeps a NaN, which max() drops
     payload = _header("bessel", params, quad_order=order, tolerance=tolerance,
                       y=[float(v) for v in y], argument=args.argument, path=args.path)
     payload["paths"] = {name: _complex_pair(values[name]) for name in names}
     payload["pairwise_deviations"] = deviations
     payload["max_deviation"] = worst
     _emit_json(payload, args.out)
-    scale = max(1.0, max(abs(v) for v in values.values()))
+    scale = float(np.max([1.0, *map(abs, values.values())]))  # a NaN value fails too
     return 0 if worst <= tolerance * scale else 1
 
 

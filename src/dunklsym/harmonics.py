@@ -21,7 +21,9 @@ handed out, its unit norm checked, and the mass checked after the last.
 build_sphere_rule is that stream as one array, for callers that hold a
 rule; the package's own sphere integrals, the check Gram of
 hharmonic_basis at fractional kappa and both rules of a Lebesgue sweep,
-walk the stream and never hold a rule whole.
+walk the stream and never hold a rule whole.  Every rule is antipodal by
+halves, its second half the first reflected, and a sweep walks a
+hemisphere, the stream's first half, and reflects it.
 
 Basis construction is exact where exactness is cheap: the projection
 formula of Dunkl and Xu maps the monomials x^alpha with alpha_d <= 1 to a
@@ -41,9 +43,9 @@ matrices are summed over node blocks of simplexquad.BLOCK_ELEMENTS elements
 of temporaries (2 MB of float64, an L2 cache), from
 simplexquad.block_slices: each block forms its own h^2
 weights, monomial table and basis values, and nothing is evaluated over the
-whole rule at once.  The same block serves the two other steps whose
-temporaries grow with the node count times a width: the Lebesgue sweep's
-tensor table (summability._axis_kernel_table) and its Cesaro reduction.
+whole rule at once.  The same block serves the Lebesgue sweep's tensor
+table (summability._axis_kernel_table), whose temporaries grow with the
+node count times a width, and sizes its Cesaro products.
 The sweep's exact divided-difference table keeps simplexquad.CHUNK_ELEMENTS:
 it makes about ten numpy calls per degree on short vectors, whose fixed
 cost small blocks multiply, and blocks that small made it slower.
@@ -244,7 +246,7 @@ def _form_range(form, length: int, start: int, stop: int):
 
 
 def sphere_rule_blocks(d: int, order: int, kappa_hint, per_node: int,
-                       slices=block_slices):
+                       slices=block_slices, *, hemisphere: bool = False):
     """The nodes and weights of build_sphere_rule(d, order, kappa_hint), as
     blocks over slices(node count, per_node) with the same bits.  A block is
     formed from the rule's one-dimensional factors when it is handed out,
@@ -252,15 +254,22 @@ def sphere_rule_blocks(d: int, order: int, kappa_hint, per_node: int,
     budget.  Every block has passed the unit-norm check when it is handed
     out, and the mass is checked after the last one: a consumer that walks
     the stream to its end has used only a rule that passed both, or gets
-    SelfCheckError."""
+    SelfCheckError.
+
+    Every rule here is antipodal by halves: its second count // 2 nodes are
+    the first ones reflected, -x, with their weights up to rounding (the
+    latitude and arc rules are symmetric, and the circle is cut into two
+    halves a half-turn apart).  With hemisphere, the stream is the first
+    half alone, and its mass check is of twice its mass."""
     require_sphere_rule(d, kappa_hint, order)
     split = _wants_kink_split(kappa_hint)
     count = _node_count(d, order, split)
     length, form = _rule_rows(d, order, split)
-    return _checked_blocks(d, form, length, slices(count, per_node))
+    copies = 2 if hemisphere else 1
+    return _checked_blocks(d, form, length, slices(count // copies, per_node), copies)
 
 
-def _checked_blocks(d: int, form, length: int, slices):
+def _checked_blocks(d: int, form, length: int, slices, copies: int):
     total = 0.0
     for sl in slices:
         nodes, weights = _form_range(form, length, sl.start, sl.stop)
@@ -270,7 +279,7 @@ def _checked_blocks(d: int, form, length: int, slices):
             raise SelfCheckError("sphere rule nodes drifted off the unit sphere")
         total += float(weights.sum())
         yield nodes, weights
-    if not abs(total / surface_area(d) - 1) <= 1e-10:
+    if not abs(copies * total / surface_area(d) - 1) <= 1e-10:
         raise SelfCheckError(f"sphere rule mass {total} does not match the surface area")
 
 

@@ -16,10 +16,14 @@ and each delta is then one product of a lower-triangular Cesaro-weight
 matrix with that table.  Neither sphere rule of a sweep is built: both come
 from harmonics.sphere_rule_blocks, the one way nodes are formed, as a
 stream of chunks that it forms from the rule's one-dimensional factors.
+A sweep walks a hemisphere and reflects it: every rule is antipodal by
+halves, h^2 is even and row k of the table has parity (-1)^k, so the
+stream's first half gives the kernels at -x too, by a sign on the odd rows.
 Each chunk adds to one running sum per delta, so a sweep's memory is
 O(chunk * n_max), never the whole table or the whole rule; within a chunk,
-the tensor table and the Cesaro products run in cache-sized blocks
-(simplexquad.block_slices), whose temporaries do not grow with the chunk.
+the tensor table runs in cache-sized blocks (simplexquad.block_slices) and
+the Cesaro products in blocks of a bounded number of multiply-adds, whose
+temporaries do not grow with the chunk.
 For kappa = 0, and
 for integer kappa at d = 3 and 4, the table is exact: V_kappa of a Jacobi
 polynomial at x is a confluent divided difference of a shifted Jacobi
@@ -134,8 +138,8 @@ def _table_scale(n_max: int, params: KappaParams) -> tuple[bool, np.ndarray]:
     return exact, scale
 
 
-def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
-                       X: np.ndarray) -> np.ndarray:
+def _axis_kernel_table(n_max: int, ell: int, params: KappaParams, X: np.ndarray,
+                       table_scale: tuple[bool, np.ndarray] | None = None) -> np.ndarray:
     """B[k, i]: degree-k projection kernel at (X[i], e_ell), for k <= n_max.
 
     Cesaro kernels for every (n <= n_max, delta) follow by weighting rows,
@@ -156,11 +160,13 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
     temporary spans more than a block.  The table has the same bits
     whatever the blocks: no block has a single row, whose node product
     numpy would compute by a matrix-vector call.  On both branches each row
-    is written into the table by the multiply that applies its normalizer."""
+    is written into the table by the multiply that applies its normalizer.
+    table_scale is _table_scale(n_max, params), which a caller that builds
+    one table per chunk computes once."""
     jp = _jacobi_params(params)
     X = np.asarray(X, dtype=float)
     A = np.empty((n_max + 1, len(X)))
-    exact, scale = _table_scale(n_max, params)
+    exact, scale = _table_scale(n_max, params) if table_scale is None else table_scale
     if exact:
         N = params.d * int(params.kappa)
         repeats = [int(params.kappa) + (i == ell - 1) for i in range(params.d)]
@@ -188,44 +194,54 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams,
 
 
 def _sweep_node_cost(n_max: int) -> int:
-    """Elements per sphere node of a sweep chunk: the table B, W @ B, and
-    the divided-difference or tensor work on them."""
+    """Elements per sphere node of a sweep chunk: the table B, the kernels'
+    buffer M, and the divided-difference or tensor work on them."""
     return 3 * (n_max + 1)
 
 
 def _sweep_values(params: KappaParams, weights: dict[float, np.ndarray], n_max: int,
-                  ell: int, chunks) -> dict[float, np.ndarray]:
-    """I_n for n = 0..n_max and each delta, on one sphere rule given as an
-    iterable of (nodes, weights) chunks of at most
-    simplexquad.CHUNK_ELEMENTS // _sweep_node_cost(n_max) nodes: the stream
-    of sphere_rule_blocks cut by chunk_slices, or a built rule that fits
-    one chunk.
+                  ell: int, chunks, table_scale: tuple[bool, np.ndarray]
+                  ) -> dict[float, np.ndarray]:
+    """I_n for n = 0..n_max and each delta, on one sphere rule given by its
+    first half, whose reflection is the rest of the rule
+    (sphere_rule_blocks(..., hemisphere=True)), as an iterable of (nodes,
+    weights) chunks of at most simplexquad.CHUNK_ELEMENTS //
+    _sweep_node_cost(n_max) nodes: the stream cut by chunk_slices, or one
+    chunk a caller holds.
 
     weights maps each delta to its cesaro_weight_matrix W, so W @ B is every
-    Cesaro kernel K_n^delta(x, e_ell) at once.  Each chunk builds its own
-    table B and h^2 weights and adds |W @ B| @ wh2 to one running sum per
-    delta, so memory is O(chunk * n_max); a rule of up to about 20 000 nodes
-    at n_max = 64 is one chunk.
-    W @ B goes into one buffer per chunk, a cache-sized block of columns at
-    a time, and the absolute value is taken in place.  At small n_max a
-    product over the whole chunk is a poor BLAS call (n_max = 8 on 12 672
-    nodes, 2-core x86-64: 8 ms on two threads, against 0.2 ms in blocks on
-    one).  Blocks are a power of two of columns, so they start on multiples
-    of the BLAS kernels' column unrolling; blocks that do not can round
-    differently from one product over the chunk."""
+    Cesaro kernel K_n^delta(x, e_ell) at once.  Row k of the table B has
+    parity (-1)^k, as P_k^(a, a) has, and h^2 is even; so with E = W[:,
+    even] @ B[even] and O = W[:, odd] @ B[odd], K_n is E + O at x and E - O
+    at -x, and the two nodes add (|E + O| + |E - O|) w h^2 = 2 max(|E|, |O|)
+    w h^2.  Each chunk builds its own table and h^2 weights and adds M @ 2
+    wh2, M = max(|E|, |O|), to one running sum per delta, so memory is
+    O(chunk * n_max); a rule of up to about 40 000 nodes at n_max = 64 is
+    one chunk.
+    E and O are formed a block of columns at a time, and their maximum is
+    written into M.  A block's products have fewer than 2 BLOCK_ELEMENTS =
+    2^19 multiply-adds; a second BLAS thread gains little on products this
+    small, and the n_max = 64 sweeps of the pushforward benchmark ran 6%
+    faster in these blocks (128 columns) than in 512-column blocks (2-core
+    x86-64, 14 fresh-process pairs).  Blocks are a power of two of
+    columns, so they start on multiples of the BLAS kernels' column
+    unrolling; blocks that do not can round differently from one product
+    over the chunk."""
+    halves = {delta: (W[:, ::2].copy(), W[:, 1::2].copy()) for delta, W in weights.items()}
     out = {delta: np.zeros(n_max + 1) for delta in weights}
     for nodes, chunk_weights in chunks:
-        B = _axis_kernel_table(n_max, ell, params, nodes)
-        wh2 = params.a_kappa * chunk_weights * hweight(nodes, params) ** 2
-        WB = np.empty_like(B)
-        # a column of B and of W @ B is 2 (n_max + 1) elements; rounded up
-        # to a power of two, so that blocks are a power of two of columns
-        cols = block_slices(B.shape[1], 1 << (2 * n_max + 1).bit_length())
-        for delta, W in weights.items():
+        B = _axis_kernel_table(n_max, ell, params, nodes, table_scale)
+        wh2 = 2 * params.a_kappa * chunk_weights * hweight(nodes, params) ** 2
+        M = np.empty_like(B)
+        # a column of E takes (n_max + 1)(n_max // 2 + 1) <= (n_max + 1)(n_max
+        # + 2) / 2 multiply-adds; half that, rounded up to a power of two
+        cols = block_slices(B.shape[1], 1 << ((n_max + 1) * (n_max + 2) // 4).bit_length())
+        for delta, (even, odd) in halves.items():
             for blk in cols:
-                np.matmul(W, B[:, blk], out=WB[:, blk])
-            out[delta] += np.abs(WB, out=WB) @ wh2
-        del B, WB  # free this chunk's table before the next one is built
+                E, O = even @ B[::2, blk], odd @ B[1::2, blk]
+                np.maximum(np.abs(E, out=E), np.abs(O, out=O), out=M[:, blk])
+            out[delta] += M @ wh2
+        del B, M  # free this chunk's table before the next one is built
     return out
 
 
@@ -304,11 +320,12 @@ def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,
     check_sweep(params, deltas, n_max, ell, sphere_order)
     order = sphere_order if sphere_order is not None else default_sphere_order(n_max)
     weights = {delta: cesaro_weight_matrix(n_max, delta) for delta in deltas}
+    table_scale = _table_scale(n_max, params)
 
     def values(rule_order: int) -> dict[float, np.ndarray]:
         chunks = sphere_rule_blocks(params.d, rule_order, params.kappa,
-                                    _sweep_node_cost(n_max), chunk_slices)
-        return _sweep_values(params, weights, n_max, ell, chunks)
+                                    _sweep_node_cost(n_max), chunk_slices, hemisphere=True)
+        return _sweep_values(params, weights, n_max, ell, chunks, table_scale)
 
     main, coarse = values(order), values(coarse_sphere_order(order))
     if not all(np.isfinite(v).all() for v in (*main.values(), *coarse.values())):

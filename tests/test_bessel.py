@@ -5,6 +5,7 @@ simplex integrals."""
 import cmath
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -195,6 +196,16 @@ def test_closed_form_phase_free_case_is_real():
     direct = bessel_k2_direct(1.5, x, y)
     assert abs(direct.imag) < 1e-12
     assert abs(val.real - direct.real) < 1e-10
+
+
+@pytest.mark.parametrize("x, y", [((1.0, 0.0), (1e308, 1e308)),
+                                  ((0.6, 0.8), (1e308, 1e308)), ((0.0, 1.0), (np.inf, 0.0))])
+def test_closed_form_with_a_non_finite_phase_is_refused(x, y):
+    # (x_1 + x_2)(y_1 + y_2) overflows: the phase would be NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="phase"):
+            bessel_k2_closed(1, x, y)
 
 
 def test_recursion_matches_direct():

@@ -505,6 +505,39 @@ def test_bessel_oversized_argument_is_usage_error():
     assert "nodes" in err
 
 
+@pytest.mark.parametrize("path, code", [
+    ("all", 2), ("closed", 2), ("direct", 0), ("coset", 0),
+])
+def test_bessel_closed_phase_overflow_is_usage_error(path, code):
+    # y_1 + y_2 overflows in the closed form's phase, which would print NaN;
+    # the simplex routes take the pairing <x, t> y with x = e_1 and stay finite
+    rc, out, err = run_cli(["bessel", "--d", "2", "--kappa", "1", "--y=1e308,1e308",
+                            "--path", path])
+    assert rc == code
+    if code == 2:
+        assert out == ""
+        assert "an argument is too large" in err and "phase" in err
+    else:
+        assert np.isfinite(json.loads(out)["paths"][path]).all()
+
+
+@pytest.mark.parametrize("path", ["all", "coset"])
+def test_bessel_non_finite_route_value_fails(monkeypatch, path):
+    # a NaN value or deviation must fail the check: max() would drop it
+    real = cli.bessel_k
+
+    def nan_coset(params, y, path, imaginary):
+        value = real(params, y, path=path, imaginary=imaginary)
+        return complex(np.nan, np.nan) if path == "coset" else value
+
+    monkeypatch.setattr(cli, "bessel_k", nan_coset)
+    rc, out, err = run_cli(["bessel", "--d", "3", "--kappa", "1", "--y", "0.4,0.1,-0.3",
+                            "--path", path])
+    assert rc == 1
+    payload = json.loads(out)
+    assert (path == "all") == np.isnan(payload["max_deviation"])
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "--d", "4", "--kappa", "1", "--n", "400", "--x", "0.6,0.8,0,0"],
     ["kernel", "--d", "3", "--kappa", "1", "--n", "100000", "--x", "0.6,0.8,0"],

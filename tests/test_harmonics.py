@@ -224,10 +224,11 @@ def test_sphere_rule_self_checks_refuse_a_bad_rule(monkeypatch, kind):
     monkeypatch.setattr(harmonics, "_rule_rows", rows)
     with pytest.raises(SelfCheckError):
         build_sphere_rule(3, 8)
-    blocks = sphere_rule_blocks(3, 8, None, BLOCK_ELEMENTS // 40)
-    with pytest.raises(SelfCheckError):
-        for _ in blocks:
-            pass
+    for hemisphere in (False, True):
+        blocks = sphere_rule_blocks(3, 8, None, BLOCK_ELEMENTS // 40, hemisphere=hemisphere)
+        with pytest.raises(SelfCheckError):
+            for _ in blocks:
+                pass
 
 
 @pytest.mark.parametrize("order", [4, 5, 7, 16, 33, 64])
@@ -253,6 +254,29 @@ def test_streamed_rule_is_the_built_rule(d, hint, order):
             [sl.stop - sl.start for sl in block_slices(len(rule), per_node)]
         assert np.array_equal(np.concatenate([n for n, _ in blocks]), rule.nodes)
         assert np.array_equal(np.concatenate([w for _, w in blocks]), rule.weights)
+
+
+@pytest.mark.parametrize("order", [12, 13])
+@pytest.mark.parametrize("d, hint", [(2, None), (2, Fraction(1, 2)), (3, None),
+                                     (3, Fraction(1, 3)), (4, None)])
+def test_rule_is_antipodal_by_halves(d, hint, order):
+    # the second half of every rule is the first reflected, each node -x
+    # with the weight of x, in another order; at an odd order the middle
+    # row (the circle's second arc, the equator) is cut between the halves.
+    # The hemisphere stream is the first half, in blocks with the same bits,
+    # and passes its mass check.
+    rule = build_sphere_rule(d, order, kappa_hint=hint)
+    half = len(rule) // 2
+    first, second = rule.nodes[:half], rule.nodes[half:]
+    match = np.argmin(first @ second.T, axis=1)  # nearest to -x on the unit sphere
+    assert np.array_equal(np.sort(match), np.arange(half))
+    assert np.max(np.abs(second[match] + first)) <= 1e-14
+    weights = rule.weights[half:][match]
+    assert np.max(np.abs(weights / rule.weights[:half] - 1)) <= 1e-12
+    blocks = list(sphere_rule_blocks(d, order, hint, BLOCK_ELEMENTS // 5, hemisphere=True))
+    assert len(blocks) > 1
+    assert np.array_equal(np.concatenate([n for n, _ in blocks]), first)
+    assert np.array_equal(np.concatenate([w for _, w in blocks]), rule.weights[:half])
 
 
 @pytest.mark.parametrize("d, order, hint", [(2, 2_000_001, None), (3, 1415, None),

@@ -229,72 +229,132 @@ STREAM_IDS = ["exact-3-1", "tensor-3-1/2", "exact-4-1"]
 
 
 def odd_sphere_rule(d, order, kappa_hint=None):
-    """The sphere rule without its last node: an odd node count, so that
-    blocks of two rows or columns leave a remainder of one."""
+    """The sphere rule's first half without its last node, and the
+    reflection of that: a hemisphere of an odd node count, so that blocks
+    of two rows or columns leave a remainder of one."""
     rule = build_sphere_rule(d, order, kappa_hint=kappa_hint)
-    return dataclasses.replace(rule, nodes=rule.nodes[:-1], weights=rule.weights[:-1])
+    half = (len(rule) // 2 - 1) | 1  # the largest odd count in the first half
+    nodes, weights = rule.nodes[:half], rule.weights[:half]
+    return dataclasses.replace(rule, nodes=np.concatenate([nodes, -nodes]),
+                               weights=np.concatenate([weights, weights]))
 
 
-def odd_sphere_blocks(d, order, kappa_hint, per_node, slices):
+def odd_sphere_blocks(d, order, kappa_hint, per_node, slices, hemisphere):
+    assert hemisphere
     rule = odd_sphere_rule(d, order, kappa_hint)
-    return [(rule.nodes, rule.weights)]
+    return [(rule.nodes[: len(rule) // 2], rule.weights[: len(rule) // 2])]
+
+
+def assert_records_near(records, want):
+    """Records within 1e-14 of the values they estimate: a sweep walks a
+    hemisphere and reflects it, which regroups the whole rule's sums."""
+    for rec, (value, estimate) in zip(records, want, strict=True):
+        assert abs(rec.value - value) <= 1e-14 * value
+        assert abs(rec.quad_error_estimate - estimate) <= 1e-14 * value
 
 
 @pytest.mark.parametrize("params, n_max, order", STREAM_CASES, ids=STREAM_IDS)
 def test_one_chunk_sweep_is_the_unstreamed_sweep(params, n_max, order, monkeypatch):
     sphere = build_sphere_rule(params.d, order, kappa_hint=params.kappa)
-    assert len(simplexquad.chunk_slices(len(sphere), 3 * (n_max + 1))) == 1
+    assert len(simplexquad.chunk_slices(len(sphere) // 2, 3 * (n_max + 1))) == 1
     records = lebesgue_sweep(params, [1.0, 1.37, 2.5], n_max, sphere_order=order)
-    want = unstreamed_sweep(params, [1.0, 1.37, 2.5], n_max, 1, order)
-    assert [(r.value, r.quad_error_estimate) for r in records] == want
+    assert_records_near(records, unstreamed_sweep(params, [1.0, 1.37, 2.5], n_max, 1, order))
     # blocks of the tensor table's rows and of the reduction's columns
-    # against one block each, on rules of an odd node count: blocks of two
-    # whose last takes the remainder of one, then blocks of 20 table rows and
-    # 128 or 256 columns
-    # the sweep takes each odd rule as one block, as it takes a rule a
-    # caller built
+    # against one block each, on hemispheres of an odd node count: blocks
+    # of two whose last takes the remainder of one, then blocks of 20 table
+    # rows and 64, 128 or 256 columns
+    # the sweep takes each odd hemisphere as one block, as it takes a rule
+    # a caller built
     monkeypatch.setattr(summability, "sphere_rule_blocks", odd_sphere_blocks)
     monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", ONE_BLOCK)
-    want = unstreamed_sweep(params, [1.0, 1.37, 2.5], n_max, 1, order, odd_sphere_rule)
+    want = lebesgue_sweep(params, [1.0, 1.37, 2.5], n_max, sphere_order=order)
+    assert_records_near(want, unstreamed_sweep(params, [1.0, 1.37, 2.5], n_max, 1, order,
+                                               odd_sphere_rule))
     for budget in (1, 2**12):
         monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", budget)
-        records = lebesgue_sweep(params, [1.0, 1.37, 2.5], n_max, sphere_order=order)
-        assert [(r.value, r.quad_error_estimate) for r in records] == want
+        assert lebesgue_sweep(params, [1.0, 1.37, 2.5], n_max, sphere_order=order) == want
 
 
 def test_reduction_blocks_keep_the_bits_past_n_max_13(monkeypatch):
     # with 14 or more terms per entry, OpenBLAS can round the columns of a
     # block that does not start on a multiple of its kernel's unrolling
     # differently from one product; blocks of 163 columns (2 (n_max + 1)
-    # elements a column, not rounded to a power of two) moved six records
+    # elements a column, not rounded to a power of two) moved six records.
+    # The even-degree product has n_max // 2 + 1 terms per entry; at n_max
+    # 40, blocks of 16, 64 and 256 columns not rounded to a power of two
+    # (19, 76 and 304) moved records.
     monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", ONE_BLOCK)
-    want = lebesgue_sweep(KP31, [1.0, 1.37, 2.5], 24, sphere_order=40)
-    for budget in (2**11, 2**13, 2**15):  # blocks of 32, 128 and 512 columns
+    want = lebesgue_sweep(KP31, [1.0, 1.37, 2.5], 40, sphere_order=48)
+    for budget in (2**13, 2**15, 2**17):  # blocks of 16, 64 and 256 columns
         monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", budget)
-        assert lebesgue_sweep(KP31, [1.0, 1.37, 2.5], 24, sphere_order=40) == want
+        assert lebesgue_sweep(KP31, [1.0, 1.37, 2.5], 40, sphere_order=48) == want
 
 
 @pytest.mark.parametrize("params, n_max, order", STREAM_CASES, ids=STREAM_IDS)
 def test_streamed_sweep_matches_the_unstreamed_sweep(params, n_max, order, monkeypatch):
-    # a chunk budget that splits the main sphere rule into at least three
-    # chunks; no table is ever built on more nodes than one chunk
+    # a chunk budget that splits the main rule's hemisphere into at least
+    # three chunks; no table is ever built on more nodes than one chunk
     want = unstreamed_sweep(params, [1.0, 2.5], n_max, 2, order)
-    sphere = build_sphere_rule(params.d, order, kappa_hint=params.kappa)
+    half = len(build_sphere_rule(params.d, order, kappa_hint=params.kappa)) // 2
     per_row = 3 * (n_max + 1)
-    monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", per_row * (len(sphere) // 3))
-    assert len(simplexquad.chunk_slices(len(sphere), per_row)) >= 3
+    monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", per_row * (half // 3))
+    assert len(simplexquad.chunk_slices(half, per_row)) >= 3
     seen = []
 
-    def table(n_max, ell, params, X):
+    def table(n_max, ell, params, X, table_scale):
         seen.append(len(X))
-        return _axis_kernel_table(n_max, ell, params, X)
+        return _axis_kernel_table(n_max, ell, params, X, table_scale)
 
     monkeypatch.setattr(summability, "_axis_kernel_table", table)
     records = lebesgue_sweep(params, [1.0, 2.5], n_max, 2, sphere_order=order)
-    assert len(seen) >= 4 and max(seen) <= len(sphere) // 3
-    for rec, (value, estimate) in zip(records, want, strict=True):
-        assert abs(rec.value - value) <= 1e-14 * value
-        assert abs(rec.quad_error_estimate - estimate) <= 1e-14 * value
+    assert len(seen) >= 4 and max(seen) <= half // 3
+    assert_records_near(records, want)
+
+
+@pytest.mark.parametrize("params, order", [
+    (KappaParams(2, 1), 13), (KappaParams(2, Fraction(1, 2)), 13),
+    (KappaParams(3, Fraction(1, 3)), 23), (KappaParams(3, 1), 25),
+], ids=["d2-13", "d2-split-13", "d3-kink-23", "d3-25"])
+def test_odd_order_sweep_matches_the_whole_rule(params, order):
+    # at an odd order the middle row (the circle's arc, the equator) is cut
+    # between the two halves of the rule
+    records = lebesgue_sweep(params, [1.0, 2.5], 8, 1, sphere_order=order)
+    assert_records_near(records, unstreamed_sweep(params, [1.0, 2.5], 8, 1, order))
+
+
+@pytest.mark.parametrize("params", [KP31, KappaParams(4, 1), KappaParams(3, Fraction(1, 2))],
+                         ids=["exact-3-1", "exact-4-1", "tensor-3-1/2"])
+def test_table_rows_have_the_parity_of_their_degree(params):
+    # P_k(-x, e_ell) = (-1)^k P_k(x, e_ell): the sweep's reflected half
+    X = table_points(params.d)
+    for ell in (1, params.d):
+        B = _axis_kernel_table(12, ell, params, X)
+        reflected = _axis_kernel_table(12, ell, params, -X)
+        for k in range(13):
+            tol = 1e-14 * np.max(np.abs(B[k]))
+            assert np.max(np.abs(reflected[k] - (-1) ** k * B[k])) <= tol, (ell, k)
+
+
+@pytest.mark.parametrize("params", [KP31, KappaParams(3, Fraction(1, 2))], ids=["exact", "tensor"])
+def test_sweep_computes_the_table_scale_once(params, monkeypatch):
+    # one kernel_normalizer call in check_sweep and one that every chunk's
+    # table shares, however many chunks the two rules take
+    calls, tables = [], []
+    real_normalizer, real_table = summability.kernel_normalizer, _axis_kernel_table
+
+    def normalizer(*args):
+        calls.append(args)
+        return real_normalizer(*args)
+
+    def table(*args):
+        tables.append(args)
+        return real_table(*args)
+
+    monkeypatch.setattr(summability, "kernel_normalizer", normalizer)
+    monkeypatch.setattr(summability, "_axis_kernel_table", table)
+    monkeypatch.setattr(simplexquad, "CHUNK_ELEMENTS", 3 * 9 * 50)
+    lebesgue_sweep(params, [1.0], 8, sphere_order=16)
+    assert len(tables) >= 6 and len(calls) <= 2
 
 
 @pytest.mark.parametrize("call, bound_mb", [
