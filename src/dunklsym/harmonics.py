@@ -23,7 +23,10 @@ rule; the package's own sphere integrals, the check Gram of
 hharmonic_basis at fractional kappa and both rules of a Lebesgue sweep,
 walk the stream and never hold a rule whole.  Every rule is antipodal by
 halves, its second half the first reflected, and a sweep walks a
-hemisphere, the stream's first half, and reflects it.
+hemisphere, the stream's first half, and reflects it.  Both Gram sums of
+hharmonic_basis at fractional kappa walk the first half and double it:
+their integrand w h^2 v v^T is even, since h^2 is even and a degree-n
+basis value has v(-x) = (-1)^n v(x).
 
 Basis construction is exact where exactness is cheap: the projection
 formula of Dunkl and Xu maps the monomials x^alpha with alpha_d <= 1 to a
@@ -548,7 +551,7 @@ def _sphere_moments(exps: np.ndarray, h2) -> tuple[np.ndarray, int]:
     bits = 2 ** np.arange(d)
     pattern, hpattern = (exps % 2) @ bits, (hexps % 2) @ bits
     out = np.zeros(len(exps), dtype=dtype)
-    for p in np.unique(hpattern):
+    for p in np.flatnonzero(np.bincount(hpattern)):
         rows, terms = np.flatnonzero(pattern == p), np.flatnonzero(hpattern == p)
         products = table[exps[rows, None] + hexps[None, terms]].prod(axis=-1)
         out[rows] = products @ hcoefs[terms].astype(dtype)
@@ -633,7 +636,10 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     quadrature on sphere_rule, and the Gram residual is re-measured with an
     independent rule at twice the order, streamed by sphere_rule_blocks and
     never held whole, so a too-coarse sphere rule is visible in the
-    output."""
+    output.  Both sums run over the first half of their rules, doubled: the
+    integrand a_kappa w h^2 v v^T is even, since h^2 is even and every v is
+    homogeneous of degree n, so v(-x) v(-x)^T = v(x) v(x)^T, and every rule
+    is antipodal by halves."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     require_fit(sphere_rule, params)
@@ -651,8 +657,9 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
         moments, scale = _moment_matrix(n, params)
         G = _moment_gram(rows, moments, scale)
     else:
-        G = _gram(rows.astype(float), exps, params,
-                  [(sphere_rule.nodes, sphere_rule.weights)])
+        half = len(sphere_rule) // 2
+        G = 2 * _gram(rows.astype(float), exps, params,
+                      [(sphere_rule.nodes[:half], sphere_rule.weights[:half])])
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -671,8 +678,9 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
         # own let glibc hand each block's temporaries back to the system and
         # fault them in again: 10 800 page faults and 60% more time at d = 4,
         # n = 2, in a fresh process.
-        check = sphere_rule_blocks(d, 2 * sphere_rule.order, params.kappa, d + 1)
-        G2 = _gram(coeffs, exps, params, check)
+        check = sphere_rule_blocks(d, 2 * sphere_rule.order, params.kappa, d + 1,
+                                   hemisphere=True)
+        G2 = 2 * _gram(coeffs, exps, params, check)
     residual = float(np.max(np.abs(G2 - np.eye(len(rows)))))
     return HarmonicBasis(
         n=n, d=d, kappa=params.kappa, exponents=tuple(map(tuple, exps.tolist())),

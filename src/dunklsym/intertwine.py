@@ -179,7 +179,7 @@ def verify_intertwining(n_max: int, params: KappaParams) -> dict:
     def check_block():
         parts = [np.concatenate(column) for column in zip(*block)]
         bad, _, _ = dunkl_sums(*parts[:4], q, p, plus=tuple(parts[4:]))
-        failed.extend((g // d % d + 1, g // (d * d), g % d + 1) for g in np.unique(bad).tolist())
+        failed.extend((g // d % d + 1, g // (d * d), g % d + 1) for g in sorted(set(bad.tolist())))
 
     previous = (np.zeros((0, d), dtype=np.int64), np.zeros((d, 0), dtype=object))
     for n in range(n_max + 1):

@@ -485,18 +485,25 @@ def default_sample_points(d: int, seed: int = 20260815) -> np.ndarray:
     return np.array(pts)
 
 
-def _envelope_sum(x: np.ndarray, n: int, kappa: float, exponent: float):
-    """sum_i prod_{j != i} |x_j - x_i|^(-kappa) (sqrt(1-|x_i|) + 1/n)^(-exponent)
+def _envelope_sum(x: np.ndarray, n: int, kappa: float, exponent: float, front: float):
+    """front * sum_i prod_{j != i} |x_j - x_i|^(-kappa) (sqrt(1-|x_i|) + 1/n)^(-exponent)
     for one point x, or for every row of an (N, d) array.
 
     On the diagonals x_i = x_j the envelope is infinite and the ratio
-    against it is 0: still a correct, finite observation."""
+    against it is 0: still a correct, finite observation.  Anywhere else an
+    infinite envelope is an overflow, and an OverflowError: a ratio of 0
+    against it would be a degraded number, not an observation."""
     gaps = np.abs(x[..., None, :] - x[..., :, None])  # [..., i, j] = |x_j - x_i|
-    with np.errstate(divide="ignore"):
-        factors = np.where(gaps == 0.0, math.inf, gaps ** (-kappa))
-    factors[..., np.eye(x.shape[-1], dtype=bool)] = 1.0
-    edge = np.sqrt(np.maximum(1.0 - np.abs(x), 0.0)) + 1.0 / n
-    return np.sum(np.prod(factors, axis=-1) * edge ** (-exponent), axis=-1)
+    # 0^(-kappa) divides by zero; inf times a finite value raises no overflow
+    try:
+        with np.errstate(divide="ignore", over="raise"):
+            factors = np.where(gaps == 0.0, math.inf, gaps ** (-kappa))
+            factors[..., np.eye(x.shape[-1], dtype=bool)] = 1.0
+            edge = np.sqrt(np.maximum(1.0 - np.abs(x), 0.0)) + 1.0 / n
+            return front * np.sum(np.prod(factors, axis=-1) * edge ** (-exponent), axis=-1)
+    except FloatingPointError as exc:
+        raise OverflowError(f"the envelope at kappa {kappa} overflows float range "
+                            f"away from the diagonals x_i = x_j") from exc
 
 
 def estimate_check(n: int, params: KappaParams, alpha: float, beta: float,
@@ -524,7 +531,7 @@ def estimate_check(n: int, params: KappaParams, alpha: float, beta: float,
     profile = AxisFunction(ell=ell, profile=lambda s: jacobi_eval(n, jp, s))
     lhs = np.abs(vk_axis(profile, X, params, polynomial_rule(params, n))) / params.c_kappa
     front = float(n) ** (-(d - 1) * k - 0.5)
-    envelope = front * _envelope_sum(X, n, k, alpha + 0.5 - (d - 1) * k)
+    envelope = _envelope_sum(X, n, k, alpha + 0.5 - (d - 1) * k, front)
     return float(np.max(lhs / envelope, initial=0.0))
 
 
@@ -549,7 +556,7 @@ def kernel_bound_check(n: int, delta, ell: int, params: KappaParams,
     X = np.atleast_2d(np.asarray(x_samples, dtype=float))
     lhs = np.abs(cesaro_kernel_axis(n, delta, ell, X, params))
     tail = vk_axis(profile, X, params, rule) / n
-    envelope = front * _envelope_sum(X, n, k, exponent) + tail
+    envelope = _envelope_sum(X, n, k, exponent, front) + tail
     return float(np.max(lhs / envelope, initial=0.0))
 
 

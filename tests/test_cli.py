@@ -237,6 +237,14 @@ def test_hbasis_refuses_a_kink_rule_order_that_fails_its_mass_check(kappa):
     assert payload["dim"] == 5 and payload["gram_residual"] > 1e-8
 
 
+def test_hbasis_on_a_coarse_fractional_rule_still_fails():
+    # at kappa 1/3 the default order-24 rule leaves a Gram residual of about
+    # 3e-5: summing half of each rule, doubled, must not hide it
+    rc, out, _ = run_cli(["hbasis", "--d", "3", "--kappa", "1/3", "--n", "6"])
+    assert rc == 1
+    assert json.loads(out)["gram_residual"] > 1e-8
+
+
 @pytest.mark.parametrize("d, kappa, n", [("3", "2", "8"), ("4", "1", "8"), ("4", "1", "10")])
 def test_hbasis_passes_its_gram_check_at_the_default_order(d, kappa, n):
     # bases of the Laplacian nullspace missed 1e-8 here (2.1e-7 and 3.5e-8),
@@ -877,6 +885,20 @@ def test_bounds_kernel_check_runs():
     assert all(row["max_ratio"] >= 0 for row in payload["ratio_series"])
 
 
+@pytest.mark.parametrize("check, kappa", [("estimate", "401/2"), ("kernel", "80")])
+def test_bounds_with_an_overflowing_envelope_is_usage_error(check, kappa):
+    # at kappa 401/2 the estimate envelope's factor |x_j - x_i|^(-kappa)
+    # overflows at a finite gap, and at kappa 80 the kernel envelope's sum
+    # times its front factor n^(lambda - (d-1) kappa - delta) does; a ratio
+    # against either would read 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(["bounds", "--d", "3", "--kappa", kappa,
+                                "--check", check, "--n", "4,8"])
+    assert (rc, out) == (2, "")
+    assert "envelope" in err and "overflows" in err
+
+
 @pytest.mark.parametrize("ell", ["0", "4"])
 def test_bounds_axis_outside_one_to_d_is_usage_error(ell):
     rc, out, err = run_cli(
@@ -1076,3 +1098,32 @@ print("exit codes", codes, sorted(m for m in sys.modules if m.split(".")[0] == "
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.splitlines()[-1] == f"exit codes {[0] * len(argvs)} []", out.stderr
+
+
+def test_commands_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 10 ms of a fresh
+    # process; no command reaches it
+    argvs = [
+        ["verify", "--d", "4", "--kappa", "1/2", "--max-degree", "6"],
+        ["hbasis", "--d", "4", "--kappa", "1", "--n", "2"],
+        ["hbasis", "--d", "3", "--kappa", "1/2", "--n", "2"],
+        ["kernel", "--d", "3", "--kappa", "1", "--n", "3", "--x", "0.6,0.8,0"],
+        ["bessel", "--d", "3", "--kappa", "1", "--y", "0.4,0.1,-0.3", "--path", "all"],
+        ["lebesgue", "--d", "3", "--kappa", "1/2", "--n-max", "4", "--delta", "1"],
+        ["lebesgue", "--d", "3", "--kappa", "1", "--n-max", "4", "--delta", "1"],
+        ["bounds", "--d", "3", "--kappa", "1", "--check", "knd", "--n", "8"],
+        ["bounds", "--d", "2", "--kappa", "1", "--check", "estimate", "--n", "8,16"],
+    ]
+    code = f"""
+import contextlib, io, sys
+from dunklsym import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in {argvs!r}]
+print("exit codes", codes, "numpy.ma" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == f"exit codes {[0] * len(argvs)} False", out.stderr

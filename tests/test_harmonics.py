@@ -449,6 +449,49 @@ def test_blocked_gram_is_the_one_pass_sum(d, n, kappa):
         assert basis.gram_residual == pytest.approx(4.56835e-9, rel=1e-5)
 
 
+@pytest.mark.parametrize("d, order, kappa, n", [
+    (2, 24, Fraction(1, 2), 5), (3, 13, Fraction(1, 3), 4), (3, 13, Fraction(1, 2), 5),
+    (3, 24, Fraction(5, 3), 6), (3, 24, Fraction(1, 2), 3)])
+def test_half_rule_gram_doubles_to_the_whole_rule_gram(d, order, kappa, n):
+    # the integrand a_kappa w h^2 v v^T is even (h^2 is even, and v(-x) =
+    # (-1)^n v(x) for homogeneous v of degree n), and the rule is antipodal
+    # by halves: twice the first half's sum is the whole rule's
+    params = KappaParams(d, kappa)
+    rule = build_sphere_rule(d, order, kappa_hint=kappa)
+    assert rule.split
+    half = len(rule) // 2
+    coeffs, exps = _projected_rows(n, params).astype(float), compositions(d, n)
+    whole = _gram(coeffs, exps, params, [(rule.nodes, rule.weights)])
+    halved = 2 * _gram(coeffs, exps, params, [(rule.nodes[:half], rule.weights[:half])])
+    assert np.max(np.abs(halved - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+def whole_rule_basis(n, params, rule):
+    """The coefficients and Gram residual of hharmonic_basis at fractional
+    kappa, with both Gram matrices summed over their whole rules."""
+    rows, exps = _projected_rows(n, params), compositions(params.d, n)
+    G = _gram(rows.astype(float), exps, params, [(rule.nodes, rule.weights)])
+    exact = _exact_mix(_inverse_lower(np.linalg.cholesky(G)), rows)
+    coeffs = np.array([[float(c) for c in row] for row in exact])
+    check = sphere_rule_blocks(params.d, 2 * rule.order, params.kappa, params.d + 1)
+    G2 = _gram(coeffs, exps, params, check)
+    return coeffs, float(np.max(np.abs(G2 - np.eye(len(coeffs)))))
+
+
+@pytest.mark.parametrize("d, n, kappa", [(3, 6, Fraction(1, 2)), (3, 8, Fraction(5, 3)),
+                                         (2, 5, Fraction(1, 2)), (3, 6, Fraction(1, 3))])
+def test_fractional_basis_is_the_whole_rule_basis(d, n, kappa):
+    params = KappaParams(d, kappa)
+    rule = build_sphere_rule(d, 24, kappa_hint=kappa)
+    basis = hharmonic_basis(n, params, rule)
+    coeffs, residual = whole_rule_basis(n, params, rule)
+    assert np.max(np.abs(basis.coefficients - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+    if residual >= 1e-12:
+        assert basis.gram_residual == pytest.approx(residual, rel=1e-6)
+    else:
+        assert basis.gram_residual <= 1e-12
+
+
 @pytest.mark.parametrize("d, kappa, n", [(3, 1, 4), (3, 2, 8), (4, 1, 8)])
 def test_moment_gram_is_the_quadrature_gram(d, kappa, n):
     params = KappaParams(d, kappa)

@@ -603,9 +603,26 @@ def test_classify_growth_on_synthetic_data():
 def test_envelope_sum_structure():
     # at e_1 the i >= 2 terms sit on the diagonal x_2 = x_3: infinite
     # envelope, so ratios against it collapse to zero but stay finite
-    assert _envelope_sum(np.array([1.0, 0.0, 0.0]), 16, 1.0, 2.0) == math.inf
-    val = _envelope_sum(np.array([0.9, 0.3, -0.1]), 16, 1.0, 2.0)
+    assert _envelope_sum(np.array([1.0, 0.0, 0.0]), 16, 1.0, 2.0, 1.0) == math.inf
+    val = _envelope_sum(np.array([0.9, 0.3, -0.1]), 16, 1.0, 2.0, 1.0)
     assert 0 < val < math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_envelope_overflow_is_refused_but_a_diagonal_is_not():
+    # away from the diagonals an infinite envelope is an overflow: at kappa
+    # 1000 the factor 0.4^(-kappa) overflows, at 600 each factor is finite
+    # but their product is not, and at 400 the sum is finite but not its
+    # product with the front factor.  On a diagonal the factor is infinite
+    # and the envelope is inf, with no warning.
+    x = np.array([0.9, 0.3, -0.1])
+    for kappa, front in ((1000.0, 1.0), (600.0, 1.0), (400.0, 1e100)):
+        with pytest.raises(OverflowError, match="overflows float range"):
+            _envelope_sum(x, 16, kappa, 2.0, front)
+        with pytest.raises(OverflowError):
+            _envelope_sum(np.vstack([x, [1.0, 0.0, 0.0]]), 16, kappa, 2.0, front)
+        assert _envelope_sum(np.array([1.0, 0.0, 0.0]), 16, kappa, 2.0, front) == math.inf
+    assert 0 < _envelope_sum(x, 16, 400.0, 2.0, 1.0) < math.inf
 
 
 def test_envelope_sum_rows_match_the_per_point_loop():
@@ -622,7 +639,7 @@ def test_envelope_sum_rows_match_the_per_point_loop():
 
     X = np.vstack([default_sample_points(4), [[0.5, 0.5, 0.5, 0.5]]])
     for kappa in (0.0, 0.5, 1.0):
-        got = _envelope_sum(X, 16, kappa, 2.5)
+        got = _envelope_sum(X, 16, kappa, 2.5, 1.0)
         for x, value in zip(X, got):
             want = loop(x, 16, kappa, 2.5)
             assert value == want or abs(value - want) <= 1e-14 * want
