@@ -242,7 +242,7 @@ def _cmd_lebesgue(args) -> int:
     deltas = _parse_float_list(_required(args, "delta"))
     if not deltas:
         raise ValueError("--delta produced an empty list")
-    order = default_sphere_order(n_max) if args.quad_order is None else args.quad_order
+    order = default_sphere_order(n_max, params) if args.quad_order is None else args.quad_order
     check_sweep(params, deltas, n_max, args.ell, order)
     # critical index for this group, with the sign-change-group threshold at
     # equal multiplicities printed alongside for context (display only)

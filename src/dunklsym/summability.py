@@ -12,18 +12,19 @@ report the fitted constants, whose stability under n-doubling is the check.
 
 Sweeps do not integrate the simplex once per sphere node and degree.  They
 build one table of degree-k projection kernels per sphere node, k <= n_max,
-and each delta is then one product of a lower-triangular Cesaro-weight
-matrix with that table.  Neither sphere rule of a sweep is built: both come
-from harmonics.sphere_rule_blocks, the one way nodes are formed, as a
-stream of chunks that it forms from the rule's one-dimensional factors.
+and the lower-triangular Cesaro-weight matrices of every delta, stacked,
+multiply that table in one product.  Neither sphere rule of a sweep is
+built: both come from harmonics.sphere_rule_blocks, the one way nodes are
+formed, as a stream of chunks that it forms from the rule's
+one-dimensional factors.
 A sweep walks a hemisphere and reflects it: every rule is antipodal by
 halves, h^2 is even and row k of the table has parity (-1)^k, so the
 stream's first half gives the kernels at -x too, by a sign on the odd rows.
-Each chunk adds to one running sum per delta, so a sweep's memory is
-O(chunk * n_max), never the whole table or the whole rule; within a chunk,
-the tensor table runs in cache-sized blocks (simplexquad.block_slices) and
-the Cesaro products in blocks of a bounded number of multiply-adds, whose
-temporaries do not grow with the chunk.
+Each chunk adds to one running sum that holds every delta, so a sweep's
+memory is O(chunk * n_max), never the whole table or the whole rule; within
+a chunk, the tensor table runs in cache-sized blocks
+(simplexquad.block_slices), and the Cesaro products in segments of a fixed
+number of columns, written into two buffers allocated once per sweep.
 For kappa = 0, and
 for integer kappa at d = 3 and 4, the table is exact: V_kappa of a Jacobi
 polynomial at x is a confluent divided difference of a shifted Jacobi
@@ -162,7 +163,9 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams, X: np.ndarray,
     numpy would compute by a matrix-vector call.  On both branches each row
     is written into the table by the multiply that applies its normalizer.
     table_scale is _table_scale(n_max, params), which a caller that builds
-    one table per chunk computes once."""
+    one table per chunk computes once.  OverflowError where the exact
+    branch's recurrence leaves float range (from about kappa 230 at d = 3),
+    which would otherwise fill the table with inf and nan."""
     jp = _jacobi_params(params)
     X = np.asarray(X, dtype=float)
     A = np.empty((n_max + 1, len(X)))
@@ -171,11 +174,16 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams, X: np.ndarray,
         N = params.d * int(params.kappa)
         repeats = [int(params.kappa) + (i == ell - 1) for i in range(params.d)]
         shifted = JacobiParams(jp.alpha - N, jp.alpha - N)
-        for sl in chunk_slices(len(X), N + 1):
-            z = np.repeat(X[sl], repeats, axis=1)
-            rows = divided_difference_rows(n_max + N, shifted, z)
-            for k, row in enumerate(islice(rows, N, None)):
-                np.multiply(row, scale[k], out=A[k, sl])
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for sl in chunk_slices(len(X), N + 1):
+                    z = np.repeat(X[sl], repeats, axis=1)
+                    rows = divided_difference_rows(n_max + N, shifted, z)
+                    for k, row in enumerate(islice(rows, N, None)):
+                        np.multiply(row, scale[k], out=A[k, sl])
+        except FloatingPointError as exc:
+            raise OverflowError(f"kappa = {params.kappa} at d = {params.d}: the exact kernel "
+                                f"table's recurrence overflows float range") from exc
     else:
         rule = polynomial_rule(params, n_max)
         T = rule.nodes
@@ -194,9 +202,14 @@ def _axis_kernel_table(n_max: int, ell: int, params: KappaParams, X: np.ndarray,
 
 
 def _sweep_node_cost(n_max: int) -> int:
-    """Elements per sphere node of a sweep chunk: the table B, the kernels'
-    buffer M, and the divided-difference or tensor work on them."""
+    """Elements per sphere node of a sweep chunk: the table B, the
+    divided-difference or tensor work on it, and a share of headroom."""
     return 3 * (n_max + 1)
+
+
+# Table columns of one Cesaro product pair of a sweep (_sweep_values): a power
+# of two, and fixed, so no record bit depends on simplexquad.BLOCK_ELEMENTS.
+SEGMENT_COLUMNS = 256
 
 
 def _sweep_values(params: KappaParams, weights: dict[float, np.ndarray], n_max: int,
@@ -214,40 +227,56 @@ def _sweep_values(params: KappaParams, weights: dict[float, np.ndarray], n_max: 
     parity (-1)^k, as P_k^(a, a) has, and h^2 is even; so with E = W[:,
     even] @ B[even] and O = W[:, odd] @ B[odd], K_n is E + O at x and E - O
     at -x, and the two nodes add (|E + O| + |E - O|) w h^2 = 2 max(|E|, |O|)
-    w h^2.  Each chunk builds its own table and h^2 weights and adds M @ 2
-    wh2, M = max(|E|, |O|), to one running sum per delta, so memory is
-    O(chunk * n_max); a rule of up to about 40 000 nodes at n_max = 64 is
-    one chunk.
-    E and O are formed a block of columns at a time, and their maximum is
-    written into M.  A block's products have fewer than 2 BLOCK_ELEMENTS =
-    2^19 multiply-adds; a second BLAS thread gains little on products this
-    small, and the n_max = 64 sweeps of the pushforward benchmark ran 6%
-    faster in these blocks (128 columns) than in 512-column blocks (2-core
-    x86-64, 14 fresh-process pairs).  Blocks are a power of two of
+    w h^2.  Every delta's W is stacked into one matrix, so one product pair
+    gives E and O for all of them.  Each chunk builds its own table and
+    h^2 weights and walks it in segments of SEGMENT_COLUMNS columns: E and O
+    go into two buffers allocated once per sweep (fresh ones per segment
+    cost a fresh process a page fault per page each time, as glibc hands
+    blocks this large back to the system), max(|E|, |O|) is taken in place,
+    and its product with the segment's 2 w h^2 is added to one running sum
+    that holds every delta's rows.  So memory is O(chunk * n_max); a rule of
+    up to about 40 000 nodes at n_max = 64 is one chunk.  Of 128, 256 and
+    512 columns, 256 ran the four-delta n_max = 64 sweeps of the pushforward
+    benchmark fastest; 512-column buffers outgrow a 2 MB L2 cache (2-core
+    x86-64, five fresh-process runs each).
+    Within a segment the products run in blocks whose columns of B, E and O,
+    (2 D + 1)(n_max + 1) elements for D deltas rounded up to a power of
+    two, fit in BLOCK_ELEMENTS: one block a segment at the default budget
+    up to n_max = 112 with four deltas.  Blocks are a power of two of
     columns, so they start on multiples of the BLAS kernels' column
-    unrolling; blocks that do not can round differently from one product
-    over the chunk."""
-    halves = {delta: (W[:, ::2].copy(), W[:, 1::2].copy()) for delta, W in weights.items()}
-    out = {delta: np.zeros(n_max + 1) for delta in weights}
+    unrolling; blocks that do not can round differently from one product."""
+    stacked = np.concatenate(list(weights.values()))
+    even, odd = stacked[:, ::2].copy(), stacked[:, 1::2].copy()
+    E, O = (np.empty((len(stacked), SEGMENT_COLUMNS)) for _ in range(2))
+    total = np.zeros(len(stacked))
+    per_column = 1 << (2 * len(stacked) + n_max).bit_length()
     for nodes, chunk_weights in chunks:
         B = _axis_kernel_table(n_max, ell, params, nodes, table_scale)
         wh2 = 2 * params.a_kappa * chunk_weights * hweight(nodes, params) ** 2
-        M = np.empty_like(B)
-        # a column of E takes (n_max + 1)(n_max // 2 + 1) <= (n_max + 1)(n_max
-        # + 2) / 2 multiply-adds; half that, rounded up to a power of two
-        cols = block_slices(B.shape[1], 1 << ((n_max + 1) * (n_max + 2) // 4).bit_length())
-        for delta, (even, odd) in halves.items():
-            for blk in cols:
-                E, O = even @ B[::2, blk], odd @ B[1::2, blk]
-                np.maximum(np.abs(E, out=E), np.abs(O, out=O), out=M[:, blk])
-            out[delta] += M @ wh2
-        del B, M  # free this chunk's table before the next one is built
-    return out
+        for start in range(0, B.shape[1], SEGMENT_COLUMNS):
+            seg = slice(start, min(start + SEGMENT_COLUMNS, B.shape[1]))
+            Es, Os = E[:, :seg.stop - start], O[:, :seg.stop - start]
+            for blk in block_slices(seg.stop - start, per_column):
+                cols = slice(start + blk.start, start + blk.stop)
+                np.matmul(even, B[::2, cols], out=Es[:, blk])
+                np.matmul(odd, B[1::2, cols], out=Os[:, blk])
+            np.maximum(np.abs(Es, out=Es), np.abs(Os, out=Os), out=Es)
+            total += Es @ wh2[seg]
+        del B  # free this chunk's table before the next one is built
+    return dict(zip(weights, np.split(total, len(weights))))
 
 
-def default_sphere_order(n_max: int) -> int:
-    """Sphere-rule order of a sweep to degree n_max when none is given."""
-    return n_max + 16
+def default_sphere_order(n_max: int, params: KappaParams) -> int:
+    """Sphere-rule order of a sweep to degree n_max when none is given: n_max
+    + 16, or at integer kappa the smallest order from it whose coarse rule
+    (coarse_sphere_order), exact to degree 2 coarse - 1, integrates h^2, of
+    degree d (d - 1) kappa."""
+    order = n_max + 16
+    if params.kappa.denominator == 1:
+        degree = params.d * (params.d - 1) * int(params.kappa)
+        # 3 order // 4 >= degree // 2 + 1
+        order = max(order, -(-4 * (degree // 2 + 1) // 3))
+    return order
 
 
 def coarse_sphere_order(order: int) -> int:
@@ -318,7 +347,7 @@ def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,
     called once per record as it is produced."""
     deltas = [float(x) for x in deltas]
     check_sweep(params, deltas, n_max, ell, sphere_order)
-    order = sphere_order if sphere_order is not None else default_sphere_order(n_max)
+    order = sphere_order if sphere_order is not None else default_sphere_order(n_max, params)
     weights = {delta: cesaro_weight_matrix(n_max, delta) for delta in deltas}
     table_scale = _table_scale(n_max, params)
 
@@ -330,6 +359,14 @@ def lebesgue_sweep(params: KappaParams, deltas, n_max: int, ell: int = 1, *,
     main, coarse = values(order), values(coarse_sphere_order(order))
     if not all(np.isfinite(v).all() for v in (*main.values(), *coarse.values())):
         raise SelfCheckError("a Lebesgue sum is not finite")
+    # K_0 = 1, so I_0 = a_kappa sum w h^2 is a rule's h^2 mass: held to the sphere
+    # rules' mass tolerance at integer kappa, where the rules integrate h^2 exactly
+    for sums in (main, coarse):
+        mass = float(next(iter(sums.values()))[0])
+        if params.kappa.denominator == 1 and not abs(mass - 1) <= 1e-10:
+            raise SelfCheckError(f"a sweep rule's h^2 mass is {mass!r}, not 1: sphere order "
+                                 f"{order} does not integrate h^2; order "
+                                 f"{default_sphere_order(n_max, params)} does")
     records = []
     for delta in deltas:
         for n in range(1, n_max + 1):

@@ -799,6 +799,34 @@ def test_verify_takes_a_kappa_whose_floats_overflow():
     assert rc == 0 and json.loads(out)["passed"]
 
 
+def test_lebesgue_overflowing_exact_table_is_usage_error_after_the_header():
+    # kappa 250 passes check_sweep (its row factors are normal floats), so
+    # the header is out when the table's recurrence overflows: exit 2 and no
+    # data row, with no RuntimeWarning on the way
+    argv = ["lebesgue", "--d", "3", "--kappa", "250", "--delta", "1", "--n-max", "3",
+            "--quad-order", "12"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(argv)
+    assert rc == 2
+    assert "kappa = 250 at d = 3" in err and "overflows" in err
+    header, rows = parse_csv(out)
+    assert header["kappa"] == "250" and rows == []
+
+
+def test_lebesgue_default_order_integrates_h2_and_a_short_order_fails():
+    # at (3, 10) h^2 has degree 60: the default order is 42, not n_max + 16 =
+    # 24, whose rules miss the h^2 mass by 2.9e-6 and 1.1e-3
+    argv = ["lebesgue", "--d", "3", "--kappa", "10", "--delta", "1", "--n-max", "8"]
+    rc, out, err = run_cli(argv)
+    header, rows = parse_csv(out)
+    assert (rc, err, header["quad_order"], len(rows)) == (0, "", "42", 8)
+    rc, out, err = run_cli(argv + ["--quad-order", "24"])
+    header, rows = parse_csv(out)
+    assert (rc, header["quad_order"], rows) == (1, "24", [])
+    assert "h^2 mass" in err and "order 42 does" in err
+
+
 def test_lebesgue_non_finite_sum_writes_the_header_only(monkeypatch):
     real = summability._sweep_values
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from fractions import Fraction
 
@@ -111,7 +112,7 @@ def test_sweep_matches_direct_evaluation():
     # the moment-table engine against the one-shot path, on the exact
     # branch (integer kappa at d = 3 and 4, kappa = 0) and the tensor branch
     for params, order in ((KP31, 24), (KappaParams(2, Fraction(3, 2)), 24),
-                          (KappaParams(3, 0), 24), (KappaParams(4, 1), 8)):
+                          (KappaParams(3, 0), 24), (KappaParams(4, 1), 10)):
         records = lebesgue_sweep(params, [1.5], 5, sphere_order=order)
         sphere = build_sphere_rule(params.d, order, kappa_hint=params.kappa)
         for rec in records:
@@ -229,12 +230,17 @@ STREAM_IDS = ["exact-3-1", "tensor-3-1/2", "exact-4-1"]
 
 
 def odd_sphere_rule(d, order, kappa_hint=None):
-    """The sphere rule's first half without its last node, and the
-    reflection of that: a hemisphere of an odd node count, so that blocks
-    of two rows or columns leave a remainder of one."""
+    """The sphere rule's first half, its first node split in two of half its
+    weight where the half has an even count, and the reflection of that: a
+    hemisphere of an odd node count, so that blocks of two rows or columns
+    leave a remainder of one, in a rule that integrates what the sphere rule
+    does (the sweep checks its h^2 mass at integer kappa)."""
     rule = build_sphere_rule(d, order, kappa_hint=kappa_hint)
-    half = (len(rule) // 2 - 1) | 1  # the largest odd count in the first half
+    half = len(rule) // 2
     nodes, weights = rule.nodes[:half], rule.weights[:half]
+    if half % 2 == 0:
+        nodes = np.concatenate([nodes[:1], nodes])
+        weights = np.concatenate([weights[:1] / 2, weights[:1] / 2, weights[1:]])
     return dataclasses.replace(rule, nodes=np.concatenate([nodes, -nodes]),
                                weights=np.concatenate([weights, weights]))
 
@@ -288,6 +294,88 @@ def test_reduction_blocks_keep_the_bits_past_n_max_13(monkeypatch):
     for budget in (2**13, 2**15, 2**17):  # blocks of 16, 64 and 256 columns
         monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", budget)
         assert lebesgue_sweep(KP31, [1.0, 1.37, 2.5], 40, sphere_order=48) == want
+
+
+@pytest.mark.parametrize("params, n_max", [(KP31, 40), (KappaParams(3, Fraction(1, 2)), 8)],
+                         ids=["exact-3-1", "tensor-3-1/2"])
+def test_stacked_deltas_are_the_one_delta_sweeps(params, n_max):
+    # every delta's Cesaro weights share one product pair; a wrong row offset
+    # in the stacked matrix would hand one delta another's kernels
+    deltas = [2.5, 1.0, 1.37, 0.5]
+    together = lebesgue_sweep(params, deltas, n_max)
+    alone = [rec for delta in deltas for rec in lebesgue_sweep(params, [delta], n_max)]
+    for rec, want in zip(together, alone, strict=True):
+        assert (rec.delta, rec.n) == (want.delta, want.n)
+        assert abs(rec.value - want.value) <= 1e-15 * want.value
+        assert abs(rec.quad_error_estimate - want.quad_error_estimate) <= 1e-15 * want.value
+
+
+@pytest.mark.parametrize("params, n_max", [(KP31, 12), (KappaParams(3, Fraction(1, 2)), 8)],
+                         ids=["exact-3-1", "tensor-3-1/2"])
+def test_one_column_remainder_segment_keeps_the_bits(params, n_max, monkeypatch):
+    # at order 16 the odd hemisphere has 16^2 + 1 = 257 nodes (exact) or 11 *
+    # 16^2 + 1 = 2817 (the kink rule): full segments and a last of one column,
+    # whose products numpy runs as matrix-vector calls under every budget
+    half = len(odd_sphere_rule(params.d, 16, params.kappa)) // 2
+    assert half % summability.SEGMENT_COLUMNS == 1
+    monkeypatch.setattr(summability, "sphere_rule_blocks", odd_sphere_blocks)
+    monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", ONE_BLOCK)
+    want = lebesgue_sweep(params, [1.0, 2.5], n_max, sphere_order=16)
+    assert_records_near(want, unstreamed_sweep(params, [1.0, 2.5], n_max, 1, 16,
+                                               odd_sphere_rule))
+    for budget in (1, 2**12, 2**14):
+        monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", budget)
+        assert lebesgue_sweep(params, [1.0, 2.5], n_max, sphere_order=16) == want
+
+
+def test_default_order_integrates_h2_at_integer_kappa():
+    # the smallest order from n_max + 16 whose coarse rule, exact to degree
+    # 2 coarse - 1, integrates h^2 of degree d (d - 1) kappa; fractional
+    # kappa and every integer kappa already covered keep n_max + 16
+    for d, kappa, n_max in [(2, 1, 1), (2, 50, 8), (3, 0, 8), (3, 1, 1), (3, 1, 64),
+                            (3, 3, 1), (3, 4, 1), (3, 10, 8), (3, 50, 8), (4, 1, 4),
+                            (4, 10, 8), (3, Fraction(1, 2), 8), (3, Fraction(7, 2), 8)]:
+        params = KappaParams(d, kappa)
+        order = n_max + 16
+        while kappa == int(kappa) and (2 * summability.coarse_sphere_order(order) - 1
+                                       < d * (d - 1) * kappa):
+            order += 1
+        assert summability.default_sphere_order(n_max, params) == order, (d, kappa, n_max)
+    assert summability.default_sphere_order(8, KappaParams(3, 10)) == 42
+    assert summability.default_sphere_order(8, KappaParams(3, 50)) == 202
+    assert summability.default_sphere_order(8, KappaParams(4, 10)) == 82
+
+
+@pytest.mark.parametrize("order", [24, 36], ids=["both-rules", "coarse-rule"])
+def test_sweep_refuses_a_rule_that_misses_the_h2_mass(order):
+    # at (3, 10), h^2 has degree 60: order 24 integrates it on neither rule
+    # (I_0 - 1 = -2.9e-6 and -1.1e-3), order 36 on the main rule alone (its
+    # coarse rule has order 27); order 42, the default, on both
+    params = KappaParams(3, 10)
+    records = []
+    with pytest.raises(SelfCheckError, match="h\\^2 mass .* order 42 does"):
+        lebesgue_sweep(params, [1.0], 8, sphere_order=order, progress=records.append)
+    assert records == []
+    records = lebesgue_sweep(params, [1.0], 8)
+    assert all(math.isfinite(rec.value) for rec in records)
+
+
+@pytest.mark.parametrize("kappa, overflows", [(200, False), (230, True), (250, True),
+                                              (300, True)], ids=str)
+def test_exact_table_overflow_is_refused(kappa, overflows):
+    # the divided differences of the shifted Jacobi recurrence pass float
+    # range from about kappa 230 at d = 3 (at step 692 of 693 there); kappa
+    # 300's row factors are still normal floats, so check_sweep passes it
+    params = KappaParams(3, kappa)
+    check_sweep(params, [1.0], 3, 1)
+    X = build_sphere_rule(3, 19).nodes[192:256]  # 32 of them overflow at kappa 230
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if overflows:
+            with pytest.raises(OverflowError, match=f"kappa = {kappa} at d = 3"):
+                _axis_kernel_table(3, 1, params, X)
+        else:
+            assert np.isfinite(_axis_kernel_table(3, 1, params, X)).all()
 
 
 @pytest.mark.parametrize("params, n_max, order", STREAM_CASES, ids=STREAM_IDS)
@@ -393,6 +481,23 @@ except (OSError, StopIteration):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert float(out.stdout.split()[-1]) < bound_mb, out.stdout
+
+
+def test_sweep_records_do_not_depend_on_blas_threads():
+    # OpenBLAS threads some products by their shape; one matrix-vector
+    # reduction over a whole chunk (32 768 columns here) moved 2 of these 64
+    # records between one thread and two, reductions over segments of
+    # SEGMENT_COLUMNS none
+    code = ("from dunklsym import KappaParams, lebesgue_sweep; "
+            "print(lebesgue_sweep(KappaParams(4, 1), [0.5, 1, 1.5, 2.5], 16, 4))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        runs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                   text=True, check=True).stdout)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("params, deltas, n_max, ell, order", [
