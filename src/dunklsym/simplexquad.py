@@ -12,7 +12,7 @@ integrals: axis j (1-based) carries the weight u^(kappa-1) (1-u)^((d-j) kappa - 
 because the Jacobian contributes (1-u_j)^(d-1-j) and the residual powers of
 t_{j+1}, ..., t_0 supply the rest.  Each axis gets a Gauss-Jacobi rule.  Every
 constructed rule is validated, on its own nodes and weights, against the
-closed-form Dirichlet moments before it is handed out.
+closed-form Dirichlet moments, in a handful of array calls, before it is used.
 
 At kappa = 0 the normalized weight c_kappa (t_0 ... t_{d-1})^(kappa-1) dt
 tends to a unit point mass at each vertex of T, so build_rule returns that
@@ -21,21 +21,21 @@ skips the moment battery.  build_rule also owns the node budget: a rule of
 more than CHUNK_ELEMENTS nodes is refused before any node is computed, and
 so is a kappa whose total weight (dirichlet_mass) is not a normal float.
 
-Each distinct (d, kappa, order) rule, the vertex rule included, is built and
-validated once per process and shared by every later call: its nodes and
-weights are read-only.  Kept rules hold at most CHUNK_ELEMENTS node
+Each distinct (d, kappa, order) rule, the vertex rule included, and each
+Gauss-Jacobi rule is built once per process and shared by every later call,
+its arrays read-only.  Kept simplex rules hold at most CHUNK_ELEMENTS node
 coordinates plus weights, the least recently used going first; a larger
 rule is returned but not kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -113,6 +113,7 @@ def dirichlet_moment_exact(d: int, kappa: Fraction, alpha) -> tuple[Fraction, in
     return num / r, pi_pow - p
 
 
+@functools.lru_cache(maxsize=256)
 def gauss_jacobi01(order: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule on [0,1] for the weight u^p (1-u)^q, exponents > -1.
 
@@ -126,7 +127,8 @@ def gauss_jacobi01(order: int, p: float, q: float) -> tuple[np.ndarray, np.ndarr
     keep their relative accuracy there.  The weights are 1/((1-x^2) P_m'^2),
     P_m' carried to the refined node by P_m'' from the Jacobi differential
     equation, scaled to the exact mass B(p+1, q+1).  ValueError for
-    order^2 > CHUNK_ELEMENTS, before the order x order matrix exists."""
+    order^2 > CHUNK_ELEMENTS, before the order x order matrix exists.  Memoized
+    on (order, p, q): a repeated call returns the same read-only arrays."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if order * order > CHUNK_ELEMENTS:
@@ -152,7 +154,9 @@ def gauss_jacobi01(order: int, p: float, q: float) -> tuple[np.ndarray, np.ndarr
     lo, hi = (1 + x - dx) / 2, (1 - x + dx) / 2  # u and 1 - u
     w = 1 / (lo * hi * (dp - dx * ddp) ** 2)
     mass = math.exp(math.lgamma(p + 1) + math.lgamma(q + 1) - math.lgamma(p + q + 2))
-    return np.where(x < 0, lo, 1 - hi), w * (mass / w.sum())
+    u, w = np.where(x < 0, lo, 1 - hi), w * (mass / w.sum())
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def gauss_jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +172,7 @@ def exact_order(degree: int) -> int:
     return (degree + 2) // 2
 
 
+@functools.lru_cache(maxsize=256)
 def exponential_order(rho: float, imaginary: bool) -> int:
     """Smallest per-axis order m whose rule integrates e^{i<y, t>} t_{ell-1}
     (imaginary) or e^{<y, t>} t_{ell-1} to 2^-53 of the value, rho half the
@@ -181,7 +186,7 @@ def exponential_order(rho: float, imaginary: bool) -> int:
 
     A real argument has I_k(rho) <= (rho/2)^k / k! e^{rho^2/(8m)} and a value
     >= e^{c - rho}, hence the extra factor e^{rho + rho^2/(8m)}.  The bound
-    falls with m once 4m > rho: doubling, then bisection, finds m."""
+    falls with m once 4m > rho: doubling, then bisection, finds m (memoized)."""
     if not (math.isfinite(rho) and rho >= 0):
         raise ValueError("rho must be finite and >= 0")
     if rho == 0:
@@ -278,59 +283,77 @@ class MomentValidationError(SelfCheckError):
     """A constructed rule failed the Dirichlet-moment battery."""
 
 
-def _reference_moments(rule: SimplexRule, seqs) -> np.ndarray:
-    """dirichlet_moment for each sorted coordinate sequence of seqs, a depth
-    first walk in which every sequence comes after its prefix: from
-    M(0) = rule.mass, M(alpha + e_i) = M(alpha) (kappa + alpha_i) /
-    (d kappa + |alpha|), the ratio of the Gamma products."""
-    d, kappa = rule.d, rule.kappa
-    ref = np.empty(len(seqs))
-    chain = [rule.mass] * (max(map(len, seqs), default=0) + 1)  # along the current path
-    for j, s in enumerate(seqs):
-        if s:
-            chain[len(s)] = (chain[len(s) - 1] * (kappa + s.count(s[-1]) - 1)
-                             / (d * kappa + len(s) - 1))
-        ref[j] = chain[len(s)]
-    return ref
+@functools.cache
+def _moment_plan(d: int, degree: int) -> tuple[list, np.ndarray]:
+    """_validate_moments' table of the monomials t^alpha, |alpha| <= degree:
+    its products (rows, prefix rows, i), degree by degree, and the alpha of
+    each row.  The C(L - 1 + i, i) monomials of degree L - 1 in t_0, ..., t_i
+    lead their degree, so each product is a prefix of it times t_i."""
+    alphas, steps, unit, start = [np.zeros((1, d), dtype=int)], [], np.eye(d, dtype=int), 1
+    for level in range(1, degree + 1):
+        prev, first, groups = alphas[-1], start - len(alphas[-1]), []
+        for i in range(d):
+            count = math.comb(level - 1 + i, i)
+            steps.append((slice(start, start + count), slice(first, first + count), i))
+            groups.append(prev[:count] + unit[i])
+            start += count
+        alphas.append(np.concatenate(groups))
+    return steps, np.concatenate(alphas)
 
 
-def _validate_moments(rule: SimplexRule, max_total_degree: int):
-    """Compare sum_k w_k t_k^alpha, over the rule's own nodes, with the
-    Dirichlet moment (_reference_moments) for every |alpha| <= degree, to
-    a relative 1e-10.  A monomial is a sorted sequence s of coordinates;
-    sorting the sequences walks them depth first, each after its prefix
-    s[:-1], so row len(s) of `path`, w t^s on a block of nodes, is the
-    prefix's row times t_{s[-1]}.  A block has CHUNK_ELEMENTS // (number of
-    monomials) nodes."""
-    seqs = sorted(s for m in range(max_total_degree + 1)
-                  for s in combinations_with_replacement(range(rule.d), m))
-    got = np.zeros(len(seqs))
-    for sl in chunk_slices(len(rule), len(seqs)):
-        T = np.ascontiguousarray(rule.nodes[sl].T)
-        path = np.empty((max_total_degree + 1, T.shape[1]))
-        path[0] = rule.weights[sl]
-        for j, s in enumerate(seqs):
-            if s:
-                np.multiply(path[len(s) - 1], T[s[-1]], out=path[len(s)])
-            got[j] += path[len(s)].sum()
-    ref = _reference_moments(rule, seqs)
+def _validate_moments(rule: SimplexRule, max_total_degree: int) -> np.ndarray:
+    """Compare sum_k w_k t_k^alpha, on the rule's own nodes and weights, with
+    mass prod_i (kappa)_{alpha_i} / (d kappa)_{|alpha|} for every |alpha| <=
+    degree, to a relative 1e-10: return the sums (alpha in _moment_plan's
+    order) or raise MomentValidationError naming the worst alpha.  On a block
+    of nodes, a table of w t^alpha (at most BLOCK_ELEMENTS // 3 elements,
+    allocated once: a larger one is faster at 9 261 nodes but keeps more heap)
+    grows degree by degree, by d products of a prefix of the degree below
+    with t_i, and one row sum adds it up; einsum (no BLAS call) reduces the
+    top degree, the most rows, without storing it."""
+    steps, alphas = _moment_plan(rule.d, max_total_degree)
+    below = steps[-1][1].stop if steps else 1  # the rows under the top degree
+    blocks = -(-len(rule) // max(1, BLOCK_ELEMENTS // (3 * below)))
+    width = -(-len(rule) // blocks)  # blocks of even widths, the last one no wider
+    table, T, sums = np.empty((below, width)), np.empty((rule.d, width)), np.empty(len(alphas))
+    products = [(table[src], T[i], table[dst]) for dst, src, i in steps[:-rule.d]]
+    dots = [(table[src], T[i], sums[dst]) for dst, src, i in steps[-rule.d:]]
+    got = np.zeros(len(alphas))
+    for start in range(0, len(rule), width):
+        w = min(width, len(rule) - start)
+        T[:, :w] = rule.nodes[start:start + w].T
+        table[0, :w] = rule.weights[start:start + w]
+        table[0, w:] = 0.0  # the last block's spare columns add nothing
+        for prefix, t, out in products:
+            np.multiply(prefix, t, out=out)
+        table.sum(axis=1, out=sums[:below])
+        for prefix, t, out in dots:
+            np.einsum("rk,k->r", prefix, t, out=out)
+        got += sums
+    rising = np.cumprod([[1.0] + [k + a for a in range(max_total_degree)]  # (k)_a
+                         for k in (rule.kappa, rule.d * rule.kappa)], axis=1)
+    ref = rule.mass * rising[0, alphas].prod(axis=1) / rising[1, alphas.sum(axis=1)]
     err = np.abs(got - ref) / ref
     worst = int(np.argmax(err))  # the first NaN, if any
     if not err[worst] <= 1e-10:
-        alpha = tuple(seqs[worst].count(i) for i in range(rule.d))
         raise MomentValidationError(
-            f"moment validation failed at alpha={alpha}: rel err {err[worst]:.3e} "
-            f"(d={rule.d}, kappa={rule.kappa}, order={rule.order})"
+            f"moment validation failed at alpha={tuple(alphas[worst].tolist())}: rel err "
+            f"{err[worst]:.3e} (d={rule.d}, kappa={rule.kappa}, order={rule.order})"
         )
+    return got
 
 
 def tensor_grid(axes) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (N, len(axes)) and weights (N,) of the product of one-dimensional
-    rules axes = [(nodes, weights), ...], the last axis varying fastest."""
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    return (np.stack([g.ravel() for g in grids], axis=-1),
-            np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1))
+    rules axes = [(nodes, weights), ...], the last axis varying fastest.  Both
+    broadcast each axis along the grid; the weights multiply in axis order."""
+    U = np.empty([len(u) for u, _ in axes] + [len(axes)])
+    W = np.ones(())
+    for j, (u, w) in enumerate(axes):
+        along = (-1,) + (1,) * (len(axes) - 1 - j)  # axis j of the grid
+        U[..., j] = u.reshape(along)
+        W = W * w.reshape(along)
+    return U.reshape(-1, len(axes)), W.ravel()
 
 
 # (d, kappa, order) -> the rule build_rule made, least recently used first
@@ -368,8 +391,7 @@ def build_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
         return rule
     dirichlet_mass(d, kappa)
     rule = _new_rule(d, kappa, per_axis_order)
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
     if _elements(rule) <= CHUNK_ELEMENTS:
         _RULES[key] = rule
         while sum(map(_elements, _RULES.values())) > CHUNK_ELEMENTS:
@@ -386,13 +408,9 @@ def _new_rule(d: int, kappa: float, per_axis_order: int) -> SimplexRule:
         gauss_jacobi01(per_axis_order, kappa - 1.0, (d - j) * kappa - 1.0)
         for j in range(1, d)
     ])
-    n = U.shape[0]
-    T = np.empty((n, d))
-    rem = np.ones(n)
-    for j in range(1, d):
-        T[:, j] = U[:, j - 1] * rem
-        rem = rem * (1 - U[:, j - 1])
-    T[:, 0] = rem
+    rem = np.cumprod(1 - U, axis=1)  # column j: (1 - u_1) ... (1 - u_{j+1})
+    T = np.empty((len(W), d))
+    T[:, 0], T[:, 1], T[:, 2:] = rem[:, -1], U[:, 0], U[:, 1:] * rem[:, :-1]
     rule = SimplexRule(d=d, kappa=kappa, order=per_axis_order, nodes=T, weights=W)
     _validate_moments(rule, min(6, 2 * per_axis_order - 1))
     return rule

@@ -5,8 +5,10 @@ an exact oracle; a seeded Monte-Carlo estimate cross-checks the closed form
 itself through numpy's independent Dirichlet sampler."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -21,7 +23,6 @@ from dunklsym.simplexquad import (
     CHUNK_ELEMENTS,
     MomentValidationError,
     SimplexRule,
-    _reference_moments,
     _validate_moments,
     block_slices,
     build_rule,
@@ -29,6 +30,7 @@ from dunklsym.simplexquad import (
     dirichlet_moment,
     dirichlet_moment_exact,
     exact_order,
+    exponential_order,
     gauss_jacobi01,
     integrate,
 )
@@ -131,14 +133,136 @@ def test_oversized_gauss_jacobi01_is_refused():
         gauss_jacobi01(4, -1.0, 0.0)
 
 
+def reference_walk(rule, degree):
+    """The moment check as a depth-first walk, kept as a reference for the
+    level table of _validate_moments: the sorted coordinate sequences s,
+    |s| <= degree, each after its prefix s[:-1], whose row of `path` times
+    t_{s[-1]} gives w t^s on the nodes; and the Dirichlet moments by the
+    ratio M(alpha + e_i) = M(alpha) (kappa + alpha_i) / (d kappa + |alpha|)
+    from M(0) = mass.  Returns (alphas, sums, moments)."""
+    d, kappa = rule.d, rule.kappa
+    seqs = sorted(s for m in range(degree + 1)
+                  for s in itertools.combinations_with_replacement(range(d), m))
+    T = np.ascontiguousarray(rule.nodes.T)
+    path = np.empty((degree + 1, len(rule)))
+    path[0] = rule.weights
+    got, ref = np.empty(len(seqs)), np.empty(len(seqs))
+    chain = [rule.mass] * (degree + 1)  # the moments along the current path
+    for j, s in enumerate(seqs):
+        if s:
+            np.multiply(path[len(s) - 1], T[s[-1]], out=path[len(s)])
+            chain[len(s)] = (chain[len(s) - 1] * (kappa + s.count(s[-1]) - 1)
+                             / (d * kappa + len(s) - 1))
+        got[j], ref[j] = path[len(s)].sum(), chain[len(s)]
+    return [tuple(s.count(i) for i in range(d)) for s in seqs], got, ref
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_reference_moments_match_dirichlet_moment(d):
-    seqs = sorted(s for m in range(7)
-                  for s in itertools.combinations_with_replacement(range(d), m))
     for kappa in (1 / 3, 0.5, 1.0, 5 / 3, 2.5):
-        ref = _reference_moments(build_rule(d, kappa, 4), seqs)
-        want = [dirichlet_moment(d, kappa, [s.count(i) for i in range(d)]) for s in seqs]
+        alphas, _, ref = reference_walk(build_rule(d, kappa, 4), 6)
+        want = [dirichlet_moment(d, kappa, alpha) for alpha in alphas]
         assert np.allclose(ref, want, rtol=1e-14, atol=0), (d, kappa)
+
+
+# (d, order): rules of one table block and of several; the last block of
+# (3, 49), (4, 13), (4, 21) and (5, 8) is narrower than the others, its spare
+# columns weighted zero
+TABLE_RULES = [(2, 1), (2, 3), (2, 30), (3, 2), (3, 15), (3, 49), (4, 3), (4, 13),
+               (4, 21), (5, 2), (5, 8)]
+
+
+@pytest.mark.parametrize("d, order", TABLE_RULES)
+def test_moment_sums_match_the_depth_first_walk(d, order):
+    for kappa in (1 / 3, 1.0, 5 / 3):
+        rule = build_rule(d, kappa, order)
+        for degree in {0, 1, min(6, 2 * order - 1)}:
+            alphas, want, _ = reference_walk(rule, degree)
+            rows = map(tuple, simplexquad._moment_plan(d, degree)[1].tolist())
+            got = dict(zip(rows, _validate_moments(rule, degree)))
+            assert len(got) == len(alphas) and set(got) == set(alphas)
+            np.testing.assert_allclose([got[a] for a in alphas], want, rtol=1e-13, atol=0)
+
+
+def _worst_alpha(rule, degree):
+    alphas, got, ref = reference_walk(rule, degree)
+    err = np.abs(got - ref) / ref
+    assert err.max() > 1e-10  # the reference refuses the rule too
+    return alphas[int(np.argmax(err))]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("kappa", [0.5, 5 / 3])
+def test_perturbed_rule_is_refused_at_the_reference_worst_alpha(d, kappa):
+    # one weight scaled by 1 + 1e-8, or one node moved by 1e-8 along an edge
+    # of the simplex, at the heaviest node: the check names the alpha the
+    # depth-first walk finds worst
+    rule = build_rule(d, kappa, 4)
+    k = int(np.argmax(rule.weights))
+    weights = rule.weights.copy()
+    weights[k] *= 1 + 1e-8
+    nodes = rule.nodes.copy()
+    nodes[k, np.argmax(nodes[k])] -= 1e-8
+    nodes[k, np.argmin(nodes[k])] += 1e-8
+    assert np.all(nodes > 0)
+    for bad in (dataclasses.replace(rule, weights=weights),
+                dataclasses.replace(rule, nodes=nodes)):
+        with pytest.raises(MomentValidationError) as refused:
+            _validate_moments(bad, 6)
+        named = re.search(r"alpha=\(([\d, ]+)\)", str(refused.value)).group(1)
+        assert tuple(int(a) for a in named.split(",")) == _worst_alpha(bad, 6)
+
+
+# sha256 of the nodes' then the weights' bytes of build_rule(d, kappa, order)
+# for kappa in (1/2, 1, 3/2, 5/3, 2) and order in (1, 2, 5, 8, 13, 21), in
+# that order: the bits of every rule, frozen when the level-table check came in
+RULE_DIGESTS = {
+    2: "7c9b563f5f0482a5365b0d47ca96649c0d77ef11044e903b551ab5e135afc739",
+    3: "0ab67382c0c59a5760a4f71b86b47f56f50c3100a1d13d79a9006391bb68486d",
+    4: "69bfb32ee1cf8541c10f294ca59d6f06e23a4b9852ce9df2379dc671912a83eb",
+    5: "3a388001a86c98dab5e859adecc426d6ac7cf0e48c599635a733655e4afb7add",
+}
+
+
+@pytest.mark.parametrize("d", sorted(RULE_DIGESTS))
+def test_rule_bits_are_frozen(d):
+    digest = hashlib.sha256()
+    for kappa in (0.5, 1.0, 1.5, 5 / 3, 2.0):
+        for order in (1, 2, 5, 8, 13, 21):
+            rule = build_rule(d, kappa, order)
+            digest.update(rule.nodes.tobytes())
+            digest.update(rule.weights.tobytes())
+    assert digest.hexdigest() == RULE_DIGESTS[d]
+
+
+def test_gauss_jacobi01_and_exponential_order_are_memoized():
+    u, w = gauss_jacobi01(9, 0.5, 2.0)
+    again = gauss_jacobi01(9, 0.5, 2.0)
+    assert again[0] is u and again[1] is w
+    for array in (u, w):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    fresh = gauss_jacobi01.__wrapped__(9, 0.5, 2.0)
+    assert np.array_equal(fresh[0], u) and np.array_equal(fresh[1], w)
+    for rho in (0.0, 0.3, 2.5, 40.0):
+        for imaginary in (True, False):
+            assert exponential_order(rho, imaginary) == exponential_order.__wrapped__(rho, imaginary)
+
+
+def test_new_rule_is_validated_after_the_cache_is_cleared(monkeypatch):
+    checked = []
+    real = simplexquad._validate_moments
+
+    def recording(rule, degree):
+        checked.append((rule.d, rule.kappa, rule.order, degree))
+        return real(rule, degree)
+
+    build_rule(3, 0.75, 5)  # its axes' Gauss-Jacobi rules are kept
+    simplexquad._RULES.clear()
+    monkeypatch.setattr(simplexquad, "_validate_moments", recording)
+    rule = build_rule(3, 0.75, 5)
+    assert build_rule(3, 0.75, 5) is rule
+    assert checked == [(3, 0.75, 5, 6)]
 
 
 def test_build_rule_node_layout():
