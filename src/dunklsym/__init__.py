@@ -4,7 +4,35 @@ Exact rational Dunkl operators and intertwining images, Gauss-Jacobi
 quadrature on the simplex and the sphere, spherical h-harmonic bases and
 reproducing kernels, generalized Bessel functions along independent routes,
 and Cesaro summability experiments at the coordinate vectors.
+
+Importing the package loads numpy's OpenBLAS on one thread, unless numpy is
+already imported or one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+OMP_NUM_THREADS is set, in which case the caller's setting holds. Every BLAS
+product here is small, and a second OpenBLAS thread mostly spins: on a 2-core
+x86-64 host it doubled the CPU time of every benchmark workload and moved
+wall times by a few percent either way. OpenBLAS reads its thread count once,
+when it loads, so a process that imported numpy first keeps the BLAS it
+loaded. The variable is set only around that import: os.environ and child
+processes see the caller's environment unchanged.
 """
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _load_blas_on_one_thread() -> None:
+    import os
+    import sys
+
+    if "numpy" in sys.modules or any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401  (OpenBLAS reads its thread count as it loads)
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_blas_on_one_thread()
 
 __version__ = "0.1.0"
 
@@ -14,7 +42,6 @@ from .bessel import (
     bessel_k2_direct,
     bessel_recursive,
     classical_bessel_j,
-    closed_form_report,
     dunkl_exp_axis,
 )
 from .harmonics import (
@@ -37,7 +64,6 @@ from .intertwine import (
     vk_d2_poly_exact,
     vk_monomial_exact,
     vk_sphere_average,
-    vk_z2d,
 )
 from .orthopoly import (
     CesaroOrder,
@@ -109,7 +135,6 @@ __all__ = [
     "cesaro_weights",
     "classical_bessel_j",
     "classify_growth",
-    "closed_form_report",
     "critical_sweep",
     "default_sample_points",
     "dirichlet_moment",
@@ -145,5 +170,4 @@ __all__ = [
     "vk_d2_poly_exact",
     "vk_monomial_exact",
     "vk_sphere_average",
-    "vk_z2d",
 ]

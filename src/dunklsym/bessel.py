@@ -27,8 +27,8 @@ Two constant conventions circulate for the d = 2 closed form.  This module
 adopts the one with unit limit as the argument product z = (x_1-x_2)(y_1-y_2)
 tends to zero, which is the convention forced by the defining integral
 (K(x, 0) must be 1 because the representing measure has unit mass).  The
-other convention carries an extra sqrt(pi) 2^{-(kappa-1/2)}; it is recorded
-by closed_form_report and asserted nowhere.
+other convention carries an extra sqrt(pi) 2^{-(kappa-1/2)}, so its
+zero-argument limit cannot be 1; it is not implemented.
 """
 
 from __future__ import annotations
@@ -265,40 +265,6 @@ def bessel_k2_direct(kappa, x, y) -> complex:
     y = np.asarray(y, dtype=float)
     return bessel_k(KappaParams(2, Fraction(kappa)), (x @ y, x[0] * y[1] + x[1] * y[0]),
                     path="direct", imaginary=True)
-
-
-def closed_form_report(kappa, n_samples: int = 20, seed: int = 20260815) -> dict:
-    """Record both constant conventions for the d = 2 closed form.
-
-    The adopted convention (gamma factor only, base 4 inside the power) is
-    compared against the defining integral at random points; the alternative
-    (extra sqrt(pi), base 2) differs from it by the constant factor
-    sqrt(pi) 2^{-(kappa-1/2)} everywhere, so its zero-argument limit cannot
-    be 1.  Nothing here decides which convention was meant; the report keeps
-    the exact factor between them."""
-    kappa = float(kappa)
-    nu = kappa - 0.5
-    rng = np.random.default_rng(seed)
-    max_dev = 0.0
-    for _ in range(n_samples):
-        x = rng.uniform(-1.0, 1.0, 2)
-        y = rng.uniform(-1.0, 1.0, 2)
-        dev = abs(bessel_k2_closed(kappa, x, y) - bessel_k2_direct(kappa, x, y))
-        max_dev = max(max_dev, dev)
-    alt_factor = math.sqrt(math.pi) * 2.0 ** (-nu)
-    return {
-        "kappa": kappa,
-        "samples": n_samples,
-        "adopted": "gamma_only_base4",
-        "gamma_only_base4": {
-            "zero_argument_limit": 1.0,
-            "max_abs_dev_vs_quadrature": max_dev,
-        },
-        "sqrt_pi_base2": {
-            "zero_argument_limit": alt_factor,
-            "constant_ratio_to_adopted": alt_factor,
-        },
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -244,13 +244,10 @@ def _cmd_lebesgue(args) -> int:
         raise ValueError("--delta produced an empty list")
     order = default_sphere_order(n_max, params) if args.quad_order is None else args.quad_order
     check_sweep(params, deltas, n_max, args.ell, order)
-    # critical index for this group, with the sign-change-group threshold at
-    # equal multiplicities printed alongside for context (display only)
     header = _header(
         "lebesgue", params, ell=args.ell, quad_order=order,
         delta=",".join(repr(v) for v in deltas), n_max=n_max,
-        critical_delta=float(params.critical_delta),
-        z2d_equal_multiplicity_threshold=float(params.lambda_kappa - params.kappa))
+        critical_delta=float(params.critical_delta))
 
     def sweep(progress) -> int:
         """0, or 130 on Ctrl-C once progress has had the completed records."""

@@ -16,9 +16,9 @@ every kernel at e_ell is a profile handed to it, a polynomial one with the
 rule polynomial_rule builds, an exponential one with exponential_rule's),
 its exact polynomial image on monomials (vk_monomial_exact, rational in
 kappa), an exact mechanical verification of
-the intertwining relation, the full two-variable d = 2 representation, the
-Z_2^d product-group analogue used for comparison, and the sphere-average
-identity relating V to a one-dimensional Gegenbauer integral.
+the intertwining relation, the full two-variable d = 2 representation, and
+the sphere-average identity relating V to a one-dimensional Gegenbauer
+integral.
 
 No representation is provided for generic multivariate arguments when d > 2;
 the AxisFunction type makes the restriction explicit.
@@ -36,9 +36,7 @@ import numpy as np
 from . import simplexquad
 from .polycore import KappaParams, Polynomial, check_axis, compositions, dunkl_sums
 from .simplexquad import (SimplexRule, build_rule, chunk_slices, exact_order, exponential_order,
-                          gauss_jacobi, integrate, require_rule, tensor_grid)
-
-Z2D_ORDER = 48  # per-axis Gauss-Jacobi order of vk_z2d's tensor rule
+                          gauss_jacobi, integrate, require_rule)
 
 
 @dataclass(frozen=True)
@@ -256,32 +254,6 @@ def vk_d2_poly_exact(p: Polynomial, params: KappaParams) -> Polynomial:
                 terms[mono] = terms.get(mono, Fraction(0)) + c
         out = out + Polynomial(2, terms)
     return out
-
-
-def vk_z2d(f, x, kappas) -> float:
-    """V_kappa f(x) for the sign-change group Z_2^d with per-axis multiplicities.
-
-    Representation: normalized tensor integral of f(x_1 t_1, ..., x_d t_d)
-    against prod (1 + t_i)(1 - t_i^2)^(kappa_i - 1) on [-1, 1]^d; each axis
-    is a Gauss-Jacobi rule of order Z2D_ORDER normalized to unit mass, and
-    kappa_i = 0 axes degenerate to the point mass at t_i = 1."""
-    x = np.asarray(x, dtype=float)
-    kappas = [float(k) for k in kappas]
-    d = len(x)
-    if len(kappas) != d:
-        raise ValueError("kappas must match the dimension of x")
-    if any(k < 0 for k in kappas):
-        raise ValueError("multiplicities must be >= 0")
-    axes = []
-    for k in kappas:
-        if k == 0:
-            axes.append((np.array([1.0]), np.array([1.0])))
-        else:
-            t, w = gauss_jacobi(Z2D_ORDER, k - 1.0, k - 1.0)
-            w = w * (1 + t)
-            axes.append((t, w / w.sum()))
-    T, W = tensor_grid(axes)
-    return float(np.dot(W, np.asarray(f(T * x))))
 
 
 def vk_sphere_average(f, x, params: KappaParams, sphere_rule) -> tuple[float, float]:

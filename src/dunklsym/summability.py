@@ -442,9 +442,7 @@ def critical_sweep(params: KappaParams, delta_grid, n_max: int, ell: int = 1, *,
     index and classify the growth of each delta on n in [n_max/4, n_max].
 
     Returns the records, per-delta fits and classifications, and the
-    critical index alongside the sign-change-group threshold (the latter is
-    display only: it belongs to a different reflection group and nothing
-    here tests it)."""
+    critical index."""
     if n_max < 64:
         raise ValueError("n_max must be >= 64 to support the fit window")
     deltas = sorted(float(x) for x in delta_grid)
@@ -473,7 +471,6 @@ def critical_sweep(params: KappaParams, delta_grid, n_max: int, ell: int = 1, *,
         "n_max": n_max,
         "window": [int(n_lo), int(n_max)],
         "critical_delta": crit,
-        "sign_change_threshold": float(params.lambda_kappa - params.kappa),
         "per_delta": per_delta,
         "records": records,
     }

@@ -20,7 +20,6 @@ from dunklsym.bessel import (
     bessel_k2_direct,
     bessel_recursive,
     classical_bessel_j,
-    closed_form_report,
     dunkl_exp_axis,
     route_refusal,
 )
@@ -226,15 +225,6 @@ def test_recursion_argument_errors():
         bessel_recursive(kp(3, 0), np.zeros(3))
     with pytest.raises(ValueError):
         bessel_recursive(kp(3, 1), np.zeros(2))  # y must have d entries
-
-
-def test_closed_form_report_structure():
-    rep = closed_form_report(1.5, n_samples=10)
-    assert rep["adopted"] == "gamma_only_base4"
-    assert rep["gamma_only_base4"]["zero_argument_limit"] == 1.0
-    assert rep["gamma_only_base4"]["max_abs_dev_vs_quadrature"] <= 1e-9
-    alt = math.sqrt(math.pi) * 2.0 ** (-1.0)
-    assert abs(rep["sqrt_pi_base2"]["constant_ratio_to_adopted"] - alt) < 1e-15
 
 
 def test_real_argument_paths_agree():

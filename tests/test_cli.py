@@ -658,7 +658,6 @@ def test_lebesgue_csv_layout():
     assert header["delta"] == "0.5,1.0"
     assert header["n_max"] == "4"
     assert float(header["critical_delta"]) == 0.0
-    assert float(header["z2d_equal_multiplicity_threshold"]) == 0.0
     assert "version" in header and "seed" in header
     assert len(rows) == 2 * 4
     assert [(r[3], r[4]) for r in rows] == [

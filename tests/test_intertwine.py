@@ -16,7 +16,6 @@ from dunklsym.intertwine import (
     vk_d2_poly_exact,
     vk_monomial_exact,
     vk_sphere_average,
-    vk_z2d,
 )
 from dunklsym.polycore import KappaParams, Polynomial, dunkl_apply
 from dunklsym.simplexquad import build_rule
@@ -243,23 +242,6 @@ def test_d2_poly_exact_matches_quadrature():
     # on single-variable monomials it reduces to the axis formula
     mono = Polynomial(2, {(4, 0): Fraction(1)})
     assert vk_d2_poly_exact(mono, kp) == vk_monomial_exact(4, 1, kp)
-
-
-def test_z2d_moments_and_identity():
-    # first moment of the one-variable weight is 1/(2 kappa + 1)
-    for kappa in (0.8, 2.0):
-        got = vk_z2d(lambda P: P[:, 0], np.array([1.0]), [kappa])
-        assert abs(got - 1 / (2 * kappa + 1)) < 1e-12
-    # kappa = 0 collapses to the identity
-    assert abs(vk_z2d(lambda P: P[:, 0] ** 3, np.array([0.7]), [0.0]) - 0.7 ** 3) < 1e-15
-    # product functions factor across axes
-    got = vk_z2d(lambda P: P[:, 0] * P[:, 1], np.array([0.5, -0.4]), [1.0, 2.0])
-    want = 0.5 * (-0.4) / (3 * 5)
-    assert abs(got - want) < 1e-13
-    with pytest.raises(ValueError):
-        vk_z2d(lambda P: P[:, 0], np.array([1.0, 2.0]), [1.0])
-    with pytest.raises(ValueError):
-        vk_z2d(lambda P: P[:, 0], np.array([1.0]), [-0.5])
 
 
 def test_sphere_average_identity():

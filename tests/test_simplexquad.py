@@ -94,7 +94,7 @@ def test_gauss_jacobi01_interval_rule():
 
 # (p, q) of u^p (1-u)^q as the package builds them: simplex axes
 # (kappa - 1, (d - j) kappa - 1) at kappa 1/2, 1 and 1/3, Legendre panels of
-# the sphere rules, the S^3 polar weight, and a Z_2^d axis at kappa 1/2
+# the sphere rules, and the S^3 polar weight
 GJ_PAIRS = [(-0.5, -0.5), (-0.5, 0.0), (0.0, 0.0), (0.0, 1.0), (0.5, 0.5), (-2 / 3, -1 / 3)]
 
 

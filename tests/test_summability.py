@@ -266,9 +266,10 @@ def test_one_chunk_sweep_is_the_unstreamed_sweep(params, n_max, order, monkeypat
     records = lebesgue_sweep(params, [1.0, 1.37, 2.5], n_max, sphere_order=order)
     assert_records_near(records, unstreamed_sweep(params, [1.0, 1.37, 2.5], n_max, 1, order))
     # blocks of the tensor table's rows and of the reduction's columns
-    # against one block each, on hemispheres of an odd node count: blocks
-    # of two whose last takes the remainder of one, then blocks of 20 table
-    # rows and 64, 128 or 256 columns
+    # against one block each, on hemispheres of an odd node count: at
+    # budget 1, blocks of two whose last takes the remainder of one; at
+    # 2^12, blocks of 20 table rows (the tensor table) and of 32 columns
+    # (n_max 12) or 64 (n_max 6 and 8)
     # the sweep takes each odd hemisphere as one block, as it takes a rule
     # a caller built
     monkeypatch.setattr(summability, "sphere_rule_blocks", odd_sphere_blocks)
@@ -483,21 +484,27 @@ except (OSError, StopIteration):
     assert float(out.stdout.split()[-1]) < bound_mb, out.stdout
 
 
+# the variables OpenBLAS reads its thread count from
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def test_sweep_records_do_not_depend_on_blas_threads():
     # OpenBLAS threads some products by their shape; one matrix-vector
     # reduction over a whole chunk (32 768 columns here) moved 2 of these 64
     # records between one thread and two, reductions over segments of
-    # SEGMENT_COLUMNS none
+    # SEGMENT_COLUMNS none. With no thread variable set, the package loads
+    # OpenBLAS on one thread.
     code = ("from dunklsym import KappaParams, lebesgue_sweep; "
             "print(lebesgue_sweep(KappaParams(4, 1), [0.5, 1, 1.5, 2.5], 16, 4))")
     src = str(Path(__file__).resolve().parents[1] / "src")
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     runs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {}):
+        env = {**unset, **threads, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         runs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                    text=True, check=True).stdout)
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("params, deltas, n_max, ell, order", [
@@ -682,7 +689,6 @@ def test_critical_sweep_validation():
 def test_critical_sweep_classifications_smoke():
     out = critical_sweep(KP31, [1.0, 1.5, 2.0], 64, sphere_order=72)
     assert out["critical_delta"] == 1.5
-    assert out["sign_change_threshold"] == float(KP31.lambda_kappa - KP31.kappa)
     assert out["window"] == [16, 64]
     assert len(out["records"]) == 3 * 64
     by_delta = {row["delta"]: row for row in out["per_delta"]}
