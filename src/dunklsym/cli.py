@@ -404,9 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hbasis", help="orthonormal h-harmonic basis as JSON")
     _add_common(p, tolerance="largest entry of |G - I| (default 1e-8)",
-                quad_order="sphere-rule order (default max(24, 2n + 12)); at integer "
-                           "kappa the rule is built and fit-checked only, and the Gram "
-                           "matrix and its residual come from exact sphere moments")
+                quad_order="sphere-rule order (default max(24, 2n + 12)); the rule is "
+                           "built and fit-checked only: at integer kappa the Gram matrix "
+                           "and its residual come from exact sphere moments, at "
+                           "fractional kappa from Weyl-chamber rules of this order and "
+                           "twice it")
     p.add_argument("--n", type=int, help="homogeneity degree")
 
     p = sub.add_parser("kernel", help="projection or Cesaro kernel at a point")

@@ -19,14 +19,23 @@ blocks, each formed from the rule's one-dimensional factors (the latitude
 rule, the S^(d-2) rule it scales, or the arcs of each latitude) when it is
 handed out, its unit norm checked, and the mass checked after the last.
 build_sphere_rule is that stream as one array, for callers that hold a
-rule; the package's own sphere integrals, the check Gram of
-hharmonic_basis at fractional kappa and both rules of a Lebesgue sweep,
-walk the stream and never hold a rule whole.  Every rule is antipodal by
-halves, its second half the first reflected, and a sweep walks a
-hemisphere, the stream's first half, and reflects it.  Both Gram sums of
-hharmonic_basis at fractional kappa walk the first half and double it:
-their integrand w h^2 v v^T is even, since h^2 is even and a degree-n
-basis value has v(-x) = (-1)^n v(x).
+rule; both rules of a Lebesgue sweep walk the stream and never hold a rule
+whole.  Every rule is antipodal by halves, its second half the first
+reflected, and a sweep walks a hemisphere, the stream's first half, and
+reflects it.
+
+The Gram sums of hharmonic_basis at fractional kappa (d = 2, 3) run on
+Weyl-chamber rules instead (chamber_rule_blocks): one chamber
+x_1 >= ... >= x_d in coordinates whose walls x_i = x_j are the ends of
+Gauss-Jacobi rules, the wall factors |.|^(2 kappa) in the Jacobi weights
+and the weights divided by them, so that what is left to the rule is
+smooth and the sums converge spectrally, on 3 order^2 nodes at d = 3
+against the kink rule's 22 order^2.  The rule is the chamber's images
+under the cyclic coordinate permutations, a first half whose reflection
+-x is the second: the Gram integrand w h^2 v v^T is even, since h^2 is
+even and a degree-n basis value has v(-x) = (-1)^n v(x), so both sums walk
+the first half and double it.  The divided weights cannot give the
+surface area, so a chamber rule checks its h^2 mass instead.
 
 Basis construction is exact where exactness is cheap: the projection
 formula of Dunkl and Xu maps the monomials x^alpha with alpha_d <= 1 to a
@@ -269,10 +278,15 @@ def sphere_rule_blocks(d: int, order: int, kappa_hint, per_node: int,
     count = _node_count(d, order, split)
     length, form = _rule_rows(d, order, split)
     copies = 2 if hemisphere else 1
-    return _checked_blocks(d, form, length, slices(count // copies, per_node), copies)
+    return _checked_blocks(form, length, slices(count // copies, per_node),
+                           lambda nodes, weights: float(weights.sum()),
+                           copies / surface_area(d), "sphere rule mass over the surface area")
 
 
-def _checked_blocks(d: int, form, length: int, slices, copies: int):
+def _checked_blocks(form, length: int, slices, mass, scale: float, what: str):
+    """The blocks of a family at slices, each checked for unit norms when it
+    is handed out; after the last, scale times the sum of mass(nodes,
+    weights) over the blocks must be within 1e-10 of 1."""
     total = 0.0
     for sl in slices:
         nodes, weights = _form_range(form, length, sl.start, sl.stop)
@@ -280,10 +294,10 @@ def _checked_blocks(d: int, form, length: int, slices, copies: int):
         norms = np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
         if not np.max(np.abs(norms - 1)) <= 1e-14:
             raise SelfCheckError("sphere rule nodes drifted off the unit sphere")
-        total += float(weights.sum())
+        total += mass(nodes, weights)
         yield nodes, weights
-    if not abs(copies * total / surface_area(d) - 1) <= 1e-10:
-        raise SelfCheckError(f"sphere rule mass {total} does not match the surface area")
+    if not abs(scale * total - 1) <= 1e-10:
+        raise SelfCheckError(f"{what} is {scale * total!r}, not 1")
 
 
 def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
@@ -336,6 +350,88 @@ def norm_const_a(params: KappaParams, sphere_rule: SphereRule) -> tuple[float, f
     closed = params.a_kappa
     quad = 1.0 / float(np.dot(sphere_rule.weights, hweight(sphere_rule.nodes, params) ** 2))
     return closed, quad
+
+
+# ---------------------------------------------------------------------------
+# Weyl-chamber rules: the walls x_i = x_j in Gauss-Jacobi weights
+# ---------------------------------------------------------------------------
+
+
+def _divided_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Jacobi rule for (1 - x^2)^a with its weights divided by
+    (1 - x^2)^a: sum w f(x) integrates f = (1 - x^2)^a g, g smooth, with the
+    error of the Jacobi rule on g.  OverflowError where the rule or the
+    factor leaves the float range."""
+    try:
+        x, w = gauss_jacobi(order, a, a)
+        with np.errstate(all="raise"):
+            return x, w / ((1 - x) * (1 + x)) ** a
+    except (OverflowError, FloatingPointError) as exc:
+        raise OverflowError(f"the Gauss-Jacobi rule of order {order} for (1 - x^2)^{a}, "
+                            f"or its weights divided by that factor, leave the float range") from exc
+
+
+def _chamber_rows(d: int, order: int, kappa: float):
+    """The first half of the Weyl-chamber rule for h^2 on S^(d-1), d in
+    {2, 3}, as (node count, row length, form).
+
+    d = 3: with e1 = (1, -1, 0)/sqrt 2, e2 = (1, 1, -2)/sqrt 6 and
+    c = (1, 1, 1)/sqrt 3, x = sqrt(1 - u^2)(cos theta e1 + sin theta e2) + u c
+    has dsigma = du dtheta, and the chamber x_1 >= x_2 >= x_3 is theta in
+    [pi/6, pi/2], where x_1 - x_2 = sqrt 2 sqrt(1 - u^2) cos theta and
+    x_2 - x_3 = sqrt 2 sqrt(1 - u^2) sin(theta - pi/6).  So h^2 is
+    (1 - u^2)^(3 kappa) times a function of theta that vanishes like
+    |.|^(2 kappa) at both walls: the u rule is Jacobi (3 kappa, 3 kappa), the
+    s rule Jacobi (2 kappa, 2 kappa) with theta = pi/3 + pi s/6, both with
+    divided weights, and the integrand left to them is smooth.  A row is
+    one of the three cyclic coordinate permutations of the chamber and one
+    u node, its columns the s nodes; the permutations are of the basis
+    vectors, so an image node is its chamber node permuted, bit for bit.
+    The reflection -x of these three chambers is the other three: the
+    second half, which the rule leaves out.
+
+    d = 2: phi = -pi/4 + pi s/2 on the same s rule, the chamber x_1 >= x_2,
+    one row; -x is the other chamber."""
+    s, ws = _divided_jacobi(order, 2 * kappa)
+    if d == 2:
+        phi = -math.pi / 4 + math.pi / 2 * s
+        nodes, weights = np.stack([np.cos(phi), np.sin(phi)], axis=-1), ws * (math.pi / 2)
+        return order, order, lambda rows, cols: (nodes[cols], weights[cols])
+    u, wu = _divided_jacobi(order, 3 * kappa)
+    r, z = np.sqrt((1 - u) * (1 + u)), u / math.sqrt(3)
+    theta, wt = math.pi / 3 + math.pi / 6 * s, ws * (math.pi / 6)
+    cyclic = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    e1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
+    e2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6)
+    # planes[p, k] = cos theta_k e1 + sin theta_k e2, coordinates permuted by p
+    planes = (np.cos(theta)[None, :, None] * e1[cyclic][:, None]
+              + np.sin(theta)[None, :, None] * e2[cyclic][:, None])
+
+    def form(rows, cols):
+        perm, k = np.divmod(np.arange(3 * order)[rows], order)
+        nodes = r[k, None, None] * planes[perm][:, cols] + z[k, None, None]
+        return nodes.reshape(-1, 3), (wu[k, None] * wt[cols]).ravel()
+
+    return 3 * order**2, order, form
+
+
+def chamber_rule_blocks(params: KappaParams, order: int, per_node: int, slices=block_slices):
+    """The first half of the Weyl-chamber rule of this order for params'
+    weight at fractional kappa, d in {2, 3}, as blocks over slices(node
+    count, per_node) (see _chamber_rows): order nodes at d = 2, 3 order^2
+    at d = 3.  The whole rule is the half and its reflection -x.  The
+    divided weights blow up towards the walls, so they cannot give the
+    surface area: the mass check after the last block is
+    2 a_kappa sum w h^2 = 1 within 1e-10, or SelfCheckError, and every block
+    has its unit norms checked when it is handed out."""
+    if params.d not in (2, 3):
+        raise ValueError("chamber rules are only for d in {2, 3}")
+    if order < MIN_SPHERE_ORDER:
+        raise ValueError(f"sphere order must be >= {MIN_SPHERE_ORDER}")
+    count, length, form = _chamber_rows(params.d, order, params.kappa_float)
+    return _checked_blocks(form, length, slices(count, per_node),
+                           lambda nodes, weights: float(weights @ hweight(nodes, params) ** 2),
+                           2 * params.a_kappa, "chamber rule h^2 mass 2 a_kappa sum w h^2")
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +728,16 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     the exact h^2 sphere moments Q of the monomials (_moment_matrix),
     rounded to float once, and gram_residual is max |C Q^ C^T - I| for the
     float coefficients C and Q rounded once: neither reads sphere_rule,
-    which only has to fit params.  At fractional kappa the Gram matrix is a
-    quadrature on sphere_rule, and the Gram residual is re-measured with an
-    independent rule at twice the order, streamed by sphere_rule_blocks and
-    never held whole, so a too-coarse sphere rule is visible in the
-    output.  Both sums run over the first half of their rules, doubled: the
+    which only has to fit params.  At fractional kappa (d = 2, 3) the Gram
+    matrix is a quadrature on the Weyl-chamber rule of sphere_rule's order
+    (chamber_rule_blocks), whose Jacobi weights take the |.|^(2 kappa)
+    walls of h^2, and the Gram residual is re-measured with an independent
+    chamber rule at twice the order, so a too-coarse order is visible in
+    the output; sphere_rule only gives the order and has to fit params.
+    Both sums run over the first half of their rules, doubled: the
     integrand a_kappa w h^2 v v^T is even, since h^2 is even and every v is
-    homogeneous of degree n, so v(-x) v(-x)^T = v(x) v(x)^T, and every rule
-    is antipodal by halves."""
+    homogeneous of degree n, so v(-x) v(-x)^T = v(x) v(x)^T, and the second
+    half of a chamber rule is the first reflected."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     require_fit(sphere_rule, params)
@@ -653,13 +751,18 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
             f"the projected rows are not {expected} nonzero h-harmonics for n={n}, d={d}, "
             f"kappa={params.kappa}; the projection is wrong")
 
+    def chamber_gram(coeffs, order):
+        # stream blocks of BLOCK_ELEMENTS node coordinates and weights, which
+        # _gram sums in its smaller blocks: stream blocks as small as _gram's
+        # own let glibc hand each block's temporaries back to the system and
+        # fault them in again
+        return 2 * _gram(coeffs, exps, params, chamber_rule_blocks(params, order, d + 1))
+
     if params.kappa.denominator == 1:
         moments, scale = _moment_matrix(n, params)
         G = _moment_gram(rows, moments, scale)
     else:
-        half = len(sphere_rule) // 2
-        G = 2 * _gram(rows.astype(float), exps, params,
-                      [(sphere_rule.nodes[:half], sphere_rule.weights[:half])])
+        G = chamber_gram(rows.astype(float), sphere_rule.order)
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -673,14 +776,7 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
         # each moment an int / int division, rounded once
         G2 = coeffs @ (moments.astype(object) / scale).astype(float) @ coeffs.T
     else:
-        # stream blocks of BLOCK_ELEMENTS node coordinates and weights, which
-        # _gram sums in its smaller blocks.  Stream blocks as small as _gram's
-        # own let glibc hand each block's temporaries back to the system and
-        # fault them in again: 10 800 page faults and 60% more time at d = 4,
-        # n = 2, in a fresh process.
-        check = sphere_rule_blocks(d, 2 * sphere_rule.order, params.kappa, d + 1,
-                                   hemisphere=True)
-        G2 = 2 * _gram(coeffs, exps, params, check)
+        G2 = chamber_gram(coeffs, 2 * sphere_rule.order)
     residual = float(np.max(np.abs(G2 - np.eye(len(rows)))))
     return HarmonicBasis(
         n=n, d=d, kappa=params.kappa, exponents=tuple(map(tuple, exps.tolist())),

@@ -223,26 +223,54 @@ def test_hbasis_requires_n():
 @pytest.mark.parametrize("kappa", ["1/2", "1/3"])
 def test_hbasis_refuses_a_kink_rule_order_that_fails_its_mass_check(kappa):
     # the d = 3 rule split at the kinks of the weight misses the surface area
-    # by about 2e-9 at order 4; order 5 builds
+    # by about 2e-9 at order 4: a usage error, before any output
     argv = ["hbasis", "--d", "3", "--kappa", kappa, "--n", "2", "--quad-order"]
     rc, out, err = run_cli(argv + ["4"])
     assert rc == 2
     assert out == ""
     assert "sphere order must be >= 5" in err
-    # order 5 builds; so coarse a rule leaves the basis outside the Gram
-    # check's default tolerance, which is exit 1 with the basis written
-    rc, out, _ = run_cli(argv + ["5"])
+    # order 5 builds, but the Weyl-chamber rules of the Gram sums miss their
+    # h^2 mass by 3.0e-10 (kappa 1/2) and 1.2e-10 (kappa 1/3): a failed
+    # self-check, exit 1, with no basis written
+    rc, out, err = run_cli(argv + ["5"])
     assert rc == 1
-    payload = json.loads(out)
-    assert payload["dim"] == 5 and payload["gram_residual"] > 1e-8
+    assert out == ""
+    assert "h^2 mass" in err
 
 
 def test_hbasis_on_a_coarse_fractional_rule_still_fails():
-    # at kappa 1/3 the default order-24 rule leaves a Gram residual of about
-    # 3e-5: summing half of each rule, doubled, must not hide it
-    rc, out, _ = run_cli(["hbasis", "--d", "3", "--kappa", "1/3", "--n", "6"])
+    # the default order passes; at order 8 the chamber rule leaves a Gram
+    # residual of about 1.3e-6, which the check rule at twice the order must
+    # show: summing half of each rule, doubled, must not hide it
+    rc, payload = run_json(["hbasis", "--d", "3", "--kappa", "1/3", "--n", "6"])
+    assert rc == 0 and payload["gram_residual"] <= 1e-13
+    rc, out, _ = run_cli(["hbasis", "--d", "3", "--kappa", "1/3", "--n", "6",
+                          "--quad-order", "8"])
     assert rc == 1
     assert json.loads(out)["gram_residual"] > 1e-8
+
+
+HBASIS_CORNERS = [(d, kappa, n) for d in ("2", "3")
+                  for kappa in ("1/100", "1/3", "5/3", "25/2", "101/2", "401/2")
+                  for n in ("1", "6")]
+
+
+@pytest.mark.parametrize("d, kappa, n", HBASIS_CORNERS)
+def test_hbasis_corners_pass_or_fail_loudly(d, kappa, n):
+    # small, fractional and large kappa: a basis within the Gram check, a
+    # failed self-check, or a refusal before any output, and never a
+    # RuntimeWarning or a NaN on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(["hbasis", "--d", d, "--kappa", kappa, "--n", n])
+    assert "nan" not in out.lower()
+    if rc == 0:
+        assert json.loads(out)["gram_residual"] <= 1e-8
+    elif rc == 1:
+        assert (out == "" and err.startswith("error: ")) or json.loads(out)["gram_residual"] > 1e-8
+    else:
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("d, kappa, n", [("3", "2", "8"), ("4", "1", "8"), ("4", "1", "10")])
