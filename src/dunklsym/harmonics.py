@@ -415,11 +415,11 @@ def _chamber_rows(d: int, order: int, kappa: float):
     return 3 * order**2, order, form
 
 
-def chamber_rule_blocks(params: KappaParams, order: int, per_node: int, slices=block_slices):
+def chamber_rule_blocks(params: KappaParams, order: int, per_node: int):
     """The first half of the Weyl-chamber rule of this order for params'
-    weight at fractional kappa, d in {2, 3}, as blocks over slices(node
-    count, per_node) (see _chamber_rows): order nodes at d = 2, 3 order^2
-    at d = 3.  The whole rule is the half and its reflection -x.  The
+    weight at fractional kappa, d in {2, 3}, as blocks over
+    block_slices(node count, per_node) (see _chamber_rows): order nodes at
+    d = 2, 3 order^2 at d = 3.  The whole rule is the half and its reflection -x.  The
     divided weights blow up towards the walls, so they cannot give the
     surface area: the mass check after the last block is
     2 a_kappa sum w h^2 = 1 within 1e-10, or SelfCheckError, and every block
@@ -429,7 +429,7 @@ def chamber_rule_blocks(params: KappaParams, order: int, per_node: int, slices=b
     if order < MIN_SPHERE_ORDER:
         raise ValueError(f"sphere order must be >= {MIN_SPHERE_ORDER}")
     count, length, form = _chamber_rows(params.d, order, params.kappa_float)
-    return _checked_blocks(form, length, slices(count, per_node),
+    return _checked_blocks(form, length, block_slices(count, per_node),
                            lambda nodes, weights: float(weights @ hweight(nodes, params) ** 2),
                            2 * params.a_kappa, "chamber rule h^2 mass 2 a_kappa sum w h^2")
 
@@ -752,10 +752,10 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
             f"kappa={params.kappa}; the projection is wrong")
 
     def chamber_gram(coeffs, order):
-        # stream blocks of BLOCK_ELEMENTS node coordinates and weights, which
-        # _gram sums in its smaller blocks: stream blocks as small as _gram's
-        # own let glibc hand each block's temporaries back to the system and
-        # fault them in again
+        # blocks of d + 1 elements per node (coordinates and weight): from
+        # --quad-order 74 at d = 3 on, the check rule (3 (2 order)^2 nodes)
+        # is never held whole, and blocks no smaller than _gram's own do not
+        # fault its temporaries in again per stream block
         return 2 * _gram(coeffs, exps, params, chamber_rule_blocks(params, order, d + 1))
 
     if params.kappa.denominator == 1:

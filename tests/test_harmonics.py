@@ -44,7 +44,7 @@ from dunklsym.harmonics import (
 from dunklsym.orthopoly import zn_eval
 from dunklsym.polycore import KappaParams, Polynomial, compositions, dunkl_laplacian
 from dunklsym import simplexquad
-from dunklsym.simplexquad import (BLOCK_ELEMENTS, SelfCheckError, block_slices, chunk_slices,
+from dunklsym.simplexquad import (BLOCK_ELEMENTS, SelfCheckError, block_slices,
                                   gauss_jacobi)
 
 
@@ -723,8 +723,9 @@ def test_sphere_rule_kink_split_handles_fractional_kappa():
 
 
 def whole_block(params, order):
-    """The first half of the chamber rule, as one block."""
-    [(nodes, weights)] = chamber_rule_blocks(params, order, 1, chunk_slices)
+    """The first half of the chamber rule, as one block: one element per
+    node makes a block of BLOCK_ELEMENTS nodes, past every order here."""
+    [(nodes, weights)] = chamber_rule_blocks(params, order, 1)
     return nodes, weights
 
 
