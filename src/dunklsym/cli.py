@@ -404,11 +404,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hbasis", help="orthonormal h-harmonic basis as JSON")
     _add_common(p, tolerance="largest entry of |G - I| (default 1e-8)",
-                quad_order="sphere-rule order (default max(24, 2n + 12)); the rule is "
-                           "built and fit-checked only: at integer kappa the Gram matrix "
-                           "and its residual come from exact sphere moments, at "
-                           "fractional kappa from Weyl-chamber rules of this order and "
-                           "twice it")
+                quad_order="sphere-rule order (default max(24, 2n + 12)); at integer "
+                           "kappa the rule is only built and fit-checked, and the Gram "
+                           "matrix and its residual come from exact sphere moments; at "
+                           "fractional kappa the rule is the Weyl-chamber rule, the Gram "
+                           "matrix is summed on it and the residual on the chamber rule "
+                           "of twice this order")
     p.add_argument("--n", type=int, help="homogeneity degree")
 
     p = sub.add_parser("kernel", help="projection or Cesaro kernel at a point")
@@ -429,7 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="evaluate K(., iy) (default) or K(., y)")
 
     p = sub.add_parser("lebesgue", help="Lebesgue constant sweep")
-    _add_common(p, quad_order="sphere-rule order (default n_max + 16)")
+    _add_common(p, quad_order="sphere-rule order (default n_max + 16, raised at integer "
+                              "kappa until the coarse rule integrates h^2; n_max + 24 where "
+                              "kappa is not an integer, on the Weyl-chamber rule)")
     p.add_argument("--ell", type=int, default=1, help="axis index, 1-based (default 1)")
     p.add_argument("--delta", help="comma list '1.0,1.5' or range 'a:b:step'")
     p.add_argument("--n-max", type=int, dest="n_max", help="sweep n = 1..n_max")

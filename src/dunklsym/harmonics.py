@@ -3,39 +3,30 @@ h-harmonic spaces as exact projections of monomials, and reproducing
 kernels at coordinate vectors.
 
 The weight prod |x_i - x_j|^(2 kappa) is polynomial exactly when 2 kappa is
-an even integer; otherwise it has kinks, |.|^(2 kappa) singularities, across
-every plane x_i = x_j.  build_sphere_rule therefore carries a kappa hint:
-when 2 kappa is not an even integer, the d = 2 rule splits the circle at the
-two kink angles and the d = 3 rule splits the polar interval at every
-latitude where the kink circles x_i = x_j appear, vanish, or cross each
-other, and then splits each latitude circle at the azimuths the kink curves
-pass through.  For odd 2 kappa the integrand is analytic up to the ends of
-each arc and per-arc Gauss nodes converge spectrally; for fractional 2 kappa
-the arc ends keep an algebraic singularity that slows them, but far less
-than it slows a flat product rule, which would be stuck near order^(-2).
+an even integer; otherwise it has walls, |.|^(2 kappa) singularities, across
+every plane x_i = x_j.  build_sphere_rule picks one rule family from its
+kappa hint.  Where 2 kappa is even, the rule is the surface measure: the
+circle, or Gauss latitudes carrying the S^(d-2) rule.  Otherwise, at d = 2
+and 3, it is a Weyl-chamber rule (Humphreys, Reflection Groups and Coxeter
+Groups, 1990, sec. 1.12): the chamber x_1 >= ... >= x_d in coordinates
+whose walls x_i = x_j are the ends of Gauss-Jacobi rules, the wall factors
+|.|^(2 kappa) in the Jacobi weights and the weights divided by them, so
+that what is left to the rule is smooth and its sums converge spectrally,
+and the chamber's images tile the sphere: 6 order^2 nodes at d = 3.  Its
+divided weights cannot give the surface area, so a chamber rule checks its
+h^2 mass instead, and it records the kappa whose walls it carries.
 
 sphere_rule_blocks is the one way sphere-rule nodes are formed: a stream of
 blocks, each formed from the rule's one-dimensional factors (the latitude
-rule, the S^(d-2) rule it scales, or the arcs of each latitude) when it is
+rule, the S^(d-2) rule it scales, or the chamber's Jacobi rules) when it is
 handed out, its unit norm checked, and the mass checked after the last.
 build_sphere_rule is that stream as one array, for callers that hold a
 rule; both rules of a Lebesgue sweep walk the stream and never hold a rule
 whole.  Every rule is antipodal by halves, its second half the first
-reflected, and a sweep walks a hemisphere, the stream's first half, and
-reflects it.
-
-The Gram sums of hharmonic_basis at fractional kappa (d = 2, 3) run on
-Weyl-chamber rules instead (chamber_rule_blocks): one chamber
-x_1 >= ... >= x_d in coordinates whose walls x_i = x_j are the ends of
-Gauss-Jacobi rules, the wall factors |.|^(2 kappa) in the Jacobi weights
-and the weights divided by them, so that what is left to the rule is
-smooth and the sums converge spectrally, on 3 order^2 nodes at d = 3
-against the kink rule's 22 order^2.  The rule is the chamber's images
-under the cyclic coordinate permutations, a first half whose reflection
--x is the second: the Gram integrand w h^2 v v^T is even, since h^2 is
-even and a degree-n basis value has v(-x) = (-1)^n v(x), so both sums walk
-the first half and double it.  The divided weights cannot give the
-surface area, so a chamber rule checks its h^2 mass instead.
+reflected: a sweep walks a hemisphere, the stream's first half, and
+reflects it, and the Gram sums of hharmonic_basis at fractional kappa walk
+the first half and double it, since the Gram integrand w h^2 v v^T is
+even (h^2 is even and a degree-n basis value has v(-x) = (-1)^n v(x)).
 
 Basis construction is exact where exactness is cheap: the projection
 formula of Dunkl and Xu maps the monomials x^alpha with alpha_d <= 1 to a
@@ -79,22 +70,37 @@ from . import simplexquad
 from .simplexquad import SelfCheckError, block_slices, chunk_slices, gauss_jacobi
 
 
-# Smallest order of every sphere rule family: at order 4 the kink rule (the d = 3
-# rule split along the planes x_i = x_j) misses its 1e-10 mass check by 2e-9.
+# Smallest order of every sphere rule.  It is also the order of the coarse rule
+# of every sweep of order 6 and 7 (coarse_sphere_order), so moving it would move
+# the bytes of those integer-kappa sweeps.  The product and circle rules pass
+# their checks from it on; the Weyl-chamber rule does not: at order 5 it misses
+# its 1e-10 h^2 mass at every kappa tried (+1.2e-10 at kappa 1/100, +3.0e-10 at
+# 1/2, +8.0e-8 at 3/2, +1.2e-5 at 151/2), so a fractional-kappa rule of order 5,
+# and a fractional-kappa sweep whose coarse rule has order 5, fail their
+# self-check.
 MIN_SPHERE_ORDER = 5
+
+
+def _chamber_kappa(kappa_hint) -> Fraction | None:
+    """The kappa whose h^2 a rule for this hint carries in its weights: the
+    hint where 2 kappa is not even (h^2 has |x_i - x_j|^(2 kappa) walls and
+    the rule is the Weyl-chamber rule), and None where it is (h^2 is a
+    polynomial and the rule is the surface-measure product or circle rule)."""
+    if kappa_hint is None or Fraction(kappa_hint).denominator == 1:
+        return None
+    return Fraction(kappa_hint)
 
 
 def require_sphere_rule(d: int, kappa_hint=None, order: int | None = None) -> None:
     """ValueError unless build_sphere_rule has a rule for S^(d-1) at this
     kappa, and at this order when one is given: d in {2, 3, 4}; at d = 4
-    only a kappa with 2 kappa even, whose weight is a polynomial, since any
-    other weight is kinked and would need a split rule that S^3 does not
-    have; and an order of at least MIN_SPHERE_ORDER."""
+    only a kappa with 2 kappa even, whose weight is a polynomial, since
+    S^3 has no Weyl-chamber rule; and an order of at least MIN_SPHERE_ORDER."""
     if d not in (2, 3, 4):
         raise ValueError("only d in {2, 3, 4} is supported")
-    if d == 4 and _wants_kink_split(kappa_hint):
-        raise ValueError("d = 4 needs 2 kappa even: S^3 has no rule split "
-                         "at the kinks of the weight")
+    if d == 4 and _chamber_kappa(kappa_hint) is not None:
+        raise ValueError("d = 4 needs 2 kappa even: S^3 has no Weyl-chamber rule "
+                         "for the walls of the weight")
     if order is not None and order < MIN_SPHERE_ORDER:
         raise ValueError(f"sphere order must be >= {MIN_SPHERE_ORDER}")
 
@@ -109,70 +115,49 @@ class SphereRule:
     d: int
     order: int
     nodes: np.ndarray  # (N, d), unit rows
-    weights: np.ndarray  # (N,), surface measure
-    split: bool  # split at the kinks of a weight with 2 kappa not even
+    weights: np.ndarray  # (N,): sum w h^2 f integrates h^2 f dsigma
+    kappa: Fraction | None  # whose h^2 walls the weights carry; None: surface measure
 
     def __len__(self) -> int:
         return len(self.weights)
 
 
-def _wants_kink_split(kappa_hint) -> bool:
-    if kappa_hint is None:
-        return False
-    two_kappa = 2 * Fraction(kappa_hint)
-    return two_kappa.denominator != 1 or two_kappa.numerator % 2 == 1
-
-
 def require_fit(rule: SphereRule, params: KappaParams) -> None:
-    """ValueError unless rule is the rule family for params' weight: on
-    S^(d-1), and split at the kinks exactly when the weight has kinks, as
-    build_sphere_rule(params.d, order, kappa_hint=params.kappa) builds it."""
+    """ValueError unless rule is the rule for params' weight: on S^(d-1),
+    and a chamber rule for params' kappa exactly when 2 kappa is not even,
+    as build_sphere_rule(params.d, order, kappa_hint=params.kappa) builds
+    it.  A chamber rule for another kappa puts the wrong walls in its
+    weights, and a surface-measure rule has none."""
     if rule.d != params.d:
         raise ValueError("sphere rule dimension does not match params")
-    wants = _wants_kink_split(params.kappa)
-    if rule.split != wants:
-        raise ValueError(f"kappa {params.kappa} needs a sphere rule {'' if wants else 'not '}"
-                         f"split at the kinks of the weight: build it with "
-                         f"kappa_hint={params.kappa}")
-
-
-def _gauss_on(a: float, b: float, x: np.ndarray, w: np.ndarray):
-    return (a + b) / 2 + (b - a) / 2 * x, w * (b - a) / 2
+    wants = _chamber_kappa(params.kappa)
+    if rule.kappa != wants:
+        built = "a surface-measure rule" if rule.kappa is None else \
+            f"a Weyl-chamber rule for kappa {rule.kappa}"
+        raise ValueError(f"kappa {params.kappa} needs the sphere rule of "
+                         f"kappa_hint={params.kappa}, not {built}")
 
 
 # Each rule family below is (row length, form): form(rows, cols) gives the
 # nodes and weights at positions cols of each row in rows, formed together
 # from the rule's one-dimensional factors.  A row is the whole circle, a
-# latitude, or one arc of a latitude.
+# latitude, or one chamber image at one latitude.
 
 
-def _node_count(d: int, order: int, split: bool) -> int:
-    """Nodes of a rule, known before any Gauss rule is built.  The d = 3
-    split rule has order nodes on each of two arcs per latitude of its polar
-    panels (|psi| > pi/4) and six per latitude of the three between, where
-    the six cuts of _sphere3_kink are distinct away from the panel ends."""
+def _node_count(d: int, order: int, chamber: bool) -> int:
+    """Nodes of a rule, known before any Gauss rule is built: the d = 3
+    chamber rule has order^2 in each of its six chambers."""
     if d == 2:
         return 2 * order
-    return 22 * order**2 if split else 2 * order ** (d - 1)
+    return 6 * order**2 if chamber else 2 * order ** (d - 1)
 
 
-def _circle_rule(order: int, split: bool):
+def _circle_rule(order: int):
     n = 2 * order
-    if split:
-        # kinks of |x_1 - x_2| sit where cos = sin
-        x, w = gauss_jacobi(order, 0, 0)
-        th, wt = [], []
-        for a, b in ((math.pi / 4, 5 * math.pi / 4), (5 * math.pi / 4, 9 * math.pi / 4)):
-            t, ww = _gauss_on(a, b, x, w)
-            th.append(t)
-            wt.append(ww)
-        theta = np.concatenate(th)
-        weights = np.concatenate(wt)
-    else:
-        theta = 2 * math.pi * np.arange(n) / n
-        weights = np.full(n, 2 * math.pi / n)
+    theta = 2 * math.pi * np.arange(n) / n
     nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return len(weights), lambda rows, cols: (nodes[cols], weights[cols])
+    weights = np.full(n, 2 * math.pi / n)
+    return n, lambda rows, cols: (nodes[cols], weights[cols])
 
 
 def _sphere_product(d: int, order: int):
@@ -181,7 +166,7 @@ def _sphere_product(d: int, order: int):
     by sqrt(1 - u^2) and takes u as its last coordinate."""
     u, wu = gauss_jacobi(order, (d - 3) / 2, (d - 3) / 2)
     s = np.sqrt(1 - u**2)
-    inner = _rule_rows(d - 1, order, False)[1]
+    inner = _rule_rows(d - 1, order, None)[1]
     inner_nodes, inner_weights = inner(slice(None), slice(None))
 
     def form(rows, cols):
@@ -193,50 +178,74 @@ def _sphere_product(d: int, order: int):
     return len(inner_weights), form
 
 
-def _sphere3_kink(order: int):
-    """d = 3 rule split along the curves x_i = x_j, one row per arc.
+def _divided_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Jacobi rule for (1 - x^2)^a with its weights divided by
+    (1 - x^2)^a: sum w f(x) integrates f = (1 - x^2)^a g, g smooth, with the
+    error of the Jacobi rule on g.  OverflowError where the rule or the
+    factor leaves the float range."""
+    try:
+        x, w = gauss_jacobi(order, a, a)
+        with np.errstate(all="raise"):
+            return x, w / ((1 - x) * (1 + x)) ** a
+    except (OverflowError, FloatingPointError) as exc:
+        raise OverflowError(f"the Gauss-Jacobi rule of order {order} for (1 - x^2)^{a}, "
+                            f"or its weights divided by that factor, leave the float range") from exc
 
-    In polar coordinates (x, y, z) = (cos psi cos phi, cos psi sin phi,
-    sin psi): the plane x = y cuts every latitude at phi in {pi/4, 5pi/4};
-    the planes x = z and y = z cut a latitude only while |sin psi| < cos psi,
-    i.e. |psi| < pi/4, at azimuths cos phi = tan psi and sin phi = tan psi.
-    Those cut curves become tangent to a latitude at |psi| = pi/4 and cross
-    each other at the diagonal points, |sin psi| = 1/sqrt(3); both latitudes
-    are panel boundaries so that within a panel the number and smooth
-    dependence of the azimuth cuts never changes."""
-    gx, gw = gauss_jacobi(order, 0, 0)
-    psi3 = math.asin(1 / math.sqrt(3))
-    bounds = [-math.pi / 2, -math.pi / 4, -psi3, psi3, math.pi / 4, math.pi / 2]
-    arcs = []  # (start, end, cos psi, sin psi, latitude weight times cos psi)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        psi, wpsi = _gauss_on(a, b, gx, gw)
-        for ps, wp in zip(psi, wpsi):
-            u = math.sin(ps)
-            s = math.cos(ps)
-            cuts = {math.pi / 4, 5 * math.pi / 4}
-            if abs(u) < s:
-                ac = math.acos(u / s)
-                an = math.asin(u / s)
-                cuts |= {ac, 2 * math.pi - ac, an % (2 * math.pi), (math.pi - an) % (2 * math.pi)}
-            cuts = sorted({c % (2 * math.pi) for c in cuts})
-            arcs += [(c0, c1, s, u, wp * s)
-                     for c0, c1 in zip(cuts, cuts[1:] + [cuts[0] + 2 * math.pi])
-                     if c1 - c0 >= 1e-14]
-    c0, c1, s, u, ws = (np.array(col)[:, None] for col in zip(*arcs))
+
+def _chamber_rows(d: int, order: int, kappa: float):
+    """The Weyl-chamber rule for h^2 on S^(d-1), d in {2, 3}.
+
+    d = 3: with e1 = (1, -1, 0)/sqrt 2, e2 = (1, 1, -2)/sqrt 6 and
+    c = (1, 1, 1)/sqrt 3, x = sqrt(1 - u^2)(cos theta e1 + sin theta e2) + u c
+    has dsigma = du dtheta, and the chamber x_1 >= x_2 >= x_3 is theta in
+    [pi/6, pi/2], where x_1 - x_2 = sqrt 2 sqrt(1 - u^2) cos theta and
+    x_2 - x_3 = sqrt 2 sqrt(1 - u^2) sin(theta - pi/6).  So h^2 is
+    (1 - u^2)^(3 kappa) times a function of theta that vanishes like
+    |.|^(2 kappa) at both walls: the u rule is Jacobi (3 kappa, 3 kappa), the
+    s rule Jacobi (2 kappa, 2 kappa) with theta = pi/3 + pi s/6, both with
+    divided weights, and the integrand left to them is smooth.  A row is
+    one of six chamber images and one u node, its columns the s nodes: the
+    first three images are the chamber under the cyclic coordinate
+    permutations, which permute the basis vectors, so an image node is its
+    chamber node permuted, bit for bit; the last three are their
+    reflections -x, the other three chambers, each node the negation of its
+    first-half node bit for bit.
+
+    d = 2: phi = -pi/4 + pi s/2 on the same s rule, the chamber x_1 >= x_2,
+    then its reflection -x, the other chamber: two rows."""
+    s, ws = _divided_jacobi(order, 2 * kappa)
+    if d == 2:
+        phi = -math.pi / 4 + math.pi / 2 * s
+        half = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        nodes, weights = np.stack([half, -half]), np.stack([ws * (math.pi / 2)] * 2)
+        return order, lambda rows, cols: (nodes[rows, cols].reshape(-1, 2),
+                                          weights[rows, cols].ravel())
+    u, wu = _divided_jacobi(order, 3 * kappa)
+    r, z = np.sqrt((1 - u) * (1 + u)), u / math.sqrt(3)
+    theta, wt = math.pi / 3 + math.pi / 6 * s, ws * (math.pi / 6)
+    cyclic = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    e1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
+    e2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6)
+    # planes[p, k] = cos theta_k e1 + sin theta_k e2, coordinates permuted by
+    # p, and for p >= 3 negated with the u c term
+    planes = (np.cos(theta)[None, :, None] * e1[cyclic][:, None]
+              + np.sin(theta)[None, :, None] * e2[cyclic][:, None])
+    planes, signs = np.concatenate([planes, -planes]), np.repeat([1.0, -1.0], 3)
 
     def form(rows, cols):
-        phi, wphi = _gauss_on(c0[rows], c1[rows], gx[cols], gw[cols])
-        nodes = np.stack([s[rows] * np.cos(phi), s[rows] * np.sin(phi),
-                          np.broadcast_to(u[rows], phi.shape)], axis=-1)
-        return nodes.reshape(-1, 3), (ws[rows] * wphi).ravel()
+        image, k = np.divmod(np.arange(6 * order)[rows], order)
+        nodes = r[k, None, None] * planes[image][:, cols] + (signs[image] * z[k])[:, None, None]
+        return nodes.reshape(-1, 3), (wu[k, None] * wt[cols]).ravel()
 
     return order, form
 
 
-def _rule_rows(d: int, order: int, split: bool):
-    if d == 2:
-        return _circle_rule(order, split)
-    return _sphere3_kink(order) if d == 3 and split else _sphere_product(d, order)
+def _rule_rows(d: int, order: int, kappa: Fraction | None):
+    """The family of the rule whose weights carry kappa's h^2 (see
+    _chamber_kappa): the chamber rule, or else the circle or product rule."""
+    if kappa is not None:
+        return _chamber_rows(d, order, float(kappa))
+    return _circle_rule(order) if d == 2 else _sphere_product(d, order)
 
 
 def _form_range(form, length: int, start: int, stop: int):
@@ -264,23 +273,30 @@ def sphere_rule_blocks(d: int, order: int, kappa_hint, per_node: int,
     formed from the rule's one-dimensional factors when it is handed out,
     so only a block and the factors are ever held, and there is no node
     budget.  Every block has passed the unit-norm check when it is handed
-    out, and the mass is checked after the last one: a consumer that walks
-    the stream to its end has used only a rule that passed both, or gets
-    SelfCheckError.
+    out, and the mass is checked after the last one, to 1e-10: the surface
+    area of a surface-measure rule, and a_kappa sum w h^2 = 1 of a chamber
+    rule, whose divided weights cannot give the surface area.  A consumer
+    that walks the stream to its end has used only a rule that passed both,
+    or gets SelfCheckError.
 
     Every rule here is antipodal by halves: its second count // 2 nodes are
     the first ones reflected, -x, with their weights up to rounding (the
-    latitude and arc rules are symmetric, and the circle is cut into two
-    halves a half-turn apart).  With hemisphere, the stream is the first
-    half alone, and its mass check is of twice its mass."""
+    latitude rules are symmetric, the circle is cut into two halves a
+    half-turn apart, and a chamber rule's second half is its first
+    negated).  With hemisphere, the stream is the first half alone, and its
+    mass check is of twice its mass."""
     require_sphere_rule(d, kappa_hint, order)
-    split = _wants_kink_split(kappa_hint)
-    count = _node_count(d, order, split)
-    length, form = _rule_rows(d, order, split)
+    kappa = _chamber_kappa(kappa_hint)
+    length, form = _rule_rows(d, order, kappa)
     copies = 2 if hemisphere else 1
-    return _checked_blocks(form, length, slices(count // copies, per_node),
-                           lambda nodes, weights: float(weights.sum()),
-                           copies / surface_area(d), "sphere rule mass over the surface area")
+    blocks = slices(_node_count(d, order, kappa is not None) // copies, per_node)
+    if kappa is None:
+        return _checked_blocks(form, length, blocks, lambda nodes, weights: float(weights.sum()),
+                               copies / surface_area(d), "sphere rule mass over the surface area")
+    params = KappaParams(d, kappa)
+    return _checked_blocks(form, length, blocks,
+                           lambda nodes, weights: float(weights @ hweight(nodes, params) ** 2),
+                           copies * params.a_kappa, "chamber rule h^2 mass a_kappa sum w h^2")
 
 
 def _checked_blocks(form, length: int, slices, mass, scale: float, what: str):
@@ -301,29 +317,35 @@ def _checked_blocks(form, length: int, slices, mass, scale: float, what: str):
 
 
 def build_sphere_rule(d: int, order: int, kappa_hint=None) -> SphereRule:
-    """Surface-measure quadrature on S^(d-1), d in {2, 3, 4}: the blocks of
-    sphere_rule_blocks, as one rule of at most simplexquad.CHUNK_ELEMENTS
-    nodes.  A larger rule is a ValueError before any node is formed.
+    """Quadrature for h^2-weighted integrals on S^(d-1), d in {2, 3, 4}:
+    a_kappa sum w h^2 f integrates f against the normalized h^2 measure.
+    The blocks of sphere_rule_blocks, as one rule of at most
+    simplexquad.CHUNK_ELEMENTS nodes.  A larger rule is a ValueError before
+    any node is formed.
 
-    kappa_hint only matters when 2 kappa is not an even integer, in which
-    case the d = 2 and d = 3 rules subdivide along the kinks of the weight
-    (see _sphere3_kink).  With the split, a_kappa int h^2 - 1 is about 1e-5
-    (d = 2, order 24) and 1e-6 (d = 3, order 48) at kappa 1/3, whose
-    |.|^(2/3) arc endpoints Gauss-Legendre panels do not absorb, and below
-    1e-8 at kappa 1/2, 5/4 and 5/3.  d = 4 has no split variant, and a flat
-    product rule integrates a kinked weight only to about 1e-2 (the Gram
-    residual of a d = 4 basis at kappa 1/2 or 1/3), so at d = 4 any kappa
-    with 2 kappa not even is a ValueError."""
+    The family is picked once from kappa_hint.  Where 2 kappa is even (no
+    hint, or an integer), h^2 is a polynomial and the rule is the surface
+    measure: 2 order equal angles on the circle, or order Gauss latitudes
+    each carrying the S^(d-2) rule.  Otherwise h^2 has |x_i - x_j|^(2 kappa)
+    walls, and the rule is the Weyl-chamber rule of _chamber_rows (d = 2,
+    3), whose Jacobi weights take the walls: a_kappa sum w h^2 - 1 is
+    within 1.6e-15 from order 16 at kappa 1/3, 1/2, 5/4 and 5/3.  Its
+    weights are the surface measure divided by the wall factors, so they
+    only integrate integrands that carry h^2, and SphereRule.kappa records
+    whose.  S^3 has no chamber rule, and a flat product rule integrates a
+    walled weight only to about 1e-2 (the Gram residual of a d = 4 basis at
+    kappa 1/2 or 1/3), so at d = 4 any kappa with 2 kappa not even is a
+    ValueError."""
     require_sphere_rule(d, kappa_hint, order)
-    split = _wants_kink_split(kappa_hint)
-    count = _node_count(d, order, split)
+    kappa = _chamber_kappa(kappa_hint)
+    count = _node_count(d, order, kappa is not None)
     if count > simplexquad.CHUNK_ELEMENTS:
         raise ValueError(f"a sphere rule of order {order} at d = {d} has {count} nodes, "
                          f"over the {simplexquad.CHUNK_ELEMENTS} a built rule may hold")
     # within the budget, chunk_slices makes the stream one block; unpacking
     # walks it to its end, past the mass check
     [(nodes, weights)] = sphere_rule_blocks(d, order, kappa_hint, 1, chunk_slices)
-    return SphereRule(d=d, order=order, nodes=nodes, weights=weights, split=split)
+    return SphereRule(d=d, order=order, nodes=nodes, weights=weights, kappa=kappa)
 
 
 def hweight(x, params: KappaParams):
@@ -350,88 +372,6 @@ def norm_const_a(params: KappaParams, sphere_rule: SphereRule) -> tuple[float, f
     closed = params.a_kappa
     quad = 1.0 / float(np.dot(sphere_rule.weights, hweight(sphere_rule.nodes, params) ** 2))
     return closed, quad
-
-
-# ---------------------------------------------------------------------------
-# Weyl-chamber rules: the walls x_i = x_j in Gauss-Jacobi weights
-# ---------------------------------------------------------------------------
-
-
-def _divided_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Jacobi rule for (1 - x^2)^a with its weights divided by
-    (1 - x^2)^a: sum w f(x) integrates f = (1 - x^2)^a g, g smooth, with the
-    error of the Jacobi rule on g.  OverflowError where the rule or the
-    factor leaves the float range."""
-    try:
-        x, w = gauss_jacobi(order, a, a)
-        with np.errstate(all="raise"):
-            return x, w / ((1 - x) * (1 + x)) ** a
-    except (OverflowError, FloatingPointError) as exc:
-        raise OverflowError(f"the Gauss-Jacobi rule of order {order} for (1 - x^2)^{a}, "
-                            f"or its weights divided by that factor, leave the float range") from exc
-
-
-def _chamber_rows(d: int, order: int, kappa: float):
-    """The first half of the Weyl-chamber rule for h^2 on S^(d-1), d in
-    {2, 3}, as (node count, row length, form).
-
-    d = 3: with e1 = (1, -1, 0)/sqrt 2, e2 = (1, 1, -2)/sqrt 6 and
-    c = (1, 1, 1)/sqrt 3, x = sqrt(1 - u^2)(cos theta e1 + sin theta e2) + u c
-    has dsigma = du dtheta, and the chamber x_1 >= x_2 >= x_3 is theta in
-    [pi/6, pi/2], where x_1 - x_2 = sqrt 2 sqrt(1 - u^2) cos theta and
-    x_2 - x_3 = sqrt 2 sqrt(1 - u^2) sin(theta - pi/6).  So h^2 is
-    (1 - u^2)^(3 kappa) times a function of theta that vanishes like
-    |.|^(2 kappa) at both walls: the u rule is Jacobi (3 kappa, 3 kappa), the
-    s rule Jacobi (2 kappa, 2 kappa) with theta = pi/3 + pi s/6, both with
-    divided weights, and the integrand left to them is smooth.  A row is
-    one of the three cyclic coordinate permutations of the chamber and one
-    u node, its columns the s nodes; the permutations are of the basis
-    vectors, so an image node is its chamber node permuted, bit for bit.
-    The reflection -x of these three chambers is the other three: the
-    second half, which the rule leaves out.
-
-    d = 2: phi = -pi/4 + pi s/2 on the same s rule, the chamber x_1 >= x_2,
-    one row; -x is the other chamber."""
-    s, ws = _divided_jacobi(order, 2 * kappa)
-    if d == 2:
-        phi = -math.pi / 4 + math.pi / 2 * s
-        nodes, weights = np.stack([np.cos(phi), np.sin(phi)], axis=-1), ws * (math.pi / 2)
-        return order, order, lambda rows, cols: (nodes[cols], weights[cols])
-    u, wu = _divided_jacobi(order, 3 * kappa)
-    r, z = np.sqrt((1 - u) * (1 + u)), u / math.sqrt(3)
-    theta, wt = math.pi / 3 + math.pi / 6 * s, ws * (math.pi / 6)
-    cyclic = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    e1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
-    e2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6)
-    # planes[p, k] = cos theta_k e1 + sin theta_k e2, coordinates permuted by p
-    planes = (np.cos(theta)[None, :, None] * e1[cyclic][:, None]
-              + np.sin(theta)[None, :, None] * e2[cyclic][:, None])
-
-    def form(rows, cols):
-        perm, k = np.divmod(np.arange(3 * order)[rows], order)
-        nodes = r[k, None, None] * planes[perm][:, cols] + z[k, None, None]
-        return nodes.reshape(-1, 3), (wu[k, None] * wt[cols]).ravel()
-
-    return 3 * order**2, order, form
-
-
-def chamber_rule_blocks(params: KappaParams, order: int, per_node: int):
-    """The first half of the Weyl-chamber rule of this order for params'
-    weight at fractional kappa, d in {2, 3}, as blocks over
-    block_slices(node count, per_node) (see _chamber_rows): order nodes at
-    d = 2, 3 order^2 at d = 3.  The whole rule is the half and its reflection -x.  The
-    divided weights blow up towards the walls, so they cannot give the
-    surface area: the mass check after the last block is
-    2 a_kappa sum w h^2 = 1 within 1e-10, or SelfCheckError, and every block
-    has its unit norms checked when it is handed out."""
-    if params.d not in (2, 3):
-        raise ValueError("chamber rules are only for d in {2, 3}")
-    if order < MIN_SPHERE_ORDER:
-        raise ValueError(f"sphere order must be >= {MIN_SPHERE_ORDER}")
-    count, length, form = _chamber_rows(params.d, order, params.kappa_float)
-    return _checked_blocks(form, length, block_slices(count, per_node),
-                           lambda nodes, weights: float(weights @ hweight(nodes, params) ** 2),
-                           2 * params.a_kappa, "chamber rule h^2 mass 2 a_kappa sum w h^2")
 
 
 # ---------------------------------------------------------------------------
@@ -728,14 +668,13 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
     the exact h^2 sphere moments Q of the monomials (_moment_matrix),
     rounded to float once, and gram_residual is max |C Q^ C^T - I| for the
     float coefficients C and Q rounded once: neither reads sphere_rule,
-    which only has to fit params.  At fractional kappa (d = 2, 3) the Gram
-    matrix is a quadrature on the Weyl-chamber rule of sphere_rule's order
-    (chamber_rule_blocks), whose Jacobi weights take the |.|^(2 kappa)
-    walls of h^2, and the Gram residual is re-measured with an independent
-    chamber rule at twice the order, so a too-coarse order is visible in
-    the output; sphere_rule only gives the order and has to fit params.
-    Both sums run over the first half of their rules, doubled: the
-    integrand a_kappa w h^2 v v^T is even, since h^2 is even and every v is
+    which only has to fit params.  At fractional kappa (d = 2, 3)
+    sphere_rule is a Weyl-chamber rule, whose Jacobi weights take the
+    |.|^(2 kappa) walls of h^2: the Gram matrix is a quadrature on it, and
+    the Gram residual is re-measured on the stream of the chamber rule of
+    twice its order, so a too-coarse order is visible in the output.  Both
+    sums run over the first half of their rules, doubled: the integrand
+    a_kappa w h^2 v v^T is even, since h^2 is even and every v is
     homogeneous of degree n, so v(-x) v(-x)^T = v(x) v(x)^T, and the second
     half of a chamber rule is the first reflected."""
     if n < 0:
@@ -751,18 +690,13 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
             f"the projected rows are not {expected} nonzero h-harmonics for n={n}, d={d}, "
             f"kappa={params.kappa}; the projection is wrong")
 
-    def chamber_gram(coeffs, order):
-        # blocks of d + 1 elements per node (coordinates and weight): from
-        # --quad-order 74 at d = 3 on, the check rule (3 (2 order)^2 nodes)
-        # is never held whole, and blocks no smaller than _gram's own do not
-        # fault its temporaries in again per stream block
-        return 2 * _gram(coeffs, exps, params, chamber_rule_blocks(params, order, d + 1))
-
     if params.kappa.denominator == 1:
         moments, scale = _moment_matrix(n, params)
         G = _moment_gram(rows, moments, scale)
     else:
-        G = chamber_gram(rows.astype(float), sphere_rule.order)
+        half = len(sphere_rule) // 2
+        G = 2 * _gram(rows.astype(float), exps, params,
+                      [(sphere_rule.nodes[:half], sphere_rule.weights[:half])])
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -776,7 +710,12 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
         # each moment an int / int division, rounded once
         G2 = coeffs @ (moments.astype(object) / scale).astype(float) @ coeffs.T
     else:
-        G2 = chamber_gram(coeffs, 2 * sphere_rule.order)
+        # blocks of d + 1 elements per node (coordinates and weight): from
+        # --quad-order 74 at d = 3 on, the check rule (3 (2 order)^2 nodes a
+        # half) is never held whole, and blocks no smaller than _gram's own
+        # do not fault its temporaries in again per stream block
+        check = sphere_rule_blocks(d, 2 * sphere_rule.order, params.kappa, d + 1, hemisphere=True)
+        G2 = 2 * _gram(coeffs, exps, params, check)
     residual = float(np.max(np.abs(G2 - np.eye(len(rows)))))
     return HarmonicBasis(
         n=n, d=d, kappa=params.kappa, exponents=tuple(map(tuple, exps.tolist())),

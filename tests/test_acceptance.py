@@ -134,8 +134,8 @@ def test_c03_quadrature_moments_and_masses():
             float(np.sum(plain.weights)) / surface_area(d) - 1.0))
         for kappa in (1, 2):
             kp = KappaParams(d, kappa)
-            kink = build_sphere_rule(d, order, kappa_hint=kp.kappa)
-            closed, quad = norm_const_a(kp, kink)
+            weighted = build_sphere_rule(d, order, kappa_hint=kp.kappa)
+            closed, quad = norm_const_a(kp, weighted)
             worst_sphere = max(worst_sphere, abs(quad / closed - 1.0))
     ok = worst_simplex <= 1e-10 and worst_sphere <= 1e-8
     _verdict(3, "simplex moments to 1e-10, sphere masses to 1e-8", ok,

@@ -221,17 +221,17 @@ def test_hbasis_requires_n():
 
 
 @pytest.mark.parametrize("kappa", ["1/2", "1/3"])
-def test_hbasis_refuses_a_kink_rule_order_that_fails_its_mass_check(kappa):
-    # the d = 3 rule split at the kinks of the weight misses the surface area
-    # by about 2e-9 at order 4: a usage error, before any output
+def test_hbasis_refuses_a_chamber_rule_order_that_fails_its_mass_check(kappa):
+    # order 4 is below the floor of every sphere rule: a usage error, before
+    # any output
     argv = ["hbasis", "--d", "3", "--kappa", kappa, "--n", "2", "--quad-order"]
     rc, out, err = run_cli(argv + ["4"])
     assert rc == 2
     assert out == ""
     assert "sphere order must be >= 5" in err
-    # order 5 builds, but the Weyl-chamber rules of the Gram sums miss their
-    # h^2 mass by 3.0e-10 (kappa 1/2) and 1.2e-10 (kappa 1/3): a failed
-    # self-check, exit 1, with no basis written
+    # at order 5 the Weyl-chamber rule misses its h^2 mass by 3.0e-10
+    # (kappa 1/2) and 1.2e-10 (kappa 1/3): a failed self-check, exit 1, with
+    # no basis written
     rc, out, err = run_cli(argv + ["5"])
     assert rc == 1
     assert out == ""
@@ -748,7 +748,7 @@ def test_lebesgue_requires_n_max():
     # an error-estimate rule of order max(5, 3 order // 4) = 5, no coarser
     # than the main rule
     ["--d", "3", "--kappa", "1/2", "--quad-order", "5"],
-    ["--d", "4", "--kappa", "1/2", "--ell", "1"],  # no kink-split rule on S^3
+    ["--d", "4", "--kappa", "1/2", "--ell", "1"],  # no Weyl-chamber rule on S^3
     ["--quad-order", "4"],   # a rule order below the floor
 ])
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
@@ -766,16 +766,22 @@ def test_lebesgue_bad_input_writes_nothing(tmp_path, bad, suffix):
 
 
 @pytest.mark.parametrize("order", ["4", "5", "6"])
-def test_lebesgue_names_the_smallest_order_a_kink_rule_accepts(order):
+def test_lebesgue_names_the_smallest_order_a_sweep_accepts(order):
     # the error estimate's rule has order max(5, 3 order // 4), which must be
     # below the main order: 5 from order 6 on, and no coarser rule below it,
-    # whichever rule family the weight takes
+    # whichever rule family the weight takes.  At order 6 the product rule's
+    # sweep runs; the chamber rule of order 5 misses its h^2 mass, so a
+    # fractional-kappa sweep fails its self-check, with no data row
     for d, kappa, shown in (("3", "1/2", "0.5"), ("3", "1", "1.0"), ("2", "1/2", "0.5")):
         rc, out, err = run_cli(["lebesgue", "--d", d, "--kappa", kappa, "--delta", "1",
                                 "--n-max", "2", "--quad-order", order])
-        if order == "6":
+        if order == "6" and kappa == "1":
             assert rc == 0
             assert out.splitlines()[-1].startswith(f"{d},{shown},1,1.0,2,")
+        elif order == "6":
+            assert rc == 1
+            assert out.splitlines()[-1] == "d,kappa,ell,delta,n,I_n,err_est"
+            assert "h^2 mass" in err
         else:
             assert (rc, out) == (2, "")
             assert "sphere order must be >= 6" in err

@@ -22,16 +22,13 @@ from dunklsym.harmonics import (
     _h2_terms,
     _moment_gram,
     _moment_matrix,
-    _gauss_on,
     _inverse_lower,
     _monomial_values,
     _projected_rows,
     _gram_node_cost,
     _node_count,
-    _sphere3_kink,
     _sphere_moments,
     build_sphere_rule,
-    chamber_rule_blocks,
     harmonic_dim,
     hharmonic_basis,
     hweight,
@@ -70,67 +67,23 @@ def test_sphere_rule_plain_moments():
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("kappa", [None, 1, Fraction(1, 2), Fraction(1, 3), Fraction(5, 3)])
-def test_min_sphere_order_is_the_smallest_that_builds(d, kappa):
-    # one floor for every family
-    for order in range(MIN_SPHERE_ORDER, 13):
-        build_sphere_rule(d, order, kappa_hint=kappa)  # passes its own checks
+@pytest.mark.parametrize("kappa", [None, 1, Fraction(1, 100), Fraction(1, 3), Fraction(1, 2),
+                                   Fraction(3, 2), Fraction(5, 3)])
+def test_min_sphere_order_is_the_floor_of_every_rule(d, kappa):
+    # one floor for every family, below which both refuse before any node
     with pytest.raises(ValueError, match=f"sphere order must be >= {MIN_SPHERE_ORDER}"):
         build_sphere_rule(d, MIN_SPHERE_ORDER - 1, kappa_hint=kappa)
-    # the floor's reason: the kink rule one order below it misses its mass
-    # check's 1e-10
-    _, weights = unchecked_kink_rule(MIN_SPHERE_ORDER - 1)
-    assert abs(weights.sum() / surface_area(3) - 1) > 1e-10
-
-
-def test_sphere_rule_kink_split_handles_half_integer_kappa():
-    # h^2 = prod |x_i - x_j| has kinks; the split rule must still reach 1e-8
-    for d in (2, 3):
-        kp = KappaParams(d, Fraction(1, 2))
-        rule = build_sphere_rule(d, 24, kappa_hint=kp.kappa)
-        quad = float(rule.weights @ hweight(rule.nodes, kp) ** 2)
-        closed = 1.0 / kp.a_kappa
-        assert abs(quad - closed) <= 1e-8 * closed
-
-
-def unchecked_kink_rule(order):
-    """The d = 3 split rule's nodes and weights as its family forms them,
-    before the checks of sphere_rule_blocks."""
-    return _sphere3_kink(order)[1](slice(None), slice(None))
-
-
-def kink_rule_per_arc(order):
-    """The d = 3 split rule built one latitude and one arc at a time."""
-    gx, gw = gauss_jacobi(order, 0, 0)
-    psi3 = math.asin(1 / math.sqrt(3))
-    bounds = [-math.pi / 2, -math.pi / 4, -psi3, psi3, math.pi / 4, math.pi / 2]
-    nodes, weights = [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        psi, wpsi = _gauss_on(a, b, gx, gw)
-        for ps, wp in zip(psi, wpsi):
-            u, s = math.sin(ps), math.cos(ps)
-            cuts = [math.pi / 4, 5 * math.pi / 4]
-            if abs(u) < s:
-                ac, an = math.acos(u / s), math.asin(u / s)
-                cuts += [ac, 2 * math.pi - ac, an % (2 * math.pi), (math.pi - an) % (2 * math.pi)]
-            cuts = np.sort(np.unique(np.mod(cuts, 2 * math.pi)))
-            cuts = np.concatenate([cuts, [cuts[0] + 2 * math.pi]])
-            for c0, c1 in zip(cuts[:-1], cuts[1:]):
-                if c1 - c0 < 1e-14:
-                    continue
-                phi, wphi = _gauss_on(c0, c1, gx, gw)
-                nodes.append(np.stack(
-                    [s * np.cos(phi), s * np.sin(phi), np.full_like(phi, u)], axis=-1))
-                weights.append(wp * s * wphi)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-@pytest.mark.parametrize("order", [4, 5, 24, 48])
-def test_kink_rule_is_the_per_arc_loop(order):
-    got_nodes, got_weights = unchecked_kink_rule(order)
-    nodes, weights = kink_rule_per_arc(order)
-    assert np.array_equal(got_nodes, nodes)
-    assert np.array_equal(got_weights, weights)
+    if kappa is None or kappa == 1:
+        # the surface-measure rules pass their own checks from the floor on
+        for order in range(MIN_SPHERE_ORDER, 13):
+            build_sphere_rule(d, order, kappa_hint=kappa)
+        return
+    # the chamber rule does not: at the floor it misses its h^2 mass by more
+    # than 1e-10 (3.0e-10 at kappa 1/2), a failed self-check, not a refusal
+    with pytest.raises(SelfCheckError, match="h\\^2 mass"):
+        build_sphere_rule(d, MIN_SPHERE_ORDER, kappa_hint=kappa)
+    for order in range(8, 13):
+        build_sphere_rule(d, order, kappa_hint=kappa)
 
 
 def sphere4_per_latitude(order):
@@ -158,20 +111,37 @@ def sphere3_per_latitude(order):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def circle_reference(order, split):
-    """The d = 2 rule: equal angles, or one Gauss-Legendre panel on each arc
-    between the kinks of |x_1 - x_2| at pi/4 and 5 pi/4."""
-    if split:
-        x, w = gauss_jacobi(order, 0, 0)
-        half = math.pi / 2  # half the length of each arc
-        theta = np.concatenate([start + half + half * x
-                                for start in (math.pi / 4, 5 * math.pi / 4)])
-        weights = np.concatenate([w * half, w * half])
-    else:
-        n = 2 * order
-        theta = 2 * math.pi * np.arange(n) / n
-        weights = np.full(n, 2 * math.pi / n)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1), weights
+def circle_reference(order):
+    """The plain d = 2 rule: 2 order equal angles."""
+    n = 2 * order
+    theta = 2 * math.pi * np.arange(n) / n
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1), np.full(n, 2 * math.pi / n)
+
+
+def chamber_per_image(d, order, kappa):
+    """The Weyl-chamber rule built one chamber image and one latitude at a
+    time, by concatenation: the chamber x_1 >= ... >= x_d under the cyclic
+    coordinate permutations (d = 3), then their reflections -x."""
+    s, ws = gauss_jacobi(order, 2 * kappa, 2 * kappa)
+    ws = ws / ((1 - s) * (1 + s)) ** (2 * kappa)
+    if d == 2:
+        phi = -math.pi / 4 + math.pi / 2 * s
+        half = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        return np.concatenate([half, -half]), np.tile(ws * (math.pi / 2), 2)
+    u, wu = gauss_jacobi(order, 3 * kappa, 3 * kappa)
+    wu = wu / ((1 - u) * (1 + u)) ** (3 * kappa)
+    theta, wt = math.pi / 3 + math.pi / 6 * s, ws * (math.pi / 6)
+    e1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
+    e2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6)
+    nodes, weights = [], []
+    for sign in (1.0, -1.0):
+        for perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1]):
+            plane = np.cos(theta)[:, None] * e1[perm] + np.sin(theta)[:, None] * e2[perm]
+            for uk, wk in zip(u, wu):
+                r, z = math.sqrt((1 - uk) * (1 + uk)), uk / math.sqrt(3)
+                nodes.append(r * (sign * plane) + sign * z)
+                weights.append(wk * wt)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 @pytest.mark.parametrize("order", [4, 24, 48])
@@ -188,15 +158,16 @@ def test_d4_rule_is_the_per_latitude_concatenation(order):
 
 @pytest.mark.parametrize("order", [8, 24, 48])
 @pytest.mark.parametrize("d, hint", [(2, None), (2, Fraction(1, 2)), (3, None),
-                                     (3, Fraction(1, 2))])
+                                     (3, Fraction(1, 2)), (3, Fraction(1, 3))])
 def test_d2_d3_rules_are_the_reference_rules(d, hint, order):
     rule = build_sphere_rule(d, order, kappa_hint=hint)
-    if d == 2:
-        nodes, weights = circle_reference(order, hint is not None)
-    elif hint is None:
-        nodes, weights = sphere3_per_latitude(order)
+    assert rule.kappa == hint
+    if hint is not None:
+        nodes, weights = chamber_per_image(d, order, float(hint))
+    elif d == 2:
+        nodes, weights = circle_reference(order)
     else:
-        nodes, weights = kink_rule_per_arc(order)
+        nodes, weights = sphere3_per_latitude(order)
     assert np.array_equal(rule.nodes, nodes)
     assert np.array_equal(rule.weights, weights)
 
@@ -216,23 +187,32 @@ def corrupted(nodes, weights, kind):
 
 @pytest.mark.parametrize("kind", ["nan node", "nan weight", "node off the sphere",
                                   "mass off"])
-def test_sphere_rule_self_checks_refuse_a_bad_rule(monkeypatch, kind):
+@pytest.mark.parametrize("hint", [None, Fraction(1, 3)])
+def test_sphere_rule_self_checks_refuse_a_bad_rule(monkeypatch, kind, hint):
     # the fault goes into every stretch of rows the generator forms, so
-    # that it reaches both the whole rule and every block of a streamed walk
+    # that it reaches both the whole rule and every block of a streamed walk;
+    # a fractional-kappa basis on a rule built before the fault streams its
+    # check rule, which must refuse it too
+    params = KappaParams(3, Fraction(1, 3))
+    built = build_sphere_rule(3, 8, kappa_hint=params.kappa)
     good = harmonics._rule_rows
 
-    def rows(d, order, split):
-        length, form = good(d, order, split)
+    def rows(d, order, kappa):
+        length, form = good(d, order, kappa)
         return length, lambda r, c: corrupted(*form(r, c), kind)
 
     monkeypatch.setattr(harmonics, "_rule_rows", rows)
     with pytest.raises(SelfCheckError):
-        build_sphere_rule(3, 8)
+        build_sphere_rule(3, 8, kappa_hint=hint)
     for hemisphere in (False, True):
-        blocks = sphere_rule_blocks(3, 8, None, BLOCK_ELEMENTS // 40, hemisphere=hemisphere)
+        for per_node in (1, BLOCK_ELEMENTS // 40):
+            blocks = sphere_rule_blocks(3, 8, hint, per_node, hemisphere=hemisphere)
+            with pytest.raises(SelfCheckError):
+                for _ in blocks:
+                    pass
+    if hint is not None:
         with pytest.raises(SelfCheckError):
-            for _ in blocks:
-                pass
+            hharmonic_basis(2, params, built)
 
 
 @pytest.mark.parametrize("order", [4, 5, 7, 16, 33, 64])
@@ -240,11 +220,17 @@ def test_sphere_rule_self_checks_refuse_a_bad_rule(monkeypatch, kind):
                                      (3, Fraction(1, 2)), (4, None)])
 def test_streamed_rule_is_the_built_rule(d, hint, order):
     # blocks of 2, 3, 40 and 5 000 nodes, and the whole rule, which split
-    # rows and arcs anywhere, each size while it makes at most 2 000 blocks;
-    # the count is known before any node exists; below the floor both refuse
+    # rows and chamber images anywhere, each size while it makes at most 2 000
+    # blocks; the count is known before any node exists; below the floor both
+    # refuse, and at it the chamber rule fails its h^2 mass after the last block
     if order < MIN_SPHERE_ORDER:
         for make in (build_sphere_rule, lambda *a: next(sphere_rule_blocks(*a, 1))):
             with pytest.raises(ValueError, match="sphere order must be"):
+                make(d, order, hint)
+        return
+    if order == MIN_SPHERE_ORDER and hint is not None:
+        for make in (build_sphere_rule, lambda *a: list(sphere_rule_blocks(*a, 1))):
+            with pytest.raises(SelfCheckError, match="h\\^2 mass"):
                 make(d, order, hint)
         return
     rule = build_sphere_rule(d, order, kappa_hint=hint)
@@ -266,7 +252,8 @@ def test_streamed_rule_is_the_built_rule(d, hint, order):
 def test_rule_is_antipodal_by_halves(d, hint, order):
     # the second half of every rule is the first reflected, each node -x
     # with the weight of x, in another order; at an odd order the middle
-    # row (the circle's second arc, the equator) is cut between the halves.
+    # row of a product rule (the circle, the equator) is cut between the
+    # halves.
     # The hemisphere stream is the first half, in blocks with the same bits,
     # and passes its mass check.
     rule = build_sphere_rule(d, order, kappa_hint=hint)
@@ -284,7 +271,7 @@ def test_rule_is_antipodal_by_halves(d, hint, order):
 
 
 @pytest.mark.parametrize("d, order, hint", [(2, 2_000_001, None), (3, 1415, None),
-                                            (3, 427, Fraction(1, 2)), (4, 400, 1)])
+                                            (3, 817, Fraction(1, 2)), (4, 400, 1)])
 def test_oversized_rule_is_refused_before_any_node(monkeypatch, d, order, hint):
     # a rule over CHUNK_ELEMENTS nodes is refused before any Gauss rule, the
     # first factor of every rule but the plain circle, is built
@@ -292,13 +279,14 @@ def test_oversized_rule_is_refused_before_any_node(monkeypatch, d, order, hint):
         raise AssertionError("a Gauss rule was built for a refused sphere rule")
 
     monkeypatch.setattr(harmonics, "gauss_jacobi", no_gauss_rule)
-    assert _node_count(d, order, harmonics._wants_kink_split(hint)) > simplexquad.CHUNK_ELEMENTS
+    chamber = harmonics._chamber_kappa(hint) is not None
+    assert _node_count(d, order, chamber) > simplexquad.CHUNK_ELEMENTS
     with pytest.raises(ValueError, match="nodes, over"):
         build_sphere_rule(d, order, kappa_hint=hint)
 
 
 def test_sphere_rule_refuses_half_integer_kappa_at_d4():
-    # S^3 has no split rule, and the flat one misses a kinked weight by
+    # S^3 has no chamber rule, and the flat one misses a walled weight by
     # about 1e-2 (a Gram residual: 1e-2 at kappa 1/2, 2.2e-2 at 1/3), so
     # every kappa with 2 kappa not even is refused there
     for kappa in (Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(5, 3),
@@ -327,7 +315,8 @@ def test_norm_const_closed_vs_quadrature():
         (2, 2, 48, 1e-10),
         (3, 1, 32, 1e-10),
         (3, 2, 32, 1e-10),
-        (3, Fraction(1, 2), 24, 1e-8),
+        (3, Fraction(1, 2), 24, 1e-13),
+        (2, Fraction(1, 3), 24, 1e-13),
     ):
         kp = KappaParams(d, kappa)
         rule = build_sphere_rule(d, order, kappa_hint=kp.kappa)
@@ -415,7 +404,7 @@ def test_gram_residuals():
     basis2 = hharmonic_basis(3, KappaParams(3, 2), rule)
     assert basis2.gram_residual <= 1e-8
     # half-integer kappa: the Gram sums run on Weyl-chamber rules, whose
-    # Jacobi weights take the kinks of the weight at the walls
+    # Jacobi weights take the |x_i - x_j| walls of the weight
     ruleh = build_sphere_rule(3, 24, kappa_hint=Fraction(1, 2))
     basish = hharmonic_basis(3, KappaParams(3, Fraction(1, 2)), ruleh)
     assert basish.gram_residual <= 1e-13
@@ -439,7 +428,7 @@ def test_blocked_gram_is_the_one_pass_sum(d, n, kappa, order):
         stream = lambda per_node: sphere_rule_blocks(d, order, kappa, per_node)
     else:
         nodes, weights = whole_block(params, order)
-        stream = lambda per_node: chamber_rule_blocks(params, order, per_node)
+        stream = lambda per_node: sphere_rule_blocks(d, order, kappa, per_node, hemisphere=True)
     exps = np.asarray(basis.exponents)
     raw = np.array(_projected_rows(n, params), dtype=float)
     assert len(block_slices(len(weights), _gram_node_cost(len(raw), exps))) >= 10
@@ -463,7 +452,7 @@ def test_half_rule_gram_doubles_to_the_whole_rule_gram(d, order, kappa, n):
     # by halves: twice the first half's sum is the whole rule's
     params = KappaParams(d, kappa)
     rule = build_sphere_rule(d, order, kappa_hint=kappa)
-    assert rule.split
+    assert rule.kappa == kappa
     half = len(rule) // 2
     coeffs, exps = _projected_rows(n, params).astype(float), compositions(d, n)
     whole = _gram(coeffs, exps, params, [(rule.nodes, rule.weights)])
@@ -710,22 +699,10 @@ def test_basis_evaluate_matches_exact_monomials(d, n, kappa):
         assert np.all(np.abs(got - basis.coefficients @ rounded) <= tol)
 
 
-def test_sphere_rule_kink_split_handles_fractional_kappa():
-    # 2 kappa not an integer: the split rule still takes the kinks, though
-    # Gauss-Legendre panels do not absorb the |.|^(2/3) arc ends at kappa 1/3
-    for d, order in ((2, 24), (3, 48)):
-        for kappa, tol in ((Fraction(1, 3), 2e-5), (Fraction(5, 4), 1e-8),
-                           (Fraction(5, 3), 1e-8)):
-            kp = KappaParams(d, kappa)
-            rule = build_sphere_rule(d, order, kappa_hint=kappa)
-            mass = kp.a_kappa * float(rule.weights @ hweight(rule.nodes, kp) ** 2)
-            assert abs(mass - 1) <= tol, (d, kappa)
-
-
 def whole_block(params, order):
     """The first half of the chamber rule, as one block: one element per
     node makes a block of BLOCK_ELEMENTS nodes, past every order here."""
-    [(nodes, weights)] = chamber_rule_blocks(params, order, 1)
+    [(nodes, weights)] = sphere_rule_blocks(params.d, order, params.kappa, 1, hemisphere=True)
     return nodes, weights
 
 
@@ -749,12 +726,15 @@ CHAMBER_KAPPAS = [Fraction(1, 3), Fraction(1, 2), Fraction(5, 4), Fraction(5, 3)
 @pytest.mark.parametrize("d", [2, 3])
 def test_chamber_rule_integrates_the_weight(d, kappa, order):
     # the wall factors |x_i - x_j|^(2 kappa) sit in the Jacobi weights, so the
-    # mass converges spectrally; the kink rule reads 1e-5 at kappa 1/3
+    # mass converges spectrally, on the built rule and on all d! images of
+    # the chamber; the rule split at the kinks, which sweeps used before, read
+    # 1e-5 at kappa 1/3 and 1e-8 at kappa 1/2
     params = KappaParams(d, kappa)
-    nodes, weights = image_rule(params, order)
-    assert len(weights) == math.factorial(d) * order ** (d - 1)
-    assert abs(params.a_kappa * float(weights @ hweight(nodes, params) ** 2) - 1) <= 1e-13
-    assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1)) <= 1e-15
+    rule = build_sphere_rule(d, order, kappa_hint=kappa)
+    for nodes, weights in ((rule.nodes, rule.weights), image_rule(params, order)):
+        assert len(weights) == math.factorial(d) * order ** (d - 1)
+        assert abs(params.a_kappa * float(weights @ hweight(nodes, params) ** 2) - 1) <= 1e-13
+        assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1)) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -771,6 +751,9 @@ def test_chamber_images_tile_the_sphere(d):
         assert np.all(np.diff(ordered, axis=1) < 0)
     half, half_weights = whole_block(params, 12)
     assert len(half) == len(nodes) // 2
+    rule = build_sphere_rule(d, 12, kappa_hint=params.kappa)
+    assert np.array_equal(rule.nodes, np.concatenate([half, -half]))
+    assert np.array_equal(rule.weights, np.tile(half_weights, 2))
     both = np.concatenate([half, -half])
     match = np.argmax(both @ nodes.T, axis=1)  # the nearest node on the unit sphere
     assert np.array_equal(np.sort(match), np.arange(len(nodes)))
@@ -792,7 +775,8 @@ def test_chamber_half_rule_gram_doubles_to_the_image_rule_gram(d, kappa, n):
     (2, Fraction(1, 3), 5, 24), (2, Fraction(5, 3), 3, 24), (3, Fraction(1, 3), 6, 16),
     (3, Fraction(1, 2), 6, 24), (3, Fraction(5, 4), 4, 16)])
 def test_chamber_gram_is_the_order_64_gram(d, kappa, n, order):
-    # the kink rule at order 24 is 1.7e-9 off at (3, 1/2, 6).  At d = 2 the
+    # the rule split at the kinks, which the Gram used before, was 1.7e-9
+    # off at order 24 and (3, 1/2, 6).  At d = 2 the
     # order nodes span a half circle, three times the d = 3 chamber's angle
     # pi/3: order 16 leaves 1.6e-13 at (2, 5/3, 3)
     params = KappaParams(d, kappa)
@@ -801,57 +785,14 @@ def test_chamber_gram_is_the_order_64_gram(d, kappa, n, order):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("order", [5, 7, 16, 33])
-@pytest.mark.parametrize("d", [2, 3])
-def test_streamed_chamber_rule_is_one_block(d, order):
-    # blocks of 2, 3, 40 and 5 000 nodes split the rows of a permutation and
-    # the permutations anywhere, and keep the bits of the rule as one block
-    params = KappaParams(d, Fraction(1, 2))
-    nodes, weights = whole_block(params, order) if order > 5 else (None, None)
-    for size in (2, 3, 40, 5000):
-        per_node = max(1, BLOCK_ELEMENTS // size)
-        blocks = chamber_rule_blocks(params, order, per_node)
-        if order == 5:  # misses the mass check by 3e-10, after the last block
-            with pytest.raises(SelfCheckError, match="h\\^2 mass"):
-                list(blocks)
-            continue
-        blocks = list(blocks)
-        assert [len(w) for _, w in blocks] == \
-            [sl.stop - sl.start for sl in block_slices(len(weights), per_node)]
-        assert np.array_equal(np.concatenate([b for b, _ in blocks]), nodes)
-        assert np.array_equal(np.concatenate([w for _, w in blocks]), weights)
-
-
-@pytest.mark.parametrize("kind", ["nan node", "nan weight", "node off the sphere",
-                                  "mass off"])
-def test_chamber_rule_self_checks_refuse_a_bad_rule(monkeypatch, kind):
-    good = harmonics._chamber_rows
-
-    def rows(d, order, kappa):
-        count, length, form = good(d, order, kappa)
-        return count, length, lambda r, c: corrupted(*form(r, c), kind)
-
-    monkeypatch.setattr(harmonics, "_chamber_rows", rows)
-    params = KappaParams(3, Fraction(1, 3))
-    for per_node in (1, BLOCK_ELEMENTS // 40):
-        with pytest.raises(SelfCheckError):
-            list(chamber_rule_blocks(params, 8, per_node))
-    with pytest.raises(SelfCheckError):
-        hharmonic_basis(2, params, build_sphere_rule(3, 8, kappa_hint=params.kappa))
-
-
 def test_chamber_rule_out_of_float_range_is_an_overflow():
     # 2^(2 a + 1) scales the Jacobi weights for (1 - x^2)^a: at kappa 401/2
     # the u rule, a = 3 kappa, is past the float range.  No RuntimeWarning
-    params = KappaParams(3, Fraction(401, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match="float range"):
-            next(chamber_rule_blocks(params, 24, 4))
-    with pytest.raises(ValueError, match="d in"):
-        chamber_rule_blocks(KappaParams(4, Fraction(1, 2)), 24, 4)
-    with pytest.raises(ValueError, match="sphere order"):
-        chamber_rule_blocks(KappaParams(3, Fraction(1, 2)), 4, 4)
+        for make in (build_sphere_rule, lambda *a: sphere_rule_blocks(*a, 4)):
+            with pytest.raises(OverflowError, match="float range"):
+                make(3, 24, Fraction(401, 2))
 
 
 def fraction_mix(mix, rows):

@@ -314,8 +314,8 @@ def test_stacked_deltas_are_the_one_delta_sweeps(params, n_max):
 @pytest.mark.parametrize("params, n_max", [(KP31, 12), (KappaParams(3, Fraction(1, 2)), 8)],
                          ids=["exact-3-1", "tensor-3-1/2"])
 def test_one_column_remainder_segment_keeps_the_bits(params, n_max, monkeypatch):
-    # at order 16 the odd hemisphere has 16^2 + 1 = 257 nodes (exact) or 11 *
-    # 16^2 + 1 = 2817 (the kink rule): full segments and a last of one column,
+    # at order 16 the odd hemisphere has 16^2 + 1 = 257 nodes (exact) or 3 *
+    # 16^2 + 1 = 769 (the chamber rule): full segments and a last of one column,
     # whose products numpy runs as matrix-vector calls under every budget
     half = len(odd_sphere_rule(params.d, 16, params.kappa)) // 2
     assert half % summability.SEGMENT_COLUMNS == 1
@@ -331,20 +331,47 @@ def test_one_column_remainder_segment_keeps_the_bits(params, n_max, monkeypatch)
 
 def test_default_order_integrates_h2_at_integer_kappa():
     # the smallest order from n_max + 16 whose coarse rule, exact to degree
-    # 2 coarse - 1, integrates h^2 of degree d (d - 1) kappa; fractional
-    # kappa and every integer kappa already covered keep n_max + 16
+    # 2 coarse - 1, integrates h^2 of degree d (d - 1) kappa; every integer
+    # kappa already covered keeps n_max + 16.  Fractional kappa, on the
+    # chamber rule, takes n_max + 24
     for d, kappa, n_max in [(2, 1, 1), (2, 50, 8), (3, 0, 8), (3, 1, 1), (3, 1, 64),
                             (3, 3, 1), (3, 4, 1), (3, 10, 8), (3, 50, 8), (4, 1, 4),
-                            (4, 10, 8), (3, Fraction(1, 2), 8), (3, Fraction(7, 2), 8)]:
+                            (4, 10, 8)]:
         params = KappaParams(d, kappa)
         order = n_max + 16
-        while kappa == int(kappa) and (2 * summability.coarse_sphere_order(order) - 1
-                                       < d * (d - 1) * kappa):
+        while 2 * summability.coarse_sphere_order(order) - 1 < d * (d - 1) * kappa:
             order += 1
         assert summability.default_sphere_order(n_max, params) == order, (d, kappa, n_max)
     assert summability.default_sphere_order(8, KappaParams(3, 10)) == 42
     assert summability.default_sphere_order(8, KappaParams(3, 50)) == 202
     assert summability.default_sphere_order(8, KappaParams(4, 10)) == 82
+    for d, kappa, n_max in [(3, Fraction(1, 2), 8), (3, Fraction(7, 2), 8),
+                            (2, Fraction(1, 3), 16), (3, Fraction(1, 100), 1)]:
+        assert summability.default_sphere_order(n_max, KappaParams(d, kappa)) == n_max + 24
+
+
+@pytest.mark.parametrize("d, kappa, bound", [
+    (3, Fraction(1, 2), 1.7e-3), (3, Fraction(1, 3), 8.7e-4),
+    (2, Fraction(1, 2), 8.3e-3), (2, Fraction(1, 3), 8.6e-3)], ids=str)
+def test_fractional_sweep_converges_to_the_fine_chamber_sweep(monkeypatch, d, kappa, bound):
+    # the default-order sweep on the chamber rule against the chamber sweep at
+    # order 192 (d = 3) or 1 000 (d = 2), within the true error of the
+    # order-24 rule split at the kinks that sweeps used before (4.4e-4,
+    # 4.3e-4, 5.0e-3 and 2.8e-3 on the chamber rule); I_0 - 1, each rule's
+    # h^2 mass, is within 1e-10 on both rules of the sweep (the split rule
+    # read 1.1e-5 at (3, 1/3))
+    params = KappaParams(d, kappa)
+    real, sums = summability._sweep_values, []
+    monkeypatch.setattr(summability, "_sweep_values",
+                        lambda *args: sums.append(real(*args)) or sums[-1])
+    records = lebesgue_sweep(params, [0.5, 1.0, 1.5], 8)
+    assert len(sums) == 2
+    for values in sums:
+        assert all(abs(v[0] - 1) <= 1e-10 for v in values.values())
+    monkeypatch.undo()
+    fine = lebesgue_sweep(params, [0.5, 1.0, 1.5], 8, sphere_order=192 if d == 3 else 1000)
+    for rec, want in zip(records, fine, strict=True):
+        assert abs(rec.value - want.value) <= bound * want.value
 
 
 @pytest.mark.parametrize("order", [24, 36], ids=["both-rules", "coarse-rule"])
@@ -403,10 +430,11 @@ def test_streamed_sweep_matches_the_unstreamed_sweep(params, n_max, order, monke
 @pytest.mark.parametrize("params, order", [
     (KappaParams(2, 1), 13), (KappaParams(2, Fraction(1, 2)), 13),
     (KappaParams(3, Fraction(1, 3)), 23), (KappaParams(3, 1), 25),
-], ids=["d2-13", "d2-split-13", "d3-kink-23", "d3-25"])
+], ids=["d2-13", "d2-chamber-13", "d3-chamber-23", "d3-25"])
 def test_odd_order_sweep_matches_the_whole_rule(params, order):
-    # at an odd order the middle row (the circle's arc, the equator) is cut
-    # between the two halves of the rule
+    # at an odd order the middle row of a product rule (the circle, the
+    # equator) is cut between the two halves of the rule; a chamber rule's
+    # first half is whole chamber images
     records = lebesgue_sweep(params, [1.0, 2.5], 8, 1, sphere_order=order)
     assert_records_near(records, unstreamed_sweep(params, [1.0, 2.5], 8, 1, order))
 
@@ -514,7 +542,7 @@ def test_sweep_records_do_not_depend_on_blas_threads():
     (KP31, [1.5], 3, 0, None),
     (KP31, [-1.0], 3, 1, None),              # Cesaro order must exceed -1
     (KP31, [1.5], 3, 1, 3),                  # sphere order below the floor
-    (KappaParams(4, Fraction(1, 2)), [1.5], 3, 1, None),  # no kink split on S^3
+    (KappaParams(4, Fraction(1, 2)), [1.5], 3, 1, None),  # no chamber rule on S^3
     (KP31, [math.inf], 3, 1, None),          # Cesaro order must be finite
 ])
 def test_sweep_refuses_bad_arguments(params, deltas, n_max, ell, order):
@@ -574,7 +602,9 @@ SPHERE_CONSUMERS = {
 MISFITS = {
     "wrong-d": (KP31, 2, None),
     "flat-at-1/2": (KappaParams(3, Fraction(1, 2)), 3, None),
-    "split-at-1": (KP31, 3, Fraction(1, 2)),
+    "chamber-at-1": (KP31, 3, Fraction(1, 2)),
+    # a chamber rule carries the walls of its own kappa's h^2 in its weights
+    "chamber-1/2-at-1/3": (KappaParams(3, Fraction(1, 3)), 3, Fraction(1, 2)),
     "d4-flat-at-1/2": (KappaParams(4, Fraction(1, 2)), 4, None),
 }
 
@@ -583,7 +613,7 @@ MISFITS = {
 @pytest.mark.parametrize("consumer", sorted(SPHERE_CONSUMERS))
 def test_sphere_consumer_refuses_a_rule_that_does_not_fit_the_weight(consumer, misfit):
     params, d, hint = MISFITS[misfit]
-    rule = build_sphere_rule(d, 8, kappa_hint=hint)
+    rule = build_sphere_rule(d, 24, kappa_hint=hint)
     with pytest.raises(ValueError, match="sphere rule"):
         SPHERE_CONSUMERS[consumer](params, rule)
 
