@@ -57,7 +57,6 @@ from .harmonics import (
     surface_area,
 )
 from .intertwine import (
-    AxisFunction,
     verify_intertwining,
     vk_axis,
     vk_d2_generic,
@@ -112,7 +111,6 @@ from .summability import (
 
 __all__ = [
     "__version__",
-    "AxisFunction",
     "CesaroOrder",
     "HarmonicBasis",
     "JacobiParams",

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intertwine import AxisFunction, exponential_rule, vk_axis
+from .intertwine import exponential_rule, vk_axis
 from .polycore import KappaParams, check_axis
 from .simplexquad import chunk_slices, exponential_order, gauss_jacobi01, integrate
 
@@ -53,8 +53,8 @@ def dunkl_exp_axis(ell: int, y, params: KappaParams, imaginary: bool = False):
     e^{i<y,t>}.  At kappa = 0 the vertex rule gives the point evaluation
     e^{y_ell}."""
     phase = 1j if imaginary else 1.0
-    profile = AxisFunction(ell=ell, profile=lambda s: np.exp(phase * s))
-    values = vk_axis(profile, y, params, exponential_rule(params, y, imaginary))
+    values = vk_axis(lambda s: np.exp(phase * s), ell, y, params,
+                     exponential_rule(params, y, imaginary))
     return values.astype(complex) if values.ndim else complex(values)
 
 

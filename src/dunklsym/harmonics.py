@@ -48,7 +48,7 @@ simplexquad.block_slices: each block forms its own h^2
 weights, monomial table and basis values, and nothing is evaluated over the
 whole rule at once.  The same block serves the Lebesgue sweep's tensor
 table (summability._axis_kernel_table), whose temporaries grow with the
-node count times a width, and sizes its Cesaro products.
+node count times a width.
 The sweep's exact divided-difference table keeps simplexquad.CHUNK_ELEMENTS:
 it makes about ten numpy calls per degree on short vectors, whose fixed
 cost small blocks multiply, and blocks that small made it slower.
@@ -62,8 +62,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intertwine import AxisFunction, polynomial_rule, vk_axis
-from .orthopoly import JacobiParams, jacobi_eval, kernel_normalizer
+from .intertwine import polynomial_rule, vk_axis
+from .orthopoly import zn_eval
 from .polycore import (INT64_LIMIT, KappaParams, Monomial, Polynomial, compositions,
                        dunkl_sums, laplacian_sums)
 from . import simplexquad
@@ -729,12 +729,6 @@ def hharmonic_basis(n: int, params: KappaParams, sphere_rule: SphereRule) -> Har
 # ---------------------------------------------------------------------------
 
 
-def _zn_values(n: int, lam: float, t) -> np.ndarray:
-    """Z_n^lambda(t) through the Jacobi normalizer; safe down to lambda = 0."""
-    jp = JacobiParams(lam - 0.5, lam - 0.5)
-    return kernel_normalizer(n, jp)[n] * jacobi_eval(n, jp, t)
-
-
 def _check_on_sphere(x: np.ndarray) -> None:
     # written so that a NaN row fails: NaN compares false both ways
     if not np.max(np.abs(np.sum(x * x, axis=-1) - 1.0), initial=0.0) <= 1e-10:
@@ -751,8 +745,7 @@ def repro_kernel_axis(n: int, ell: int, x, params: KappaParams):
     x = np.asarray(x, dtype=float)
     _check_on_sphere(x)
     lam = float(params.lambda_kappa)
-    profile = AxisFunction(ell=ell, profile=lambda s: _zn_values(n, lam, s))
-    value = vk_axis(profile, x, params, polynomial_rule(params, n))
+    value = vk_axis(lambda s: zn_eval(n, lam, s), ell, x, params, polynomial_rule(params, n))
     return value if x.ndim == 2 else float(value)
 
 

@@ -21,13 +21,13 @@ the sphere-average identity relating V to a one-dimensional Gegenbauer
 integral.
 
 No representation is provided for generic multivariate arguments when d > 2;
-the AxisFunction type makes the restriction explicit.
+vk_axis takes a one-variable profile and the axis it reads, which makes the
+restriction explicit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -39,18 +39,11 @@ from .simplexquad import (SimplexRule, build_rule, chunk_slices, exact_order, ex
                           gauss_jacobi, integrate, require_rule)
 
 
-@dataclass(frozen=True)
-class AxisFunction:
-    """F(x_1, ..., x_d) = profile(x_ell): the single-component functions
-    V_kappa has a simplex representation for."""
-
-    ell: int
-    profile: Callable[[np.ndarray], np.ndarray]
-
-
-def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule):
+def vk_axis(profile: Callable[[np.ndarray], np.ndarray], ell: int, x, params: KappaParams,
+            rule: SimplexRule):
     """V_kappa F at x of shape (d,), or at every row of an (N, d) array, for
-    a single-component F.
+    the single-component F(x_1, ..., x_d) = profile(x_ell), the functions
+    V_kappa has a simplex representation for.
 
     The factor t_{ell-1} is part of the integrand so one rule per (d, kappa)
     serves every axis.  At kappa = 0 the vertex rule gives F(x) exactly: the
@@ -65,10 +58,10 @@ def vk_axis(F: AxisFunction, x, params: KappaParams, rule: SimplexRule):
     X = np.atleast_2d(x)
     if x.ndim > 2 or X.shape[1] != params.d:
         raise ValueError(f"x must have shape ({params.d},) or (N, {params.d})")
-    check_axis(F.ell, params.d)
+    check_axis(ell, params.d)
     require_rule(rule, params)
     values = params.c_kappa * np.concatenate([
-        integrate(rule, lambda T: F.profile(X[sl] @ T.T) * T[:, F.ell - 1])
+        integrate(rule, lambda T: profile(X[sl] @ T.T) * T[:, ell - 1])
         for sl in chunk_slices(len(X), len(rule))])
     return values[0] if x.ndim == 1 else values
 
@@ -278,8 +271,8 @@ def vk_sphere_average(f, x, params: KappaParams, sphere_rule) -> tuple[float, fl
     lam = float(params.lambda_kappa)
 
     rule = build_rule(params.d, params.kappa_float, 48)
-    F = AxisFunction(ell=ell, profile=lambda s: np.asarray(f(r * s), dtype=float))
-    sphere_vals = vk_axis(F, sphere_rule.nodes, params, rule)
+    sphere_vals = vk_axis(lambda s: np.asarray(f(r * s), dtype=float), ell,
+                          sphere_rule.nodes, params, rule)
     h2 = hweight(sphere_rule.nodes, params) ** 2
     lhs = params.a_kappa * float(np.dot(sphere_rule.weights, sphere_vals * h2))
 

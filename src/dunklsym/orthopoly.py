@@ -156,8 +156,10 @@ def gegenbauer_eval(n: int, lam: float, t):
 
 
 def zn_eval(n: int, lam: float, t):
-    """Z_n^{lambda}(t) = ((n + lambda)/lambda) C_n^{lambda}(t)."""
-    return (n + lam) / lam * gegenbauer_eval(n, lam, t)
+    """Z_n^{lambda}(t) = ((n + lambda)/lambda) C_n^{lambda}(t), through the
+    Jacobi normalizer, so defined down to lambda = 0 (Z_n^0 = 2 T_n, n >= 1)."""
+    jp = JacobiParams(lam - 0.5, lam - 0.5)
+    return kernel_normalizer(n, jp)[n] * jacobi_eval(n, jp, t)
 
 
 def jacobi_endpoint(n: int, jp: JacobiParams) -> float:

@@ -234,9 +234,8 @@ def chunk_slices(count: int, per_row: int):
 def block_slices(count: int, per_row: int):
     """Slices of range(count) of BLOCK_ELEMENTS // per_row rows, and never a
     block of one row unless count is 1: a remainder of one row joins the block
-    before it, since numpy computes a one-row (or one-column) matrix product
-    by a matrix-vector call, whose last bit can differ from the matrix
-    product's."""
+    before it, since numpy computes a one-row matrix product by a
+    matrix-vector call, whose last bit can differ from the matrix product's."""
     step = max(2, BLOCK_ELEMENTS // per_row)
     starts = list(range(0, count, step))
     if len(starts) > 1 and count - starts[-1] == 1:

@@ -56,7 +56,7 @@ from .harmonics import (
     require_sphere_rule,
     sphere_rule_blocks,
 )
-from .intertwine import AxisFunction, polynomial_rule, vk_axis
+from .intertwine import polynomial_rule, vk_axis
 from .orthopoly import (
     CesaroOrder,
     JacobiParams,
@@ -107,9 +107,8 @@ def cesaro_kernel_axis(n: int, delta, ell: int, x, params: KappaParams):
     x = np.asarray(x, dtype=float)
     _check_on_sphere(x)
     jp = _jacobi_params(params)
-    profile = AxisFunction(
-        ell=ell, profile=lambda s: cesaro_kernel_endpoint(n, jp, delta, s))
-    value = vk_axis(profile, x, params, polynomial_rule(params, n))
+    value = vk_axis(lambda s: cesaro_kernel_endpoint(n, jp, delta, s), ell, x, params,
+                    polynomial_rule(params, n))
     return value if x.ndim == 2 else float(value)
 
 
@@ -240,28 +239,20 @@ def _sweep_values(params: KappaParams, weights: dict[float, np.ndarray], n_max: 
     up to about 40 000 nodes at n_max = 64 is one chunk.  Of 128, 256 and
     512 columns, 256 ran the four-delta n_max = 64 sweeps of the pushforward
     benchmark fastest; 512-column buffers outgrow a 2 MB L2 cache (2-core
-    x86-64, five fresh-process runs each).
-    Within a segment the products run in blocks whose columns of B, E and O,
-    (2 D + 1)(n_max + 1) elements for D deltas rounded up to a power of
-    two, fit in BLOCK_ELEMENTS: one block a segment at the default budget
-    up to n_max = 112 with four deltas.  Blocks are a power of two of
-    columns, so they start on multiples of the BLAS kernels' column
-    unrolling; blocks that do not can round differently from one product."""
+    x86-64, five fresh-process runs each).  A segment is one product of
+    each parity; blocking within a product is the BLAS's own."""
     stacked = np.concatenate(list(weights.values()))
     even, odd = stacked[:, ::2].copy(), stacked[:, 1::2].copy()
     E, O = (np.empty((len(stacked), SEGMENT_COLUMNS)) for _ in range(2))
     total = np.zeros(len(stacked))
-    per_column = 1 << (2 * len(stacked) + n_max).bit_length()
     for nodes, chunk_weights in chunks:
         B = _axis_kernel_table(n_max, ell, params, nodes, table_scale)
         wh2 = 2 * params.a_kappa * chunk_weights * hweight(nodes, params) ** 2
         for start in range(0, B.shape[1], SEGMENT_COLUMNS):
             seg = slice(start, min(start + SEGMENT_COLUMNS, B.shape[1]))
             Es, Os = E[:, :seg.stop - start], O[:, :seg.stop - start]
-            for blk in block_slices(seg.stop - start, per_column):
-                cols = slice(start + blk.start, start + blk.stop)
-                np.matmul(even, B[::2, cols], out=Es[:, blk])
-                np.matmul(odd, B[1::2, cols], out=Os[:, blk])
+            np.matmul(even, B[::2, seg], out=Es)
+            np.matmul(odd, B[1::2, seg], out=Os)
             np.maximum(np.abs(Es, out=Es), np.abs(Os, out=Os), out=Es)
             total += Es @ wh2[seg]
         del B  # free this chunk's table before the next one is built
@@ -568,8 +559,8 @@ def estimate_check(n: int, params: KappaParams, alpha: float, beta: float,
         raise ValueError("alpha >= (d-1) kappa - 1/2 is required")
     jp = JacobiParams(float(alpha), float(beta))
     X = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    profile = AxisFunction(ell=ell, profile=lambda s: jacobi_eval(n, jp, s))
-    lhs = np.abs(vk_axis(profile, X, params, polynomial_rule(params, n))) / params.c_kappa
+    lhs = np.abs(vk_axis(lambda s: jacobi_eval(n, jp, s), ell, X, params,
+                         polynomial_rule(params, n))) / params.c_kappa
     front = float(n) ** (-(d - 1) * k - 0.5)
     envelope = _envelope_sum(X, n, k, alpha + 0.5 - (d - 1) * k, front)
     return float(np.max(lhs / envelope, initial=0.0))
@@ -591,11 +582,9 @@ def kernel_bound_check(n: int, delta, ell: int, params: KappaParams,
     rule = build_rule(d, k, default_order(n))
     front = float(n) ** (lam - (d - 1) * k - delta)
     exponent = lam - (d - 1) * k + float(delta) + 1.0
-    profile = AxisFunction(
-        ell=ell, profile=lambda s: (1.0 - s + 1.0 / n**2) ** (-(lam + 1.0)))
     X = np.atleast_2d(np.asarray(x_samples, dtype=float))
     lhs = np.abs(cesaro_kernel_axis(n, delta, ell, X, params))
-    tail = vk_axis(profile, X, params, rule) / n
+    tail = vk_axis(lambda s: (1.0 - s + 1.0 / n**2) ** (-(lam + 1.0)), ell, X, params, rule) / n
     envelope = _envelope_sum(X, n, k, exponent, front) + tail
     return float(np.max(lhs / envelope, initial=0.0))
 

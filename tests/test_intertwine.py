@@ -9,7 +9,6 @@ import pytest
 from dunklsym import intertwine, simplexquad
 from dunklsym.harmonics import build_sphere_rule
 from dunklsym.intertwine import (
-    AxisFunction,
     verify_intertwining,
     vk_axis,
     vk_d2_generic,
@@ -26,9 +25,8 @@ def test_constants_are_fixed():
     rule = build_rule(3, 0.5, 24)
     rng = np.random.default_rng(20)
     for ell in (1, 2, 3):
-        F = AxisFunction(ell=ell, profile=lambda s: np.ones_like(s))
         x = rng.normal(size=3)
-        assert abs(vk_axis(F, x, kp, rule) - 1.0) < 1e-12
+        assert abs(vk_axis(lambda s: np.ones_like(s), ell, x, kp, rule) - 1.0) < 1e-12
 
 
 def test_linear_image_closed_form():
@@ -61,8 +59,7 @@ def test_quadrature_matches_exact_images():
     rng = np.random.default_rng(21)
     x = rng.uniform(-1, 1, size=3)
     for n in (1, 2, 5, 12, 20):
-        F = AxisFunction(ell=1, profile=lambda s, n=n: s ** n)
-        got = vk_axis(F, x, kp, rule)
+        got = vk_axis(lambda s, n=n: s ** n, 1, x, kp, rule)
         want = float(vk_monomial_exact(n, 1, kp)(x))
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -70,20 +67,18 @@ def test_quadrature_matches_exact_images():
 def test_kappa_zero_is_identity():
     # the vertex rule gives F(x) exactly, at one point and at many
     kp = KappaParams(3, 0)
-    F = AxisFunction(ell=2, profile=lambda s: np.cos(s))
     x = np.array([0.3, -0.8, 0.5])
     rule = build_rule(3, 0, 1)
-    assert vk_axis(F, x, kp, rule) == np.cos(-0.8)
+    assert vk_axis(np.cos, 2, x, kp, rule) == np.cos(-0.8)
     X = np.random.default_rng(3).normal(size=(9, 3))
-    assert np.array_equal(vk_axis(F, X, kp, rule), np.cos(X[:, 1]))
+    assert np.array_equal(vk_axis(np.cos, 2, X, kp, rule), np.cos(X[:, 1]))
 
 
 def test_small_kappa_approaches_identity():
     kp = KappaParams(3, Fraction(1, 64))
     rule = build_rule(3, float(kp.kappa), 32)
     x = np.array([0.3, -0.7, 0.6])
-    F = AxisFunction(ell=1, profile=lambda s: s ** 2)
-    assert abs(vk_axis(F, x, kp, rule) - 0.3 ** 2) < 0.01
+    assert abs(vk_axis(lambda s: s ** 2, 1, x, kp, rule) - 0.3 ** 2) < 0.01
 
 
 def test_verify_intertwining_counts_and_passes():
@@ -175,15 +170,17 @@ def test_verify_intertwining_refuses_a_negative_degree():
 def test_vk_axis_argument_errors():
     kp = KappaParams(3, 1)
     rule = build_rule(3, 1.0, 8)
-    F = AxisFunction(ell=1, profile=lambda s: s)
+    def f(s):
+        return s
+
     with pytest.raises(ValueError):
-        vk_axis(F, np.zeros(2), kp, rule)
+        vk_axis(f, 1, np.zeros(2), kp, rule)
     with pytest.raises(ValueError):
-        vk_axis(AxisFunction(ell=4, profile=lambda s: s), np.zeros(3), kp, rule)
+        vk_axis(f, 4, np.zeros(3), kp, rule)
     with pytest.raises(ValueError):
-        vk_axis(F, np.zeros(3), kp, build_rule(2, 1.0, 8))
+        vk_axis(f, 1, np.zeros(3), kp, build_rule(2, 1.0, 8))
     with pytest.raises(ValueError):
-        vk_axis(F, np.zeros(3), kp, build_rule(3, 2.0, 8))
+        vk_axis(f, 1, np.zeros(3), kp, build_rule(3, 2.0, 8))
 
 
 def test_transposition_equivariance():
@@ -191,24 +188,21 @@ def test_transposition_equivariance():
     rule = build_rule(3, 1.0, 32)
     rng = np.random.default_rng(22)
     x = rng.uniform(-1, 1, size=3)
-    F1 = AxisFunction(ell=1, profile=np.exp)
     # swapping two axes other than ell leaves the value unchanged
     x23 = x[[0, 2, 1]]
-    assert abs(vk_axis(F1, x, kp, rule) - vk_axis(F1, x23, kp, rule)) < 1e-13
+    assert abs(vk_axis(np.exp, 1, x, kp, rule) - vk_axis(np.exp, 1, x23, kp, rule)) < 1e-13
     # swapping ell with j moves the distinguished factor to axis j
     x12 = x[[1, 0, 2]]
-    F2 = AxisFunction(ell=2, profile=np.exp)
-    assert abs(vk_axis(F1, x12, kp, rule) - vk_axis(F2, x, kp, rule)) < 1e-13
+    assert abs(vk_axis(np.exp, 1, x12, kp, rule) - vk_axis(np.exp, 2, x, kp, rule)) < 1e-13
 
 
 def test_positivity_on_nonnegative_profiles():
     kp = KappaParams(3, Fraction(1, 2))
     rule = build_rule(3, 0.5, 24)
     rng = np.random.default_rng(23)
-    F = AxisFunction(ell=1, profile=lambda s: (s - 0.2) ** 2)
     for _ in range(10):
         x = rng.uniform(-1, 1, size=3)
-        assert vk_axis(F, x, kp, rule) >= -1e-13
+        assert vk_axis(lambda s: (s - 0.2) ** 2, 1, x, kp, rule) >= -1e-13
 
 
 def test_d2_generic_reduces_to_axis_path():
@@ -218,7 +212,7 @@ def test_d2_generic_reduces_to_axis_path():
     for _ in range(5):
         x = rng.uniform(-1, 1, size=2)
         got = vk_d2_generic(lambda u, v: np.cos(u), x, kp, rule)
-        want = vk_axis(AxisFunction(ell=1, profile=np.cos), x, kp, rule)
+        want = vk_axis(np.cos, 1, x, kp, rule)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
         # the symmetric linear function is fixed by V
         s = vk_d2_generic(lambda u, v: u + v, x, kp, rule)

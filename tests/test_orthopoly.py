@@ -167,6 +167,18 @@ def test_zn_values():
     assert zn_eval(6, 2.0, 1.0) > 0
 
 
+def test_zn_at_lambda_zero_is_twice_chebyshev():
+    # d = 2 at kappa = 0: Z_n^0(cos theta) = 2 cos(n theta) for n >= 1, and 1 at n = 0
+    theta = np.linspace(0.0, math.pi, 41)
+    t = np.cos(theta)
+    np.testing.assert_allclose(zn_eval(0, 0.0, t), np.ones_like(t), rtol=0, atol=2e-15)
+    for n in range(1, 61):
+        # the log-gamma normalizer and the recurrence lose a few ulps per
+        # degree: 1.3e-13 at n = 50
+        atol = 2e-15 if n <= 3 else 3e-13
+        np.testing.assert_allclose(zn_eval(n, 0.0, t), 2 * np.cos(n * theta), rtol=0, atol=atol)
+
+
 def test_h_norm_closed_form_vs_quadrature():
     assert abs(jacobi_h_norm(0, JacobiParams(0.0, 0.0)) - 2.0) < 1e-14
     for a, b in ((0.0, 0.0), (1.5, 0.5), (3.0, 3.0)):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dunklsym import simplexquad
-from dunklsym.intertwine import AxisFunction, vk_axis, vk_d2_generic
+from dunklsym.intertwine import vk_axis, vk_d2_generic
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import (
     BLOCK_ELEMENTS,
@@ -500,7 +500,7 @@ X3 = np.array([0.6, 0.8, 0.0])
 
 # name -> (d of the rule the call needs, at kappa = 1; the call)
 RULE_TAKERS = {
-    "vk_axis": (3, lambda r: vk_axis(AxisFunction(ell=1, profile=np.cos), X3, KP3, r)),
+    "vk_axis": (3, lambda r: vk_axis(np.cos, 1, X3, KP3, r)),
     "vk_d2_generic": (2, lambda r: vk_d2_generic(lambda u, v: u * v, [0.3, 0.4], KP2, r)),
 }
 BAD_RULES = {

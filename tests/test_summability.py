@@ -16,14 +16,13 @@ import pytest
 
 from dunklsym import simplexquad, summability
 from dunklsym.harmonics import (
-    _zn_values,
     build_sphere_rule,
     hharmonic_basis,
     hweight,
     norm_const_a,
     repro_kernel_axis,
 )
-from dunklsym.intertwine import AxisFunction, polynomial_rule, vk_axis, vk_sphere_average
+from dunklsym.intertwine import polynomial_rule, vk_axis, vk_sphere_average
 from dunklsym.orthopoly import (
     JacobiParams,
     cesaro_kernel_endpoint,
@@ -31,6 +30,7 @@ from dunklsym.orthopoly import (
     jacobi_eval,
     jacobi_rows,
     kernel_normalizer,
+    zn_eval,
 )
 from dunklsym.polycore import KappaParams
 from dunklsym.simplexquad import SelfCheckError, build_rule
@@ -147,8 +147,7 @@ def test_table_matches_reproducing_kernel(d, kappa, n_max, order):
     for ell in range(1, d + 1):
         B = _axis_kernel_table(n_max, ell, params, X)
         for k in range(n_max + 1):
-            profile = AxisFunction(ell=ell, profile=lambda s: _zn_values(k, lam, s))
-            want = vk_axis(profile, X, params, rule)
+            want = vk_axis(lambda s: zn_eval(k, lam, s), ell, X, params, rule)
             tol = 1e-11 * max(1.0, np.max(np.abs(B[k])))
             assert np.max(np.abs(B[k] - want)) <= tol, (ell, k)
 
@@ -232,7 +231,7 @@ STREAM_IDS = ["exact-3-1", "tensor-3-1/2", "exact-4-1"]
 def odd_sphere_rule(d, order, kappa_hint=None):
     """The sphere rule's first half, its first node split in two of half its
     weight where the half has an even count, and the reflection of that: a
-    hemisphere of an odd node count, so that blocks of two rows or columns
+    hemisphere of an odd node count, so that blocks of two table rows
     leave a remainder of one, in a rule that integrates what the sphere rule
     does (the sweep checks its h^2 mass at integer kappa)."""
     rule = build_sphere_rule(d, order, kappa_hint=kappa_hint)
@@ -265,11 +264,10 @@ def test_one_chunk_sweep_is_the_unstreamed_sweep(params, n_max, order, monkeypat
     assert len(simplexquad.chunk_slices(len(sphere) // 2, 3 * (n_max + 1))) == 1
     records = lebesgue_sweep(params, [1.0, 1.37, 2.5], n_max, sphere_order=order)
     assert_records_near(records, unstreamed_sweep(params, [1.0, 1.37, 2.5], n_max, 1, order))
-    # blocks of the tensor table's rows and of the reduction's columns
-    # against one block each, on hemispheres of an odd node count: at
-    # budget 1, blocks of two whose last takes the remainder of one; at
-    # 2^12, blocks of 20 table rows (the tensor table) and of 32 columns
-    # (n_max 12) or 64 (n_max 6 and 8)
+    # blocks of the tensor table's rows against one block, on hemispheres
+    # of an odd node count: at budget 1, blocks of two whose last takes the
+    # remainder of one; at 2^12, blocks of 20 table rows.  The exact table
+    # and the Cesaro products do not read the budget
     # the sweep takes each odd hemisphere as one block, as it takes a rule
     # a caller built
     monkeypatch.setattr(summability, "sphere_rule_blocks", odd_sphere_blocks)
@@ -282,17 +280,13 @@ def test_one_chunk_sweep_is_the_unstreamed_sweep(params, n_max, order, monkeypat
         assert lebesgue_sweep(params, [1.0, 1.37, 2.5], n_max, sphere_order=order) == want
 
 
-def test_reduction_blocks_keep_the_bits_past_n_max_13(monkeypatch):
-    # with 14 or more terms per entry, OpenBLAS can round the columns of a
-    # block that does not start on a multiple of its kernel's unrolling
-    # differently from one product; blocks of 163 columns (2 (n_max + 1)
-    # elements a column, not rounded to a power of two) moved six records.
-    # The even-degree product has n_max // 2 + 1 terms per entry; at n_max
-    # 40, blocks of 16, 64 and 256 columns not rounded to a power of two
-    # (19, 76 and 304) moved records.
-    monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", ONE_BLOCK)
+def test_sweep_records_do_not_depend_on_the_block_budget(monkeypatch):
+    # the budget cuts no Cesaro product: OpenBLAS can round a product over
+    # columns that do not start on a multiple of its kernel's unrolling
+    # differently from one product, which moved about half of these 120
+    # records at budgets 2^9 and 2^11
     want = lebesgue_sweep(KP31, [1.0, 1.37, 2.5], 40, sphere_order=48)
-    for budget in (2**13, 2**15, 2**17):  # blocks of 16, 64 and 256 columns
+    for budget in (2**9, 2**11, 2**13, ONE_BLOCK):
         monkeypatch.setattr(simplexquad, "BLOCK_ELEMENTS", budget)
         assert lebesgue_sweep(KP31, [1.0, 1.37, 2.5], 40, sphere_order=48) == want
 
@@ -316,7 +310,8 @@ def test_stacked_deltas_are_the_one_delta_sweeps(params, n_max):
 def test_one_column_remainder_segment_keeps_the_bits(params, n_max, monkeypatch):
     # at order 16 the odd hemisphere has 16^2 + 1 = 257 nodes (exact) or 3 *
     # 16^2 + 1 = 769 (the chamber rule): full segments and a last of one column,
-    # whose products numpy runs as matrix-vector calls under every budget
+    # whose products numpy runs as matrix-vector calls; the budgets cut only
+    # the tensor table's node blocks
     half = len(odd_sphere_rule(params.d, 16, params.kappa)) // 2
     assert half % summability.SEGMENT_COLUMNS == 1
     monkeypatch.setattr(summability, "sphere_rule_blocks", odd_sphere_blocks)
@@ -658,7 +653,7 @@ def test_batched_kernels_match_per_row(params):
     calls = {
         "cesaro": lambda x: cesaro_kernel_axis(9, 1.5, 2, x, params),
         "repro": lambda x: repro_kernel_axis(6, 3, x, params),
-        "vk_axis": lambda x: vk_axis(AxisFunction(ell=1, profile=np.exp), x, params, rule),
+        "vk_axis": lambda x: vk_axis(np.exp, 1, x, params, rule),
     }
     for name, call in calls.items():
         batch = call(X)
@@ -871,7 +866,7 @@ PROFILE_CALLS = {
     "jacobi_eval": (lambda: jacobi_eval(200, JP15, T_ROW), T_ROW.nbytes),
     "cesaro_kernel_endpoint": (
         lambda: cesaro_kernel_endpoint(200, JP15, 1.5, T_ROW), T_ROW.nbytes),
-    "zn_values": (lambda: _zn_values(200, 2.0, T_ROW), T_ROW.nbytes),
+    "zn_eval": (lambda: zn_eval(200, 2.0, T_ROW), T_ROW.nbytes),
     "estimate_check": (
         lambda: estimate_check(200, KP31, 2.5, 2.5, X_ROWS),
         len(X_ROWS) * len(RULE_200) * 8),
